@@ -7,10 +7,11 @@ Subpackages:
 - `combinatorics`: partitions, skew strips, Kostka numbers, permutations,
   and the standard basis index set.
 - `algebra`: normal-form arithmetic in the standard basis.
-- `symfun`: symmetric polynomials (monomial/Schur bases) and the
-  Hall-Littlewood-type generators driving the character theory.
-- `characters`: strip weights, the recursive character engine, character
-  tables, and class polynomials.
+- `symfun`: symmetric polynomials (monomial/Schur bases), the
+  Hall-Littlewood-type generators driving the character theory, strip
+  weights and the transition coefficients of the strip Pieri rule.
+- `characters`: the recursive character engine, character tables, and
+  class polynomials.
 - `tensorrep`: the sparse tensor-space action and the weighted-trace
   character oracle used for cross-validation.
 - `cli`: the `mirhecke` command-line interface.

@@ -56,6 +56,10 @@ _MINUS_QINV_QM1 = MINUS_ONE * QINV * Q_MINUS_1
 _MINUS_Q = -Q
 
 
+class OddExponentError(ArithmeticError):
+    """Raised when a normal form computed from even inputs has an odd v-exponent."""
+
+
 class GeneratorWord:
     """A word in the generators T_i, T_i^-1 (1 <= i <= n-1) and P_j (1 <= j <= n)."""
 
@@ -552,8 +556,8 @@ def basis_word(idx: BasisIndex) -> GeneratorWord:
 def _finish(n: int, welem: dict, check_even: bool = True) -> AlgebraElement:
     out = AlgebraElement(n, _to_standard(welem))
     # intrinsic computations on even inputs never leave the Z[q, q^-1] subring
-    if check_even:
-        assert even_exponent_ok(out), f"odd v-exponent escaped the engine: {out!r}"
+    if check_even and not even_exponent_ok(out):
+        raise OddExponentError(f"odd v-exponent escaped the engine: {out!r}")
     return out
 
 

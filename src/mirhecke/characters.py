@@ -10,16 +10,18 @@ of size at most m from lambda:
 
 with the base case chi[lam](empty) = [lam == empty].
 
-`wtbar` is the q -> q^-1 inversion of the classical strip weight; the empty
-strip has weight 1 (the Pieri oracle at m = 1 forces that convention).
+The strips lam/nu come straight from the row-by-row generator
+`combinatorics.strip_removals`, which also reads off their components; the
+inverted strip weights and the transition coefficients g(t, m) live in
+`symfun`, next to the Pieri rule that uses them.  For each (lam, m, variant)
+the list of (nu, |nu|, g * wtbar) is built once.  Values are memoized in
+process only; nothing is written to disk.
 
-The transition coefficients g(t, m) ship in two variants.  The default
-"oracle" variant is (-q)^(m-1) f(t, m) with f evaluated at q^-1, which is
-what the substitution of the two-parameter symmetry into the classical
-Pieri expansion actually produces, and it passes the brute-force product
-oracle for every tested size.  The "paper" variant reproduces a published
-case list that fails that oracle at m = 2 (kept selectable so the
-discrepancy is demonstrable, never used by default).
+The transition coefficients ship in two variants (`symfun.G_VARIANTS`).  The
+default "oracle" variant passes the brute-force product oracle for every
+tested size; the "paper" variant reproduces a published case list that
+fails that oracle at m = 2 (kept selectable so the discrepancy is
+demonstrable, never used by default).
 
 Class polynomials express any standard basis element through the cocenter
 representatives: the coefficient vector is the unique solution of the linear
@@ -29,15 +31,18 @@ it must come out Laurent-polynomial (denominators clear exactly).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cache
 
-from .combinatorics import BasisIndex, Partition, check_partition, partitions_up_to, strip_data
-from .ring import LaurentScalar, ONE, Q_MINUS_1, ZERO, solve_linear
-
-G_VARIANTS = ("oracle", "paper")
+from .combinatorics import (
+    BasisIndex,
+    Partition,
+    check_partition,
+    partitions_up_to,
+    strip_removals,
+)
+from .ring import LaurentScalar, ONE, ZERO, solve_linear
+from .symfun import g_coeff, strip_weight
 
 
 class ClassPolynomialDefect(RuntimeError):
@@ -45,114 +50,20 @@ class ClassPolynomialDefect(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# strip weights and transition coefficients
-# ---------------------------------------------------------------------------
-
-
-def _neg_q_pow(e: int) -> LaurentScalar:
-    s = LaurentScalar.q_power(e)
-    return -s if e % 2 else s
-
-
-def wtbar(lam, nu) -> LaurentScalar:
-    """The inverted strip weight of lam/nu.
-
-    Zero when lam/nu is not a strip; 1 when lam == nu; otherwise
-    (-q)^(1 - size) (q-1)^(cc - 1) prod_b q^(rows(b)-1) (-1)^(cols(b)-1)
-    over connected components b.
-    """
-    data = strip_data(check_partition(lam), check_partition(nu))
-    if not data.is_strip:
-        return ZERO
-    if data.size == 0:
-        return ONE
-    out = _neg_q_pow(1 - data.size) * Q_MINUS_1 ** (data.cc - 1)
-    for ro, co in data.components:
-        out = out * LaurentScalar.q_power(ro - 1)
-        if (co - 1) % 2:
-            out = -out
-    return out
-
-
-def g_coeff(t: int, m: int, variant: str = "oracle") -> LaurentScalar:
-    """Transition coefficient g_{t,m}(q) of the strip Pieri rule, m >= 1.
-
-    oracle: t=0 -> (-1)^(m-1); 0<t<m -> (-1)^m (q-1) q^(t-1); t=m -> (-q)^(m-1).
-    paper:  t=0 -> (-1)^m q;   0<t<m -> (-1)^(m-t+1) (q-1);   t=m -> 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 <= t <= m:
-        raise ValueError(f"t = {t} out of range 0..{m}")
-    if variant not in G_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "oracle":
-        if t == 0:
-            return LaurentScalar.from_int(-1 if (m - 1) % 2 else 1)
-        if t == m:
-            return _neg_q_pow(m - 1)
-        out = Q_MINUS_1 * LaurentScalar.q_power(t - 1)
-        return -out if m % 2 else out
-    if t == 0:
-        out = LaurentScalar.q_power(1)
-        return -out if m % 2 else out
-    if t == m:
-        return ONE
-    return -Q_MINUS_1 if (m - t + 1) % 2 else Q_MINUS_1
-
-
-# ---------------------------------------------------------------------------
 # the recursive character engine
 # ---------------------------------------------------------------------------
 
 _MN_CACHE: dict = {}
-_CACHE_LOADED = False
 
 
-def cache_dir() -> Path:
-    return Path(os.environ.get("MIRHECKE_CACHE", ".mirhecke-cache"))
-
-
-def _cache_key(variant: str, n: int, lam, mu) -> str:
-    return f"{variant}|{n}|{partition_string(lam)}|{partition_string(mu)}"
-
-
-def load_mn_cache() -> int:
-    """Merge the on-disk memo into the in-process cache; returns entries read."""
-    global _CACHE_LOADED
-    _CACHE_LOADED = True
-    path = cache_dir() / "mn_characters.json"
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return 0
-    count = 0
-    for key, val in raw.items():
-        try:
-            variant, ns, ls, ms = key.split("|")
-            tup = (variant, int(ns), parse_partition(ls), parse_partition(ms))
-            _MN_CACHE[tup] = LaurentScalar.from_json(val)
-            count += 1
-        except (ValueError, KeyError, TypeError):
-            continue
-    return count
-
-
-def save_mn_cache() -> int:
-    """Write the in-process memo to disk; returns entries written."""
-    path = cache_dir() / "mn_characters.json"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            _cache_key(variant, n, lam, mu): _MN_CACHE[(variant, n, lam, mu)].to_json()
-            for (variant, n, lam, mu) in sorted(_MN_CACHE)
-        }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
-        return len(payload)
-    except OSError:
-        return 0
+@cache
+def _transitions(lam: Partition, m: int, variant: str) -> tuple:
+    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m."""
+    k = sum(lam)
+    return tuple(
+        (nu, k - size, g_coeff(size, m, variant) * strip_weight(size, comps))
+        for nu, size, comps in strip_removals(lam, m)
+    )
 
 
 def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
@@ -180,14 +91,11 @@ def _mn(n: int, lam: Partition, mu: Partition, variant: str, last: bool) -> Laur
     else:
         m, rest = mu[0], mu[1:]
     total = ZERO
-    for nu in _strip_subsets(lam, m):
-        if sum(nu) > n - m:
-            continue
-        w = wtbar(lam, nu)
-        if not w:
-            continue
-        t = sum(lam) - sum(nu)
-        total = total + g_coeff(t, m, variant) * w * _mn(n - m, nu, rest, variant, last)
+    for nu, nu_size, coeff in _transitions(lam, m, variant):
+        if nu_size <= n - m:
+            sub = _mn(n - m, nu, rest, variant, last)
+            if sub:
+                total = total + coeff * sub
     _MN_CACHE[key] = total
     return total
 
@@ -199,28 +107,6 @@ def mn_character_removing_first(n: int, lam, mu, variant: str = "oracle") -> Lau
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
     return _mn(n, lam, mu, variant, last=False)
-
-
-def _strip_subsets(lam: Partition, m: int):
-    """Partitions nu inside lam with lam/nu a strip of size <= m."""
-
-    def gen(i: int, removed: int, prefix: tuple):
-        if i == len(lam):
-            yield prefix
-            return
-        hi = lam[i]
-        lo = max(hi - (m - removed), 0)
-        for a in range(hi, lo - 1, -1):
-            if prefix and a > prefix[-1]:
-                continue
-            yield from gen(i + 1, removed + hi - a, prefix + (a,))
-
-    # over-enumerates all sub-diagrams with <= m boxes removed; the strip
-    # condition is decided by strip_data, not re-encoded here
-    for nu_raw in gen(0, 0, ()):
-        nu = tuple(a for a in nu_raw if a)
-        if strip_data(lam, nu).is_strip:
-            yield nu
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +148,12 @@ class CharacterTable:
         return "\n".join(lines) + "\n"
 
 
-def character_table(n: int, variant: str = "oracle", jobs: int = 1) -> CharacterTable:
+def character_table(n: int, variant: str = "oracle") -> CharacterTable:
     """The full table of chi[(lam, |lam|)] on the mu-representatives, |lam|, |mu| <= n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not _CACHE_LOADED:
-        load_mn_cache()
     labels = partitions_up_to(n)
-    pairs = [(lam, mu) for lam in labels for mu in labels]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(lambda p: mn_character(n, p[0], p[1], variant), pairs))
-        entries = {pair: val for pair, val in zip(pairs, vals)}
-    else:
-        entries = {(lam, mu): mn_character(n, lam, mu, variant) for lam, mu in pairs}
-    save_mn_cache()
+    entries = {(lam, mu): mn_character(n, lam, mu, variant) for lam in labels for mu in labels}
     return CharacterTable(n, labels, entries, variant)
 
 

@@ -76,7 +76,7 @@ def _emit(payload: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _suite_relations(n: int, r: int, variant: str, slow: bool, jobs: int = 1) -> list[dict]:
+def _suite_relations(n: int, r: int, variant: str, slow: bool) -> list[dict]:
     out = [dict(kind="algebra", **rep) for rep in algebra.check_relations(n)]
     out += [dict(kind="tensor", **rep) for rep in tensorrep.verify_rep_relations(n, r)]
     return out
@@ -88,7 +88,7 @@ def _pair_sample(n: int, count: int, seed: int = 0):
     return [(rng.choice(basis), rng.choice(basis)) for _ in range(count)]
 
 
-def _suite_oracle(n: int, r: int, variant: str, slow: bool, jobs: int = 1) -> list[dict]:
+def _suite_oracle(n: int, r: int, variant: str, slow: bool) -> list[dict]:
     reports: list[dict] = []
 
     def record(check, ok, witness=None):
@@ -165,7 +165,7 @@ def _suite_oracle(n: int, r: int, variant: str, slow: bool, jobs: int = 1) -> li
             all(rk == expected for rk in ranks),
             None if all(rk == expected for rk in ranks) else ranks,
         )
-        table = characters.character_table(n, variant, jobs=jobs)
+        table = characters.character_table(n, variant)
         bad = None
         for idx in iter_standard_basis(n):
             try:
@@ -196,7 +196,7 @@ def _compositions_of(k: int):
             yield (first,) + rest
 
 
-def _suite_frobenius(n: int, r: int, variant: str, slow: bool, jobs: int = 1) -> list[dict]:
+def _suite_frobenius(n: int, r: int, variant: str, slow: bool) -> list[dict]:
     reports: list[dict] = []
 
     def record(check, ok, witness=None):
@@ -215,7 +215,7 @@ def _suite_frobenius(n: int, r: int, variant: str, slow: bool, jobs: int = 1) ->
             break
     record("Frobenius identity", bad is None, bad)
 
-    table = characters.character_table(n, variant, jobs=jobs)
+    table = characters.character_table(n, variant)
     ok = all(
         table.entries[(lam, mu)].is_zero()
         for lam in table.labels
@@ -241,7 +241,7 @@ def _suite_frobenius(n: int, r: int, variant: str, slow: bool, jobs: int = 1) ->
     return reports
 
 
-def _suite_pieri(n: int, r: int, variant: str, slow: bool, jobs: int = 1) -> list[dict]:
+def _suite_pieri(n: int, r: int, variant: str, slow: bool) -> list[dict]:
     reports: list[dict] = []
 
     def record(check, ok, witness=None):
@@ -313,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.add_argument("--out", default=None)
-    p_table.add_argument("--g-variant", choices=characters.G_VARIANTS, default="oracle")
-    p_table.add_argument("--jobs", type=int, default=1)
+    p_table.add_argument("--g-variant", choices=symfun.G_VARIANTS, default="oracle")
 
     p_cp = sub.add_parser("classpoly", help="write class polynomials of a basis element")
     p_cp.add_argument("--n", type=int, required=True)
@@ -325,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pieri.add_argument("--m", type=int, required=True)
     p_pieri.add_argument("--nu", default="0", help='partition, e.g. "2.1" (empty: "0")')
     p_pieri.add_argument("--r", type=int, default=5)
-    p_pieri.add_argument("--g-variant", choices=characters.G_VARIANTS, default="oracle")
+    p_pieri.add_argument("--g-variant", choices=symfun.G_VARIANTS, default="oracle")
     p_pieri.add_argument("--out", default=None)
 
     p_dim = sub.add_parser("dim", help="print the algebra dimension")
@@ -337,9 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=tuple(_SUITES) + ("all",), default="all"
     )
-    p_verify.add_argument("--g-variant", choices=characters.G_VARIANTS, default="oracle")
+    p_verify.add_argument("--g-variant", choices=symfun.G_VARIANTS, default="oracle")
     p_verify.add_argument("--r-mode", choices=("n", "n-plus-1"), default="n")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--slow", action="store_true", help="include rank-5 oracle items")
     return parser
 
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
     if args.command == "table":
         if args.n < 1:
             parser.error("--n must be >= 1")
-        table = characters.character_table(args.n, args.g_variant, jobs=args.jobs)
+        table = characters.character_table(args.n, args.g_variant)
         if args.format == "csv":
             _emit(table.to_csv(), args.out)
         else:
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
         for name in suites:
             report.extend(
                 {"suite": name, **entry}
-                for entry in _SUITES[name](args.n, r, args.g_variant, args.slow, args.jobs)
+                for entry in _SUITES[name](args.n, r, args.g_variant, args.slow)
             )
         failures = [entry for entry in report if entry["status"] != "pass"]
         for entry in report:

@@ -163,6 +163,47 @@ def strip_data(lam: Partition, nu: Partition) -> SkewStripData:
     return SkewStripData(not has_block, len(boxes), len(comps), data)
 
 
+def strip_removals(lam: Partition, m: int):
+    """Yield (nu, |lam/nu|, components) for every strip lam/nu with |lam/nu| <= m.
+
+    The strip is read off consecutive rows instead of boxes (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3 and III.5): lam/nu has no
+    2x2 block iff nu_i >= lam_{i+1} - 1 for every row i, and consecutive
+    non-empty rows i, i+1 lie in one component iff nu_i < lam_{i+1}.  A
+    component running from row a down to row b occupies b - a + 1 rows and
+    lam_a - nu_b columns.  Sizes and components (top to bottom) agree with
+    `strip_data`, the box-based analysis that tests hold this against.
+    """
+    lam = check_partition(lam)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if not lam:
+        yield (), 0, ()
+        return
+    ell = len(lam)
+    floor = [b - 1 for b in lam[1:]] + [0]
+
+    def rows(i: int, budget: int, cap: int):
+        if i == ell:
+            yield ()
+            return
+        for a in range(min(lam[i], cap), max(floor[i], lam[i] - budget) - 1, -1):
+            for tail in rows(i + 1, budget - (lam[i] - a), a):
+                yield (a,) + tail
+
+    total = sum(lam)
+    for nu in rows(0, m, lam[0]):
+        comps = []
+        top = None  # first row of the component being read
+        for i in range(ell + 1):
+            if top is not None and (i == ell or nu[i] == lam[i] or nu[i - 1] >= lam[i]):
+                comps.append((i - top, lam[top] - nu[i - 1]))
+                top = None
+            if top is None and i < ell and nu[i] < lam[i]:
+                top = i
+        yield tuple(a for a in nu if a), total - sum(nu), tuple(comps)
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ The character theory lives in two one-parameter families evaluated at
 
 They are exchanged by q -> q^-1 up to the factor (-q)^(m-1); that identity
 and the generating-function description are exposed as exact checks.  The
-strip Pieri rule `pieri_qtilde` expands qtilde * schur through strip weights
-and is always verifiable against the brute-force product expansion.
+strip Pieri rule `pieri_qtilde` expands qtilde * schur through the inverted
+strip weights `wtbar` and the transition coefficients `g_coeff` (two
+variants, see `G_VARIANTS`), and is always verifiable against the
+brute-force product expansion.  The character recursion in `characters`
+uses the same weights and coefficients.
 """
 
 from __future__ import annotations
@@ -26,8 +29,17 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import Partition, check_partition, contains, kostka, partitions_of
+from .combinatorics import (
+    Partition,
+    check_partition,
+    contains,
+    kostka,
+    partitions_of,
+    strip_data,
+)
 from .ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO
+
+G_VARIANTS = ("oracle", "paper")
 
 
 class SchurExpandError(ValueError):
@@ -436,6 +448,67 @@ def _strip_supersets(nu: Partition, m: int, r: int):
     yield from gen(0, m, ())
 
 
+def strip_weight(size: int, components) -> LaurentScalar:
+    """The inverted weight of a strip with the given size and components.
+
+    This is the classical strip weight under q -> q^-1.  It is 1 for the
+    empty strip; otherwise
+    (-q)^(1 - size) (q-1)^(cc - 1) prod_b q^(rows(b)-1) (-1)^(cols(b)-1)
+    over the (rows, cols) pairs b of its cc connected components.
+    """
+    if size == 0:
+        return ONE
+    out = _neg_q_pow(1 - size) * Q_MINUS_1 ** (len(components) - 1)
+    for ro, co in components:
+        out = out * LaurentScalar.q_power(ro - 1)
+        if (co - 1) % 2:
+            out = -out
+    return out
+
+
+def wtbar(lam, nu) -> LaurentScalar:
+    """The inverted strip weight of lam/nu, from the box-based `strip_data`.
+
+    Zero when lam/nu is not a strip; 1 when lam == nu (the Pieri oracle at
+    m = 1 forces that convention).
+    """
+    data = strip_data(check_partition(lam), check_partition(nu))
+    if not data.is_strip:
+        return ZERO
+    return strip_weight(data.size, data.components)
+
+
+def g_coeff(t: int, m: int, variant: str = "oracle") -> LaurentScalar:
+    """Transition coefficient g_{t,m}(q) of the strip Pieri rule, m >= 1.
+
+    oracle: t=0 -> (-1)^(m-1); 0<t<m -> (-1)^m (q-1) q^(t-1); t=m -> (-q)^(m-1).
+    paper:  t=0 -> (-1)^m q;   0<t<m -> (-1)^(m-t+1) (q-1);   t=m -> 1.
+
+    The oracle variant is what substituting the two-parameter symmetry into
+    the classical Pieri expansion produces; the paper variant reproduces a
+    published case list that fails the product oracle at m = 2.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 0 <= t <= m:
+        raise ValueError(f"t = {t} out of range 0..{m}")
+    if variant not in G_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "oracle":
+        if t == 0:
+            return LaurentScalar.from_int(-1 if (m - 1) % 2 else 1)
+        if t == m:
+            return _neg_q_pow(m - 1)
+        out = Q_MINUS_1 * LaurentScalar.q_power(t - 1)
+        return -out if m % 2 else out
+    if t == 0:
+        out = LaurentScalar.q_power(1)
+        return -out if m % 2 else out
+    if t == m:
+        return ONE
+    return -Q_MINUS_1 if (m - t + 1) % 2 else Q_MINUS_1
+
+
 def pieri_qtilde(m: int, nu, r: int, variant: str = "oracle") -> dict:
     """Schur coefficients of qtilde_m * s_nu via the strip expansion.
 
@@ -445,8 +518,6 @@ def pieri_qtilde(m: int, nu, r: int, variant: str = "oracle") -> dict:
     "paper" variant of the transition coefficients is provided for the
     documented comparison and fails that oracle at m = 2.
     """
-    from . import characters
-
     nu = check_partition(nu)
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -454,11 +525,11 @@ def pieri_qtilde(m: int, nu, r: int, variant: str = "oracle") -> dict:
         return {nu: ONE} if len(nu) <= r else {}
     out: dict[Partition, LaurentScalar] = {}
     for lam in _strip_supersets(nu, m, r):
-        wt = characters.wtbar(lam, nu)
+        wt = wtbar(lam, nu)
         if not wt:
             continue
         t = sum(lam) - sum(nu)
-        c = characters.g_coeff(t, m, variant) * wt
+        c = g_coeff(t, m, variant) * wt
         if c:
             out[lam] = c
     return out

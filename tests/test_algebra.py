@@ -5,6 +5,8 @@ import pytest
 from mirhecke.algebra import (
     AlgebraElement,
     GeneratorWord,
+    OddExponentError,
+    _finish,
     all_basis_elements,
     basis_element,
     basis_word,
@@ -23,8 +25,8 @@ from mirhecke.algebra import (
     star,
     t0_element,
 )
-from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
-from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1
+from mirhecke.combinatorics import BasisIndex, identity_perm, iter_standard_basis, partitions_up_to
+from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V
 
 
 def idx(A, B, w):
@@ -131,6 +133,17 @@ class TestMul:
         for _ in range(60):
             prod = mul(rng.choice(els), rng.choice(els))
             assert even_exponent_ok(prod)
+
+
+class TestEvenExponentInvariant:
+    def test_odd_exponent_raises(self):
+        # a hand-built working-basis term v * 1, which no even input can produce
+        with pytest.raises(OddExponentError):
+            _finish(2, {((), identity_perm(2)): V})
+
+    def test_unchecked_finish_keeps_odd_exponent(self):
+        out = _finish(2, {((), identity_perm(2)): V}, check_even=False)
+        assert not even_exponent_ok(out)
 
 
 class TestHatT:

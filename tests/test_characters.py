@@ -2,27 +2,23 @@ import json
 
 import pytest
 
-from mirhecke import tensorrep
+from mirhecke import characters, tensorrep
 from mirhecke.algebra import basis_element, hat_T
 from mirhecke.characters import (
     CharacterTable,
     ClassPolynomialDefect,
-    _MN_CACHE,
     character_table,
     class_polynomials,
-    g_coeff,
-    load_mn_cache,
     mn_character,
     mn_character_removing_first,
     parse_partition,
     partition_string,
-    save_mn_cache,
     table_determinant_at,
     vanishing_check,
-    wtbar,
 )
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
 from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, ZERO
+from mirhecke.symfun import g_coeff, wtbar
 
 
 def q_int(x):
@@ -157,29 +153,15 @@ class TestCharacterTable:
         assert obj["labels"] == ["0", "1", "2", "1.1"]
         assert len(obj["entries"]) == 4 and len(obj["entries"][0]) == 4
 
-    def test_parallel_fill_identical(self):
-        a = character_table(3, jobs=1)
-        b = character_table(3, jobs=4)
-        assert a.entries == b.entries
-
-
-class TestDiskCache:
-    def test_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIRHECKE_CACHE", str(tmp_path))
-        character_table(2)
-        assert (tmp_path / "mn_characters.json").exists()
-        saved = dict(_MN_CACHE)
-        _MN_CACHE.clear()
-        n = load_mn_cache()
-        assert n > 0
-        for key, val in _MN_CACHE.items():
-            assert saved[key] == val
-
-    def test_corrupt_cache_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIRHECKE_CACHE", str(tmp_path))
-        (tmp_path / "mn_characters.json").write_text("{not json")
-        assert load_mn_cache() == 0
-        assert character_table(1).matrix() == [[ONE, ONE], [ZERO, ONE]]
+    def test_cold_fills_identical(self):
+        for variant in ("oracle", "paper"):
+            fills = []
+            for _ in range(2):
+                characters._MN_CACHE.clear()
+                characters._transitions.cache_clear()
+                fills.append(character_table(5, variant))
+            assert fills[0].entries == fills[1].entries
+            assert fills[0].to_csv().encode() == fills[1].to_csv().encode()
 
 
 class TestClassPolynomials:

@@ -6,6 +6,7 @@ from mirhecke.combinatorics import (
     BasisIndex,
     ContainmentError,
     conjugate,
+    contains,
     count_ssyt,
     count_standard_basis_by_enumeration,
     identity_perm,
@@ -20,7 +21,9 @@ from mirhecke.combinatorics import (
     standard_basis,
     standard_basis_count,
     strip_data,
+    strip_removals,
 )
+from mirhecke.symfun import strip_weight, wtbar
 
 # -- independent oracles used by the tests ----------------------------------
 
@@ -188,6 +191,31 @@ class TestStripData:
                 t = strip_data(conjugate(lam), conjugate(nu))
                 assert d.is_strip == t.is_strip
                 assert sorted(d.components) == sorted((c, r) for r, c in t.components)
+
+
+class TestStripRemovals:
+    def test_row_rule_matches_box_rule(self):
+        # every lam with |lam| <= 8, every nu inside lam, every m <= |lam|
+        for lam in partitions_up_to(8):
+            k = sum(lam)
+            inside = {nu: strip_data(lam, nu) for nu in partitions_up_to(k) if contains(lam, nu)}
+            for m in range(k + 1):
+                got = list(strip_removals(lam, m))
+                yielded = [nu for nu, _, _ in got]
+                assert len(set(yielded)) == len(yielded), (lam, m)
+                want = {nu for nu, d in inside.items() if d.is_strip and d.size <= m}
+                assert set(yielded) == want, (lam, m)
+                for nu, size, comps in got:
+                    d = inside[nu]
+                    assert (size, comps) == (d.size, d.components), (lam, nu)
+                    assert strip_weight(size, comps) == wtbar(lam, nu), (lam, nu)
+
+    def test_empty_partition(self):
+        assert list(strip_removals((), 3)) == [((), 0, ())]
+
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError):
+            list(strip_removals((2, 1), -1))
 
 
 # -- Kostka -------------------------------------------------------------------
