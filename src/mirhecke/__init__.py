@@ -14,6 +14,8 @@ Subpackages:
   class polynomials.
 - `tensorrep`: the sparse tensor-space action and the weighted-trace
   character oracle used for cross-validation.
+- `checks`: the verification checks, each comparing a result against an
+  independent route; `mirhecke verify` and the test suite both run them.
 - `cli`: the `mirhecke` command-line interface.
 """
 

@@ -48,11 +48,20 @@ from .combinatorics import (
     plength,
     reduced_word,
 )
-from .ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, ZERO
+from .ring import (
+    LaurentScalar,
+    MINUS_ONE,
+    MINUS_QINV_QM1,
+    ONE,
+    Q,
+    QINV,
+    Q_MINUS_1,
+    ZERO,
+    accumulate,
+)
 
 # a generator letter is ("T", i, +1 | -1) or ("P", j)
 Letter = tuple
-_MINUS_QINV_QM1 = MINUS_ONE * QINV * Q_MINUS_1
 _MINUS_Q = -Q
 
 
@@ -167,30 +176,21 @@ def _absorb(k: int, u: Permutation) -> tuple[int, Permutation]:
 
 def _hecke_rmul_letter(terms: dict, i: int, inv: bool) -> dict:
     out: dict[Permutation, LaurentScalar] = {}
-
-    def acc(key, val):
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     for u, c in terms.items():
         u2 = apply_right_s(u, i)
         ascent = u[i - 1] < u[i]
         if not inv:
             if ascent:
-                acc(u2, c)
+                accumulate(out, u2, c)
             else:
-                acc(u, c * Q_MINUS_1)
-                acc(u2, c * Q)
+                accumulate(out, u, c * Q_MINUS_1)
+                accumulate(out, u2, c * Q)
         else:
             if not ascent:
-                acc(u2, c)
+                accumulate(out, u2, c)
             else:
-                acc(u2, c * QINV)
-                acc(u, c * _MINUS_QINV_QM1)
+                accumulate(out, u2, c * QINV)
+                accumulate(out, u, c * MINUS_QINV_QM1)
     return out
 
 
@@ -220,15 +220,6 @@ def clear_caches() -> None:
     _TO_WORKING_CACHE.clear()
 
 
-def _acc(elem: dict, key, val: LaurentScalar) -> None:
-    s = elem.get(key)
-    s = val if s is None else s + val
-    if s:
-        elem[key] = s
-    else:
-        elem.pop(key, None)
-
-
 def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
     out: dict = {}
     for (A, d), c in elem.items():
@@ -238,14 +229,14 @@ def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
         if not inv:
             branches = ((d2, ONE),) if ascent else ((d, Q_MINUS_1), (d2, Q))
         else:
-            branches = ((d2, ONE),) if not ascent else ((d2, QINV), (d, _MINUS_QINV_QM1))
+            branches = ((d2, ONE),) if not ascent else ((d2, QINV), (d, MINUS_QINV_QM1))
         for u, s in branches:
             if u is d:
-                _acc(out, (A, d), c * s)
+                accumulate(out, (A, d), c * s)
             else:
                 sign, dd = _absorb(k, u)
                 val = c * s
-                _acc(out, (A, dd), -val if sign < 0 else val)
+                accumulate(out, (A, dd), -val if sign < 0 else val)
     return out
 
 
@@ -265,7 +256,7 @@ def _w_lmul_T_key(i: int, A: tuple, d: Permutation) -> dict:
     out: dict = {}
     for x, s in branches:
         if x == cA:
-            _acc(out, (A, d), s)
+            accumulate(out, (A, d), s)
             continue
         head = x[:k]
         sign = 1
@@ -280,7 +271,7 @@ def _w_lmul_T_key(i: int, A: tuple, d: Permutation) -> dict:
         for u, su in hecke.items():
             sg2, dd = _absorb(k, u)
             val = s * su
-            _acc(out, (A2, dd), -val if sign * sg2 < 0 else val)
+            accumulate(out, (A2, dd), -val if sign * sg2 < 0 else val)
     _LMUL_CACHE[key] = out
     return out
 
@@ -289,7 +280,7 @@ def _w_lmul_T(elem: dict, i: int) -> dict:
     out: dict = {}
     for (A, d), c in elem.items():
         for key, s in _w_lmul_T_key(i, A, d).items():
-            _acc(out, key, c * s)
+            accumulate(out, key, c * s)
     return out
 
 
@@ -322,13 +313,13 @@ def _w_rmul_P1_key(A: tuple, d: Permutation) -> dict:
             for u, su in hecke.items():
                 sign, dd = _absorb(k, u)
                 val = coeff * su
-                _acc(base, (Ak, dd), -val if sign < 0 else val)
+                accumulate(base, (Ak, dd), -val if sign < 0 else val)
             coeff = coeff * _MINUS_Q
         sign, dd = _absorb(k, z)
-        _acc(base, (Ak, dd), -coeff if sign < 0 else coeff)
+        accumulate(base, (Ak, dd), -coeff if sign < 0 else coeff)
         coeffp = _MINUS_Q**k
         sign, dd = _absorb(k + 1, z)
-        _acc(base, (Ak1, dd), -coeffp if sign < 0 else coeffp)
+        accumulate(base, (Ak1, dd), -coeffp if sign < 0 else coeffp)
         word = _subset_word(A) + tuple(range(m - 1, k, -1))
         for i in reversed(word):
             base = _w_lmul_T(base, i)
@@ -354,7 +345,7 @@ def _w_rmul_letter(elem: dict, letter: Letter) -> dict:
         out: dict = {}
         for (A, d), c in elem.items():
             for key, s in _w_rmul_P1_key(A, d).items():
-                _acc(out, key, c * s)
+                accumulate(out, key, c * s)
         return out
     sign, word = _pi_expansion(j)
     for lt in word:
@@ -381,7 +372,7 @@ def _tail_expansion(B: tuple, w: Permutation) -> dict:
     out: dict = {}
     for u, c in terms.items():
         sign, d = _absorb(k, u)
-        _acc(out, d, -c if sign < 0 else c)
+        accumulate(out, d, -c if sign < 0 else c)
     _TAIL_CACHE[key] = out
     return out
 
@@ -416,12 +407,12 @@ def _to_standard(welem: dict) -> dict:
         if not lead.is_unit():
             raise AssertionError(f"non-unit leading coefficient for {idx}")
         coeff = work[(A, d)] * lead.inverse_unit()
-        _acc(out, idx, coeff)
+        accumulate(out, idx, coeff)
         ld = plength(d)
         for d2, s in tail.items():
             if d2 != d and plength(d2) >= ld:
                 raise AssertionError("length triangularity violated")
-            _acc(work, (A, d2), -(coeff * s))
+            accumulate(work, (A, d2), -(coeff * s))
     return out
 
 
@@ -472,7 +463,7 @@ class AlgebraElement:
             raise ValueError("rank mismatch")
         terms = dict(self.terms)
         for i, c in other.terms.items():
-            _acc(terms, i, c)
+            accumulate(terms, i, c)
         return AlgebraElement(self.n, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -575,7 +566,7 @@ def rmul_gen(x: AlgebraElement, letter: Letter) -> AlgebraElement:
     welem: dict = {}
     for idx, c in x.terms.items():
         for key, s in _to_working(idx).items():
-            _acc(welem, key, c * s)
+            accumulate(welem, key, c * s)
     welem = _w_rmul_letter(welem, letter)
     return _finish(x.n, welem, check_even=even_exponent_ok(x))
 
@@ -587,14 +578,14 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     xw: dict = {}
     for idx, c in x.terms.items():
         for key, s in _to_working(idx).items():
-            _acc(xw, key, c * s)
+            accumulate(xw, key, c * s)
     total: dict = {}
     for idx, c in y.terms.items():
         cur = xw
         for lt in basis_word(idx):
             cur = _w_rmul_letter(cur, lt)
         for key, s in cur.items():
-            _acc(total, key, c * s)
+            accumulate(total, key, c * s)
     return _finish(x.n, total, check_even=even_exponent_ok(x) and even_exponent_ok(y))
 
 
@@ -686,7 +677,7 @@ def check_relations(n: int) -> list[dict]:
     def record(name: str, diff: AlgebraElement):
         reports.append(
             {
-                "relation": name,
+                "check": name,
                 "n": n,
                 "status": "pass" if diff.is_zero() else "fail",
                 "witness": None if diff.is_zero() else repr(diff),
@@ -739,10 +730,6 @@ def check_relations(n: int) -> list[dict]:
             P[i] + mul(mul(P[i - 1], gen_T(n, i - 1, -1)), P[i - 1]),
         )
     return reports
-
-
-def relations_all_pass(reports: list[dict]) -> bool:
-    return all(r["status"] == "pass" for r in reports)
 
 
 def even_exponent_ok(x: AlgebraElement) -> bool:

@@ -157,17 +157,6 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
     return CharacterTable(n, labels, entries, variant)
 
 
-def vanishing_check(n: int) -> bool:
-    """True iff every entry with |lam| > |mu| is exactly zero."""
-    table = character_table(n)
-    return all(
-        table.entries[(lam, mu)].is_zero()
-        for lam in table.labels
-        for mu in table.labels
-        if sum(lam) > sum(mu)
-    )
-
-
 def table_determinant_at(table: CharacterTable, q0) -> "Fraction":
     """Determinant of the table specialized at a rational q0 (entries are even)."""
     from fractions import Fraction

@@ -292,25 +292,18 @@ Q = LaurentScalar.q_power(1)
 QINV = LaurentScalar.q_power(-1)
 V = LaurentScalar.v_power(1)
 Q_MINUS_1 = Q - ONE
+# -q^-1 (q-1): the constant term of T^-1 = q^-1 T - q^-1 (q-1)
+MINUS_QINV_QM1 = -(QINV * Q_MINUS_1)
 
 
-def scalar_arith(a: LaurentScalar, b: LaurentScalar, op: str) -> LaurentScalar:
-    """Ring operation dispatch: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def bar(a: LaurentScalar) -> LaurentScalar:
-    return a.bar()
-
-
-def specialize(a: LaurentScalar, q0, v0=None) -> Fraction:
-    return a.specialize(q0, v0)
+def accumulate(terms: dict, key, val) -> None:
+    """terms[key] += val in a sparse map, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = val if s is None else s + val
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

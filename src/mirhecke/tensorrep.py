@@ -30,13 +30,12 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, GeneratorWord, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import LaurentScalar, ONE, Q, QINV, Q_MINUS_1, V, ZERO
+from .ring import MINUS_QINV_QM1, ONE, Q, QINV, Q_MINUS_1, V, accumulate
 from .symfun import SymPoly, _from_monomials, schur_expand
 
 Word = tuple  # (k_1, ..., k_n) with 1 <= k_i <= r+1
 
 _MINUS_V = -V
-_MINUS_QINV_QM1 = -(QINV * Q_MINUS_1)
 
 
 @dataclass
@@ -64,33 +63,24 @@ class TensorState:
         )
 
 
-def _acc(d: dict, key, val) -> None:
-    s = d.get(key)
-    s = val if s is None else s + val
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
-
-
 def _raw_apply_R(i: int, terms: dict) -> dict:
     out: dict = {}
     for w, c in terms.items():
         a, b = w[i - 1], w[i]
         if a == b:
-            _acc(out, w, -c)
+            accumulate(out, w, -c)
         else:
             swapped = w[: i - 1] + (b, a) + w[i + 1 :]
-            _acc(out, swapped, c * _MINUS_V)
+            accumulate(out, swapped, c * _MINUS_V)
             if a > b:
-                _acc(out, w, c * Q_MINUS_1)
+                accumulate(out, w, c * Q_MINUS_1)
     return out
 
 
 def _raw_apply_R_inv(i: int, terms: dict) -> dict:
-    out = {w: c * _MINUS_QINV_QM1 for w, c in terms.items()}
+    out = {w: c * MINUS_QINV_QM1 for w, c in terms.items()}
     for w, c in _raw_apply_R(i, terms).items():
-        _acc(out, w, c * QINV)
+        accumulate(out, w, c * QINV)
     return out
 
 
@@ -174,7 +164,7 @@ def psi_of_element(x: AlgebraElement, r: int) -> dict:
         for col, colmap in psi_matrix(r, idx).items():
             tgt = out.setdefault(col, {})
             for row, s in colmap.items():
-                _acc(tgt, row, c * s)
+                accumulate(tgt, row, c * s)
     return {col: colmap for col, colmap in out.items() if colmap}
 
 
@@ -188,7 +178,7 @@ def compose_operators(a: dict, b: dict) -> dict:
             if not acol:
                 continue
             for row, s in acol.items():
-                _acc(tgt, row, c * s)
+                accumulate(tgt, row, c * s)
         if tgt:
             out[col] = tgt
     return out
@@ -210,7 +200,7 @@ def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
         for k in col:
             if k <= r:
                 expo[k - 1] += 1
-        _acc(monos, tuple(expo), c)
+        accumulate(monos, tuple(expo), c)
     out = _from_monomials(monos, r)
     _TRACE_CACHE[key] = out
     return out
@@ -252,7 +242,7 @@ def _combo_action(parts, w: Word, r: int) -> dict:
             if not terms:
                 break
         for ww, c in terms.items():
-            _acc(total, ww, coeff * c)
+            accumulate(total, ww, coeff * c)
     return total
 
 
@@ -322,10 +312,6 @@ def verify_rep_relations(n: int, r: int) -> list[dict]:
             }
         )
     return reports
-
-
-def rep_relations_all_pass(reports: list[dict]) -> bool:
-    return all(rep["status"] == "pass" for rep in reports)
 
 
 def image_rank(n: int, r: int, q0, v0) -> int:

@@ -1,115 +1,65 @@
 """Acceptance suite: one test per criterion, all exact (zero tolerance).
 
-Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-pass/fail lines; `-m "not slow"` skips the optional rank-5 tensor items.
+Each criterion runs the checks of `mirhecke.checks`, the same functions that
+`mirhecke verify` runs, over the ranks and ranges the criterion names.  Run
+with `pytest -s tests/test_acceptance.py` to see the per-criterion pass/fail
+lines; `-m "not slow"` skips the optional rank-5 tensor items.
 """
-
-import itertools
-import random
 
 import pytest
 
-from mirhecke import tensorrep
-from mirhecke.algebra import (
-    basis_element,
-    check_relations,
-    hat_T,
-    identity_element,
-    mul,
-    relations_all_pass,
-)
-from mirhecke.characters import (
-    character_table,
-    class_polynomials,
-    mn_character,
-    table_determinant_at,
-)
+from mirhecke import checks, tensorrep
+from mirhecke.algebra import check_relations
+from mirhecke.characters import character_table, class_polynomials
 from mirhecke.combinatorics import (
     BasisIndex,
     count_standard_basis_by_enumeration,
-    iter_standard_basis,
-    partitions_up_to,
     standard_basis_count,
 )
 from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO
-from mirhecke.symfun import (
-    check_generating,
-    check_two_symmetric,
-    pieri_bruteforce,
-    pieri_qtilde,
-    qtilde,
-    qtilde_from_sequences,
-    qtilde_mu,
-    schur,
-    sym_zero,
-)
+from mirhecke.symfun import pieri_bruteforce, pieri_qtilde
 
 
-def report(num, desc, ok):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {desc}")
-    assert ok, f"criterion {num} failed: {desc}"
+def first_failure(witnesses):
+    """The first witness that is not None, or None; stops at the first failure."""
+    return next((w for w in witnesses if w is not None), None)
+
+
+def report(num, desc, witness):
+    """Print the criterion line and fail with the witness unless it is None."""
+    print(f"[{'PASS' if witness is None else 'FAIL'}] criterion {num}: {desc}")
+    assert witness is None, f"criterion {num} failed: {desc}; first failure: {witness}"
 
 
 def test_criterion_01_presentation_relations():
-    ok = all(relations_all_pass(check_relations(n)) for n in (2, 3, 4))
-    report(1, "defining relations hold through the rewrite engine, n = 2..4", ok)
+    failures = [rep for n in (2, 3, 4) for rep in check_relations(n) if rep["status"] != "pass"]
+    report(1, "defining relations hold through the rewrite engine, n = 2..4", failures or None)
 
 
 def test_criterion_02_dimension_formula():
     expected_head = [2, 7, 34, 209, 1546]
-    ok = all(
-        count_standard_basis_by_enumeration(n) == standard_basis_count(n)
-        for n in range(1, 9)
+    mismatched = [
+        n for n in range(1, 9) if count_standard_basis_by_enumeration(n) != standard_basis_count(n)
+    ]
+    head = [standard_basis_count(n) for n in range(1, 6)]
+    ok = not mismatched and head == expected_head
+    report(
+        2,
+        "enumerated index set matches sum C(n,k)^2 k!, n = 1..8",
+        None if ok else {"mismatched n": mismatched, "head": head},
     )
-    ok = ok and [standard_basis_count(n) for n in range(1, 6)] == expected_head
-    report(2, "enumerated index set matches sum C(n,k)^2 k!, n = 1..8", ok)
 
 
 def test_criterion_03_oracle_equivalence():
-    ok = True
-    for n in (1, 2, 3):
-        basis = list(iter_standard_basis(n))
-        for a, b in itertools.product(basis, repeat=2):
-            prod = mul(basis_element(a), basis_element(b))
-            lhs = tensorrep.psi_of_element(prod, n)
-            rhs = tensorrep.compose_operators(
-                tensorrep.psi_matrix(n, a), tensorrep.psi_matrix(n, b)
-            )
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        basis = list(iter_standard_basis(4))
-        rng = random.Random(0)
-        for _ in range(200):
-            a, b = rng.choice(basis), rng.choice(basis)
-            prod = mul(basis_element(a), basis_element(b))
-            lhs = tensorrep.psi_of_element(prod, 4)
-            rhs = tensorrep.compose_operators(
-                tensorrep.psi_matrix(4, a), tensorrep.psi_matrix(4, b)
-            )
-            if lhs != rhs:
-                ok = False
-                break
-    report(3, "tensor action is multiplicative (n <= 3 exhaustive, n = 4 sampled)", ok)
+    # checks.basis_pairs: every pair for n <= 3, 200 pairs from Random(0) at n = 4
+    witness = first_failure(
+        checks.psi_multiplicative(checks.basis_pairs(n), n) for n in (1, 2, 3, 4)
+    )
+    report(3, "tensor action is multiplicative (n <= 3 exhaustive, n = 4 sampled)", witness)
 
 
 def test_criterion_04_frobenius_identity():
-    ok = True
-    for n in range(1, 6):
-        r = n
-        for mu in partitions_up_to(n):
-            lhs = qtilde_mu(mu, r)
-            rhs = sym_zero(r)
-            for lam in partitions_up_to(n):
-                rhs = rhs + schur(lam, r).scale(mn_character(n, lam, mu))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
+    witness = first_failure(checks.frobenius_identity(n, n) for n in range(1, 6))
     two = LaurentScalar.from_int(2)
     want = [
         [ONE, ONE, MINUS_ONE, ONE],
@@ -117,190 +67,98 @@ def test_criterion_04_frobenius_identity():
         [ZERO, ZERO, MINUS_ONE, ONE],
         [ZERO, ZERO, Q, ONE],
     ]
-    ok = ok and character_table(2).matrix() == want
-    report(4, "Frobenius identity for n = 1..5 and the exact n = 2 table", ok)
+    if witness is None and character_table(2).matrix() != want:
+        witness = "rank-2 table differs from the worked values"
+    report(4, "Frobenius identity for n = 1..5 and the exact n = 2 table", witness)
 
 
 def test_criterion_05_recursion_vs_schur_weyl():
-    ok = True
-    for n in range(1, 5):
-        for mu in partitions_up_to(n):
-            oracle = tensorrep.char_oracle(hat_T(n, mu), r=n)
-            for lam in partitions_up_to(n):
-                if oracle.get(lam, ZERO) != mn_character(n, lam, mu):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report(5, "recursive characters equal Schur-Weyl trace columns, n <= 4", ok)
+    witness = first_failure(checks.recursion_matches_oracle(n, n) for n in range(1, 5))
+    report(5, "recursive characters equal Schur-Weyl trace columns, n <= 4", witness)
 
 
 def test_criterion_06_pieri_rule():
-    ok = True
-    for m in range(1, 6):
-        for size in range(0, 6 - m):
-            for nu in partitions_up_to(size):
-                if sum(nu) != size:
-                    continue
-                if pieri_qtilde(m, nu, 5) != pieri_bruteforce(m, nu, 5):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    paper_fails = pieri_qtilde(2, (), 5, variant="paper") != pieri_bruteforce(2, (), 5)
+    witness = checks.pieri_matches_bruteforce(5)
+    if witness is None and pieri_qtilde(2, (), 5, variant="paper") == pieri_bruteforce(2, (), 5):
+        witness = "the published coefficient list passes at m = 2"
     report(
         6,
         "strip Pieri rule matches the product oracle (and the published "
         "coefficient list fails at m = 2 as documented)",
-        ok and paper_fails,
+        witness,
     )
 
 
 def test_criterion_07_two_parameter_symmetry():
-    ok = all(
-        check_two_symmetric(m, r) for m in range(1, 7) for r in range(1, 5)
+    report(
+        7,
+        "qtilde_m(y; q) = (-q)^(m-1) g_m(y; q^-1) for m <= 6, r <= 4",
+        checks.two_parameter_symmetry(6),
     )
-    report(7, "qtilde_m(y; q) = (-q)^(m-1) g_m(y; q^-1) for m <= 6, r <= 4", ok)
 
 
 def test_criterion_08_generating_function_and_sequences():
-    ok = all(
-        check_generating(m, r) and qtilde_from_sequences(m, r) == qtilde(m, r)
-        for m in range(1, 6)
-        for r in range(1, 4)
+    report(
+        8,
+        "generating function and sequence sums reproduce qtilde",
+        checks.generating_and_sequences(5),
     )
-    report(8, "generating function and sequence sums reproduce qtilde", ok)
 
 
 def test_criterion_09_class_polynomials():
     t2 = character_table(2)
-    ok = class_polynomials(2, BasisIndex((2,), (1,), (1, 2)), t2).coeffs == {
-        (1,): Q_MINUS_1,
-        (): -Q,
-    }
-    ok = ok and class_polynomials(2, BasisIndex((1,), (2,), (1, 2)), t2).coeffs == {
-        (): MINUS_ONE
-    }
-    ok = ok and class_polynomials(2, BasisIndex((2,), (2,), (1, 2)), t2).coeffs == {
-        (1,): ONE
-    }
-    if ok:
-        for n in (1, 2, 3):
-            table = character_table(n)
-            for idx in iter_standard_basis(n):
-                cp = class_polynomials(n, idx, table)  # raises if not Laurent
-                traces = tensorrep.char_oracle(basis_element(idx), r=n)
-                for lam in table.labels:
-                    lhs = ZERO
-                    for mu, f in cp.coeffs.items():
-                        lhs = lhs + f * table.entries[(lam, mu)]
-                    if lhs != traces.get(lam, ZERO):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+    worked = [
+        (BasisIndex((2,), (1,), (1, 2)), {(1,): Q_MINUS_1, (): -Q}),
+        (BasisIndex((1,), (2,), (1, 2)), {(): MINUS_ONE}),
+        (BasisIndex((2,), (2,), (1, 2)), {(1,): ONE}),
+    ]
+    witness = first_failure(
+        idx.to_json() if class_polynomials(2, idx, t2).coeffs != want else None
+        for idx, want in worked
+    )
+    if witness is None:
+        witness = first_failure(
+            checks.class_polynomials_reconstruct(character_table(n)) for n in (1, 2, 3)
+        )
     report(9, "class polynomials: worked rank-2 values, Laurent entries, "
-              "full reconstruction for n <= 3", ok)
+              "full reconstruction for n <= 3", witness)
 
 
 def test_criterion_10_cocenter_dimension():
-    ok = True
-    for n in range(1, 6):
-        table = character_table(n)
-        if any(table_determinant_at(table, q0) == 0 for q0 in (2, 3)):
-            ok = False
-            break
-        for lam in table.labels:
-            for mu in table.labels:
-                if sum(lam) > sum(mu) and not table.entries[(lam, mu)].is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report(10, "table invertible at q0 in {2,3} and vanishing above size, n <= 5", ok)
+    witness = first_failure(
+        checks.determinant_nonzero(table) or checks.vanishing_above_diagonal(table)
+        for table in map(character_table, range(1, 6))
+    )
+    report(10, "table invertible at q0 in {2,3} and vanishing above size, n <= 5", witness)
 
 
 def test_criterion_11_composition_invariance():
-    def compositions_of(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(1, k + 1):
-            for rest in compositions_of(k - first):
-                yield (first,) + rest
-
-    ok = True
-    for n in range(1, 5):
-        for k in range(n + 1):
-            for gam in compositions_of(k):
-                srt = tuple(sorted(gam, reverse=True))
-                if gam == srt:
-                    continue
-                a = tensorrep.char_oracle(hat_T(n, gam), r=n)
-                b = tensorrep.char_oracle(hat_T(n, srt), r=n)
-                if a != b:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report(11, "oracle traces are invariant under reordering composition parts", ok)
+    witness = first_failure(checks.composition_invariance(n, n) for n in range(1, 5))
+    report(11, "oracle traces are invariant under reordering composition parts", witness)
 
 
 def test_criterion_12_image_rank():
-    ok = all(
-        tensorrep.image_rank(n, n, v0 * v0, v0) == standard_basis_count(n)
-        for n in (1, 2, 3)
-        for v0 in (2, 3)
-    )
-    report(12, "tensor image rank equals the algebra dimension, n <= 3, two points", ok)
+    witness = first_failure(checks.image_rank_equals_dim(n, n) for n in (1, 2, 3))
+    report(12, "tensor image rank equals the algebra dimension, n <= 3, two points", witness)
 
 
 def test_criterion_13_semisimple_dimension_identity():
-    ok = True
-    for n in range(1, 6):
-        table = character_table(n)
-        col = tuple([1] * n)
-        total = 0
-        for lam in table.labels:
-            coeffs = dict(table.entries[(lam, col)].items())
-            if set(coeffs) != {0} or coeffs[0] <= 0:
-                ok = False
-                break
-            total += coeffs[0] ** 2
-        ok = ok and total == standard_basis_count(n)
-        if not ok:
-            break
-    report(13, "sum of squared identity-character values equals the dimension, n <= 5", ok)
+    witness = first_failure(checks.identity_column(character_table(n)) for n in range(1, 6))
+    report(13, "sum of squared identity-character values equals the dimension, n <= 5", witness)
 
 
 @pytest.mark.slow
 def test_slow_rank5_oracle_column():
     """Optional extension of criterion 5 to n = 5 (rank-5 tensor traces)."""
-    n = 5
-    ok = True
-    for mu in partitions_up_to(n):
-        oracle = tensorrep.char_oracle(hat_T(n, mu), r=n)
-        for lam in partitions_up_to(n):
-            if oracle.get(lam, ZERO) != mn_character(n, lam, mu):
-                ok = False
-                break
-        if not ok:
-            break
-    report("5 (slow)", "recursive characters equal trace columns at n = 5", ok)
+    report(
+        "5 (slow)",
+        "recursive characters equal trace columns at n = 5",
+        checks.recursion_matches_oracle(5, 5),
+    )
 
 
 @pytest.mark.slow
 def test_slow_rank4_image_rank():
-    """Optional extension of criterion 12 to n = 4."""
-    ok = tensorrep.image_rank(4, 4, 4, 2) == standard_basis_count(4)
-    report("12 (slow)", "image rank at n = 4", ok)
+    """Optional extension of criterion 12 to n = 4, at the single point v0 = 2."""
+    rank = tensorrep.image_rank(4, 4, 4, 2)
+    report("12 (slow)", "image rank at n = 4", None if rank == standard_basis_count(4) else rank)

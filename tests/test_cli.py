@@ -111,7 +111,24 @@ class TestPieri:
         assert err.value.code == 2
 
 
+# sha256 of verify stdout from the per-suite functions that preceded the
+# check registry; verify bytes change only on purpose
+GOLDEN_VERIFY = "c69a853b5eb1a37bbf742f12f3f04afebb3c44a90c77254de1a2d1793b92e1c2"
+
+
 class TestVerify:
+    def test_golden_stdout_up_to_rank3(self, capsys):
+        # stdout concatenated over variant, then n = 1..3, then suite
+        digest = hashlib.sha256()
+        for variant in ("oracle", "paper"):
+            for n in range(1, 4):
+                for suite in ("relations", "oracle", "frobenius", "pieri"):
+                    _, out = run_cli(
+                        capsys, "verify", "--n", str(n), "--suite", suite, "--g-variant", variant
+                    )
+                    digest.update(out.encode())
+        assert digest.hexdigest() == GOLDEN_VERIFY
+
     def test_rank2_all_suites(self, capsys):
         code, out = run_cli(capsys, "verify", "--n", "2", "--r", "2", "--suite", "all")
         assert code == 0
@@ -133,6 +150,22 @@ class TestVerify:
         )
         assert code == 0
         assert "r=3" in out
+
+    def test_skip_is_not_a_failure(self, capsys):
+        # rank 5 skips multiplicativity without --slow; everything else passes
+        code, out = run_cli(capsys, "verify", "--n", "5", "--suite", "oracle")
+        assert code == 3
+        assert "[SKIP]" in out and "1 skipped" in out
+        assert '"fail"' not in out and "[FAIL]" not in out
+
+    def test_failure_survives_optimized_mode(self):
+        # python -O strips assert statements; the checks must not rely on them
+        argv = ["verify", "--n", "2", "--suite", "pieri", "--g-variant", "paper"]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "mirhecke.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert "[FAIL]" in proc.stdout
 
     def test_too_few_variables_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

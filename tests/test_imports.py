@@ -55,10 +55,13 @@ def find_cycle(graph: dict):
 
 def test_graph_sees_function_level_imports():
     graph = import_graph()
-    assert {"ring", "combinatorics", "symfun", "characters", "tensorrep", "cli"} <= set(graph)
+    modules = {"ring", "combinatorics", "symfun", "characters", "tensorrep", "checks", "cli"}
+    assert modules <= set(graph)
     # characters imports tensorrep inside class_polynomials only
     assert "tensorrep" in graph["characters"]
-    assert {"algebra", "characters", "symfun", "tensorrep"} <= graph["cli"]
+    # cli reaches algebra and tensorrep only through the check registry
+    assert "checks" in graph["cli"]
+    assert {"algebra", "characters", "symfun", "tensorrep"} <= graph["checks"]
 
 
 def test_find_cycle_reports_a_cycle():
