@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- `ring`: Laurent scalars over Z[v, v^-1] (q = v^2), rational functions,
+- `ring`: Laurent scalars over Z[v, v^-1] (q = v^2), exact division and
   fraction-free linear solving.
 - `combinatorics`: partitions, skew strips, Kostka numbers, permutations,
   and the standard basis index set.
@@ -19,7 +19,7 @@ Subpackages:
 - `cli`: the `mirhecke` command-line interface.
 """
 
-from .ring import LaurentScalar, RationalFunction, solve_linear
+from .ring import LaurentScalar, solve_linear
 from .combinatorics import BasisIndex, SkewStripData, partitions_up_to, standard_basis
 from .algebra import AlgebraElement, GeneratorWord, basis_word, hat_T, mul, rmul_gen
 from .symfun import SymPoly, qtilde, schur, schur_expand
@@ -28,7 +28,6 @@ from .tensorrep import TensorState, char_oracle, image_rank, trace_D
 
 __all__ = [
     "LaurentScalar",
-    "RationalFunction",
     "solve_linear",
     "BasisIndex",
     "SkewStripData",

@@ -25,8 +25,9 @@ demonstrable, never used by default).
 
 Class polynomials express any standard basis element through the cocenter
 representatives: the coefficient vector is the unique solution of the linear
-system given by the character table against the Schur-Weyl trace oracle, and
-it must come out Laurent-polynomial (denominators clear exactly).
+system given by the character table against the Schur-Weyl trace oracle.  It
+is solved fraction-free and must come out Laurent-polynomial: one exact
+division by d = +-det(table) per coefficient.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .combinatorics import (
     partitions_up_to,
     strip_removals,
 )
-from .ring import LaurentScalar, ONE, ZERO, solve_linear
+from .ring import InexactDivisionError, LaurentScalar, ONE, ZERO, solve_linear
 from .symfun import g_coeff, strip_weight
 
 
@@ -213,9 +214,10 @@ def class_polynomials(
 ) -> ClassPolyVector:
     """Solve for the coefficients f with chi[lam](T_idx) = sum_mu f[mu] chi[lam](mu-rep).
 
-    The right side comes from the independent tensor trace oracle at r = n;
-    the solution is exact over the fraction field and must clear to Laurent
-    polynomials (a non-polynomial solution is a defect, not a result).
+    The right side comes from the independent tensor trace oracle at r = n.
+    `solve_linear` gives (d, y) with f = y / d; each nonzero y[mu] must divide
+    exactly by d in Z[v, v^-1] (a non-Laurent coefficient is a defect, not a
+    result, and raises ClassPolynomialDefect).
     """
     from . import tensorrep
     from .algebra import basis_element
@@ -228,14 +230,17 @@ def class_polynomials(
     traces = tensorrep.char_oracle(basis_element(idx), r=n)
     matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
     rhs = [traces.get(lam, ZERO) for lam in labels]
-    sol = solve_linear(matrix, rhs)
+    d, y = solve_linear(matrix, rhs)
     coeffs = {}
-    for mu, f in zip(labels, sol):
-        if f.is_zero():
+    for mu, y_mu in zip(labels, y):
+        if y_mu.is_zero():
             continue
-        if not f.is_laurent():
-            raise ClassPolynomialDefect(f"non-polynomial coefficient at {mu}: {f!r}")
-        coeffs[mu] = f.as_laurent()
+        try:
+            coeffs[mu] = y_mu.exact_div(d)
+        except InexactDivisionError:
+            raise ClassPolynomialDefect(
+                f"non-polynomial coefficient at {mu}: ({y_mu.to_string()}) / ({d.to_string()})"
+            ) from None
     return ClassPolyVector(idx, coeffs)
 
 

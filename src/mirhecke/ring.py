@@ -7,13 +7,13 @@ coefficients, which provably stay in even v-exponents (the Z[q, q^-1]
 subring).  No floating point enters anywhere; integer coefficients are
 arbitrary-precision Python ints and specializations are `fractions.Fraction`.
 
-`RationalFunction` is the fraction field, needed only to invert the character
-table; it is kept in a reduced normal form (gcd removed, content removed,
-denominator leading coefficient positive) so equality is plain comparison.
-
-`solve_linear` is fraction-free (Bareiss) elimination: all intermediate
-divisions are exact in Z[v, v^-1], which keeps coefficient growth polynomial
-for the table sizes that occur here (at most 19 x 19).
+`solve_linear` is fraction-free (Bareiss) elimination carried through the
+back substitution: it returns (d, y) with M y = d c, d = +-det M, and every
+division on the way is exact in Z[v, v^-1].  No fraction field is needed;
+a caller that wants x = y / d divides each y_i by d with `exact_div`, which
+raises InexactDivisionError when the quotient is not Laurent.  Coefficient
+growth stays polynomial for the table sizes that occur here (12 x 12 at
+n = 4, 19 x 19 at n = 5).
 """
 
 from __future__ import annotations
@@ -216,22 +216,37 @@ class LaurentScalar:
         return total
 
     def exact_div(self, other: "LaurentScalar") -> "LaurentScalar":
-        """Exact division in Z[v, v^-1]; raises InexactDivisionError otherwise."""
+        """Exact division in Z[v, v^-1]; raises InexactDivisionError otherwise.
+
+        Long division of the integer coefficient lists, lowest exponents
+        shifted to 0: each quotient coefficient is the top remainder
+        coefficient over the divisor's leading one, and the first that
+        leaves a remainder shows the quotient is not in Z[v, v^-1].
+        """
         if not isinstance(other, LaurentScalar) or other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         if self.is_zero():
             return ZERO
         if other.is_unit():
             return self * other.inverse_unit()
-        num, nshift = self._as_poly()
+        rem, nshift = self._as_poly()
         den, dshift = other._as_poly()
-        quo, rem = _poly_divmod(num, den)
-        if rem or quo is None:
+        dg = len(den) - 1
+        lead = den[dg]
+        quo = {}
+        for k in range(len(rem) - 1 - dg, -1, -1):
+            c, r = divmod(rem[k + dg], lead)
+            if r:
+                raise InexactDivisionError("inexact Laurent division")
+            if c:
+                quo[k + nshift - dshift] = c
+                for i in range(dg):
+                    rem[k + i] -= c * den[i]
+        if any(rem[:dg]):
             raise InexactDivisionError("inexact Laurent division")
-        out = LaurentScalar({e + nshift - dshift: a for e, a in enumerate(quo) if a})
-        return out
+        return LaurentScalar(quo)
 
-    # -- dense helpers (for division/gcd) -------------------------------
+    # -- dense helper (for division) -----------------------------------
 
     def _as_poly(self) -> tuple[list[int], int]:
         """Return (dense coefficient list, shift) with poly[0] != 0."""
@@ -306,194 +321,19 @@ def accumulate(terms: dict, key, val) -> None:
         terms.pop(key, None)
 
 
-# ---------------------------------------------------------------------------
-# dense integer polynomial helpers (internal)
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _poly_divmod(f: list[int], g: list[int]):
-    """Divide over Q; return (quotient, remainder) with integer checks deferred.
-
-    Returns (None, f) if the quotient would need non-integer coefficients.
-    """
-    f = [Fraction(a) for a in f]
-    g = list(g)
-    if not _poly_trim(list(g)):
-        raise ZeroDivisionError
-    dg = len(_poly_trim(list(g))) - 1
-    lead = Fraction(g[dg])
-    quo = [Fraction(0)] * max(len(f) - dg, 0)
-    rem = f
-    while True:
-        rem = _poly_trim(rem)
-        if len(rem) - 1 < dg or not rem:
-            break
-        k = len(rem) - 1 - dg
-        c = rem[-1] / lead
-        quo[k] = c
-        for i in range(dg + 1):
-            rem[k + i] -= c * g[i]
-    if any(c.denominator != 1 for c in quo):
-        return None, rem
-    return [int(c) for c in quo], [int(c) for c in rem]
-
-
-def _content(f: list[int]) -> int:
-    from math import gcd
-
-    g = 0
-    for a in f:
-        g = gcd(g, abs(a))
-    return g or 1
-
-
-def _poly_primitive(f: list[int]) -> list[int]:
-    c = _content(f)
-    return [a // c for a in f]
-
-
-def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd in Z[v] via the primitive pseudo-remainder sequence."""
-    from math import gcd as igcd
-
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    if not f:
-        return _poly_primitive(g) if g else []
-    if not g:
-        return _poly_primitive(f)
-    cf, cg = _content(f), _content(g)
-    f = [a // cf for a in f]
-    g = [a // cg for a in g]
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        # pseudo-remainder of f by g
-        r = list(f)
-        dg = len(g) - 1
-        lead = g[-1]
-        steps = len(f) - len(g) + 1
-        for _ in range(steps):
-            r = _poly_trim(r)
-            if len(r) - 1 < dg:
-                break
-            k = len(r) - 1 - dg
-            c = r[-1]
-            r = [a * lead for a in r]
-            for i in range(dg + 1):
-                r[k + i] -= c * g[i]
-            r = _poly_trim(r)
-        f, g = g, _poly_primitive(_poly_trim(r)) if _poly_trim(r) else []
-    cont = igcd(cf, cg)
-    out = [a * cont for a in f]
-    if out and out[-1] < 0:
-        out = [-a for a in out]
-    return out
-
-
-class RationalFunction:
-    """An element of the fraction field of Z[v, v^-1], reduced and normalized.
-
-    Normal form: the denominator is a plain polynomial in v with nonzero
-    constant term and positive leading coefficient; gcd and integer content
-    common to numerator and denominator are removed.  Equality of normal
-    forms is then structural equality.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentScalar, den: LaurentScalar = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = ZERO
-            self.den = ONE
-            return
-        npoly, nsh = num._as_poly()
-        dpoly, dsh = den._as_poly()
-        g = _poly_gcd(npoly, dpoly)
-        if len(g) > 1 or (g and g[0] != 1):
-            npoly, _ = _poly_divmod(npoly, g)
-            dpoly, _ = _poly_divmod(dpoly, g)
-        if dpoly[-1] < 0:
-            npoly = [-a for a in npoly]
-            dpoly = [-a for a in dpoly]
-        # push the Laurent shift entirely onto the numerator
-        shift = nsh - dsh
-        self.num = LaurentScalar({e + shift: a for e, a in enumerate(npoly) if a})
-        self.den = LaurentScalar({e: a for e, a in enumerate(dpoly) if a})
-
-    @classmethod
-    def from_laurent(cls, a: LaurentScalar) -> "RationalFunction":
-        return cls(a, ONE)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_unit()
-
-    def as_laurent(self) -> LaurentScalar:
-        if not self.is_laurent():
-            raise InexactDivisionError(f"{self} is not a Laurent polynomial")
-        return self.num * self.den.inverse_unit()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentScalar):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, LaurentScalar):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentScalar):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, LaurentScalar):
-            other = RationalFunction(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __repr__(self):
-        if self.den.is_one():
-            return f"RationalFunction({self.num.to_string()!r})"
-        return f"RationalFunction({self.num.to_string()!r} / {self.den.to_string()!r})"
-
-
 def solve_linear(
     matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
-) -> list[RationalFunction]:
-    """Solve M x = c exactly over the fraction field of Z[v, v^-1].
+) -> tuple[LaurentScalar, list[LaurentScalar]]:
+    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
 
-    Fraction-free (Bareiss) elimination on the augmented matrix keeps every
-    intermediate entry in the Laurent ring; only the final back substitution
-    introduces fractions.  Raises SingularMatrixError if M is singular.
+    Bareiss elimination on the augmented matrix divides exactly by the
+    previous pivot; the back substitution
+
+        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
+
+    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
+    Here d is the final pivot and c' the eliminated right side.  Raises
+    SingularMatrixError if M is singular.
     """
     m = [list(row) + [b] for row, b in zip([list(r) for r in matrix], list(rhs))]
     n = len(m)
@@ -514,10 +354,11 @@ def solve_linear(
                 m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]).exact_div(prev)
             m[i][k] = ZERO
         prev = piv
-    sol: list[RationalFunction] = [RationalFunction(ZERO)] * n
+    d = prev
+    y = [ZERO] * n
     for i in range(n - 1, -1, -1):
-        acc = RationalFunction(m[i][n])
+        acc = d * m[i][n]
         for j in range(i + 1, n):
-            acc = acc - sol[j] * m[i][j]
-        sol[i] = acc / RationalFunction(m[i][i])
-    return sol
+            acc = acc - m[i][j] * y[j]
+        y[i] = acc.exact_div(m[i][i])
+    return d, y

@@ -37,7 +37,7 @@ from .combinatorics import (
     partitions_of,
     strip_data,
 )
-from .ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO
+from .ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO, accumulate
 
 G_VARIANTS = ("oracle", "paper")
 
@@ -81,11 +81,7 @@ class SymPoly:
             raise ValueError("variable-count mismatch")
         terms = dict(self.terms)
         for mu, c in other.terms.items():
-            s = terms.get(mu, ZERO) + c
-            if s:
-                terms[mu] = s
-            else:
-                terms.pop(mu, None)
+            accumulate(terms, mu, c)
         return SymPoly(self.r, terms)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
@@ -208,13 +204,7 @@ def mul_sym(p: SymPoly, q: SymPoly) -> SymPoly:
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
     return _from_monomials(out, p.r)
 
 
@@ -236,11 +226,7 @@ def schur_expand(p: SymPoly) -> dict:
         c = rem[kappa]
         out[kappa] = c
         for mu, k in schur(kappa, p.r).terms.items():
-            s = rem.get(mu, ZERO) - c * k
-            if s:
-                rem[mu] = s
-            else:
-                rem.pop(mu, None)
+            accumulate(rem, mu, -(c * k))
         if kappa in rem:
             raise SchurExpandError(f"head term {kappa} did not eliminate")
     return out
@@ -319,12 +305,7 @@ def g_poly(m: int, r: int) -> SymPoly:
         for v in seq:
             if v <= r:
                 expo[v - 1] += 1
-        e = tuple(expo)
-        s = monos.get(e, ZERO) + coeff
-        if s:
-            monos[e] = s
-        else:
-            monos.pop(e, None)
+        accumulate(monos, tuple(expo), coeff)
     return _from_monomials(monos, r)
 
 
@@ -367,12 +348,7 @@ def qtilde_from_sequences(m: int, r: int) -> SymPoly:
         for v in seq:
             if v <= r:
                 expo[v - 1] += 1
-        e = tuple(expo)
-        s = monos.get(e, ZERO) + coeff
-        if s:
-            monos[e] = s
-        else:
-            monos.pop(e, None)
+        accumulate(monos, tuple(expo), coeff)
     return _from_monomials(monos, r)
 
 
@@ -401,12 +377,7 @@ def hl_q_from_generating(m: int, r: int) -> SymPoly:
                 for d2 in range(m + 1 - d1):
                     for e2, a2 in factor[d2].items():
                         e = tuple(x + y for x, y in zip(e1, e2))
-                        tgt = new[d1 + d2]
-                        s = tgt.get(e, ZERO) + a1 * a2
-                        if s:
-                            tgt[e] = s
-                        else:
-                            tgt.pop(e, None)
+                        accumulate(new[d1 + d2], e, a1 * a2)
         series = new
     return _from_monomials(series[m], r)
 

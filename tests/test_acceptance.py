@@ -118,7 +118,7 @@ def test_criterion_09_class_polynomials():
     )
     if witness is None:
         witness = first_failure(
-            checks.class_polynomials_reconstruct(character_table(n)) for n in (1, 2, 3)
+            checks.class_polynomials_reconstruct(character_table(n), n) for n in (1, 2, 3)
         )
     report(9, "class polynomials: worked rank-2 values, Laurent entries, "
               "full reconstruction for n <= 3", witness)

@@ -213,6 +213,15 @@ class TestClassPolynomials:
                         total.pop(nu, None)
             assert total == {tuple(mu): ONE}
 
+    def test_scaled_table_is_a_defect(self):
+        # a table scaled by (q + 1) has solution f / (q + 1), which is not Laurent
+        table = character_table(2)
+        scaled = CharacterTable(
+            table.n, table.labels, {k: (Q + ONE) * v for k, v in table.entries.items()}
+        )
+        with pytest.raises(ClassPolynomialDefect, match=r"at \(\): \(q\^5.*\) / \(-q\^5.*-1\)"):
+            class_polynomials(2, BasisIndex((2,), (1,), (1, 2)), scaled)
+
     def test_json(self):
         cp = class_polynomials(2, BasisIndex((2,), (1,), (1, 2)))
         obj = cp.to_json()

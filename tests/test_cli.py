@@ -2,10 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from mirhecke import checks, tensorrep
+from mirhecke.characters import character_table
 from mirhecke.cli import main
+from mirhecke.combinatorics import iter_standard_basis
+from mirhecke.tensorrep import char_oracle
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +75,25 @@ class TestTableGolden:
         assert digest.hexdigest() == GOLDEN_ALL_TABLES
 
 
+# sha256 of classpoly stdout from the solve over the fraction field that
+# preceded the fraction-free back substitution; n = 4 (about 8 s) hashes to
+# 1687975d8db2a5a5cb948765b3fc474e7be4c864003d5139001a05a360a7c121
+GOLDEN_CLASSPOLY = {
+    1: "61bad7cb82ee467f4cce904ffcb32b3543ef4fc0c40004f80c102fd639d89fba",
+    2: "9e0cf01ae70e922746753bdc9d6bb70955415752fb19c9dae68e6a9fae9f5a65",
+    3: "d86277e810cf2841f33ecb9158c9fedae0f9988f255872765d7f77af62107067",
+}
+
+
+def index_arg(idx) -> str:
+    """The --index text of a basis index, e.g. "A=2;B=1;w=1.2"."""
+
+    def dotted(seq):
+        return ".".join(str(a) for a in seq) or "0"
+
+    return f"A={dotted(idx.A)};B={dotted(idx.B)};w={dotted(idx.w)}"
+
+
 class TestClasspoly:
     def test_known_vector(self, capsys):
         code, out = run_cli(
@@ -89,6 +113,16 @@ class TestClasspoly:
         with pytest.raises(SystemExit) as err:
             main(["classpoly", "--n", "2", "--index", "A=9;B=1;w=1.2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_CLASSPOLY))
+    def test_golden_stdout_whole_basis(self, capsys, n):
+        # stdout concatenated over every basis index in iter_standard_basis order
+        digest = hashlib.sha256()
+        for idx in iter_standard_basis(n):
+            code, out = run_cli(capsys, "classpoly", "--n", str(n), "--index", index_arg(idx))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == GOLDEN_CLASSPOLY[n]
 
 
 class TestPieri:
@@ -111,9 +145,10 @@ class TestPieri:
         assert err.value.code == 2
 
 
-# sha256 of verify stdout from the per-suite functions that preceded the
-# check registry; verify bytes change only on purpose
-GOLDEN_VERIFY = "c69a853b5eb1a37bbf742f12f3f04afebb3c44a90c77254de1a2d1793b92e1c2"
+# sha256 of verify stdout; verify bytes change only on purpose.  The last
+# change: the frobenius suite's table checks report their witness instead of
+# null (c69a853b... before)
+GOLDEN_VERIFY = "219770dcd67a196396217a2ee97e3cbd3cfd5561cd1f7da250b07a1703da3725"
 
 
 class TestVerify:
@@ -166,6 +201,21 @@ class TestVerify:
         )
         assert proc.returncode == 1
         assert "[FAIL]" in proc.stdout
+
+    def test_class_polynomials_reconstruct_at_suite_r(self, capsys, monkeypatch):
+        code, out = run_cli(capsys, "verify", "--n", "2", "--r", "4", "--suite", "oracle")
+        assert code == 0
+        assert "[PASS] oracle: class polynomials reconstruct all oracle traces" in out
+        # class_polynomials solves against traces at r = n; the check compares at r
+        seen = []
+
+        def recording_oracle(element, r):
+            seen.append(r)
+            return char_oracle(element, r=r)
+
+        monkeypatch.setattr(tensorrep, "char_oracle", recording_oracle)
+        assert checks.class_polynomials_reconstruct(character_table(2), 4) is None
+        assert Counter(seen) == {2: 7, 4: 7}
 
     def test_too_few_variables_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -1,10 +1,12 @@
-"""The import graph inside the package is acyclic.
+"""The import graph inside the package is acyclic, and the package needs
+nothing outside the standard library.
 
 Every `from .x import ...` and `from . import x` in `src/mirhecke/*.py` is an
 edge, including imports made inside functions.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import mirhecke
@@ -71,3 +73,21 @@ def test_find_cycle_reports_a_cycle():
 
 def test_package_imports_are_acyclic():
     assert find_cycle(import_graph()) is None
+
+
+def test_runtime_imports_only_stdlib():
+    # test-only tools such as sympy and hypothesis must never reach the package
+    outside = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != PACKAGE.name:
+                    outside.add((path.name, name))
+    assert not outside

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from mirhecke.ring import (
@@ -11,7 +12,6 @@ from mirhecke.ring import (
     Q,
     QINV,
     Q_MINUS_1,
-    RationalFunction,
     SingularMatrixError,
     V,
     ZERO,
@@ -108,65 +108,91 @@ class TestExactDivision:
         assert a.exact_div(Q + ONE) == Q_MINUS_1
 
     def test_inexact_raises(self):
-        with pytest.raises(InexactDivisionError):
-            Q_MINUS_1.exact_div(Q + ONE)
+        # a nonzero remainder, a quotient 1/2 that exists over Q only, and a
+        # divisor of higher degree
+        for a, b in [(Q_MINUS_1, Q + ONE), (Q + ONE, 2 * (Q + ONE)), (Q + ONE, Q * Q + Q + ONE)]:
+            with pytest.raises(InexactDivisionError):
+                a.exact_div(b)
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            Q.exact_div(ZERO)
 
     @given(nonzero_scalars, nonzero_scalars)
     @settings(deadline=None, max_examples=60)
     def test_product_roundtrip(self, a, b):
         assert (a * b).exact_div(b) == a
 
+    @given(scalars, nonzero_scalars, nonzero_scalars, st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_sympy(self, x, b, noise, k, m, exact):
+        # numerator k * x * b over m * b: exact when m divides k * x; adding
+        # noise makes most pairs inexact
+        a = x * b * k if exact else x * b * k + noise
+        try:
+            ours = dict(a.exact_div(b * m).items())
+        except InexactDivisionError:
+            ours = None
+        assert ours == sympy_quotient(a, b * m)
 
-class TestRationalFunction:
-    def test_reduction_idempotent(self):
-        f = RationalFunction(Q * Q_MINUS_1, Q_MINUS_1 * (Q + ONE))
-        g = RationalFunction(f.num, f.den)
-        assert (f.num, f.den) == (g.num, g.den)
 
-    def test_cross_multiplied_equality(self):
-        f = RationalFunction(Q, Q + ONE)
-        g = RationalFunction(Q * Q_MINUS_1, (Q + ONE) * Q_MINUS_1)
-        assert f == g
+VSYM = sympy.Symbol("v")
 
-    def test_arithmetic(self):
-        f = RationalFunction(ONE, Q)
-        assert f + f == RationalFunction(LaurentScalar.from_int(2), Q)
-        assert f * RationalFunction(Q) == RationalFunction(ONE)
-        assert (f / f) == RationalFunction(ONE)
 
-    def test_as_laurent(self):
-        f = RationalFunction(Q * Q_MINUS_1, Q)
-        assert f.is_laurent()
-        assert f.as_laurent() == Q_MINUS_1
-        g = RationalFunction(ONE, Q + ONE)
-        assert not g.is_laurent()
-        with pytest.raises(InexactDivisionError):
-            g.as_laurent()
+def sympy_quotient(a: LaurentScalar, b: LaurentScalar):
+    """a / b through sympy: the quotient as {v-exponent: coefficient} when it
+    lies in Z[v, v^-1], else None."""
+    to_expr = lambda s: sum((c * VSYM**e for e, c in s.items()), sympy.Integer(0))
+    num, den = sympy.fraction(sympy.cancel(to_expr(a) / to_expr(b)))
+    den_terms = sympy.Poly(den, VSYM).terms()
+    if len(den_terms) != 1:
+        return None
+    ((shift,), lead) = den_terms[0]
+    out = {}
+    for (e,), c in sympy.Poly(num, VSYM).terms():
+        c = sympy.Rational(c) / lead
+        if not c.is_integer:
+            return None
+        if c:
+            out[e - shift] = int(c)
+    return out
 
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(ONE, ZERO)
+
+def det3(M):
+    """Cofactor expansion of a 3 x 3 determinant along the first row."""
+    return (
+        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
+    )
+
+
+def solve_checked(M, c):
+    """solve_linear(M, c) after asserting M y = d c in Laurent arithmetic; returns (d, y)."""
+    d, y = solve_linear(M, c)
+    for row, ci in zip(M, c):
+        acc = ZERO
+        for mij, yj in zip(row, y):
+            acc = acc + mij * yj
+        assert acc == d * ci
+    return d, y
 
 
 class TestSolveLinear:
     def test_identity_system(self):
-        M = [[ONE, ZERO], [ZERO, ONE]]
-        x = solve_linear(M, [Q, ONE])
-        assert x[0] == RationalFunction(Q) and x[1] == RationalFunction(ONE)
+        d, y = solve_checked([[ONE, ZERO], [ZERO, ONE]], [Q, ONE])
+        assert d == ONE and y == [Q, ONE]
 
     def test_upper_triangular(self):
-        M = [[ONE, ONE], [ZERO, ONE]]
-        x = solve_linear(M, [Q, ONE])
-        assert x[0] == RationalFunction(Q_MINUS_1) and x[1] == RationalFunction(ONE)
+        d, y = solve_checked([[ONE, ONE], [ZERO, ONE]], [Q, ONE])
+        assert d == ONE and y == [Q_MINUS_1, ONE]
 
     def test_rank2_character_system(self):
         # the rank-2 table restricted to the rows/columns that can carry
-        # the braid-idempotent product: solution ((q-1), -q)
-        M = [[ONE, ONE], [ONE, ZERO]]
-        c = [MINUS_ONE, Q_MINUS_1]
-        x = solve_linear(M, c)
-        assert x[0] == RationalFunction(Q_MINUS_1)
-        assert x[1] == RationalFunction(-Q)
+        # the braid-idempotent product: solution ((q-1), -q), det = -1
+        d, y = solve_checked([[ONE, ONE], [ONE, ZERO]], [MINUS_ONE, Q_MINUS_1])
+        assert d == MINUS_ONE
+        assert [yi.exact_div(d) for yi in y] == [Q_MINUS_1, -Q]
 
     def test_singular_raises(self):
         M = [[ONE, ONE], [ONE, ONE]]
@@ -174,23 +200,29 @@ class TestSolveLinear:
             solve_linear(M, [ONE, ZERO])
 
     def test_needs_row_swap(self):
-        M = [[ZERO, ONE], [ONE, ZERO]]
-        x = solve_linear(M, [Q, V])
-        assert x[0] == RationalFunction(V) and x[1] == RationalFunction(Q)
+        # det = -1; the swap makes the final pivot +1
+        d, y = solve_checked([[ZERO, ONE], [ONE, ZERO]], [Q, V])
+        assert d == ONE and y == [V, Q]
+
+    def test_non_unit_determinant(self):
+        # det = q + 1: y = adj(M) c stays Laurent although x = y / d does not
+        M = [[Q, MINUS_ONE], [ONE, ONE]]
+        d, y = solve_checked(M, [ONE, ZERO])
+        assert d == Q + ONE and y == [ONE, MINUS_ONE]
+        with pytest.raises(InexactDivisionError):
+            y[0].exact_div(d)
 
     @given(st.lists(scalars, min_size=9, max_size=9), st.lists(scalars, min_size=3, max_size=3))
     @settings(deadline=None, max_examples=25)
     def test_reconstruction(self, entries, rhs):
         M = [entries[0:3], entries[3:6], entries[6:9]]
+        det = det3(M)
         try:
-            x = solve_linear(M, rhs)
+            d, _ = solve_checked(M, rhs)
         except SingularMatrixError:
+            assert det.is_zero()
             return
-        for i in range(3):
-            acc = RationalFunction(ZERO)
-            for j in range(3):
-                acc = acc + x[j] * RationalFunction(M[i][j])
-            assert acc == RationalFunction(rhs[i])
+        assert d in (det, -det)
 
 
 class TestSerialization:
