@@ -27,7 +27,8 @@ Class polynomials express any standard basis element through the cocenter
 representatives: the coefficient vector is the unique solution of the linear
 system given by the character table against the Schur-Weyl trace oracle.  It
 is solved fraction-free and must come out Laurent-polynomial: one exact
-division by d = +-det(table) per coefficient.
+division by d = +-det(table) per coefficient.  Every basis element solves
+against the same table, whose factorization `solve_linear` computes once.
 """
 
 from __future__ import annotations

@@ -144,6 +144,8 @@ def main(argv=None) -> int:
     if args.command == "pieri":
         if args.m < 0:
             parser.error("--m must be >= 0")
+        if args.r < 1:
+            parser.error("--r must be >= 1")
         nu = _parse_partition(parser, args.nu)
         got = symfun.pieri_qtilde(args.m, nu, args.r, args.g_variant)
         want = symfun.pieri_bruteforce(args.m, nu, args.r)

@@ -14,11 +14,18 @@ a caller that wants x = y / d divides each y_i by d with `exact_div`, which
 raises InexactDivisionError when the quotient is not Laurent.  Coefficient
 growth stays polynomial for the table sizes that occur here (12 x 12 at
 n = 4, 19 x 19 at n = 5).
+
+Class polynomials solve one character table against many right sides, so
+the matrix half of the elimination (row swaps, pivots, eliminated columns
+and the final upper triangle) is computed once per matrix content and kept
+in a small bounded in-process cache; each call replays only its right side
+and the back substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 
@@ -321,44 +328,73 @@ def accumulate(terms: dict, key, val) -> None:
         terms.pop(key, None)
 
 
-def solve_linear(
-    matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
-) -> tuple[LaurentScalar, list[LaurentScalar]]:
-    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
+@lru_cache(maxsize=8)
+def _bareiss(rows: tuple) -> tuple:
+    """Fraction-free forward elimination of a square matrix, recorded for replay.
 
-    Bareiss elimination on the augmented matrix divides exactly by the
-    previous pivot; the back substitution
-
-        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
-
-    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
-    Here d is the final pivot and c' the eliminated right side.  Raises
-    SingularMatrixError if M is singular.
+    Returns (steps, upper, d): per column k the step (row swapped into k,
+    pivot, previous pivot, column entries m_ik below the pivot before they
+    were eliminated), the final upper triangle and the final pivot d.
     """
-    m = [list(row) + [b] for row, b in zip([list(r) for r in matrix], list(rhs))]
+    m = [list(row) for row in rows]
     n = len(m)
-    if any(len(row) != n + 1 for row in m):
-        raise ValueError("matrix must be square and match the rhs length")
+    steps = []
     prev = ONE
     for k in range(n):
+        swap = k
         if m[k][k].is_zero():
             for i in range(k + 1, n):
                 if not m[i][k].is_zero():
                     m[k], m[i] = m[i], m[k]
+                    swap = i
                     break
             else:
                 raise SingularMatrixError(f"singular system (column {k})")
         piv = m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]).exact_div(prev)
+        steps.append((swap, piv, prev, tuple(m[i][k] for i in range(k + 1, n))))
+        for i in range(k + 1, n):
             m[i][k] = ZERO
         prev = piv
-    d = prev
+    return tuple(steps), tuple(tuple(row) for row in m), prev
+
+
+def solve_linear(
+    matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
+) -> tuple[LaurentScalar, list[LaurentScalar]]:
+    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
+
+    Bareiss elimination divides exactly by the previous pivot; the back
+    substitution
+
+        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
+
+    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
+    Here d is the final pivot and c' the eliminated right side.  The matrix
+    half of the elimination is cached by content, so repeated solves against
+    one matrix replay only the right side, with the same operations in the
+    same order as on the augmented matrix.  Raises SingularMatrixError if M
+    is singular, on every call: a failed elimination is not cached.
+    """
+    rows = tuple(tuple(row) for row in matrix)
+    c = list(rhs)
+    n = len(rows)
+    if len(c) != n or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and match the rhs length")
+    steps, upper, d = _bareiss(rows)
+    for k, (swap, piv, prev, col) in enumerate(steps):
+        if swap != k:
+            c[k], c[swap] = c[swap], c[k]
+        ck = c[k]
+        for i, mik in enumerate(col, k + 1):
+            c[i] = (c[i] * piv - mik * ck).exact_div(prev)
     y = [ZERO] * n
     for i in range(n - 1, -1, -1):
-        acc = d * m[i][n]
+        row = upper[i]
+        acc = d * c[i]
         for j in range(i + 1, n):
-            acc = acc - m[i][j] * y[j]
-        y[i] = acc.exact_div(m[i][i])
+            acc = acc - row[j] * y[j]
+        y[i] = acc.exact_div(row[i])
     return d, y

@@ -9,14 +9,29 @@ two adjacent letters by
     (a, b) -> -v (b, a) + (q-1) (a, b)  for a > b
 
 (with v = q^(1/2)), and the j-th idempotent keeps exactly the words whose
-first j letters all equal r+1.  Inverse braid letters act through
-q^-1 (R - (q-1)), avoiding any matrix inversion.
+first j letters all equal r+1.  Inverse braid letters act as
+q^-1 (R - (q-1)), which gives a local rule of the same shape, applied in
+one pass without any matrix inversion:
+
+    (a, a) -> -(a, a)
+    (a, b) -> -v^-1 (b, a) + (q^-1 - 1) (a, b)   for a < b
+    (a, b) -> -v^-1 (b, a)                       for a > b
 
 The diagonal weighting operator D multiplies a word by x_{k_1} ... x_{k_n}
 with x_{r+1} = 1.  The weighted trace of an algebra element is a symmetric
 polynomial whose Schur expansion recovers every irreducible character value
 of that element at once; this is the module's `char_oracle`, the independent
 route against which the recursive character engine is validated.
+
+Traces never build an operator.  D preserves content, so it commutes with
+every R_i and e_j, and e_k is idempotent; by cyclicity of the trace
+
+    tr(D Psi(T_A e_k Y)) = tr(D e_k (Y T_A) e_k).
+
+So `basis_trace` runs only over the (r+1)^(n-k) words that begin with k
+letters r+1, applies the letters of Y T_A to each and reads back the word's
+own coefficient.  That word set is closed under relabelling 1..r, so every
+trace still passes the full-orbit symmetry check of `_from_monomials`.
 
 Everything here is lazy and sparse: operators are never materialized as
 dense matrices, and per-basis-element traces and matrices are memoized.
@@ -30,12 +45,14 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, GeneratorWord, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import MINUS_QINV_QM1, ONE, Q, QINV, Q_MINUS_1, V, accumulate
+from .ring import ONE, Q, QINV, Q_MINUS_1, V, accumulate
 from .symfun import SymPoly, _from_monomials, schur_expand
 
 Word = tuple  # (k_1, ..., k_n) with 1 <= k_i <= r+1
 
 _MINUS_V = -V
+_MINUS_VINV = -V.inverse_unit()
+_QINV_MINUS_1 = QINV - ONE
 
 
 @dataclass
@@ -78,9 +95,16 @@ def _raw_apply_R(i: int, terms: dict) -> dict:
 
 
 def _raw_apply_R_inv(i: int, terms: dict) -> dict:
-    out = {w: c * MINUS_QINV_QM1 for w, c in terms.items()}
-    for w, c in _raw_apply_R(i, terms).items():
-        accumulate(out, w, c * QINV)
+    out: dict = {}
+    for w, c in terms.items():
+        a, b = w[i - 1], w[i]
+        if a == b:
+            accumulate(out, w, -c)
+        else:
+            swapped = w[: i - 1] + (b, a) + w[i + 1 :]
+            accumulate(out, swapped, c * _MINUS_VINV)
+            if a < b:
+                accumulate(out, w, c * _QINV_MINUS_1)
     return out
 
 
@@ -185,21 +209,35 @@ def compose_operators(a: dict, b: dict) -> dict:
 
 
 def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
-    """Weighted diagonal trace of one basis element, as a symmetric polynomial."""
+    """Weighted diagonal trace of one basis element, as a symmetric polynomial.
+
+    The word T_A P_k Y is rotated to e_k (Y T_A) e_k (see the module
+    docstring), so only words starting with k letters r+1 are visited.
+    """
     key = (r, idx)
     hit = _TRACE_CACHE.get(key)
     if hit is not None:
         return hit
-    mat = psi_matrix(r, idx)
+    letters = basis_word(idx).letters
+    k = idx.k
+    if k:
+        p = letters.index(("P", k))
+        letters = letters[p + 1 :] + letters[:p]
+    letters = letters[::-1]
+    head = (r + 1,) * k
     monos: dict = {}
-    for col, colmap in mat.items():
-        c = colmap.get(col)
+    for tail in basis_words(idx.n - k, r):
+        w = head + tail
+        terms = {w: ONE}
+        for lt in letters:
+            terms = _raw_apply_letter(lt, terms, r)
+        c = terms.get(w)
         if not c:
             continue
         expo = [0] * r
-        for k in col:
-            if k <= r:
-                expo[k - 1] += 1
+        for a in tail:
+            if a <= r:
+                expo[a - 1] += 1
         accumulate(monos, tuple(expo), c)
     out = _from_monomials(monos, r)
     _TRACE_CACHE[key] = out

@@ -76,12 +76,12 @@ class TestTableGolden:
 
 
 # sha256 of classpoly stdout from the solve over the fraction field that
-# preceded the fraction-free back substitution; n = 4 (about 8 s) hashes to
-# 1687975d8db2a5a5cb948765b3fc474e7be4c864003d5139001a05a360a7c121
+# preceded the fraction-free back substitution
 GOLDEN_CLASSPOLY = {
     1: "61bad7cb82ee467f4cce904ffcb32b3543ef4fc0c40004f80c102fd639d89fba",
     2: "9e0cf01ae70e922746753bdc9d6bb70955415752fb19c9dae68e6a9fae9f5a65",
     3: "d86277e810cf2841f33ecb9158c9fedae0f9988f255872765d7f77af62107067",
+    4: "1687975d8db2a5a5cb948765b3fc474e7be4c864003d5139001a05a360a7c121",
 }
 
 
@@ -142,6 +142,12 @@ class TestPieri:
     def test_bad_partition_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["pieri", "--m", "1", "--nu", "1.2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("r", ["-1", "0"])
+    def test_nonpositive_r_is_usage_error(self, r):
+        with pytest.raises(SystemExit) as err:
+            main(["pieri", "--m", "1", "--r", r])
         assert err.value.code == 2
 
 

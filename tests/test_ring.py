@@ -195,14 +195,28 @@ class TestSolveLinear:
         assert [yi.exact_div(d) for yi in y] == [Q_MINUS_1, -Q]
 
     def test_singular_raises(self):
+        # a failed elimination is not cached: every call raises again
         M = [[ONE, ONE], [ONE, ONE]]
-        with pytest.raises(SingularMatrixError):
-            solve_linear(M, [ONE, ZERO])
+        for c in ([ONE, ZERO], [ONE, ZERO], [ZERO, Q]):
+            with pytest.raises(SingularMatrixError):
+                solve_linear(M, c)
 
     def test_needs_row_swap(self):
         # det = -1; the swap makes the final pivot +1
         d, y = solve_checked([[ZERO, ONE], [ONE, ZERO]], [Q, V])
         assert d == ONE and y == [V, Q]
+
+    def test_right_sides_replay_one_factorization(self):
+        # column 0 needs a row swap and det M = q^3 - q^2 - v^3 + 1; the results
+        # must not depend on whether the factorization is cached or fresh
+        M = [[ZERO, Q, ONE], [ONE, V, Q_MINUS_1], [Q, ONE, ZERO]]
+        det = det3(M)
+        rhss = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [Q, V, MINUS_ONE]]
+        first = [solve_checked(M, c) for c in rhss]
+        assert all(d in (det, -det) for d, _ in first)
+        for k in range(1, 12):  # more matrices than the cache holds
+            solve_linear([[L({k: 1}), ONE], [ONE, ZERO]], [ONE, ONE])
+        assert [solve_linear(M, c) for c in rhss] == first
 
     def test_non_unit_determinant(self):
         # det = q + 1: y = adj(M) c stays Laurent although x = y / d does not
@@ -212,17 +226,22 @@ class TestSolveLinear:
         with pytest.raises(InexactDivisionError):
             y[0].exact_div(d)
 
-    @given(st.lists(scalars, min_size=9, max_size=9), st.lists(scalars, min_size=3, max_size=3))
+    @given(
+        st.lists(scalars, min_size=9, max_size=9),
+        st.lists(st.lists(scalars, min_size=3, max_size=3), min_size=1, max_size=4),
+    )
     @settings(deadline=None, max_examples=25)
-    def test_reconstruction(self, entries, rhs):
+    def test_reconstruction(self, entries, rhss):
+        # several right sides against one matrix, as class polynomials solve them
         M = [entries[0:3], entries[3:6], entries[6:9]]
         det = det3(M)
-        try:
-            d, _ = solve_checked(M, rhs)
-        except SingularMatrixError:
-            assert det.is_zero()
-            return
-        assert d in (det, -det)
+        for rhs in rhss:
+            try:
+                d, _ = solve_checked(M, rhs)
+            except SingularMatrixError:
+                assert det.is_zero()
+                continue
+            assert d in (det, -det)
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ from mirhecke.algebra import (
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
 from mirhecke.characters import mn_character
 from mirhecke.ring import LaurentScalar, ONE, Q_MINUS_1, V, ZERO
-from mirhecke.symfun import m_sym, qtilde, qtilde_mu, sym_one
+from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import tensorrep
 from mirhecke.tensorrep import (
     TensorState,
@@ -106,11 +106,17 @@ class TestPsiApply:
             )
 
     def test_inverse_braid(self):
-        n, r = 2, 2
-        for w in basis_words(n, r):
-            state = unit(n, r, w)
-            roundtrip = psi_apply(GeneratorWord(n, [("T", 1, 1), ("T", 1, -1)]), state)
-            assert roundtrip == state
+        # R_i R_i^-1 = R_i^-1 R_i = 1, and R_i^-1 = q^-1 (R_i - (q-1)), on every word
+        qinv = LaurentScalar.q_power(-1)
+        for n, r, i in [(n, r, i) for n in (2, 3, 4) for r in (1, 2, 3) for i in range(1, n)]:
+            for w in basis_words(n, r):
+                for order in ((1, -1), (-1, 1)):
+                    word = GeneratorWord(n, [("T", i, e) for e in order])
+                    assert psi_apply(word, unit(n, r, w)) == unit(n, r, w), (n, r, i, order, w)
+                want = {k: c * qinv for k, c in apply_R(i, unit(n, r, w)).terms.items()}
+                want[w] = want.get(w, ZERO) - qinv * Q_MINUS_1
+                want = {k: c for k, c in want.items() if c}
+                assert tensorrep._raw_apply_R_inv(i, {w: ONE}) == want, (n, r, i, w)
 
 
 class TestRelationReports:
@@ -177,6 +183,44 @@ class TestTraces:
     def test_oracle_requires_enough_variables(self):
         with pytest.raises(ValueError):
             char_oracle(identity_element(3), r=2)
+
+
+def diagonal_trace(r, idx):
+    """The weighted trace read off the diagonal of the full operator psi_matrix."""
+    monos = {}
+    for col, colmap in psi_matrix(r, idx).items():
+        c = colmap.get(col)
+        if not c:
+            continue
+        expo = [0] * r
+        for k in col:
+            if k <= r:
+                expo[k - 1] += 1
+        monos[tuple(expo)] = monos.get(tuple(expo), ZERO) + c
+    return _from_monomials({e: c for e, c in monos.items() if c}, r)
+
+
+class TestRotatedTraces:
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in (1, 2, 3) for r in (n, n + 1)] + [(4, 4)]
+    )
+    def test_matches_operator_diagonal(self, n, r, monkeypatch):
+        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+        for idx in iter_standard_basis(n):
+            assert tensorrep.basis_trace(r, idx) == diagonal_trace(r, idx), idx
+
+    def test_never_builds_an_operator(self, monkeypatch):
+        def no_operators(r, idx):
+            raise AssertionError("basis_trace must not build psi_matrix")
+
+        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+        monkeypatch.setattr(tensorrep, "psi_matrix", no_operators)
+        for idx in iter_standard_basis(3):
+            tensorrep.basis_trace(3, idx)
+        for mu in partitions_up_to(3):
+            oracle = char_oracle(hat_T(3, mu), r=3)
+            for lam in partitions_up_to(3):
+                assert oracle.get(lam, ZERO) == mn_character(3, lam, mu)
 
 
 class TestMultiplicativity:
