@@ -11,11 +11,11 @@ of size at most m from lambda:
 with the base case chi[lam](empty) = [lam == empty].
 
 The strips lam/nu come straight from the row-by-row generator
-`combinatorics.strip_removals`, which also reads off their components; the
-inverted strip weights and the transition coefficients g(t, m) live in
-`symfun`, next to the Pieri rule that uses them.  For each (lam, m, variant)
-the list of (nu, |nu|, g * wtbar) is built once.  Values are memoized in
-process only; nothing is written to disk.
+`combinatorics.strip_removals`, which also reads off their components.  For
+each (lam, m, variant) the list of (nu, |nu|, g * wtbar) is built once by
+`symfun.transitions`, the table the strip Pieri rule reads too, so the Pieri
+brute-force check validates the very coefficients used here.  Values are
+memoized in process only; nothing is written to disk.
 
 The transition coefficients ship in two variants (`symfun.G_VARIANTS`).  The
 default "oracle" variant passes the brute-force product oracle for every
@@ -34,17 +34,15 @@ against the same table, whose factorization `solve_linear` computes once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .combinatorics import (
     BasisIndex,
     Partition,
     check_partition,
     partitions_up_to,
-    strip_removals,
 )
 from .ring import InexactDivisionError, LaurentScalar, ONE, ZERO, solve_linear
-from .symfun import g_coeff, strip_weight
+from .symfun import transitions
 
 
 class ClassPolynomialDefect(RuntimeError):
@@ -56,16 +54,6 @@ class ClassPolynomialDefect(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _MN_CACHE: dict = {}
-
-
-@cache
-def _transitions(lam: Partition, m: int, variant: str) -> tuple:
-    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m."""
-    k = sum(lam)
-    return tuple(
-        (nu, k - size, g_coeff(size, m, variant) * strip_weight(size, comps))
-        for nu, size, comps in strip_removals(lam, m)
-    )
 
 
 def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
@@ -93,7 +81,7 @@ def _mn(n: int, lam: Partition, mu: Partition, variant: str, last: bool) -> Laur
     else:
         m, rest = mu[0], mu[1:]
     total = ZERO
-    for nu, nu_size, coeff in _transitions(lam, m, variant):
+    for nu, nu_size, coeff in transitions(lam, m, variant):
         if nu_size <= n - m:
             sub = _mn(n - m, nu, rest, variant, last)
             if sub:

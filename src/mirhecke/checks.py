@@ -12,6 +12,7 @@ outcomes into {check, n, r, status, witness} records, where status is
 the expensive items by rank: multiplicativity runs on every basis pair for
 n <= 3, on 200 seeded pairs at n = 4 and on 10 only with `slow` above that;
 image rank and class-polynomial reconstruction run for n <= 3 only.
+Multiplicativity holds one weight space of operator columns at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .combinatorics import (
     partitions_up_to,
     standard_basis_count,
 )
-from .ring import ZERO
+from .ring import ZERO, accumulate
 
 
 def basis_pairs(n: int, slow: bool = False):
@@ -58,14 +59,50 @@ def _compositions(k: int):
 
 
 def psi_multiplicative(pairs, r: int):
-    """Psi(ab) = Psi(a) o Psi(b) on r+1 letters for each basis pair (a, b)."""
-    for a, b in pairs:
-        prod = algebra.mul(algebra.basis_element(a), algebra.basis_element(b))
-        lhs = tensorrep.psi_of_element(prod, r)
-        rhs = tensorrep.compose_operators(tensorrep.psi_matrix(r, a), tensorrep.psi_matrix(r, b))
-        if lhs != rhs:
-            return {"a": a.to_json(), "b": b.to_json()}
-    return None
+    """Psi(ab) = Psi(a) o Psi(b) on r+1 letters for each basis pair (a, b).
+
+    The action preserves content, so the columns Psi(x) e_w that the pairs
+    need are built, compared and dropped one content at a time.  After a
+    failure only earlier pairs are checked, so the witness is the first
+    failing pair in `pairs` order.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return None
+    prods = [algebra.mul(*map(algebra.basis_element, pair)).terms for pair in pairs]
+    needed = {x for (a, b), prod in zip(pairs, prods) for x in (a, b, *prod)}
+    letters = {x: algebra.basis_word(x).letters for x in needed}
+    failed = len(pairs)
+    for words in tensorrep.content_blocks(pairs[0][0].n, r):
+        cols = tensorrep.psi_columns(letters, words, r)
+        failed = next(
+            (i for i in range(failed) if not _block_matches(cols, *pairs[i], prods[i])), failed
+        )
+    if failed == len(pairs):
+        return None
+    a, b = pairs[failed]
+    return {"a": a.to_json(), "b": b.to_json()}
+
+
+def _block_matches(cols: dict, a, b, prod: dict) -> bool:
+    """Psi(ab) e_w = Psi(a) Psi(b) e_w, column by column, for the words w of one
+    content; prod = {b_i: c_i} is the product ab, cols holds that content's columns."""
+    lhs: dict = {}
+    for x, c in prod.items():
+        for w, col in cols[x].items():
+            tgt = lhs.setdefault(w, {})
+            for u, s in col.items():
+                accumulate(tgt, u, c * s)
+    rhs: dict = {}
+    acols = cols[a]
+    for w, bcol in cols[b].items():
+        tgt = {}
+        for u, c in bcol.items():
+            for y, s in acols.get(u, {}).items():
+                accumulate(tgt, y, c * s)
+        if tgt:
+            rhs[w] = tgt
+    return {w: col for w, col in lhs.items() if col} == rhs
 
 
 def recursion_matches_oracle(n: int, r: int, variant: str = "oracle"):

@@ -117,7 +117,9 @@ class LaurentScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
+            # a constant equals its int, so it must hash like it
+            c = self._c
+            self._hash = hash(c.get(0, 0) if c.keys() <= {0} else tuple(sorted(c.items())))
         return self._hash
 
     def __neg__(self) -> "LaurentScalar":
@@ -222,15 +224,17 @@ class LaurentScalar:
                 total += a * v0**e
         return total
 
-    def exact_div(self, other: "LaurentScalar") -> "LaurentScalar":
-        """Exact division in Z[v, v^-1]; raises InexactDivisionError otherwise.
+    def exact_div(self, other: "LaurentScalar | int") -> "LaurentScalar":
+        """Exact division by a scalar or int; raises InexactDivisionError otherwise.
 
         Long division of the integer coefficient lists, lowest exponents
         shifted to 0: each quotient coefficient is the top remainder
         coefficient over the divisor's leading one, and the first that
         leaves a remainder shows the quotient is not in Z[v, v^-1].
         """
-        if not isinstance(other, LaurentScalar) or other.is_zero():
+        if isinstance(other, int):
+            other = LaurentScalar.from_int(other)
+        if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         if self.is_zero():
             return ZERO

@@ -16,28 +16,28 @@ The character theory lives in two one-parameter families evaluated at
 
 They are exchanged by q -> q^-1 up to the factor (-q)^(m-1); that identity
 and the generating-function description are exposed as exact checks.  The
-strip Pieri rule `pieri_qtilde` expands qtilde * schur through the inverted
-strip weights `wtbar` and the transition coefficients `g_coeff` (two
-variants, see `G_VARIANTS`), and is always verifiable against the
-brute-force product expansion.  The character recursion in `characters`
-uses the same weights and coefficients.
+strip Pieri rule `pieri_qtilde` expands qtilde * schur through `transitions`,
+the cached strip weights times transition coefficients `g_coeff` (two
+variants, see `G_VARIANTS`) that the character recursion reads too, and is
+always verifiable against the brute-force product expansion.  `wtbar`, the
+box-based weight, is the reference that tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .combinatorics import (
     Partition,
     check_partition,
-    contains,
     kostka,
     partitions_of,
     strip_data,
+    strip_removals,
 )
-from .ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO, accumulate
+from .ring import LaurentScalar, ONE, Q_MINUS_1, ZERO, accumulate
 
 G_VARIANTS = ("oracle", "paper")
 
@@ -480,13 +480,23 @@ def g_coeff(t: int, m: int, variant: str = "oracle") -> LaurentScalar:
     return -Q_MINUS_1 if (m - t + 1) % 2 else Q_MINUS_1
 
 
+@cache
+def transitions(lam: Partition, m: int, variant: str) -> tuple:
+    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m."""
+    k = sum(lam)
+    return tuple(
+        (nu, k - size, g_coeff(size, m, variant) * strip_weight(size, comps))
+        for nu, size, comps in strip_removals(lam, m)
+    )
+
+
 def pieri_qtilde(m: int, nu, r: int, variant: str = "oracle") -> dict:
     """Schur coefficients of qtilde_m * s_nu via the strip expansion.
 
-    Sums the transition coefficient g_{t,m} times the inverted strip weight
-    over all strips lam/nu of size t <= m.  The result must agree with the
-    brute-force `schur_expand(mul_sym(qtilde(m, r), schur(nu, r)))`; the
-    "paper" variant of the transition coefficients is provided for the
+    Sums g_{t,m} times the inverted strip weight over all strips lam/nu of
+    size t <= m, as read from `transitions(lam, m, variant)`.  The result must
+    agree with the brute-force `schur_expand(mul_sym(qtilde(m, r), schur(nu, r)))`;
+    the "paper" variant of the transition coefficients is provided for the
     documented comparison and fails that oracle at m = 2.
     """
     nu = check_partition(nu)
@@ -496,11 +506,7 @@ def pieri_qtilde(m: int, nu, r: int, variant: str = "oracle") -> dict:
         return {nu: ONE} if len(nu) <= r else {}
     out: dict[Partition, LaurentScalar] = {}
     for lam in _strip_supersets(nu, m, r):
-        wt = wtbar(lam, nu)
-        if not wt:
-            continue
-        t = sum(lam) - sum(nu)
-        c = g_coeff(t, m, variant) * wt
+        c = next((c for mu, _, c in transitions(lam, m, variant) if mu == nu), ZERO)
         if c:
             out[lam] = c
     return out

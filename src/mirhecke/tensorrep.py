@@ -34,7 +34,7 @@ own coefficient.  That word set is closed under relabelling 1..r, so every
 trace still passes the full-orbit symmetry check of `_from_monomials`.
 
 Everything here is lazy and sparse: operators are never materialized as
-dense matrices, and per-basis-element traces and matrices are memoized.
+dense matrices, and only per-basis-element traces are memoized.
 """
 
 from __future__ import annotations
@@ -113,12 +113,18 @@ def _raw_apply_e(j: int, terms: dict, r: int) -> dict:
     return {w: c for w, c in terms.items() if all(k == top for k in w[:j])}
 
 
-def _raw_apply_letter(letter, terms: dict, r: int) -> dict:
-    if letter[0] == "T":
-        if letter[2] == 1:
-            return _raw_apply_R(letter[1], terms)
-        return _raw_apply_R_inv(letter[1], terms)
-    return _raw_apply_e(letter[1], terms, r)
+def _act(letters, terms: dict, r: int) -> dict:
+    """Apply a word's letters to a sparse vector, rightmost letter first."""
+    for lt in reversed(letters):
+        if not terms:
+            break
+        if lt[0] == "P":
+            terms = _raw_apply_e(lt[1], terms, r)
+        elif lt[2] == 1:
+            terms = _raw_apply_R(lt[1], terms)
+        else:
+            terms = _raw_apply_R_inv(lt[1], terms)
+    return terms
 
 
 def apply_R(i: int, state: TensorState) -> TensorState:
@@ -137,75 +143,41 @@ def apply_e(j: int, state: TensorState) -> TensorState:
 
 def psi_apply(word: GeneratorWord, state: TensorState) -> TensorState:
     """Apply a generator word as an operator, rightmost letter first."""
-    terms = state.terms
-    for lt in reversed(word.letters):
-        terms = _raw_apply_letter(lt, terms, state.r)
-    return TensorState(state.n, state.r, terms)
+    return TensorState(state.n, state.r, _act(word.letters, state.terms, state.r))
 
 
 def basis_words(n: int, r: int):
     return itertools.product(range(1, r + 2), repeat=n)
 
 
-# ---------------------------------------------------------------------------
-# memoized per-basis-element operators and traces
-# ---------------------------------------------------------------------------
+def content_blocks(n: int, r: int):
+    """The index words grouped by content (multiset of letters), one list each.
+    R_i permutes letters and e_j keeps or drops words, so each span is invariant."""
+    for content in itertools.combinations_with_replacement(range(1, r + 2), n):
+        yield sorted(set(itertools.permutations(content)))
 
-_PSI_CACHE: dict = {}
-_TRACE_CACHE: dict = {}
 
-
-def clear_caches() -> None:
-    _PSI_CACHE.clear()
-    _TRACE_CACHE.clear()
+def psi_columns(words_of: dict, inputs, r: int) -> dict:
+    """{x: {w: Psi(words_of[x]) e_w}} over the input words w, zero columns left out.
+    Letter tuples that end alike share their common suffix, applied only once."""
+    done = {(): {w: {w: ONE} for w in inputs}}
+    for letters in sorted({lt[i:] for lt in words_of.values() for i in range(len(lt))}, key=len):
+        tail = done[letters[1:]].items()
+        done[letters] = {w: c for w, v in tail if (c := _act(letters[:1], v, r))}
+    return {x: done[letters] for x, letters in words_of.items()}
 
 
 def psi_matrix(r: int, idx: BasisIndex) -> dict:
-    """Sparse operator of a basis element: {input word: {output word: coeff}}."""
-    key = (r, idx)
-    hit = _PSI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = idx.n
-    letters = tuple(reversed(basis_word(idx).letters))
-    mat = {}
-    for w in basis_words(n, r):
-        terms = {w: ONE}
-        for lt in letters:
-            terms = _raw_apply_letter(lt, terms, r)
-            if not terms:
-                break
-        if terms:
-            mat[w] = terms
-    _PSI_CACHE[key] = mat
-    return mat
+    """Sparse operator of a basis element, built afresh: {input word: {output word: coeff}}."""
+    letters = basis_word(idx).letters
+    return {w: col for w in basis_words(idx.n, r) if (col := _act(letters, {w: ONE}, r))}
 
 
-def psi_of_element(x: AlgebraElement, r: int) -> dict:
-    """Sparse operator of an arbitrary element (linear combination of matrices)."""
-    out: dict = {}
-    for idx, c in x.terms.items():
-        for col, colmap in psi_matrix(r, idx).items():
-            tgt = out.setdefault(col, {})
-            for row, s in colmap.items():
-                accumulate(tgt, row, c * s)
-    return {col: colmap for col, colmap in out.items() if colmap}
+# ---------------------------------------------------------------------------
+# memoized per-basis-element traces
+# ---------------------------------------------------------------------------
 
-
-def compose_operators(a: dict, b: dict) -> dict:
-    """Operator composition a o b on sparse column maps."""
-    out: dict = {}
-    for col, bcol in b.items():
-        tgt: dict = {}
-        for mid, c in bcol.items():
-            acol = a.get(mid)
-            if not acol:
-                continue
-            for row, s in acol.items():
-                accumulate(tgt, row, c * s)
-        if tgt:
-            out[col] = tgt
-    return out
+_TRACE_CACHE: dict = {}
 
 
 def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
@@ -223,15 +195,11 @@ def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
     if k:
         p = letters.index(("P", k))
         letters = letters[p + 1 :] + letters[:p]
-    letters = letters[::-1]
     head = (r + 1,) * k
     monos: dict = {}
     for tail in basis_words(idx.n - k, r):
         w = head + tail
-        terms = {w: ONE}
-        for lt in letters:
-            terms = _raw_apply_letter(lt, terms, r)
-        c = terms.get(w)
+        c = _act(letters, {w: ONE}, r).get(w)
         if not c:
             continue
         expo = [0] * r
@@ -266,7 +234,7 @@ def char_oracle(x: AlgebraElement, r: int | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics: operator relations, multiplicativity, image rank
+# diagnostics: operator relations, image rank
 # ---------------------------------------------------------------------------
 
 
@@ -274,12 +242,7 @@ def _combo_action(parts, w: Word, r: int) -> dict:
     """Apply sum_k coeff_k * (word_k) to the basis vector w."""
     total: dict = {}
     for coeff, letters in parts:
-        terms = {w: ONE}
-        for lt in reversed(letters):
-            terms = _raw_apply_letter(lt, terms, r)
-            if not terms:
-                break
-        for ww, c in terms.items():
+        for ww, c in _act(letters, {w: ONE}, r).items():
             accumulate(total, ww, coeff * c)
     return total
 

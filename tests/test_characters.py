@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mirhecke import characters, checks, tensorrep
+from mirhecke import characters, checks, symfun, tensorrep
 from mirhecke.algebra import basis_element, hat_T
 from mirhecke.characters import (
     CharacterTable,
@@ -157,7 +157,7 @@ class TestCharacterTable:
             fills = []
             for _ in range(2):
                 characters._MN_CACHE.clear()
-                characters._transitions.cache_clear()
+                symfun.transitions.cache_clear()
                 fills.append(character_table(5, variant))
             assert fills[0].entries == fills[1].entries
             assert fills[0].to_csv().encode() == fills[1].to_csv().encode()

@@ -52,6 +52,14 @@ class TestScalarArith:
         assert L({3: 0, 1: 2})._c == {1: 2}
         assert (Q - Q).is_zero()
 
+    @pytest.mark.parametrize("a", [-2, 0, 1, 5])
+    def test_constants_hash_like_ints(self, a):
+        # equal objects must hash equal, or sets and dicts lose them
+        s = LaurentScalar.from_int(a)
+        assert s == a and hash(s) == hash(a)
+        assert a in {s} and s in {a}
+        assert {s: "x"}[a] == "x"
+
 
 class TestBar:
     def test_q_to_q_inverse(self):
@@ -117,6 +125,15 @@ class TestExactDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             Q.exact_div(ZERO)
+
+    def test_int_divisor(self):
+        assert LaurentScalar.from_int(4).exact_div(2) == LaurentScalar.from_int(2)
+        assert (2 * Q_MINUS_1).exact_div(-2) == -Q_MINUS_1
+        assert Q.exact_div(1) == Q
+        with pytest.raises(InexactDivisionError):
+            (Q + ONE).exact_div(2)
+        with pytest.raises(ZeroDivisionError):
+            Q.exact_div(0)
 
     @given(nonzero_scalars, nonzero_scalars)
     @settings(deadline=None, max_examples=60)

@@ -1,33 +1,29 @@
-import itertools
-import random
-
 import pytest
 
 from mirhecke.algebra import (
     GeneratorWord,
     basis_element,
+    basis_word,
     gen_P,
-    gen_T,
     hat_T,
     identity_element,
-    mul,
 )
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
 from mirhecke.characters import mn_character
 from mirhecke.ring import LaurentScalar, ONE, Q_MINUS_1, V, ZERO
 from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
-from mirhecke import tensorrep
+from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
     TensorState,
     apply_R,
     apply_e,
     basis_words,
     char_oracle,
-    compose_operators,
+    content_blocks,
     image_rank,
     psi_apply,
+    psi_columns,
     psi_matrix,
-    psi_of_element,
     trace_D,
     verify_rep_relations,
 )
@@ -223,25 +219,59 @@ class TestRotatedTraces:
                 assert oracle.get(lam, ZERO) == mn_character(3, lam, mu)
 
 
-class TestMultiplicativity:
-    def test_exhaustive_rank2(self):
-        basis = list(iter_standard_basis(2))
-        for a in basis:
-            for b in basis:
-                prod = mul(basis_element(a), basis_element(b))
-                lhs = psi_of_element(prod, 2)
-                rhs = compose_operators(psi_matrix(2, a), psi_matrix(2, b))
-                assert lhs == rhs, (a, b)
+def perturb_products(monkeypatch, extra):
+    """Make algebra.mul add extra[(a, b)] to the product of basis elements a and b."""
+    mul = algebra.mul
 
-    def test_sampled_rank3(self):
-        basis = list(iter_standard_basis(3))
-        rng = random.Random(5)
-        for _ in range(60):
-            a, b = rng.choice(basis), rng.choice(basis)
-            prod = mul(basis_element(a), basis_element(b))
-            assert psi_of_element(prod, 3) == compose_operators(
-                psi_matrix(3, a), psi_matrix(3, b)
-            )
+    def perturbed(x, y):
+        out = mul(x, y)
+        key = (*x.terms, *y.terms)
+        return out + extra[key] if key in extra else out
+
+    monkeypatch.setattr(algebra, "mul", perturbed)
+
+
+class TestMultiplicativity:
+    def test_perturbed_product_is_the_witness(self, monkeypatch):
+        pairs = checks.basis_pairs(3)
+        a, b = pairs[500]
+        perturb_products(monkeypatch, {(a, b): gen_P(3, 1)})
+        assert checks.psi_multiplicative(pairs, 3) == {"a": a.to_json(), "b": b.to_json()}
+
+    def test_witness_is_first_failure_in_pair_order(self, monkeypatch):
+        # the later pair fails on the first content, the earlier one (P_3 acts
+        # on the all-(r+1) word only) on the last
+        pairs = checks.basis_pairs(3)
+        early, late = pairs[100], pairs[700]
+        perturb_products(monkeypatch, {early: gen_P(3, 3), late: identity_element(3)})
+        a, b = early
+        assert checks.psi_multiplicative(pairs, 3) == {"a": a.to_json(), "b": b.to_json()}
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (n, n + 1)])
+    def test_content_blocks_partition_the_words(self, n, r):
+        blocks = list(content_blocks(n, r))
+        words = [w for block in blocks for w in block]
+        assert len(words) == len(set(words)) == (r + 1) ** n
+        assert set(words) == set(basis_words(n, r))
+        contents = [{tuple(sorted(w)) for w in block} for block in blocks]
+        assert all(len(c) == 1 for c in contents)
+        assert len(set.union(*contents)) == len(blocks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_columns_match_operators(self, n):
+        letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
+        whole = {x: psi_matrix(n, x) for x in letters}
+        for words in content_blocks(n, n):
+            cols = psi_columns(letters, words, n)
+            for x, op in whole.items():
+                assert cols[x] == {w: col for w, col in op.items() if w in words}, (x, words)
+
+    def test_never_builds_an_operator(self, monkeypatch):
+        def no_operators(r, idx):
+            raise AssertionError("psi_multiplicative must not build psi_matrix")
+
+        monkeypatch.setattr(tensorrep, "psi_matrix", no_operators)
+        assert checks.psi_multiplicative(checks.basis_pairs(3), 3) is None
 
 
 class TestConformanceMode:
