@@ -28,12 +28,17 @@ first expanded through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
 
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
 computations stay in even v-exponents.
+
+The per-key generator actions and basis conversions are memoized with
+`functools.cache` (`cache_info()` gives hits, misses and size; `clear_caches`
+empties them).  The defining relations are checked through `mul` in
+`mirhecke.checks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -206,19 +211,6 @@ def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
 
 # working element: {(A, d): LaurentScalar}; k = len(A), rank = len(d)
 
-_P1_CACHE: dict = {}
-_LMUL_CACHE: dict = {}
-_TAIL_CACHE: dict = {}
-_TO_WORKING_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    """Drop all memoized engine state (useful in long-running processes)."""
-    _P1_CACHE.clear()
-    _LMUL_CACHE.clear()
-    _TAIL_CACHE.clear()
-    _TO_WORKING_CACHE.clear()
-
 
 def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
     out: dict = {}
@@ -240,12 +232,9 @@ def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
     return out
 
 
+@cache
 def _w_lmul_T_key(i: int, A: tuple, d: Permutation) -> dict:
     """T_i * (T_A P_k T_d) expanded in the working basis (memoized)."""
-    key = (i, A, d)
-    hit = _LMUL_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = len(d)
     k = len(A)
     cA = _subset_perm(n, A)
@@ -272,7 +261,6 @@ def _w_lmul_T_key(i: int, A: tuple, d: Permutation) -> dict:
             sg2, dd = _absorb(k, u)
             val = s * su
             accumulate(out, (A2, dd), -val if sign * sg2 < 0 else val)
-    _LMUL_CACHE[key] = out
     return out
 
 
@@ -284,12 +272,9 @@ def _w_lmul_T(elem: dict, i: int) -> dict:
     return out
 
 
+@cache
 def _w_rmul_P1_key(A: tuple, d: Permutation) -> dict:
     """(T_A P_k T_d) * P_1 expanded in the working basis (memoized)."""
-    key = (A, d)
-    hit = _P1_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = len(d)
     k = len(A)
     m = d[0]
@@ -324,7 +309,6 @@ def _w_rmul_P1_key(A: tuple, d: Permutation) -> dict:
         for i in reversed(word):
             base = _w_lmul_T(base, i)
         out = base
-    _P1_CACHE[key] = out
     return out
 
 
@@ -358,12 +342,9 @@ def _w_rmul_letter(elem: dict, letter: Letter) -> dict:
 # -- working <-> standard conversion ----------------------------------------
 
 
+@cache
 def _tail_expansion(B: tuple, w: Permutation) -> dict:
-    """P_k (T_w T_B^{-1}) as {d: coeff} over minimal coset representatives."""
-    key = (B, w)
-    hit = _TAIL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """P_k (T_w T_B^{-1}) as {d: coeff} over minimal coset representatives (memoized)."""
     k = len(B)
     terms = {w: ONE}
     for j in range(k, 0, -1):
@@ -373,17 +354,18 @@ def _tail_expansion(B: tuple, w: Permutation) -> dict:
     for u, c in terms.items():
         sign, d = _absorb(k, u)
         accumulate(out, d, -c if sign < 0 else c)
-    _TAIL_CACHE[key] = out
     return out
 
 
+@cache
 def _to_working(idx: BasisIndex) -> dict:
-    hit = _TO_WORKING_CACHE.get(idx)
-    if hit is not None:
-        return hit
-    out = {(idx.A, d): c for d, c in _tail_expansion(idx.B, idx.w).items()}
-    _TO_WORKING_CACHE[idx] = out
-    return out
+    return {(idx.A, d): c for d, c in _tail_expansion(idx.B, idx.w).items()}
+
+
+def clear_caches() -> None:
+    """Drop all memoized engine state (useful in long-running processes)."""
+    for fn in (_w_rmul_P1_key, _w_lmul_T_key, _tail_expansion, _to_working):
+        fn.cache_clear()
 
 
 def _to_standard(welem: dict) -> dict:
@@ -655,81 +637,6 @@ def star(x: AlgebraElement) -> AlgebraElement:
     for idx, c in x.terms.items():
         out = out + reduce_word(basis_word(idx).reversed()).scale(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# relation verification harness
-# ---------------------------------------------------------------------------
-
-
-def check_relations(n: int) -> list[dict]:
-    """Evaluate every defining relation through the rewrite engine.
-
-    Returns one report entry per relation instance; failures are entries
-    with status "fail", never exceptions.
-    """
-    one = identity_element(n)
-    t0 = t0_element(n)
-    T = {i: gen_T(n, i) for i in range(1, n)}
-    P = {j: gen_P(n, j) for j in range(1, n + 1)}
-    reports: list[dict] = []
-
-    def record(name: str, diff: AlgebraElement):
-        reports.append(
-            {
-                "check": name,
-                "n": n,
-                "status": "pass" if diff.is_zero() else "fail",
-                "witness": None if diff.is_zero() else repr(diff),
-            }
-        )
-
-    q, qm1 = Q, Q_MINUS_1
-    record(
-        "T0^2 = (q-2)T0 + (q-1)",
-        mul(t0, t0) - t0.scale(q - LaurentScalar.from_int(2)) - one.scale(qm1),
-    )
-    for i in range(1, n):
-        record(
-            f"T{i}^2 = (q-1)T{i} + q",
-            mul(T[i], T[i]) - T[i].scale(qm1) - one.scale(q),
-        )
-    for i in range(0, n - 1):
-        for j in range(i + 2, n):
-            a = t0 if i == 0 else T[i]
-            record(f"T{i}T{j} = T{j}T{i}", mul(a, T[j]) - mul(T[j], a))
-    for i in range(1, n - 1):
-        record(
-            f"T{i}T{i+1}T{i} = T{i+1}T{i}T{i+1}",
-            mul(mul(T[i], T[i + 1]), T[i]) - mul(mul(T[i + 1], T[i]), T[i + 1]),
-        )
-    if n >= 2:
-        t1 = T[1]
-        lhs = mul(mul(mul(t0, t1), t0), t1)
-        rhs = (mul(mul(t1, t0), t1) + mul(t1, t0)).scale(qm1) - mul(mul(t0, t1), t0)
-        record("T0T1T0T1 = (q-1)(T1T0T1 + T1T0) - T0T1T0", lhs - rhs)
-        lhs = mul(mul(mul(t1, t0), t1), t0)
-        rhs = (mul(mul(t1, t0), t1) + mul(t0, t1)).scale(qm1) - mul(mul(t0, t1), t0)
-        record("T1T0T1T0 = (q-1)(T1T0T1 + T0T1) - T0T1T0", lhs - rhs)
-    for i in range(1, n + 1):
-        record(f"P{i}^2 = P{i}", mul(P[i], P[i]) - P[i])
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            record(f"P{i}P{j} = P{i}", mul(P[i], P[j]) - P[i])
-            record(f"P{j}P{i} = P{i}", mul(P[j], P[i]) - P[i])
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            if i < j:
-                record(f"P{i}T{j} = T{j}P{i}", mul(P[i], T[j]) - mul(T[j], P[i]))
-            elif j < i:
-                record(f"P{i}T{j} = -P{i}", mul(P[i], T[j]) + P[i])
-                record(f"T{j}P{i} = -P{i}", mul(T[j], P[i]) + P[i])
-    for i in range(2, n + 1):
-        record(
-            f"P{i} = -P{i-1}T{i-1}^-1 P{i-1}",
-            P[i] + mul(mul(P[i - 1], gen_T(n, i - 1, -1)), P[i - 1]),
-        )
-    return reports
 
 
 def even_exponent_ok(x: AlgebraElement) -> bool:

@@ -6,6 +6,12 @@ class-polynomial reconstruction) and returns the witness of its first
 failure, or None when it passes.  A witness is a small JSON-ready value
 naming where the two routes disagree.
 
+The defining relations of the algebra are written once, in
+`defining_relations`, as linear combinations of generator words.  The same
+table is evaluated through the normal-form engine (a left fold of
+`algebra.mul` over generator elements) and as operator identities on tensor
+space (the columns of every word of the table, one content at a time).
+
 `run_suite` groups the checks into the four `verify` suites and turns their
 outcomes into {check, n, r, status, witness} records, where status is
 "pass", "fail" or "skip".  Tensor space grows as (r+1)^n, so the suites gate
@@ -17,6 +23,7 @@ Multiplicativity holds one weight space of operator columns at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -28,7 +35,7 @@ from .combinatorics import (
     partitions_up_to,
     standard_basis_count,
 )
-from .ring import ZERO, accumulate
+from .ring import MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO, accumulate
 
 
 def basis_pairs(n: int, slow: bool = False):
@@ -51,6 +58,135 @@ def _compositions(k: int):
     for first in range(1, k + 1):
         for rest in _compositions(k - first):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# the defining relations, through the engine and on tensor space
+# ---------------------------------------------------------------------------
+
+
+def _combination(*terms) -> list:
+    """sum c x_1 ... x_k over the terms (c, x_1, ..., x_k), as [(scalar, letters)];
+    each x is a linear combination {letters: scalar} of words, and equal words merge."""
+    out: dict = {}
+    for c, *factors in terms:
+        prod = {(): c}
+        for x in factors:
+            nxt: dict = {}
+            for u, s in prod.items():
+                for w, t in x.items():
+                    accumulate(nxt, u + w, s * t)
+            prod = nxt
+        for w, s in prod.items():
+            accumulate(out, w, s)
+    return [(s, w) for w, s in out.items()]
+
+
+def defining_relations(n: int) -> list:
+    """The defining relations of the rank-n algebra as (name, lhs, rhs) triples.
+
+    Each side is a linear combination [(scalar, letters)] of generator words
+    over ("T", i, +-1) and ("P", j).  The affine generator T0 = q(1 - P1) - 1
+    enters as the combination (q-1)() - q(P1).  The higher idempotents are
+    tied to P1 by P_i = -P_{i-1} T_{i-1}^-1 P_{i-1}.
+    """
+    T = {i: {(("T", i, 1),): ONE} for i in range(1, n)}
+    T[0] = {(): Q_MINUS_1, (("P", 1),): -Q}
+    P = {j: {(("P", j),): ONE} for j in range(1, n + 1)}
+    table = []
+
+    def rel(name: str, lhs: list, rhs: list) -> None:
+        table.append((name, _combination(*lhs), _combination(*rhs)))
+
+    rel("T0^2 = (q-2)T0 + (q-1)", [(ONE, T[0], T[0])], [(Q - 2, T[0]), (Q_MINUS_1,)])
+    for i in range(1, n):
+        rel(f"T{i}^2 = (q-1)T{i} + q", [(ONE, T[i], T[i])], [(Q_MINUS_1, T[i]), (Q,)])
+    for i in range(0, n - 1):
+        for j in range(i + 2, n):
+            rel(f"T{i}T{j} = T{j}T{i}", [(ONE, T[i], T[j])], [(ONE, T[j], T[i])])
+    for i in range(1, n - 1):
+        a, b = T[i], T[i + 1]
+        rel(f"T{i}T{i+1}T{i} = T{i+1}T{i}T{i+1}", [(ONE, a, b, a)], [(ONE, b, a, b)])
+    if n >= 2:
+        t0, t1 = T[0], T[1]
+        common = [(Q_MINUS_1, t1, t0, t1), (MINUS_ONE, t0, t1, t0)]
+        rel(
+            "T0T1T0T1 = (q-1)(T1T0T1 + T1T0) - T0T1T0",
+            [(ONE, t0, t1, t0, t1)],
+            common + [(Q_MINUS_1, t1, t0)],
+        )
+        rel(
+            "T1T0T1T0 = (q-1)(T1T0T1 + T0T1) - T0T1T0",
+            [(ONE, t1, t0, t1, t0)],
+            common + [(Q_MINUS_1, t0, t1)],
+        )
+    for i in range(1, n + 1):
+        rel(f"P{i}^2 = P{i}", [(ONE, P[i], P[i])], [(ONE, P[i])])
+    for j in range(1, n + 1):
+        for i in range(j + 1, n + 1):
+            rel(f"P{i}P{j} = P{i}", [(ONE, P[i], P[j])], [(ONE, P[i])])
+            rel(f"P{j}P{i} = P{i}", [(ONE, P[j], P[i])], [(ONE, P[i])])
+    for i in range(1, n + 1):
+        for j in range(1, n):
+            if i < j:
+                rel(f"P{i}T{j} = T{j}P{i}", [(ONE, P[i], T[j])], [(ONE, T[j], P[i])])
+            elif j < i:
+                rel(f"P{i}T{j} = -P{i}", [(ONE, P[i], T[j])], [(MINUS_ONE, P[i])])
+                rel(f"T{j}P{i} = -P{i}", [(ONE, T[j], P[i])], [(MINUS_ONE, P[i])])
+    for i in range(2, n + 1):
+        tinv = {(("T", i - 1, -1),): ONE}
+        rhs = [(MINUS_ONE, P[i - 1], tinv, P[i - 1])]
+        rel(f"P{i} = -P{i-1}T{i-1}^-1 P{i-1}", [(ONE, P[i])], rhs)
+    return table
+
+
+def _words(table: list) -> dict:
+    """{letters: letters} over the distinct words of a relation table."""
+    return {w: w for _, lhs, rhs in table for _, w in (*lhs, *rhs)}
+
+
+def relations_through_engine(table: list, n: int) -> list:
+    """One witness per relation: repr(lhs - rhs) when the normal forms differ, else None.
+    Each word is a left fold of `algebra.mul` over its generator elements."""
+    words = _words(table)
+    gens = {lt: algebra.reduce_word(algebra.GeneratorWord(n, [lt])) for w in words for lt in w}
+    one = algebra.identity_element(n)
+    value = {w: functools.reduce(algebra.mul, map(gens.get, w), one) for w in words}
+
+    def side(combo):
+        return sum((value[w].scale(c) for c, w in combo), algebra.AlgebraElement(n, {}))
+
+    diffs = (side(lhs) - side(rhs) for _, lhs, rhs in table)
+    return [None if diff.is_zero() else repr(diff) for diff in diffs]
+
+
+def _column(cols: dict, combo: list, w) -> dict:
+    """Column w of a linear combination of word operators, from the columns of its words."""
+    if len(combo) == 1 and combo[0][0].is_one():  # most sides: one word, read as stored
+        return cols[combo[0][1]].get(w, {})
+    out: dict = {}
+    for c, x in combo:
+        for u, s in cols[x].get(w, {}).items():
+            accumulate(out, u, c * s)
+    return out
+
+
+def relations_on_tensor_space(table: list, n: int, r: int) -> list:
+    """One witness per relation as an operator identity on r+1 letters: the first
+    input word, in content-block order, on which the two sides differ, else None.
+
+    Each block builds the columns of every word of the table once; only the
+    relations that have not failed yet are compared on it.
+    """
+    words = _words(table)
+    out: list = [None] * len(table)
+    for block in tensorrep.content_blocks(n, r):
+        cols = tensorrep.psi_columns(words, block, r)
+        for k, (_, lhs, rhs) in enumerate(table):
+            if out[k] is None:
+                bad = (w for w in block if _column(cols, lhs, w) != _column(cols, rhs, w))
+                out[k] = next(map(list, bad), None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +384,14 @@ def _ran(check: str, witness) -> tuple:
     return check, "pass" if witness is None else "fail", witness
 
 
+def _relations(n: int, r: int, variant: str, slow: bool):
+    table = defining_relations(n)
+    for (name, _, _), witness in zip(table, relations_through_engine(table, n), strict=True):
+        yield _ran(name, witness)
+    for (name, _, _), witness in zip(table, relations_on_tensor_space(table, n, r), strict=True):
+        yield _ran(f"{name} on tensor space", witness)
+
+
 def _oracle(n: int, r: int, variant: str, slow: bool):
     pairs = basis_pairs(n, slow)
     if pairs is None:
@@ -289,21 +433,12 @@ def _pieri(n: int, r: int, variant: str, slow: bool):
     )
 
 
-_OUTCOMES = {"oracle": _oracle, "frobenius": _frobenius, "pieri": _pieri}
-SUITES = ("relations",) + tuple(_OUTCOMES)
+_OUTCOMES = {"relations": _relations, "oracle": _oracle, "frobenius": _frobenius, "pieri": _pieri}
+SUITES = tuple(_OUTCOMES)
 
 
 def run_suite(suite: str, n: int, r: int, variant: str, slow: bool) -> list:
-    """The {check, n, r, status, witness} records of one suite, in a fixed order.
-
-    The relations suite evaluates every defining relation through the algebra
-    engine and as an operator identity on tensor space; its records carry a
-    `kind` of "algebra" or "tensor" in front.
-    """
-    if suite == "relations":
-        return [dict(kind="algebra", **rep) for rep in algebra.check_relations(n)] + [
-            dict(kind="tensor", **rep) for rep in tensorrep.verify_rep_relations(n, r)
-        ]
+    """The {check, n, r, status, witness} records of one suite, in a fixed order."""
     return [
         {"check": check, "n": n, "r": r, "status": status, "witness": witness}
         for check, status, witness in _OUTCOMES[suite](n, r, variant, slow)

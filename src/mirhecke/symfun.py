@@ -118,9 +118,12 @@ class SymPoly:
         coeffs = {
             tuple(t["partition"]): LaurentScalar.from_json(t["coeff"]) for t in obj["terms"]
         }
-        if obj.get("basis", "m") == "m":
+        basis = obj.get("basis", "m")
+        if basis == "m":
             return cls(r, coeffs)
-        return from_schur_coeffs(coeffs, r)
+        if basis == "s":
+            return from_schur_coeffs(coeffs, r)
+        raise ValueError(f"unknown basis {basis!r}")
 
 
 def sym_zero(r: int) -> SymPoly:

@@ -34,7 +34,9 @@ own coefficient.  That word set is closed under relabelling 1..r, so every
 trace still passes the full-orbit symmetry check of `_from_monomials`.
 
 Everything here is lazy and sparse: operators are never materialized as
-dense matrices, and only per-basis-element traces are memoized.
+dense matrices, and only per-basis-element traces are memoized.  The
+defining relations are checked as operator identities in `mirhecke.checks`,
+from the columns that `psi_columns` builds one content at a time.
 """
 
 from __future__ import annotations
@@ -45,10 +47,8 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, GeneratorWord, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import ONE, Q, QINV, Q_MINUS_1, V, accumulate
+from .ring import ONE, QINV, Q_MINUS_1, V, accumulate
 from .symfun import SymPoly, _from_monomials, schur_expand
-
-Word = tuple  # (k_1, ..., k_n) with 1 <= k_i <= r+1
 
 _MINUS_V = -V
 _MINUS_VINV = -V.inverse_unit()
@@ -234,85 +234,8 @@ def char_oracle(x: AlgebraElement, r: int | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics: operator relations, image rank
+# diagnostics: image rank
 # ---------------------------------------------------------------------------
-
-
-def _combo_action(parts, w: Word, r: int) -> dict:
-    """Apply sum_k coeff_k * (word_k) to the basis vector w."""
-    total: dict = {}
-    for coeff, letters in parts:
-        for ww, c in _act(letters, {w: ONE}, r).items():
-            accumulate(total, ww, coeff * c)
-    return total
-
-
-def verify_rep_relations(n: int, r: int) -> list[dict]:
-    """Check every defining relation as an operator identity on all basis vectors."""
-    T = lambda i: ("T", i, 1)
-    P = lambda j: ("P", j)
-    checks: list[tuple[str, list, list]] = []
-    for i in range(1, n):
-        checks.append(
-            (f"R{i}^2 = (q-1)R{i} + q", [(ONE, [T(i), T(i)])], [(Q_MINUS_1, [T(i)]), (Q, [])])
-        )
-    for i in range(1, n - 1):
-        checks.append(
-            (
-                f"R{i}R{i+1}R{i} = R{i+1}R{i}R{i+1}",
-                [(ONE, [T(i), T(i + 1), T(i)])],
-                [(ONE, [T(i + 1), T(i), T(i + 1)])],
-            )
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            checks.append(
-                (f"R{i}R{j} = R{j}R{i}", [(ONE, [T(i), T(j)])], [(ONE, [T(j), T(i)])])
-            )
-    for j in range(1, n + 1):
-        checks.append((f"e{j}^2 = e{j}", [(ONE, [P(j), P(j)])], [(ONE, [P(j)])]))
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            checks.append((f"e{i}e{j} = e{i}", [(ONE, [P(i), P(j)])], [(ONE, [P(i)])]))
-            checks.append((f"e{j}e{i} = e{i}", [(ONE, [P(j), P(i)])], [(ONE, [P(i)])]))
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            if i < j:
-                checks.append(
-                    (f"e{i}R{j} = R{j}e{i}", [(ONE, [P(i), T(j)])], [(ONE, [T(j), P(i)])])
-                )
-            elif j < i:
-                checks.append(
-                    (f"e{i}R{j} = -e{i}", [(ONE, [P(i), T(j)])], [(-ONE, [P(i)])])
-                )
-                checks.append(
-                    (f"R{j}e{i} = -e{i}", [(ONE, [T(j), P(i)])], [(-ONE, [P(i)])])
-                )
-    for i in range(1, n):
-        checks.append(
-            (
-                f"e{i+1} = -q^-1(e{i}R{i}e{i} - (q-1)e{i})",
-                [(ONE, [P(i + 1)])],
-                [(-QINV, [P(i), T(i), P(i)]), (QINV * Q_MINUS_1, [P(i)])],
-            )
-        )
-    reports = []
-    for name, lhs, rhs in checks:
-        witness = None
-        for w in basis_words(n, r):
-            if _combo_action(lhs, w, r) != _combo_action(rhs, w, r):
-                witness = list(w)
-                break
-        reports.append(
-            {
-                "check": name,
-                "n": n,
-                "r": r,
-                "status": "pass" if witness is None else "fail",
-                "witness": witness,
-            }
-        )
-    return reports
 
 
 def image_rank(n: int, r: int, q0, v0) -> int:

@@ -9,7 +9,6 @@ lines; `-m "not slow"` skips the optional rank-5 tensor items.
 import pytest
 
 from mirhecke import checks, tensorrep
-from mirhecke.algebra import check_relations
 from mirhecke.characters import character_table, class_polynomials
 from mirhecke.combinatorics import (
     BasisIndex,
@@ -32,8 +31,17 @@ def report(num, desc, witness):
 
 
 def test_criterion_01_presentation_relations():
-    failures = [rep for n in (2, 3, 4) for rep in check_relations(n) if rep["status"] != "pass"]
-    report(1, "defining relations hold through the rewrite engine, n = 2..4", failures or None)
+    failures = [
+        rep
+        for n in (2, 3, 4)
+        for rep in checks.run_suite("relations", n, n, "oracle", False)
+        if rep["status"] != "pass"
+    ]
+    report(
+        1,
+        "defining relations hold through the rewrite engine and on tensor space, n = 2..4",
+        failures or None,
+    )
 
 
 def test_criterion_02_dimension_formula():

@@ -10,7 +10,6 @@ from mirhecke.algebra import (
     all_basis_elements,
     basis_element,
     basis_word,
-    check_relations,
     even_exponent_ok,
     gen_P,
     gen_T,
@@ -24,6 +23,7 @@ from mirhecke.algebra import (
     star,
     t0_element,
 )
+from mirhecke import algebra, checks
 from mirhecke.combinatorics import BasisIndex, identity_perm, iter_standard_basis, partitions_up_to
 from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V
 
@@ -132,6 +132,21 @@ class TestMul:
         for _ in range(60):
             prod = mul(rng.choice(els), rng.choice(els))
             assert even_exponent_ok(prod)
+
+    def test_clear_caches_empties_every_memo(self):
+        memos = (
+            algebra._w_rmul_P1_key,
+            algebra._w_lmul_T_key,
+            algebra._tail_expansion,
+            algebra._to_working,
+        )
+        x, y = gen_T(3, 2), gen_P(3, 2)  # fills all four memos
+        want = mul(x, y)
+        assert mul(x, y) == want and algebra._to_working.cache_info().hits > 0
+        assert all(fn.cache_info().currsize > 0 for fn in memos)
+        algebra.clear_caches()
+        assert [fn.cache_info().currsize for fn in memos] == [0, 0, 0, 0]
+        assert mul(x, y) == want
 
 
 class TestEvenExponentInvariant:
@@ -281,8 +296,19 @@ class TestWordConsistency:
 class TestRelations:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_defining_relations(self, n):
-        failures = [r for r in check_relations(n) if r["status"] != "pass"]
-        assert not failures
+        records = checks.run_suite("relations", n, n, "oracle", False)
+        assert not [x for x in records if x["status"] != "pass"]
+
+    def test_perturbed_product_fails_the_engine_route_only(self, monkeypatch):
+        # mul adds P2 to every product; the tensor route never calls mul
+        true_mul = algebra.mul
+        monkeypatch.setattr(algebra, "mul", lambda x, y: true_mul(x, y) + gen_P(x.n, 2))
+        records = checks.run_suite("relations", 2, 2, "oracle", False)
+        engine = [x for x in records if not x["check"].endswith(" on tensor space")]
+        tensor = [x for x in records if x["check"].endswith(" on tensor space")]
+        p1 = next(x for x in engine if x["check"] == "P1^2 = P1")
+        assert p1["status"] == "fail" and p1["witness"].startswith("AlgebraElement(")
+        assert all(x["status"] == "pass" for x in tensor)
 
     def test_t0_quadratic_directly(self):
         n = 2

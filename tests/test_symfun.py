@@ -264,3 +264,13 @@ class TestSerialization:
             "terms": [{"partition": [2, 1], "coeff": {"var": "q", "coeffs": {"0": "1"}}}],
         }
         assert SymPoly.from_json(obj) == schur((2, 1), 3)
+
+    @pytest.mark.parametrize("basis", ["p", "S", ""])
+    def test_unknown_basis_raises(self, basis):
+        obj = {
+            "r": 3,
+            "basis": basis,
+            "terms": [{"partition": [2, 1], "coeff": {"var": "q", "coeffs": {"0": "1"}}}],
+        }
+        with pytest.raises(ValueError, match="unknown basis"):
+            SymPoly.from_json(obj)

@@ -10,7 +10,7 @@ from mirhecke.algebra import (
 )
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
 from mirhecke.characters import mn_character
-from mirhecke.ring import LaurentScalar, ONE, Q_MINUS_1, V, ZERO
+from mirhecke.ring import LaurentScalar, ONE, Q_MINUS_1, V, ZERO, accumulate
 from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
@@ -25,7 +25,6 @@ from mirhecke.tensorrep import (
     psi_columns,
     psi_matrix,
     trace_D,
-    verify_rep_relations,
 )
 
 
@@ -115,27 +114,66 @@ class TestPsiApply:
                 assert tensorrep._raw_apply_R_inv(i, {w: ONE}) == want, (n, r, i, w)
 
 
+def split_routes(records):
+    """The engine records and the tensor records of a relations suite, in order."""
+    suffix = " on tensor space"
+    engine = [x for x in records if not x["check"].endswith(suffix)]
+    tensor = [x for x in records if x["check"].endswith(suffix)]
+    return engine, tensor
+
+
 class TestRelationReports:
     @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2)])
     def test_all_pass(self, n, r):
-        failures = [x for x in verify_rep_relations(n, r) if x["status"] != "pass"]
-        assert not failures
+        records = checks.run_suite("relations", n, r, "oracle", False)
+        assert not [x for x in records if x["status"] != "pass"]
 
     def test_report_shape(self):
-        reports = verify_rep_relations(2, 1)
-        # rank 2 has the R1 quadratic and the e-relations but no braid relation
-        assert {x["check"] for x in reports} == {
-            "R1^2 = (q-1)R1 + q",
-            "e1^2 = e1",
-            "e2^2 = e2",
-            "e2e1 = e2",
-            "e1e2 = e2",
-            "e2R1 = -e2",
-            "R1e2 = -e2",
-            "e2 = -q^-1(e1R1e1 - (q-1)e1)",
-        }
-        for x in reports:
+        records = checks.run_suite("relations", 2, 1, "oracle", False)
+        rank2 = [
+            "T0^2 = (q-2)T0 + (q-1)",
+            "T1^2 = (q-1)T1 + q",
+            "T0T1T0T1 = (q-1)(T1T0T1 + T1T0) - T0T1T0",
+            "T1T0T1T0 = (q-1)(T1T0T1 + T0T1) - T0T1T0",
+            "P1^2 = P1",
+            "P2^2 = P2",
+            "P2P1 = P2",
+            "P1P2 = P2",
+            "P2T1 = -P2",
+            "T1P2 = -P2",
+            "P2 = -P1T1^-1 P1",
+        ]
+        assert [x["check"] for x in records] == rank2 + [f"{c} on tensor space" for c in rank2]
+        for x in records:
             assert set(x) == {"check", "n", "r", "status", "witness"}
+            assert (x["n"], x["r"]) == (2, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_routes_list_the_same_relations(self, n):
+        engine, tensor = split_routes(checks.run_suite("relations", n, n, "oracle", False))
+        names = [name for name, _, _ in checks.defining_relations(n)]
+        assert [x["check"] for x in engine] == names
+        assert [x["check"] for x in tensor] == [f"{c} on tensor space" for c in names]
+        assert all(x["status"] == "pass" for x in engine + tensor)
+
+    def test_braid_without_quadratic_term_fails_the_tensor_route_only(self, monkeypatch):
+        # R_i without its (q-1) term on a > b no longer satisfies the quadratic relation
+        def mutant(i, terms):
+            out = {}
+            for w, c in terms.items():
+                a, b = w[i - 1], w[i]
+                if a == b:
+                    accumulate(out, w, -c)
+                else:
+                    accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], c * -V)
+            return out
+
+        monkeypatch.setattr(tensorrep, "_raw_apply_R", mutant)
+        engine, tensor = split_routes(checks.run_suite("relations", 2, 2, "oracle", False))
+        assert all(x["status"] == "pass" for x in engine)
+        quad = next(x for x in tensor if x["check"] == "T1^2 = (q-1)T1 + q on tensor space")
+        # content {1, 1} passes (R acts there as -1); (1, 2) opens content {1, 2}
+        assert (quad["status"], quad["witness"]) == ("fail", [1, 2])
 
 
 class TestTraces:
