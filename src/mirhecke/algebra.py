@@ -29,10 +29,23 @@ first expanded through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
 computations stay in even v-exponents.
 
-The per-key generator actions and basis conversions are memoized with
-`functools.cache` (`cache_info()` gives hits, misses and size; `clear_caches`
-empties them).  The defining relations are checked through `mul` in
-`mirhecke.checks`.
+Working to standard is an elimination: the key (A, d) is the unit leading
+term of one standard element (A, B, w), so it is replaced by that element
+minus its strictly shorter tail terms.  `_to_standard` buckets the keys by
+length(d) once and drains the buckets from the longest down; every tail
+term lands in a shorter bucket, so each key is eliminated exactly once.
+`mul` right-multiplies x by the basis words of y's terms in sorted order,
+restarting each word from the partial product of its longest common prefix
+with the previous word.
+
+Per-key work is memoized with `functools.cache` (`cache_info()` gives hits,
+misses and size; `clear_caches` empties them): the generator actions
+`_w_rmul_T_key`, `_w_lmul_T_key` and `_w_rmul_P1_key`, the conversions
+`_tail_expansion` and `_to_working`, the elimination steps `_standard_step`
+(keyed by (k, d), not by A) and the validated indices `_standard_index`.
+Each memo is bounded by the size of the basis or the working basis, times
+the number of generators.  The defining relations are checked through `mul`
+in `mirhecke.checks`.
 """
 
 from __future__ import annotations
@@ -212,23 +225,30 @@ def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
 # working element: {(A, d): LaurentScalar}; k = len(A), rank = len(d)
 
 
+@cache
+def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
+    """(P_k T_d) * T_i^{+-1} as ((d', coeff), ...) in the working basis (memoized).
+
+    The sign of each discarded S_k-part is folded into its coefficient.
+    """
+    d2 = apply_right_s(d, i)
+    ascent = d[i - 1] < d[i]
+    if not inv:
+        branches = ((d2, ONE),) if ascent else ((d, Q_MINUS_1), (d2, Q))
+    else:
+        branches = ((d2, ONE),) if not ascent else ((d2, QINV), (d, MINUS_QINV_QM1))
+    out: dict = {}
+    for u, s in branches:
+        sign, dd = (1, d) if u is d else _absorb(k, u)
+        accumulate(out, dd, -s if sign < 0 else s)
+    return tuple(out.items())
+
+
 def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
     out: dict = {}
     for (A, d), c in elem.items():
-        k = len(A)
-        d2 = apply_right_s(d, i)
-        ascent = d[i - 1] < d[i]
-        if not inv:
-            branches = ((d2, ONE),) if ascent else ((d, Q_MINUS_1), (d2, Q))
-        else:
-            branches = ((d2, ONE),) if not ascent else ((d2, QINV), (d, MINUS_QINV_QM1))
-        for u, s in branches:
-            if u is d:
-                accumulate(out, (A, d), c * s)
-            else:
-                sign, dd = _absorb(k, u)
-                val = c * s
-                accumulate(out, (A, dd), -val if sign < 0 else val)
+        for d2, s in _w_rmul_T_key(len(A), d, i, inv):
+            accumulate(out, (A, d2), c * s)
     return out
 
 
@@ -364,37 +384,74 @@ def _to_working(idx: BasisIndex) -> dict:
 
 def clear_caches() -> None:
     """Drop all memoized engine state (useful in long-running processes)."""
-    for fn in (_w_rmul_P1_key, _w_lmul_T_key, _tail_expansion, _to_working):
+    for fn in (
+        _w_rmul_T_key,
+        _w_rmul_P1_key,
+        _w_lmul_T_key,
+        _tail_expansion,
+        _to_working,
+        _standard_step,
+        _standard_index,
+    ):
         fn.cache_clear()
 
 
+@cache
+def _standard_step(k: int, d: Permutation) -> tuple:
+    """One elimination step for the working keys (A, d) with |A| = k (memoized).
+
+    The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
+    s * T_A P_k T_d2, each d2 strictly shorter than d.  Returns
+    (B, w, lead^-1, ((d2, -s * lead^-1, length(d2)), ...)), so that
+    T_A P_k T_d = lead^-1 (A, B, w) + sum (-s * lead^-1) T_A P_k T_d2.
+    Raises AssertionError if lead is not a unit or a tail term is not shorter.
+    """
+    n = len(d)
+    B = pinverse(d)[:k]
+    w = pcompose(d, _subset_perm(n, B))
+    tail = _tail_expansion(B, w)
+    lead = tail[d]
+    if not lead.is_unit():
+        raise AssertionError(f"non-unit leading coefficient for B={B}, w={w}")
+    inv = lead.inverse_unit()
+    ld = plength(d)
+    rest = []
+    for d2, s in tail.items():
+        if d2 == d:
+            continue
+        l2 = plength(d2)
+        if l2 >= ld:
+            raise AssertionError("length triangularity violated")
+        rest.append((d2, -(s * inv), l2))
+    return B, w, inv, tuple(rest)
+
+
+@cache
+def _standard_index(A: tuple, B: tuple, w: Permutation) -> BasisIndex:
+    """The validated basis index (A, B, w), built once per index (memoized)."""
+    return BasisIndex(A, B, w)
+
+
 def _to_standard(welem: dict) -> dict:
-    """Greedy unitriangular elimination from the working to the standard basis."""
+    """Unitriangular elimination from the working to the standard basis.
+
+    Keys are bucketed by length(d) and drained from the longest down; every
+    tail term is strictly shorter, so a bucket is complete when it is reached
+    and the order within it does not matter.
+    """
     out: dict[BasisIndex, LaurentScalar] = {}
-    work = dict(welem)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 10_000_000:
-            raise AssertionError("normal-form elimination failed to terminate")
-        A, d = max(work, key=lambda kd: (plength(kd[1]), kd[1], kd[0]))
-        k = len(A)
-        n = len(d)
-        dinv = pinverse(d)
-        B = dinv[:k]
-        w = pcompose(d, _subset_perm(n, B))
-        idx = BasisIndex(A, B, w)
-        tail = _tail_expansion(B, w)
-        lead = tail[d]
-        if not lead.is_unit():
-            raise AssertionError(f"non-unit leading coefficient for {idx}")
-        coeff = work[(A, d)] * lead.inverse_unit()
-        accumulate(out, idx, coeff)
+    buckets: list[dict] = []
+    for (A, d), c in welem.items():
         ld = plength(d)
-        for d2, s in tail.items():
-            if d2 != d and plength(d2) >= ld:
-                raise AssertionError("length triangularity violated")
-            accumulate(work, (A, d2), -(coeff * s))
+        while len(buckets) <= ld:
+            buckets.append({})
+        buckets[ld][(A, d)] = c
+    for ld in range(len(buckets) - 1, -1, -1):
+        for (A, d), c in buckets[ld].items():
+            B, w, inv, rest = _standard_step(len(A), d)
+            out[_standard_index(A, B, w)] = c * inv
+            for d2, t, l2 in rest:
+                accumulate(buckets[l2], (A, d2), c * t)
     return out
 
 
@@ -542,31 +599,45 @@ def reduce_word(word: GeneratorWord) -> AlgebraElement:
     return _finish(word.n, elem)
 
 
-def rmul_gen(x: AlgebraElement, letter: Letter) -> AlgebraElement:
-    """Right multiplication x * g for a single generator letter g."""
-    GeneratorWord(x.n, [letter])  # validate
+def _working(x: AlgebraElement) -> dict:
+    """x in the working basis."""
     welem: dict = {}
     for idx, c in x.terms.items():
         for key, s in _to_working(idx).items():
             accumulate(welem, key, c * s)
-    welem = _w_rmul_letter(welem, letter)
+    return welem
+
+
+def rmul_gen(x: AlgebraElement, letter: Letter) -> AlgebraElement:
+    """Right multiplication x * g for a single generator letter g."""
+    GeneratorWord(x.n, [letter])  # validate
+    welem = _w_rmul_letter(_working(x), letter)
     return _finish(x.n, welem, check_even=even_exponent_ok(x))
 
 
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Exact product x * y in basis normal form."""
+    """Exact product x * y in basis normal form.
+
+    x is multiplied on the right by the basis word of each term of y.  The
+    words are taken in sorted order, and each starts from the stored partial
+    product of its longest common prefix with the previous word.
+    """
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
-    xw: dict = {}
-    for idx, c in x.terms.items():
-        for key, s in _to_working(idx).items():
-            accumulate(xw, key, c * s)
+    terms = ((basis_word(idx).letters, c) for idx, c in y.terms.items())
+    words = sorted(terms, key=lambda t: t[0])  # by word alone: scalars do not compare
+    stack = [_working(x)]  # stack[j]: x times the first j letters of prev
+    prev: tuple = ()
     total: dict = {}
-    for idx, c in y.terms.items():
-        cur = xw
-        for lt in basis_word(idx):
-            cur = _w_rmul_letter(cur, lt)
-        for key, s in cur.items():
+    for letters, c in words:
+        j = 0
+        while j < len(prev) and j < len(letters) and prev[j] == letters[j]:
+            j += 1
+        del stack[j + 1 :]
+        for lt in letters[j:]:
+            stack.append(_w_rmul_letter(stack[-1], lt))
+        prev = letters
+        for key, s in stack[-1].items():
             accumulate(total, key, c * s)
     return _finish(x.n, total, check_even=even_exponent_ok(x) and even_exponent_ok(y))
 

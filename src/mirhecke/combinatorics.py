@@ -14,7 +14,7 @@ serialized output is byte-stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import comb, factorial
 
@@ -356,6 +356,8 @@ class BasisIndex:
     A: tuple[int, ...]
     B: tuple[int, ...]
     w: Permutation
+    # hash of (A, B, w), computed once: indices are dict keys on every product
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.w)
@@ -369,6 +371,10 @@ class BasisIndex:
             raise ValueError(f"invalid permutation {self.w}")
         if any(self.w[i] != i + 1 for i in range(k)):
             raise ValueError(f"w = {self.w} must fix 1..{k} pointwise")
+        object.__setattr__(self, "_hash", hash((self.A, self.B, self.w)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

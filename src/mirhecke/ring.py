@@ -153,23 +153,40 @@ class LaurentScalar:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentScalar":
-        if isinstance(other, int):
-            if other == 0:
-                return ZERO
-            return LaurentScalar({e: a * other for e, a in self._c.items()})
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        if not self._c or not other._c:
+        if type(other) is not LaurentScalar:
+            if isinstance(other, int):
+                if other == 0:
+                    return ZERO
+                if other == 1:
+                    return self
+                return LaurentScalar({e: a * other for e, a in self._c.items()})
+            if not isinstance(other, LaurentScalar):
+                return NotImplemented
+        a, b = self._c, other._c
+        if len(a) == 1 and len(b) != 1:
+            a, b = b, a  # b is the monomial factor when there is one
+        if len(b) == 1:
+            # shift the exponents and scale the coefficients; a product of
+            # nonzero ints is nonzero, so nothing cancels
+            ((e2, a2),) = b.items()
+            if e2 == 0 and a2 == 1:
+                # scalars are immutable, so the other factor is the product
+                return self if a is self._c else other
+            c = {}
+            for e1, a1 in a.items():
+                c[e1 + e2] = a1 * a2
+        elif not a or not b:
             return ZERO
-        c: dict[int, int] = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + a1 * a2
-                if s:
-                    c[e] = s
-                else:
-                    del c[e]
+        else:
+            c = {}
+            for e1, a1 in a.items():
+                for e2, a2 in b.items():
+                    e = e1 + e2
+                    s = c.get(e, 0) + a1 * a2
+                    if s:
+                        c[e] = s
+                    else:
+                        del c[e]
         out = LaurentScalar.__new__(LaurentScalar)
         out._c = c
         out._hash = None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,12 +26,68 @@ from mirhecke.algebra import (
     t0_element,
 )
 from mirhecke import algebra, checks
-from mirhecke.combinatorics import BasisIndex, identity_perm, iter_standard_basis, partitions_up_to
-from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V
+from mirhecke.combinatorics import (
+    BasisIndex,
+    identity_perm,
+    iter_standard_basis,
+    partitions_up_to,
+    pcompose,
+    pinverse,
+    plength,
+)
+from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V, accumulate
 
 
 def idx(A, B, w):
     return BasisIndex(tuple(A), tuple(B), tuple(w))
+
+
+# -- reference loops the engine's fast paths are compared against ------------
+
+
+def greedy_to_standard(welem):
+    """Working to standard basis, always eliminating the greatest remaining key
+    by (length(d), d, A) and reading each step straight from `_tail_expansion`."""
+    out = {}
+    work = dict(welem)
+    while work:
+        A, d = max(work, key=lambda kd: (plength(kd[1]), kd[1], kd[0]))
+        k, n = len(A), len(d)
+        B = pinverse(d)[:k]
+        w = pcompose(d, algebra._subset_perm(n, B))
+        tail = algebra._tail_expansion(B, w)
+        coeff = work[(A, d)] * tail[d].inverse_unit()
+        accumulate(out, BasisIndex(A, B, w), coeff)
+        for d2, s in tail.items():
+            accumulate(work, (A, d2), -(coeff * s))
+    return out
+
+
+def term_by_term_mul(x, y):
+    """x * y with every term of y applied to x letter by letter, no sharing."""
+    xw = {}
+    for index, c in x.terms.items():
+        for key, s in algebra._to_working(index).items():
+            accumulate(xw, key, c * s)
+    total = {}
+    for index, c in y.terms.items():
+        cur = xw
+        for lt in basis_word(index):
+            cur = algebra._w_rmul_letter(cur, lt)
+        for key, s in cur.items():
+            accumulate(total, key, c * s)
+    return AlgebraElement(x.n, greedy_to_standard(total))
+
+
+def random_scalar(rng):
+    return LaurentScalar({2 * rng.randrange(-3, 4): rng.randrange(-4, 5) for _ in range(3)})
+
+
+def random_combination(rng, els, terms):
+    out = AlgebraElement(els[0].n, {})
+    for _ in range(terms):
+        out = out + rng.choice(els).scale(random_scalar(rng))
+    return out
 
 
 class TestBasisWords:
@@ -135,18 +193,83 @@ class TestMul:
 
     def test_clear_caches_empties_every_memo(self):
         memos = (
+            algebra._w_rmul_T_key,
             algebra._w_rmul_P1_key,
             algebra._w_lmul_T_key,
             algebra._tail_expansion,
             algebra._to_working,
+            algebra._standard_step,
+            algebra._standard_index,
         )
-        x, y = gen_T(3, 2), gen_P(3, 2)  # fills all four memos
+        x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo
         want = mul(x, y)
         assert mul(x, y) == want and algebra._to_working.cache_info().hits > 0
         assert all(fn.cache_info().currsize > 0 for fn in memos)
         algebra.clear_caches()
-        assert [fn.cache_info().currsize for fn in memos] == [0, 0, 0, 0]
+        assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
         assert mul(x, y) == want
+
+    def test_golden_products(self):
+        # sha256 of the normal forms of 60 seeded rank-4 triples, both
+        # bracketings, as computed by greedy elimination and term-by-term
+        # products: the faster loops must give the same bytes
+        els = all_basis_elements(4)
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        for _ in range(60):
+            a, b, c = (rng.choice(els) for _ in range(3))
+            for prod in (mul(mul(a, b), c), mul(a, mul(b, c))):
+                digest.update(json.dumps(prod.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "e31cd04973284c749f54351e2a27f91e33ae89318e6cc4fc8a13b3126ae0f4a2"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bucketed_elimination_matches_greedy(self, n):
+        rng = random.Random(n)
+        mixed = 0
+        for _ in range(25):
+            welem = {}
+            for _ in range(rng.randrange(1, 12)):
+                A = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(n + 1))))
+                u = tuple(rng.sample(range(1, n + 1), n))
+                _, d = algebra._absorb(len(A), u)
+                accumulate(welem, (A, d), random_scalar(rng))
+            mixed += len({A for A, _ in welem}) > 2
+            assert algebra._to_standard(welem) == greedy_to_standard(welem)
+        assert mixed >= 10
+
+    def test_prefix_shared_mul_matches_term_by_term(self):
+        els = all_basis_elements(4)
+        rng = random.Random(5)
+        multi = 0
+        for _ in range(30):
+            x = random_combination(rng, els, 2)
+            y = random_combination(rng, els, rng.randrange(2, 7))
+            multi += len(y.terms) > 1
+            assert mul(x, y) == term_by_term_mul(x, y)
+        assert multi >= 25
+
+    @pytest.mark.parametrize(
+        "bad_tail, message",
+        [
+            ({(2, 1, 3): ONE, (1, 3, 2): ONE}, "length triangularity"),
+            ({(2, 1, 3): LaurentScalar.from_int(2)}, "non-unit leading"),
+        ],
+    )
+    def test_malformed_tail_expansion_raises(self, monkeypatch, bad_tail, message):
+        true_tail = algebra._tail_expansion
+        monkeypatch.setattr(
+            algebra,
+            "_tail_expansion",
+            lambda B, w: bad_tail if w == (2, 1, 3) else true_tail(B, w),
+        )
+        algebra._standard_step.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=message):
+                algebra._to_standard({((), (2, 1, 3)): ONE})
+        finally:
+            algebra._standard_step.cache_clear()
 
 
 class TestEvenExponentInvariant:

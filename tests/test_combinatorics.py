@@ -330,3 +330,21 @@ class TestStandardBasis:
     def test_json_roundtrip(self):
         idx = BasisIndex((1, 3), (2, 3), (1, 2, 3))
         assert BasisIndex.from_json(idx.to_json()) == idx
+
+    def test_cached_hash_matches_fields(self):
+        basis = standard_basis(4)
+        for idx in basis:
+            twin = BasisIndex(tuple(idx.A), tuple(idx.B), tuple(idx.w))
+            assert twin == idx and twin is not idx
+            assert hash(twin) == hash(idx) == hash((idx.A, idx.B, idx.w))
+        assert len(set(basis)) == len(basis) == 209
+
+    def test_cached_hash_keeps_field_order(self):
+        basis = standard_basis(4)
+        assert sorted(basis) == sorted(basis, key=lambda x: (x.A, x.B, x.w))
+        assert sorted(reversed(basis)) == sorted(basis)
+
+    def test_cached_hash_is_not_shown(self):
+        idx = BasisIndex((1, 3), (2, 3), (1, 2, 3))
+        assert repr(idx) == "BasisIndex(A=(1, 3), B=(2, 3), w=(1, 2, 3))"
+        assert idx.to_json() == {"A": [1, 3], "B": [2, 3], "w": [1, 2, 3]}

@@ -23,6 +23,28 @@ scalars = st.builds(
     st.dictionaries(st.integers(-6, 6), st.integers(-50, 50), max_size=5),
 )
 nonzero_scalars = scalars.filter(bool)
+monomials = st.one_of(
+    st.sampled_from([ONE, MINUS_ONE, Q, QINV, V]),
+    st.builds(LaurentScalar.v_power, st.integers(-6, 6), st.integers(-50, 50)),
+)
+
+
+def dense_product(a, b):
+    """Schoolbook convolution of dense coefficient lists, as {v-exponent: coeff}."""
+    if a.is_zero() or b.is_zero():
+        return {}
+    lo_a, lo_b = a.min_exp(), b.min_exp()
+    da = [0] * (a.max_exp() - lo_a + 1)
+    db = [0] * (b.max_exp() - lo_b + 1)
+    for e, c in a.items():
+        da[e - lo_a] = c
+    for e, c in b.items():
+        db[e - lo_b] = c
+    prod = [0] * (len(da) + len(db) - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    return {i + lo_a + lo_b: c for i, c in enumerate(prod) if c}
 
 
 def L(coeffs):
@@ -59,6 +81,31 @@ class TestScalarArith:
         assert s == a and hash(s) == hash(a)
         assert a in {s} and s in {a}
         assert {s: "x"}[a] == "x"
+
+
+class TestMonomialFastPath:
+    @given(st.one_of(scalars, monomials), st.one_of(scalars, monomials))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_dense_convolution(self, a, b):
+        want = dense_product(a, b)
+        assert (a * b)._c == want and (b * a)._c == want
+
+    @given(scalars, st.integers(-5, 5))
+    @settings(deadline=None, max_examples=60)
+    def test_int_factor(self, a, k):
+        want = dense_product(a, LaurentScalar.from_int(k))
+        assert (a * k)._c == want and (k * a)._c == want
+
+    @given(scalars, scalars)
+    @settings(deadline=None, max_examples=60)
+    def test_unit_factor_never_aliases(self, x, y):
+        before = dict(x._c)
+        for prod in (x * ONE, ONE * x, x * 1, 1 * x):
+            assert prod == x and hash(prod) == hash(x)
+        assert MINUS_ONE * x == x * MINUS_ONE == -x
+        shared = x * ONE
+        assert shared + y == x + y and shared * y == x * y
+        assert x._c == before and shared._c == before
 
 
 class TestBar:
