@@ -143,7 +143,8 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = partitions_up_to(n)
-    entries = {(lam, mu): mn_character(n, lam, mu, variant) for lam in labels for mu in labels}
+    # the labels are canonical partitions of size <= n, so the recursion reads them as they are
+    entries = {(lam, mu): _mn(n, lam, mu, variant, True) for lam in labels for mu in labels}
     return CharacterTable(n, labels, entries, variant)
 
 

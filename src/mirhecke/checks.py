@@ -35,7 +35,7 @@ from .combinatorics import (
     partitions_up_to,
     standard_basis_count,
 )
-from .ring import MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO, accumulate
+from .ring import MINUS_ONE, ONE, Q, Q_MINUS_1, ZERO, accumulate, pack, slot_bits
 
 
 def basis_pairs(n: int, slow: bool = False):
@@ -161,8 +161,9 @@ def relations_through_engine(table: list, n: int) -> list:
 
 
 def _column(cols: dict, combo: list, w) -> dict:
-    """Column w of a linear combination of word operators, from the columns of its words."""
-    if len(combo) == 1 and combo[0][0].is_one():  # most sides: one word, read as stored
+    """Column w of a linear combination [(packed scalar, word)] of word operators,
+    from the columns of its words."""
+    if len(combo) == 1 and combo[0][0] == 1:  # most sides: one word, read as stored
         return cols[combo[0][1]].get(w, {})
     out: dict = {}
     for c, x in combo:
@@ -176,13 +177,27 @@ def relations_on_tensor_space(table: list, n: int, r: int) -> list:
     input word, in content-block order, on which the two sides differ, else None.
 
     Each block builds the columns of every word of the table once; only the
-    relations that have not failed yet are compared on it.
+    relations that have not failed yet are compared on it.  Columns and
+    coefficients are packed with one slot width for the whole table, so both
+    sides of every relation are compared as ints.
     """
     words = _words(table)
+    sides = [side for _, lhs, rhs in table for side in (lhs, rhs)]
+    # a side sum c Psi(x) has column entries of l1 norm <= sum ||c||_1 3^(L_x)
+    bits = slot_bits(
+        max(sum(c.l1_norm() * tensorrep.letter_bound(x) for c, x in side) for side in sides)
+    )
+    offset = max(map(tensorrep.letter_offset, words))
+    low = min(c.min_exp() for side in sides for c, _ in side)
+    scale = max(0, -low)
+    packed = [
+        tuple([(pack(c, bits, scale), x) for c, x in side] for side in (lhs, rhs))
+        for _, lhs, rhs in table
+    ]
     out: list = [None] * len(table)
     for block in tensorrep.content_blocks(n, r):
-        cols = tensorrep.psi_columns(words, block, r)
-        for k, (_, lhs, rhs) in enumerate(table):
+        cols = tensorrep.psi_columns(words, block, r, bits, offset)
+        for k, (lhs, rhs) in enumerate(packed):
             if out[k] is None:
                 bad = (w for w in block if _column(cols, lhs, w) != _column(cols, rhs, w))
                 out[k] = next(map(list, bad), None)
@@ -201,6 +216,11 @@ def psi_multiplicative(pairs, r: int):
     need are built, compared and dropped one content at a time.  After a
     failure only earlier pairs are checked, so the witness is the first
     failing pair in `pairs` order.
+
+    Columns and the coefficients of ab are packed with one offset E, so
+    both sides of every comparison sit at offset 2E.  The slot width covers
+    both sides of every pair: sum ||c_x||_1 3^(L_x) for Psi(ab) = sum c_x Psi(x)
+    and 3^(L_a + L_b) for the composition.
     """
     pairs = list(pairs)
     if not pairs:
@@ -208,9 +228,19 @@ def psi_multiplicative(pairs, r: int):
     prods = [algebra.mul(*map(algebra.basis_element, pair)).terms for pair in pairs]
     needed = {x for (a, b), prod in zip(pairs, prods) for x in (a, b, *prod)}
     letters = {x: algebra.basis_word(x).letters for x in needed}
+    bound = {x: tensorrep.letter_bound(lt) for x, lt in letters.items()}
+    bits = slot_bits(
+        max(
+            max(sum(c.l1_norm() * bound[x] for x, c in prod.items()), bound[a] * bound[b])
+            for (a, b), prod in zip(pairs, prods)
+        )
+    )
+    low = min((c.min_exp() for prod in prods for c in prod.values()), default=0)
+    offset = max(-low, *map(tensorrep.letter_offset, letters.values()))
+    prods = [{x: pack(c, bits, offset) for x, c in prod.items()} for prod in prods]
     failed = len(pairs)
     for words in tensorrep.content_blocks(pairs[0][0].n, r):
-        cols = tensorrep.psi_columns(letters, words, r)
+        cols = tensorrep.psi_columns(letters, words, r, bits, offset)
         failed = next(
             (i for i in range(failed) if not _block_matches(cols, *pairs[i], prods[i])), failed
         )
@@ -222,7 +252,8 @@ def psi_multiplicative(pairs, r: int):
 
 def _block_matches(cols: dict, a, b, prod: dict) -> bool:
     """Psi(ab) e_w = Psi(a) Psi(b) e_w, column by column, for the words w of one
-    content; prod = {b_i: c_i} is the product ab, cols holds that content's columns."""
+    content; prod = {b_i: c_i} is the product ab with packed coefficients, cols
+    holds that content's packed columns."""
     lhs: dict = {}
     for x, c in prod.items():
         for w, col in cols[x].items():

@@ -20,6 +20,20 @@ the matrix half of the elimination (row swaps, pivots, eliminated columns
 and the final upper triangle) is computed once per matrix content and kept
 in a small bounded in-process cache; each call replays only its right side
 and the back substitution.
+
+Tensor-space kernels run on plain ints instead (Kronecker substitution).
+`pack(x, bits, offset)` stores a Laurent polynomial p as the integer
+p(2^bits) * 2^(bits * offset): v -> 2^bits is a ring homomorphism, so sums
+and products of packed values are the packed sums and products, and
+multiplying by v^+-1 is a shift by `bits`.  The offset must cover the lowest
+exponent that can occur, so that every right shift is exact.  `unpack` reads
+the integer back as balanced base-2^bits digits.  The digits are unique as
+long as every coefficient satisfies |a| < 2^(bits-1); `slot_bits(bound)` is
+the width at which any coefficient of absolute value <= bound decodes, and
+a caller must derive the bound a priori for every value it will unpack or
+compare.  `pack` raises ValueError on an exponent below -offset or a
+coefficient too wide for the slot; a packed integer carries no record of
+either, so `unpack` cannot check them.
 """
 
 from __future__ import annotations
@@ -92,6 +106,10 @@ class LaurentScalar:
             return False
         (a,) = self._c.values()
         return a in (1, -1)
+
+    def l1_norm(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(abs(a) for a in self._c.values())
 
     def min_exp(self) -> int:
         if not self._c:
@@ -347,6 +365,50 @@ def accumulate(terms: dict, key, val) -> None:
         terms[key] = s
     else:
         terms.pop(key, None)
+
+
+def slot_bits(bound: int) -> int:
+    """Slot width at which every coefficient of absolute value <= bound packs and unpacks."""
+    if bound < 1:
+        raise ValueError(f"coefficient bound must be >= 1, got {bound}")
+    return bound.bit_length() + 1
+
+
+def pack(x: LaurentScalar, bits: int, offset: int) -> int:
+    """x(2^bits) * 2^(bits * offset), the integer image of x under v -> 2^bits."""
+    if bits < 2:
+        raise ValueError(f"slot width must be >= 2 bits, got {bits}")
+    half = 1 << (bits - 1)
+    out = 0
+    for e, a in x.items():
+        if e < -offset:
+            raise ValueError(f"exponent {e} below the offset -{offset}")
+        if not -half < a < half:
+            raise ValueError(f"coefficient {a} does not fit a {bits}-bit slot")
+        out += a << (bits * (e + offset))
+    return out
+
+
+def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
+    """The Laurent polynomial with coefficients |a| < 2^(bits-1) that packs to `packed`."""
+    if bits < 2:
+        raise ValueError(f"slot width must be >= 2 bits, got {bits}")
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    c = {}
+    e = -offset
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            c[e] = d
+        packed = (packed - d) >> bits
+        e += 1
+    out = LaurentScalar.__new__(LaurentScalar)
+    out._c = c
+    out._hash = None
+    return out
 
 
 @lru_cache(maxsize=8)

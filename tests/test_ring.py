@@ -15,7 +15,10 @@ from mirhecke.ring import (
     SingularMatrixError,
     V,
     ZERO,
+    pack,
+    slot_bits,
     solve_linear,
+    unpack,
 )
 
 scalars = st.builds(
@@ -106,6 +109,75 @@ class TestMonomialFastPath:
         shared = x * ONE
         assert shared + y == x + y and shared * y == x * y
         assert x._c == before and shared._c == before
+
+
+@st.composite
+def packable(draw):
+    """(x, bits, offset) with every coefficient of x inside the slot and every
+    exponent at or above -offset; coefficients at the slot edge are drawn often."""
+    bits = draw(st.integers(2, 40))
+    offset = draw(st.integers(0, 8))
+    top = (1 << (bits - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top))
+    return LaurentScalar(draw(st.dictionaries(st.integers(-offset, 8), coeff, max_size=6))), bits, offset
+
+
+class TestPacking:
+    @given(packable())
+    def test_roundtrip(self, case):
+        x, bits, offset = case
+        assert unpack(pack(x, bits, offset), bits, offset) == x
+
+    @given(packable(), packable())
+    def test_sums_and_products_pack(self, a, b):
+        # v -> 2^bits is a ring homomorphism; shifted offsets add under products
+        (x, bits, offset), (y, _, _) = a, b
+        y = LaurentScalar({e: c % 3 - 1 for e, c in y.items() if e >= -offset})
+        big = slot_bits(max(1, x.l1_norm()) * max(2, y.l1_norm()))
+        px, py = pack(x, big, offset), pack(y, big, offset)
+        assert unpack(px + py, big, offset) == x + y
+        assert unpack(px * py, big, 2 * offset) == x * y
+
+    def test_edge_coefficients_and_negative_exponents(self):
+        for bits in (2, 3, 8, 33):
+            top = (1 << (bits - 1)) - 1
+            x = L({-3: top, -1: -top, 0: 1, 5: -top})
+            assert unpack(pack(x, bits, 3), bits, 3) == x
+            assert unpack(pack(-x, bits, 4), bits, 4) == -x
+
+    def test_zero(self):
+        assert pack(ZERO, 4, 2) == 0
+        assert unpack(0, 4, 2) == ZERO
+
+    def test_shift_is_multiplication_by_v(self):
+        x = L({-2: 3, 1: -1})
+        bits = slot_bits(3)
+        assert unpack(pack(x, bits, 3) << bits, bits, 3) == x * V
+        assert unpack(pack(x, bits, 3) >> bits, bits, 3) == x * V.inverse_unit()
+
+    def test_pack_raises_outside_its_range(self):
+        with pytest.raises(ValueError, match="offset"):
+            pack(L({-3: 1}), 8, 2)
+        for bits in (2, 5, 16):
+            half = 1 << (bits - 1)
+            with pytest.raises(ValueError, match="slot"):
+                pack(L({0: half}), bits, 0)
+            with pytest.raises(ValueError, match="slot"):
+                pack(L({4: -half}), bits, 0)
+        with pytest.raises(ValueError, match="2 bits"):
+            pack(ONE, 1, 0)
+        with pytest.raises(ValueError, match="2 bits"):
+            unpack(1, 1, 0)
+
+    def test_slot_bits_is_the_narrowest_width(self):
+        for bound in range(1, 300):
+            bits = slot_bits(bound)
+            x = L({0: bound, 1: -bound})
+            assert unpack(pack(x, bits, 0), bits, 0) == x
+            with pytest.raises(ValueError):
+                pack(x, bits - 1, 0)
+        with pytest.raises(ValueError):
+            slot_bits(0)
 
 
 class TestBar:

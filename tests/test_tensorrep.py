@@ -10,7 +10,19 @@ from mirhecke.algebra import (
 )
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
 from mirhecke.characters import mn_character
-from mirhecke.ring import LaurentScalar, ONE, Q_MINUS_1, V, ZERO, accumulate
+from mirhecke import ring
+from mirhecke.ring import (
+    LaurentScalar,
+    ONE,
+    QINV,
+    Q_MINUS_1,
+    V,
+    ZERO,
+    accumulate,
+    pack,
+    slot_bits,
+    unpack,
+)
 from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
@@ -30,6 +42,91 @@ from mirhecke.tensorrep import (
 
 def unit(n, r, word):
     return TensorState(n, r, {tuple(word): ONE})
+
+
+# Reference rules on LaurentScalar coefficients, independent of the packed kernel.
+
+
+def ref_apply_R(i, terms):
+    out = {}
+    for w, c in terms.items():
+        a, b = w[i - 1], w[i]
+        if a == b:
+            accumulate(out, w, -c)
+        else:
+            accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], c * -V)
+            if a > b:
+                accumulate(out, w, c * Q_MINUS_1)
+    return out
+
+
+def ref_apply_R_inv(i, terms):
+    out = {}
+    for w, c in terms.items():
+        a, b = w[i - 1], w[i]
+        if a == b:
+            accumulate(out, w, -c)
+        else:
+            accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], c * -V.inverse_unit())
+            if a < b:
+                accumulate(out, w, c * (QINV - ONE))
+    return out
+
+
+def ref_act(letters, terms, r):
+    for lt in reversed(letters):
+        if lt[0] == "P":
+            terms = {w: c for w, c in terms.items() if all(k == r + 1 for k in w[: lt[1]])}
+        elif lt[2] == 1:
+            terms = ref_apply_R(lt[1], terms)
+        else:
+            terms = ref_apply_R_inv(lt[1], terms)
+    return terms
+
+
+# one letter on a unit word: coefficients have l1 norm <= 3 and exponents >= -2
+BITS, OFFSET = slot_bits(3), 2
+
+
+def unpacked(terms, bits=BITS, offset=OFFSET):
+    return {w: unpack(c, bits, offset) for w, c in terms.items()}
+
+
+def packed_unit(w):
+    return {w: pack(ONE, BITS, OFFSET)}
+
+
+SMALL = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3)]
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("n,r", SMALL)
+    def test_braid_letters(self, n, r):
+        for w in basis_words(n, r):
+            for i in range(1, n):
+                got = unpacked(tensorrep._apply_R(i, packed_unit(w), BITS))
+                assert got == ref_apply_R(i, {w: ONE}), (i, w)
+                got = unpacked(tensorrep._apply_R_inv(i, packed_unit(w), BITS))
+                assert got == ref_apply_R_inv(i, {w: ONE}), (i, w)
+
+    @pytest.mark.parametrize("n,r", SMALL)
+    def test_idempotent_letters(self, n, r):
+        for w in basis_words(n, r):
+            for j in range(1, n + 1):
+                got = unpacked(tensorrep._apply_e(j, packed_unit(w), r))
+                assert got == ref_act([("P", j)], {w: ONE}, r), (j, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_operators(self, n):
+        # whole words: the slot width and offset derived from the letters suffice
+        for idx in iter_standard_basis(n):
+            letters = basis_word(idx).letters
+            want = {}
+            for w in basis_words(n, n):
+                col = ref_act(letters, {w: ONE}, n)
+                if col:
+                    want[w] = col
+            assert psi_matrix(n, idx) == want, idx
 
 
 class TestLocalOperators:
@@ -111,7 +208,8 @@ class TestPsiApply:
                 want = {k: c * qinv for k, c in apply_R(i, unit(n, r, w)).terms.items()}
                 want[w] = want.get(w, ZERO) - qinv * Q_MINUS_1
                 want = {k: c for k, c in want.items() if c}
-                assert tensorrep._raw_apply_R_inv(i, {w: ONE}) == want, (n, r, i, w)
+                got = unpacked(tensorrep._apply_R_inv(i, packed_unit(w), BITS))
+                assert got == want, (n, r, i, w)
 
 
 def split_routes(records):
@@ -158,17 +256,17 @@ class TestRelationReports:
 
     def test_braid_without_quadratic_term_fails_the_tensor_route_only(self, monkeypatch):
         # R_i without its (q-1) term on a > b no longer satisfies the quadratic relation
-        def mutant(i, terms):
+        def mutant(i, terms, bits):
             out = {}
             for w, c in terms.items():
                 a, b = w[i - 1], w[i]
                 if a == b:
                     accumulate(out, w, -c)
                 else:
-                    accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], c * -V)
+                    accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c << bits))
             return out
 
-        monkeypatch.setattr(tensorrep, "_raw_apply_R", mutant)
+        monkeypatch.setattr(tensorrep, "_apply_R", mutant)
         engine, tensor = split_routes(checks.run_suite("relations", 2, 2, "oracle", False))
         assert all(x["status"] == "pass" for x in engine)
         quad = next(x for x in tensor if x["check"] == "T1^2 = (q-1)T1 + q on tensor space")
@@ -257,6 +355,92 @@ class TestRotatedTraces:
                 assert oracle.get(lam, ZERO) == mn_character(3, lam, mu)
 
 
+def reference_trace(r, idx):
+    """tr(D Psi(idx)) from the diagonal of the reference rules, over every word."""
+    letters = basis_word(idx).letters
+    monos = {}
+    for w in basis_words(idx.n, r):
+        c = ref_act(letters, {w: ONE}, r).get(w)
+        if c:
+            expo = tuple(sum(k == a for k in w) for a in range(1, r + 1))
+            accumulate(monos, expo, c)
+    return _from_monomials(monos, r)
+
+
+class TestSlotWidth:
+    N, R = 3, 3
+
+    def traces(self, monkeypatch):
+        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+        return {idx: tensorrep.basis_trace(self.R, idx) for idx in iter_standard_basis(self.N)}
+
+    def test_derived_width_covers_every_trace(self, monkeypatch):
+        widths = []
+
+        def recording(bound):
+            widths.append(slot_bits(bound))
+            return widths[-1]
+
+        monkeypatch.setattr(tensorrep, "slot_bits", recording)
+        got = self.traces(monkeypatch)
+        assert len(widths) == len(got)
+        for bits, (idx, trace) in zip(widths, got.items()):
+            assert trace == reference_trace(self.R, idx), idx
+            widest = max(abs(a) for c in trace.terms.values() for _, a in c.items())
+            assert bits >= slot_bits(widest), idx
+
+    def test_one_bit_below_the_widest_coefficient_breaks_a_trace(self, monkeypatch):
+        # the a priori bound 3^L is loose, so the cut is made one bit below the
+        # width that the widest true coefficient needs
+        want = {idx: reference_trace(self.R, idx) for idx in iter_standard_basis(self.N)}
+        widest = max(abs(a) for t in want.values() for c in t.terms.values() for _, a in c.items())
+        assert widest >= 2
+        monkeypatch.setattr(tensorrep, "slot_bits", lambda bound: slot_bits(widest) - 1)
+        wrong = []
+        for idx, trace in self.traces(monkeypatch).items():
+            if trace != want[idx]:
+                wrong.append(idx)
+        assert wrong
+
+
+def count_scalar_work(monkeypatch):
+    """Count LaurentScalar products, and the values packed or unpacked, from now on."""
+    seen = {"products": 0, "values": 0}
+
+    def counting(fn, key):
+        def wrapped(*args):
+            seen[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    mul = LaurentScalar.__mul__
+    monkeypatch.setattr(LaurentScalar, "__mul__", counting(mul, "products"))
+    monkeypatch.setattr(LaurentScalar, "__rmul__", counting(mul, "products"))
+    for module, name in [(tensorrep, "pack"), (tensorrep, "unpack"), (checks, "pack")]:
+        monkeypatch.setattr(module, name, counting(getattr(module, name), "values"))
+    return seen
+
+
+class TestNoScalarProductsPerLetter:
+    def test_traces(self, monkeypatch):
+        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+        seen = count_scalar_work(monkeypatch)
+        for idx in iter_standard_basis(3):
+            tensorrep.basis_trace(3, idx)
+        assert seen["values"] > 0
+        assert seen["products"] <= seen["values"]
+
+    def test_multiplicativity(self, monkeypatch):
+        pairs = checks.basis_pairs(3)
+        prods = {(a, b): algebra.mul(basis_element(a), basis_element(b)) for a, b in pairs}
+        monkeypatch.setattr(algebra, "mul", lambda x, y: prods[(*x.terms, *y.terms)])
+        seen = count_scalar_work(monkeypatch)
+        assert checks.psi_multiplicative(pairs, 3) is None
+        assert seen["values"] > 0
+        assert seen["products"] <= seen["values"]
+
+
 def perturb_products(monkeypatch, extra):
     """Make algebra.mul add extra[(a, b)] to the product of basis elements a and b."""
     mul = algebra.mul
@@ -285,6 +469,13 @@ class TestMultiplicativity:
         a, b = early
         assert checks.psi_multiplicative(pairs, 3) == {"a": a.to_json(), "b": b.to_json()}
 
+    def test_negative_exponent_in_a_product_is_packed(self, monkeypatch):
+        # q^-20 lies below every word's own offset, so the packing offset must cover it
+        pairs = checks.basis_pairs(3)
+        a, b = pairs[300]
+        perturb_products(monkeypatch, {(a, b): gen_P(3, 1).scale(LaurentScalar.q_power(-20))})
+        assert checks.psi_multiplicative(pairs, 3) == {"a": a.to_json(), "b": b.to_json()}
+
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (n, n + 1)])
     def test_content_blocks_partition_the_words(self, n, r):
         blocks = list(content_blocks(n, r))
@@ -299,10 +490,13 @@ class TestMultiplicativity:
     def test_block_columns_match_operators(self, n):
         letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
         whole = {x: psi_matrix(n, x) for x in letters}
+        bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
+        offset = max(map(tensorrep.letter_offset, letters.values()))
         for words in content_blocks(n, n):
-            cols = psi_columns(letters, words, n)
+            cols = psi_columns(letters, words, n, bits, offset)
             for x, op in whole.items():
-                assert cols[x] == {w: col for w, col in op.items() if w in words}, (x, words)
+                got = {w: unpacked(col, bits, offset) for w, col in cols[x].items()}
+                assert got == {w: col for w, col in op.items() if w in words}, (x, words)
 
     def test_never_builds_an_operator(self, monkeypatch):
         def no_operators(r, idx):
