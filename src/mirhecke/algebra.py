@@ -29,20 +29,52 @@ first expanded through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
 computations stay in even v-exponents.
 
+The engine runs on plain ints (Kronecker substitution, see `ring.pack`).
+For one product, each working coefficient p is stored as
+p(2^B) * 2^(B*E), and every table constant, kept as (exponent, coeff)
+pairs, acts by one or two shifts with a sign or a small scale.  v -> 2^B is
+a ring homomorphism, so every packed value is exactly the image of its true
+Laurent coefficient, and a packed zero can be dropped without changing any
+image downstream.  Only the decoded outputs must fit their slots:
+
+- B.  An output is a unit lead^-1 times a bucket value, so every output
+  coefficient is bounded by the l1 mass of the whole result,
+  ||working(x)||_1 * sum_y ||c_y||_1 G(word_y) * G_elim(n).  A letter T^+-1
+  multiplies the mass by at most 3 and P_1 by at most G_P1(n), the largest
+  mass of a P_1 row, so G(word) = 3^(#T) G_P1(n)^(#P1) with each P_j counted
+  as its expansion (2^(j-1) letters P_1, 2^(j-1) - 1 letters T^-1).
+  G_elim(n) is the largest mass elimination makes from one unit key,
+  g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail of its step.  Both are
+  read off the tables once per rank (`_rank_gains`), never at import.
+  B is `slot_bits` of that bound and never a setting.
+- E.  Every right shift must be exact, so -E is a lower bound on every
+  exponent of every intermediate value: x's lowest working exponent, less 2
+  per inverse letter (those inside P_j included) and the lowest exponent of
+  the P_1 rows per P_1 letter; the stack is covered both before and after
+  it is scaled by c_y; then the lowest exponent that elimination makes.
+
+Decoding is exact because the true output coefficients satisfy
+|a| < 2^(B-1), where balanced base-2^B digits are unique.  The table
+builders (`_w_lmul_T_key`, `_hecke_rmul_letter`, `_tail_expansion`) stay on
+LaurentScalar; the tables the engine reads (`_w_rmul_T_key`,
+`_w_rmul_P1_key`, `_standard_step`) hold (exponent, coeff) constants.  One
+engine, `_product`, serves `mul`, `reduce_word` and `rmul_gen`.
+
 Working to standard is an elimination: the key (A, d) is the unit leading
 term of one standard element (A, B, w), so it is replaced by that element
 minus its strictly shorter tail terms.  `_to_standard` buckets the keys by
-length(d) once and drains the buckets from the longest down; every tail
-term lands in a shorter bucket, so each key is eliminated exactly once.
-`mul` right-multiplies x by the basis words of y's terms in sorted order,
-restarting each word from the partial product of its longest common prefix
-with the previous word.
+the length(d) that `_standard_step` returns and drains the buckets from the
+longest down; every tail term lands in a shorter bucket, so each key is
+eliminated exactly once.  `_product` right-multiplies x by the words of
+its terms in sorted order, restarting each word from the partial product of
+its longest common prefix with the previous word.
 
 Per-key work is memoized with `functools.cache` (`cache_info()` gives hits,
 misses and size; `clear_caches` empties them): the generator actions
-`_w_rmul_T_key`, `_w_lmul_T_key` and `_w_rmul_P1_key`, the conversions
-`_tail_expansion` and `_to_working`, the elimination steps `_standard_step`
-(keyed by (k, d), not by A) and the validated indices `_standard_index`.
+`_w_rmul_T_key`, `_w_lmul_T_key` and `_w_rmul_P1_key`, the conversion
+`_tail_expansion`, the elimination steps `_standard_step` (keyed by (k, d),
+not by A), the validated indices `_standard_index`, the per-index word,
+gain and working mass `_basis_data`, and the per-rank gains `_rank_gains`.
 Each memo is bounded by the size of the basis or the working basis, times
 the number of generators.  The defining relations are checked through `mul`
 in `mirhecke.checks`.
@@ -50,6 +82,7 @@ in `mirhecke.checks`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterable, Iterator
@@ -76,6 +109,9 @@ from .ring import (
     Q_MINUS_1,
     ZERO,
     accumulate,
+    pack,
+    slot_bits,
+    unpack,
 )
 
 # a generator letter is ("T", i, +1 | -1) or ("P", j)
@@ -222,12 +258,26 @@ def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
 # the working-basis engine
 # ---------------------------------------------------------------------------
 
-# working element: {(A, d): LaurentScalar}; k = len(A), rank = len(d)
+# working element: {(A, d): packed int}; k = len(A), rank = len(d).  A table
+# constant is a tuple ((v-exponent, coeff), ...) and acts by shifts.
+
+
+def _const(s: LaurentScalar) -> tuple:
+    return tuple(s.items())
+
+
+def _scaled(c: int, s, bits: int) -> int:
+    """The packed value c times the constant s, given as (exponent, coeff) pairs."""
+    out = 0
+    for e, a in s:
+        t = c << (e * bits) if e >= 0 else c >> (-e * bits)
+        out += t if a == 1 else -t if a == -1 else a * t
+    return out
 
 
 @cache
 def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
-    """(P_k T_d) * T_i^{+-1} as ((d', coeff), ...) in the working basis (memoized).
+    """(P_k T_d) * T_i^{+-1} as ((d', const), ...) in the working basis (memoized).
 
     The sign of each discarded S_k-part is folded into its coefficient.
     """
@@ -241,15 +291,7 @@ def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
     for u, s in branches:
         sign, dd = (1, d) if u is d else _absorb(k, u)
         accumulate(out, dd, -s if sign < 0 else s)
-    return tuple(out.items())
-
-
-def _w_rmul_T(elem: dict, i: int, inv: bool) -> dict:
-    out: dict = {}
-    for (A, d), c in elem.items():
-        for d2, s in _w_rmul_T_key(len(A), d, i, inv):
-            accumulate(out, (A, d2), c * s)
-    return out
+    return tuple((dd, _const(s)) for dd, s in out.items())
 
 
 @cache
@@ -293,8 +335,8 @@ def _w_lmul_T(elem: dict, i: int) -> dict:
 
 
 @cache
-def _w_rmul_P1_key(A: tuple, d: Permutation) -> dict:
-    """(T_A P_k T_d) * P_1 expanded in the working basis (memoized)."""
+def _w_rmul_P1_key(A: tuple, d: Permutation) -> tuple:
+    """(T_A P_k T_d) * P_1 as (((A', d'), const), ...) in the working basis (memoized)."""
     n = len(d)
     k = len(A)
     m = d[0]
@@ -329,7 +371,7 @@ def _w_rmul_P1_key(A: tuple, d: Permutation) -> dict:
         for i in reversed(word):
             base = _w_lmul_T(base, i)
         out = base
-    return out
+    return tuple((key, _const(s)) for key, s in out.items())
 
 
 @lru_cache(maxsize=None)
@@ -341,19 +383,25 @@ def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
     return -1, prev + (("T", j - 1, -1),) + prev
 
 
-def _w_rmul_letter(elem: dict, letter: Letter) -> dict:
+def _w_rmul_letter(elem: dict, letter: Letter, bits: int) -> dict:
     if letter[0] == "T":
-        return _w_rmul_T(elem, letter[1], letter[2] == -1)
-    j = letter[1]
-    if j == 1:
+        _, i, e = letter
+        inv = e == -1
         out: dict = {}
         for (A, d), c in elem.items():
-            for key, s in _w_rmul_P1_key(A, d).items():
-                accumulate(out, key, c * s)
+            for d2, s in _w_rmul_T_key(len(A), d, i, inv):
+                accumulate(out, (A, d2), _scaled(c, s, bits))
+        return out
+    j = letter[1]
+    if j == 1:
+        out = {}
+        for (A, d), c in elem.items():
+            for key, s in _w_rmul_P1_key(A, d):
+                accumulate(out, key, _scaled(c, s, bits))
         return out
     sign, word = _pi_expansion(j)
     for lt in word:
-        elem = _w_rmul_letter(elem, lt)
+        elem = _w_rmul_letter(elem, lt, bits)
     if sign < 0:
         elem = {key: -c for key, c in elem.items()}
     return elem
@@ -378,31 +426,13 @@ def _tail_expansion(B: tuple, w: Permutation) -> dict:
 
 
 @cache
-def _to_working(idx: BasisIndex) -> dict:
-    return {(idx.A, d): c for d, c in _tail_expansion(idx.B, idx.w).items()}
-
-
-def clear_caches() -> None:
-    """Drop all memoized engine state (useful in long-running processes)."""
-    for fn in (
-        _w_rmul_T_key,
-        _w_rmul_P1_key,
-        _w_lmul_T_key,
-        _tail_expansion,
-        _to_working,
-        _standard_step,
-        _standard_index,
-    ):
-        fn.cache_clear()
-
-
-@cache
 def _standard_step(k: int, d: Permutation) -> tuple:
     """One elimination step for the working keys (A, d) with |A| = k (memoized).
 
     The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
     s * T_A P_k T_d2, each d2 strictly shorter than d.  Returns
-    (B, w, lead^-1, ((d2, -s * lead^-1, length(d2)), ...)), so that
+    (B, w, lead^-1, ((d2, -s * lead^-1, length(d2)), ...), length(d)) with
+    constants as (exponent, coeff) pairs, so that
     T_A P_k T_d = lead^-1 (A, B, w) + sum (-s * lead^-1) T_A P_k T_d2.
     Raises AssertionError if lead is not a unit or a tail term is not shorter.
     """
@@ -422,8 +452,8 @@ def _standard_step(k: int, d: Permutation) -> tuple:
         l2 = plength(d2)
         if l2 >= ld:
             raise AssertionError("length triangularity violated")
-        rest.append((d2, -(s * inv), l2))
-    return B, w, inv, tuple(rest)
+        rest.append((d2, _const(-(s * inv)), l2))
+    return B, w, _const(inv), tuple(rest), ld
 
 
 @cache
@@ -432,8 +462,8 @@ def _standard_index(A: tuple, B: tuple, w: Permutation) -> BasisIndex:
     return BasisIndex(A, B, w)
 
 
-def _to_standard(welem: dict) -> dict:
-    """Unitriangular elimination from the working to the standard basis.
+def _to_standard(welem: dict, bits: int, offset: int) -> dict:
+    """Unitriangular elimination from the packed working basis to decoded standard terms.
 
     Keys are bucketed by length(d) and drained from the longest down; every
     tail term is strictly shorter, so a bucket is complete when it is reached
@@ -442,17 +472,185 @@ def _to_standard(welem: dict) -> dict:
     out: dict[BasisIndex, LaurentScalar] = {}
     buckets: list[dict] = []
     for (A, d), c in welem.items():
-        ld = plength(d)
+        ld = _standard_step(len(A), d)[4]
         while len(buckets) <= ld:
             buckets.append({})
         buckets[ld][(A, d)] = c
     for ld in range(len(buckets) - 1, -1, -1):
         for (A, d), c in buckets[ld].items():
-            B, w, inv, rest = _standard_step(len(A), d)
-            out[_standard_index(A, B, w)] = c * inv
+            B, w, inv, rest, _ = _standard_step(len(A), d)
+            out[_standard_index(A, B, w)] = unpack(_scaled(c, inv, bits), bits, offset)
             for d2, t, l2 in rest:
-                accumulate(buckets[l2], (A, d2), c * t)
+                accumulate(buckets[l2], (A, d2), _scaled(c, t, bits))
     return out
+
+
+# -- a priori slot width and offset -----------------------------------------
+
+
+def _mass(s: tuple) -> int:
+    return sum(abs(a) for _, a in s)
+
+
+@cache
+def _rank_gains(n: int) -> tuple[int, int, int, int]:
+    """(G_P1, lo_P1, G_elim, lo_elim) of rank n, read off every table row (memoized).
+
+    G_P1 is the largest l1 mass of a row of `_w_rmul_P1_key` and lo_P1 the
+    lowest exponent in any row.  G_elim is the largest mass that elimination
+    makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t
+    of the step, and lo_elim the lowest exponent of any value it makes.  Both
+    lows are capped at 0.
+    """
+    perms = list(itertools.permutations(range(1, n + 1)))
+    g_p1, lo_p1, g_elim, lo_elim = 1, 0, 1, 0
+    for k in range(n + 1):
+        reps = sorted({_absorb(k, u)[1] for u in perms}, key=plength)
+        for A in itertools.combinations(range(1, n + 1), k):
+            for d in reps:
+                row = _w_rmul_P1_key(A, d)
+                g_p1 = max(g_p1, sum(_mass(s) for _, s in row))
+                lo_p1 = min(lo_p1, min((e for _, s in row for e, _ in s), default=0))
+        gain: dict = {}
+        low: dict = {}
+        for d in reps:  # shortest first, so every tail term is already known
+            _, _, inv, rest, _ = _standard_step(k, d)
+            gain[d] = 1 + sum(_mass(t) * gain[d2] for d2, t, _ in rest)
+            low[d] = min(0, inv[0][0], *(e + low[d2] for d2, t, _ in rest for e, _ in t))
+            g_elim = max(g_elim, gain[d])
+            lo_elim = min(lo_elim, low[d])
+    return g_p1, lo_p1, g_elim, lo_elim
+
+
+def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
+    """(gain, drop) of a generator word at rank n.
+
+    The gain 3^(#T) G_P1^(#P1) bounds how much the word multiplies the l1
+    mass of a working element; the drop 2 (#T^-1) - lo_P1 (#P1) bounds how
+    far it lowers the lowest v-exponent.  Each P_j counts as its expansion,
+    2^(j-1) letters P_1 and 2^(j-1) - 1 letters T^-1.
+    """
+    g_p1, lo_p1, _, _ = _rank_gains(n)
+    t = inv = p1 = 0
+    for lt in letters:
+        if lt[0] == "T":
+            t += 1
+            inv += lt[2] == -1
+        else:
+            half = 1 << (lt[1] - 1)
+            p1 += half
+            t += half - 1
+            inv += half - 1
+    return 3**t * g_p1**p1, 2 * inv - lo_p1 * p1
+
+
+def _read(c: LaurentScalar) -> tuple[int, int, bool]:
+    """(lowest exponent, l1 norm, all exponents even) of a nonzero scalar, in one pass."""
+    lo = None
+    mass = 0
+    even = True
+    for e, a in c.items():
+        if lo is None or e < lo:
+            lo = e
+        mass += abs(a)
+        even = even and not e & 1
+    return lo, mass, even
+
+
+@cache
+def _shared_letter(letter: Letter) -> Letter:
+    """One tuple per distinct letter, shared by every memoized word (memoized)."""
+    return letter
+
+
+@cache
+def _basis_data(idx: BasisIndex) -> tuple:
+    """What the engine needs of a basis index, validated once (memoized).
+
+    Returns (letters, gain, drop, tail mass, tail low): the letters of
+    `basis_word(idx)` with their `_word_bounds`, the l1 mass of idx in the
+    working basis and the lowest exponent of its working coefficients,
+    capped at 0.
+    """
+    letters = tuple(map(_shared_letter, GeneratorWord(idx.n, _basis_letters(idx))))
+    gain, drop = _word_bounds(idx.n, letters)
+    tail = _tail_expansion(idx.B, idx.w).values()
+    mass = sum(map(LaurentScalar.l1_norm, tail))
+    return letters, gain, drop, mass, min(0, *map(LaurentScalar.min_exp, tail))
+
+
+def clear_caches() -> None:
+    """Drop all memoized engine state (useful in long-running processes)."""
+    for fn in (
+        _w_rmul_T_key,
+        _w_rmul_P1_key,
+        _w_lmul_T_key,
+        _tail_expansion,
+        _standard_step,
+        _standard_index,
+        _rank_gains,
+        _shared_letter,
+        _basis_data,
+    ):
+        fn.cache_clear()
+
+
+def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
+    """x * sum c * word over words = [(letters, gain, drop, c), ...] in normal form.
+
+    One pass over x and one over the words read every coefficient for the
+    slot width, the offset and the parity; then x is packed into the working
+    basis and right-multiplied by the words in sorted order, each starting
+    from the stored partial product of its longest common prefix with the
+    previous word.
+    """
+    n = x.n
+    if not x.terms or not words:
+        return AlgebraElement(n, {})
+    _, _, g_elim, lo_elim = _rank_gains(n)
+    mass_x = 0
+    lo_x = None
+    even = True
+    for idx, c in x.terms.items():
+        lo, mass, ev = _read(c)
+        *_, tail_mass, tail_lo = _basis_data(idx)
+        mass_x += mass * tail_mass
+        lo_x = lo + tail_lo if lo_x is None else min(lo_x, lo + tail_lo)
+        even = even and ev
+    gain = 0
+    low = lo_x
+    scaled = []
+    for letters, g, drop, c in words:
+        lo, mass, ev = _read(c)
+        gain += mass * g
+        # the stack before and after it is scaled by c, then what elimination makes
+        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + lo_elim)
+        even = even and ev
+        scaled.append((letters, c, max(0, -lo)))
+    bits = slot_bits(mass_x * gain * g_elim)
+    offset = -low
+    welem: dict = {}
+    for idx, c in x.terms.items():
+        cp = pack(c, bits, offset)
+        for d, s in _tail_expansion(idx.B, idx.w).items():
+            accumulate(welem, (idx.A, d), _scaled(cp, s.items(), bits))
+    scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
+    stack = [welem]  # stack[j]: x times the first j letters of prev
+    prev: tuple = ()
+    total: dict = {}
+    for letters, c, shift in scaled:
+        j = 0
+        while j < len(prev) and j < len(letters) and prev[j] == letters[j]:
+            j += 1
+        del stack[j + 1 :]
+        for lt in letters[j:]:
+            stack.append(_w_rmul_letter(stack[-1], lt, bits))
+        prev = letters
+        cp = pack(c, bits, shift)
+        shift *= bits
+        for key, s in stack[-1].items():
+            accumulate(total, key, (s * cp) >> shift)
+    return _finish(n, total, bits, offset, check_even=even)
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +768,23 @@ def t0_element(n: int) -> AlgebraElement:
     return identity_element(n).scale(Q_MINUS_1) - gen_P(n, 1).scale(Q)
 
 
+def _basis_letters(idx: BasisIndex) -> list[Letter]:
+    letters: list[Letter] = [("T", i, 1) for i in _subset_word(idx.A)]
+    if idx.k >= 1:
+        letters.append(("P", idx.k))
+    letters.extend(("T", i, 1) for i in reduced_word(idx.w))
+    for j in range(idx.k, 0, -1):
+        letters.extend(("T", t, -1) for t in range(j, idx.B[j - 1]))
+    return letters
+
+
 def basis_word(idx: BasisIndex) -> GeneratorWord:
     """The defining word T_A P_k T_w T_B^{-1} of a standard basis element."""
-    n = idx.n
-    k = idx.k
-    letters: list[Letter] = [("T", i, 1) for i in _subset_word(idx.A)]
-    if k >= 1:
-        letters.append(("P", k))
-    letters.extend(("T", i, 1) for i in reduced_word(idx.w))
-    for j in range(k, 0, -1):
-        letters.extend(("T", t, -1) for t in range(j, idx.B[j - 1]))
-    return GeneratorWord(n, letters)
+    return GeneratorWord(idx.n, _basis_letters(idx))
 
 
-def _finish(n: int, welem: dict, check_even: bool = True) -> AlgebraElement:
-    out = AlgebraElement(n, _to_standard(welem))
+def _finish(n: int, welem: dict, bits: int, offset: int, check_even: bool = True) -> AlgebraElement:
+    out = AlgebraElement(n, _to_standard(welem, bits, offset))
     # intrinsic computations on even inputs never leave the Z[q, q^-1] subring
     if check_even and not even_exponent_ok(out):
         raise OddExponentError(f"odd v-exponent escaped the engine: {out!r}")
@@ -593,26 +793,14 @@ def _finish(n: int, welem: dict, check_even: bool = True) -> AlgebraElement:
 
 def reduce_word(word: GeneratorWord) -> AlgebraElement:
     """Normal form of a product of generators, starting from the identity."""
-    elem = {((), identity_perm(word.n)): ONE}
-    for lt in word:
-        elem = _w_rmul_letter(elem, lt)
-    return _finish(word.n, elem)
-
-
-def _working(x: AlgebraElement) -> dict:
-    """x in the working basis."""
-    welem: dict = {}
-    for idx, c in x.terms.items():
-        for key, s in _to_working(idx).items():
-            accumulate(welem, key, c * s)
-    return welem
+    words = [(word.letters, *_word_bounds(word.n, word.letters), ONE)]
+    return _product(identity_element(word.n), words)
 
 
 def rmul_gen(x: AlgebraElement, letter: Letter) -> AlgebraElement:
     """Right multiplication x * g for a single generator letter g."""
-    GeneratorWord(x.n, [letter])  # validate
-    welem = _w_rmul_letter(_working(x), letter)
-    return _finish(x.n, welem, check_even=even_exponent_ok(x))
+    letters = GeneratorWord(x.n, [letter]).letters  # validate
+    return _product(x, [(letters, *_word_bounds(x.n, letters), ONE)])
 
 
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -624,22 +812,7 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
-    terms = ((basis_word(idx).letters, c) for idx, c in y.terms.items())
-    words = sorted(terms, key=lambda t: t[0])  # by word alone: scalars do not compare
-    stack = [_working(x)]  # stack[j]: x times the first j letters of prev
-    prev: tuple = ()
-    total: dict = {}
-    for letters, c in words:
-        j = 0
-        while j < len(prev) and j < len(letters) and prev[j] == letters[j]:
-            j += 1
-        del stack[j + 1 :]
-        for lt in letters[j:]:
-            stack.append(_w_rmul_letter(stack[-1], lt))
-        prev = letters
-        for key, s in stack[-1].items():
-            accumulate(total, key, c * s)
-    return _finish(x.n, total, check_even=even_exponent_ok(x) and even_exponent_ok(y))
+    return _product(x, [(*_basis_data(idx)[:3], c) for idx, c in y.terms.items()])
 
 
 def hat_T(n: int, mu) -> AlgebraElement:

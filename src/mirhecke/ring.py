@@ -21,7 +21,8 @@ and the final upper triangle) is computed once per matrix content and kept
 in a small bounded in-process cache; each call replays only its right side
 and the back substitution.
 
-Tensor-space kernels run on plain ints instead (Kronecker substitution).
+The tensor-space kernels (`tensorrep`) and the normal-form engine
+(`algebra`) run on plain ints instead (Kronecker substitution).
 `pack(x, bits, offset)` stores a Laurent polynomial p as the integer
 p(2^bits) * 2^(bits * offset): v -> 2^bits is a ring homomorphism, so sums
 and products of packed values are the packed sums and products, and

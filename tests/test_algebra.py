@@ -35,14 +35,49 @@ from mirhecke.combinatorics import (
     pinverse,
     plength,
 )
-from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V, accumulate
+from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V, accumulate, pack, slot_bits
 
 
 def idx(A, B, w):
     return BasisIndex(tuple(A), tuple(B), tuple(w))
 
 
-# -- reference loops the engine's fast paths are compared against ------------
+# -- reference loops the packed engine is compared against -------------------
+# These run on LaurentScalar coefficients: each table constant, stored as
+# (exponent, coeff) pairs, is read back as a scalar and multiplied in.
+
+
+def scalar(const):
+    return LaurentScalar(dict(const))
+
+
+def reference_working(x):
+    """x in the working basis, read straight from `_tail_expansion`."""
+    xw = {}
+    for index, c in x.terms.items():
+        for d, s in algebra._tail_expansion(index.B, index.w).items():
+            accumulate(xw, (index.A, d), c * s)
+    return xw
+
+
+def reference_rmul_letter(elem, letter):
+    """A working element times one generator letter, term by term."""
+    out = {}
+    if letter[0] == "T":
+        _, i, e = letter
+        for (A, d), c in elem.items():
+            for d2, s in algebra._w_rmul_T_key(len(A), d, i, e == -1):
+                accumulate(out, (A, d2), c * scalar(s))
+        return out
+    if letter[1] == 1:
+        for (A, d), c in elem.items():
+            for key, s in algebra._w_rmul_P1_key(A, d):
+                accumulate(out, key, c * scalar(s))
+        return out
+    sign, word = algebra._pi_expansion(letter[1])
+    for lt in word:
+        elem = reference_rmul_letter(elem, lt)
+    return {key: -c for key, c in elem.items()} if sign < 0 else elem
 
 
 def greedy_to_standard(welem):
@@ -65,28 +100,50 @@ def greedy_to_standard(welem):
 
 def term_by_term_mul(x, y):
     """x * y with every term of y applied to x letter by letter, no sharing."""
-    xw = {}
-    for index, c in x.terms.items():
-        for key, s in algebra._to_working(index).items():
-            accumulate(xw, key, c * s)
+    xw = reference_working(x)
     total = {}
     for index, c in y.terms.items():
         cur = xw
         for lt in basis_word(index):
-            cur = algebra._w_rmul_letter(cur, lt)
+            cur = reference_rmul_letter(cur, lt)
         for key, s in cur.items():
             accumulate(total, key, c * s)
     return AlgebraElement(x.n, greedy_to_standard(total))
+
+
+def needed_bits(x):
+    """The narrowest slot in which every coefficient of x decodes.
+
+    Balanced digits of width B hold -2^(B-1) <= a < 2^(B-1).
+    """
+    digits = (a for c in x.terms.values() for _, a in c.items())
+    return max((2, *((a if a > 0 else ~a).bit_length() + 1 for a in digits)))
+
+
+def golden_triples():
+    els = all_basis_elements(4)
+    rng = random.Random(8)
+    return [tuple(rng.choice(els) for _ in range(3)) for _ in range(60)]
 
 
 def random_scalar(rng):
     return LaurentScalar({2 * rng.randrange(-3, 4): rng.randrange(-4, 5) for _ in range(3)})
 
 
-def random_combination(rng, els, terms):
+def odd_scalar(rng):
+    return LaurentScalar({rng.randrange(-5, 6): rng.randrange(-4, 5) for _ in range(3)})
+
+
+def high_scalar(rng):
+    """A nonzero scalar whose lowest exponent is positive."""
+    low = 2 * rng.randrange(1, 4)
+    return LaurentScalar({low + 2 * j: rng.choice((-2, -1, 1, 2)) for j in range(2)})
+
+
+def random_combination(rng, els, terms, draw=random_scalar):
     out = AlgebraElement(els[0].n, {})
     for _ in range(terms):
-        out = out + rng.choice(els).scale(random_scalar(rng))
+        out = out + rng.choice(els).scale(draw(rng))
     return out
 
 
@@ -197,13 +254,15 @@ class TestMul:
             algebra._w_rmul_P1_key,
             algebra._w_lmul_T_key,
             algebra._tail_expansion,
-            algebra._to_working,
             algebra._standard_step,
             algebra._standard_index,
+            algebra._rank_gains,
+            algebra._shared_letter,
+            algebra._basis_data,
         )
         x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo
         want = mul(x, y)
-        assert mul(x, y) == want and algebra._to_working.cache_info().hits > 0
+        assert mul(x, y) == want and algebra._basis_data.cache_info().hits > 0
         assert all(fn.cache_info().currsize > 0 for fn in memos)
         algebra.clear_caches()
         assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
@@ -213,11 +272,8 @@ class TestMul:
         # sha256 of the normal forms of 60 seeded rank-4 triples, both
         # bracketings, as computed by greedy elimination and term-by-term
         # products: the faster loops must give the same bytes
-        els = all_basis_elements(4)
-        rng = random.Random(8)
         digest = hashlib.sha256()
-        for _ in range(60):
-            a, b, c = (rng.choice(els) for _ in range(3))
+        for a, b, c in golden_triples():
             for prod in (mul(mul(a, b), c), mul(a, mul(b, c))):
                 digest.update(json.dumps(prod.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == (
@@ -236,7 +292,12 @@ class TestMul:
                 _, d = algebra._absorb(len(A), u)
                 accumulate(welem, (A, d), random_scalar(rng))
             mixed += len({A for A, _ in welem}) > 2
-            assert algebra._to_standard(welem) == greedy_to_standard(welem)
+            # the a priori width and offset of `_product`, for this input
+            _, _, g_elim, lo_elim = algebra._rank_gains(n)
+            bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * g_elim)
+            offset = -min(c.min_exp() for c in welem.values()) - lo_elim
+            packed = {key: pack(c, bits, offset) for key, c in welem.items()}
+            assert algebra._to_standard(packed, bits, offset) == greedy_to_standard(welem)
         assert mixed >= 10
 
     def test_prefix_shared_mul_matches_term_by_term(self):
@@ -267,19 +328,104 @@ class TestMul:
         algebra._standard_step.cache_clear()
         try:
             with pytest.raises(AssertionError, match=message):
-                algebra._to_standard({((), (2, 1, 3)): ONE})
+                algebra._to_standard({((), (2, 1, 3)): pack(ONE, 8, 0)}, 8, 0)
         finally:
             algebra._standard_step.cache_clear()
+
+
+class TestPackedEngine:
+    """The int engine against the LaurentScalar reference loops, and its slot width."""
+
+    def test_odd_exponents_match_the_reference(self):
+        # odd inputs take the check_even=False path of `_finish`
+        els = all_basis_elements(3)
+        rng = random.Random(13)
+        odd = 0
+        for _ in range(30):
+            x = random_combination(rng, els, 2, odd_scalar)
+            y = random_combination(rng, els, 3, odd_scalar)
+            got = mul(x, y)
+            odd += not even_exponent_ok(got)
+            assert got == term_by_term_mul(x, y)
+        assert odd >= 10
+
+    def test_positive_lowest_exponents_on_lowering_words(self):
+        # q^a c_y with a > 0 on words with T^-1 or P_j letters: the offset must
+        # cover the stack before it is scaled by c_y, not only the scaled value
+        els = all_basis_elements(4)
+        def lowers(lt):
+            return lt[0] == "T" and lt[2] == -1 or lt[0] == "P" and lt[1] > 1
+
+        lowering = [e for e in els if any(map(lowers, basis_word(e.support()[0])))]
+        rng = random.Random(17)
+        for _ in range(25):
+            x = random_combination(rng, els, 2)
+            y = random_combination(rng, lowering, rng.randrange(1, 4), high_scalar)
+            assert mul(x, y) == term_by_term_mul(x, y)
+
+    def test_derived_width_covers_every_golden_product(self, monkeypatch):
+        widths = []
+
+        def recording(bound):
+            widths.append(slot_bits(bound))
+            return widths[-1]
+
+        def checked(x, y):
+            widths.clear()
+            prod = mul(x, y)
+            (bits,) = widths
+            assert bits >= needed_bits(prod)
+            return prod
+
+        monkeypatch.setattr(algebra, "slot_bits", recording)
+        for a, b, c in golden_triples():
+            checked(checked(a, b), c)
+            checked(a, checked(b, c))
+
+    def test_one_bit_below_the_widest_coefficient_breaks_a_product(self, monkeypatch):
+        # the a priori bound is loose, so the cut is made one bit below the
+        # width that the widest true coefficient needs; basis inputs keep
+        # every packed input coefficient at 1
+        pairs = [pair for a, b, c in golden_triples() for pair in ((a, b), (b, c))]
+        want = [mul(x, y) for x, y in pairs]
+        top = max(map(needed_bits, want))
+        assert top >= 3
+        monkeypatch.setattr(algebra, "slot_bits", lambda bound: top - 1)
+        wrong = 0
+        for (x, y), prod in zip(pairs, want):
+            try:
+                wrong += mul(x, y) != prod
+            except OddExponentError:  # a misread digit can surface as an odd exponent
+                wrong += 1
+        assert wrong
+
+    def test_no_scalar_products_once_the_tables_are_built(self, monkeypatch):
+        els = all_basis_elements(3)
+        rng = random.Random(19)
+        pairs = [tuple(random_combination(rng, els, 3) for _ in "xy") for _ in range(20)]
+        want = [mul(x, y) for x, y in pairs]  # builds every table these products read
+        products = 0
+        true_mul = LaurentScalar.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return true_mul(self, other)
+
+        monkeypatch.setattr(LaurentScalar, "__mul__", counting)
+        monkeypatch.setattr(LaurentScalar, "__rmul__", counting)
+        assert [mul(x, y) for x, y in pairs] == want
+        assert products == 0
 
 
 class TestEvenExponentInvariant:
     def test_odd_exponent_raises(self):
         # a hand-built working-basis term v * 1, which no even input can produce
         with pytest.raises(OddExponentError):
-            _finish(2, {((), identity_perm(2)): V})
+            _finish(2, {((), identity_perm(2)): pack(V, 4, 0)}, 4, 0)
 
     def test_unchecked_finish_keeps_odd_exponent(self):
-        out = _finish(2, {((), identity_perm(2)): V}, check_even=False)
+        out = _finish(2, {((), identity_perm(2)): pack(V, 4, 0)}, 4, 0, check_even=False)
         assert not even_exponent_ok(out)
 
 
