@@ -281,15 +281,9 @@ def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
 
     The sign of each discarded S_k-part is folded into its coefficient.
     """
-    d2 = apply_right_s(d, i)
-    ascent = d[i - 1] < d[i]
-    if not inv:
-        branches = ((d2, ONE),) if ascent else ((d, Q_MINUS_1), (d2, Q))
-    else:
-        branches = ((d2, ONE),) if not ascent else ((d2, QINV), (d, MINUS_QINV_QM1))
     out: dict = {}
-    for u, s in branches:
-        sign, dd = (1, d) if u is d else _absorb(k, u)
+    for u, s in _hecke_rmul_letter({d: ONE}, i, inv).items():
+        sign, dd = (1, d) if u == d else _absorb(k, u)
         accumulate(out, dd, -s if sign < 0 else s)
     return tuple((dd, _const(s)) for dd, s in out.items())
 

@@ -29,6 +29,8 @@ system given by the character table against the Schur-Weyl trace oracle.  It
 is solved fraction-free and must come out Laurent-polynomial: one exact
 division by d = +-det(table) per coefficient.  Every basis element solves
 against the same table, whose factorization `solve_linear` computes once.
+That the table is invertible at sample points is checked in
+`checks.determinant_nonzero`, by its rank over Q.
 """
 
 from __future__ import annotations
@@ -146,37 +148,6 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
     # the labels are canonical partitions of size <= n, so the recursion reads them as they are
     entries = {(lam, mu): _mn(n, lam, mu, variant, True) for lam in labels for mu in labels}
     return CharacterTable(n, labels, entries, variant)
-
-
-def table_determinant_at(table: CharacterTable, q0) -> "Fraction":
-    """Determinant of the table specialized at a rational q0 (entries are even)."""
-    from fractions import Fraction
-
-    size = len(table.labels)
-    m = [
-        [table.entries[(lam, mu)].specialize(q0) for mu in table.labels]
-        for lam in table.labels
-    ]
-    det = Fraction(1)
-    for k in range(size):
-        piv = None
-        for i in range(k, size):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, size):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, size):
-                    m[i][j] -= f * m[k][j]
-    return det
 
 
 # ---------------------------------------------------------------------------

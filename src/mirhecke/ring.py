@@ -21,6 +21,11 @@ and the final upper triangle) is computed once per matrix content and kept
 in a small bounded in-process cache; each call replays only its right side
 and the back substitution.
 
+`rank_over_q` is the one elimination over Q: a sparse row reduction of
+rows {position: int or Fraction}.  It ranks the tensor image
+(`tensorrep.image_rank`) and tests the specialized character table for
+invertibility (`checks.determinant_nonzero`).
+
 The tensor-space kernels (`tensorrep`) and the normal-form engine
 (`algebra`) run on plain ints instead (Kronecker substitution).
 `pack(x, bits, offset)` stores a Laurent polynomial p as the integer
@@ -482,3 +487,30 @@ def solve_linear(
             acc = acc - row[j] * y[j]
         y[i] = acc.exact_div(row[i])
     return d, y
+
+
+def rank_over_q(rows: Iterable[Mapping]) -> int:
+    """Rank over Q of sparse rows {position: int or Fraction}, zero entries allowed.
+
+    Each row is reduced against the pivot rows on its lowest position until
+    it vanishes or opens a new pivot there; positions need only be mutually
+    orderable.
+    """
+    pivots: dict = {}
+    for row in rows:
+        vec = {p: a for p, a in row.items() if a}
+        while vec:
+            pos = min(vec)
+            piv = pivots.get(pos)
+            if piv is None:
+                inv = Fraction(1) / vec[pos]
+                pivots[pos] = {p: a * inv for p, a in vec.items()}
+                break
+            f = vec[pos]
+            for p, a in piv.items():
+                s = vec.get(p, 0) - f * a
+                if s:
+                    vec[p] = s
+                else:
+                    vec.pop(p, None)
+    return len(pivots)

@@ -40,9 +40,11 @@ of Psi(word) e_w has l1 norm at most 3^L for L braid letters.  Callers
 derive B from that bound (`letter_bound`) and whatever they sum on top of
 it: a trace adds up at most (#words) entries, a combination sum c_x Psi(x)
 has norm at most sum ||c_x||_1 3^(L_x), a composition Psi(a) Psi(b) at most
-3^(L_a + L_b).  B is never a setting.  `apply_R`, `psi_apply`,
-`psi_matrix` and `TensorState` keep LaurentScalar coefficients: they pack
-on entry and unpack on exit.
+3^(L_a + L_b).  B is never a setting.
+
+`psi_columns` is the one function that builds operator columns; `checks`
+compares them and `image_rank` ranks them.  Only `basis_trace` applies
+letters itself, because it visits a rotated word (below).
 
 Traces never build an operator.  D preserves content, so it commutes with
 every R_i and e_j, and e_k is idempotent; by cyclicity of the trace
@@ -60,43 +62,22 @@ Everything here is lazy and sparse: operators are never materialized as
 dense matrices, and only per-basis-element traces are memoized.  The
 defining relations are checked as operator identities in `mirhecke.checks`,
 from the columns that `psi_columns` builds one content at a time.
+
+`image_rank(n, r, bits)` ranks the basis operators at v = 2^bits.  An
+exact integer is all it needs, not a decodable one, so no slot width is
+derived: each packed entry is the operator entry at v = 2^bits times the
+common factor 2^(bits*E), which leaves the rank unchanged, and `bits` = 1
+is allowed.  The rank is taken over Q by `ring.rank_over_q`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .algebra import AlgebraElement, GeneratorWord, basis_word
+from .algebra import AlgebraElement, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import accumulate, pack, slot_bits, unpack
+from .ring import accumulate, rank_over_q, slot_bits, unpack
 from .symfun import SymPoly, _from_monomials, schur_expand
-
-
-@dataclass
-class TensorState:
-    """A sparse vector on the tensor power: {index word: coefficient}."""
-
-    n: int
-    r: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for w, c in self.terms.items():
-            if len(w) != self.n or any(not 1 <= k <= self.r + 1 for k in w):
-                raise ValueError(f"bad index word {w} for n={self.n}, r={self.r}")
-            if c:
-                clean[w] = c
-        self.terms = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorState)
-            and (self.n, self.r) == (other.n, other.r)
-            and self.terms == other.terms
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +142,6 @@ def letter_offset(letters) -> int:
     return 2 * sum(lt[0] == "T" and lt[2] == -1 for lt in letters)
 
 
-def _scalar_act(letters, terms: dict, r: int) -> dict:
-    """`_act` on LaurentScalar coefficients: pack on entry, unpack on exit."""
-    mass = sum(c.l1_norm() for c in terms.values())
-    bits = slot_bits(max(1, mass) * letter_bound(letters))
-    low = min((c.min_exp() for c in terms.values() if c), default=0)
-    offset = max(0, -low) + letter_offset(letters)
-    packed = {w: pack(c, bits, offset) for w, c in terms.items()}
-    return {w: unpack(c, bits, offset) for w, c in _act(letters, packed, r, bits).items()}
-
-
-def apply_R(i: int, state: TensorState) -> TensorState:
-    """Action of the i-th braid generator on adjacent tensor factors."""
-    if not 1 <= i <= state.n - 1:
-        raise ValueError(f"i = {i} out of range")
-    return TensorState(state.n, state.r, _scalar_act([("T", i, 1)], state.terms, state.r))
-
-
-def apply_e(j: int, state: TensorState) -> TensorState:
-    """Projection keeping words whose first j letters are all r+1."""
-    if not 1 <= j <= state.n:
-        raise ValueError(f"j = {j} out of range")
-    return TensorState(state.n, state.r, _apply_e(j, state.terms, state.r))
-
-
-def psi_apply(word: GeneratorWord, state: TensorState) -> TensorState:
-    """Apply a generator word as an operator, rightmost letter first."""
-    return TensorState(state.n, state.r, _scalar_act(word.letters, state.terms, state.r))
-
-
 def basis_words(n: int, r: int):
     return itertools.product(range(1, r + 2), repeat=n)
 
@@ -211,20 +163,6 @@ def psi_columns(words_of: dict, inputs, r: int, bits: int, offset: int) -> dict:
         tail = done[letters[1:]].items()
         done[letters] = {w: c for w, v in tail if (c := _act(letters[:1], v, r, bits))}
     return {x: done[letters] for x, letters in words_of.items()}
-
-
-def psi_matrix(r: int, idx: BasisIndex) -> dict:
-    """Sparse operator of a basis element, built afresh: {input word: {output word: coeff}}."""
-    letters = basis_word(idx).letters
-    bits = slot_bits(letter_bound(letters))
-    offset = letter_offset(letters)
-    one = 1 << (bits * offset)
-    out = {}
-    for w in basis_words(idx.n, r):
-        col = _act(letters, {w: one}, r, bits)
-        if col:
-            out[w] = {u: unpack(c, bits, offset) for u, c in col.items()}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +235,21 @@ def char_oracle(x: AlgebraElement, r: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def image_rank(n: int, r: int, q0, v0) -> int:
-    """Rank over Q of the span of the vectorized basis operators at q = q0, v = v0.
+def image_rank(n: int, r: int, bits: int) -> int:
+    """Rank over Q of the span of the basis operators at v = 2^bits.
 
     Faithfulness of the tensor action for r >= n makes this the algebra
-    dimension at any generic specialization; q0 must equal v0^2 since the
-    operators involve odd powers of v.
+    dimension at any generic point; a rank at one point never exceeds the
+    generic rank.  Each operator is one row: its packed columns, built one
+    content block at a time, keyed by (input word, output word).
     """
-    pivots: dict = {}
-    rank = 0
-    for idx in iter_standard_basis(n):
-        vec: dict = {}
-        for col, colmap in psi_matrix(r, idx).items():
-            for row, c in colmap.items():
-                val = c.specialize(q0, v0)
-                if val:
-                    vec[(col, row)] = val
-        # reduce against existing pivot rows
-        while vec:
-            pos = min(vec)
-            piv = pivots.get(pos)
-            if piv is None:
-                inv = Fraction(1) / vec[pos]
-                pivots[pos] = {p: a * inv for p, a in vec.items()}
-                rank += 1
-                break
-            f = vec[pos]
-            for p, a in piv.items():
-                s = vec.get(p, Fraction(0)) - f * a
-                if s:
-                    vec[p] = s
-                else:
-                    vec.pop(p, None)
-    return rank
+    words_of = {idx: basis_word(idx).letters for idx in iter_standard_basis(n)}
+    offset = max(map(letter_offset, words_of.values()))
+    rows: dict = {idx: {} for idx in words_of}
+    for block in content_blocks(n, r):
+        for idx, cols in psi_columns(words_of, block, r, bits, offset).items():
+            row = rows[idx]
+            for w, col in cols.items():
+                for u, c in col.items():
+                    row[(w, u)] = c
+    return rank_over_q(rows.values())

@@ -168,5 +168,5 @@ def test_slow_rank5_oracle_column():
 @pytest.mark.slow
 def test_slow_rank4_image_rank():
     """Optional extension of criterion 12 to n = 4, at the single point v0 = 2."""
-    rank = tensorrep.image_rank(4, 4, 4, 2)
+    rank = tensorrep.image_rank(4, 4, 1)
     report("12 (slow)", "image rank at n = 4", None if rank == standard_basis_count(4) else rank)

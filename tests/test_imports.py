@@ -91,3 +91,9 @@ def test_runtime_imports_only_stdlib():
                 if top not in sys.stdlib_module_names and top != PACKAGE.name:
                     outside.add((path.name, name))
     assert not outside
+
+
+def test_exports_resolve():
+    # the export list must not keep a name the package no longer defines
+    missing = [name for name in mirhecke.__all__ if not hasattr(mirhecke, name)]
+    assert not missing

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from mirhecke.ring import (
     V,
     ZERO,
     pack,
+    rank_over_q,
     slot_bits,
     solve_linear,
     unpack,
@@ -378,6 +380,41 @@ class TestSolveLinear:
                 assert det.is_zero()
                 continue
             assert d in (det, -det)
+
+
+def random_matrix(rng, rows, cols, rank, fractions):
+    """A rows x cols matrix of rank <= `rank`: a product of random factors, so it is
+    rank-deficient whenever rank < min(rows, cols)."""
+    def entry():
+        a = rng.randint(-4, 4)
+        return Fraction(a, rng.randint(1, 5)) if fractions else a
+
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return [[sum(row[t] * right[t][j] for t in range(rank)) for j in range(cols)] for row in left]
+
+
+def sparse(matrix):
+    return [dict(enumerate(row)) for row in matrix]
+
+
+class TestRankOverQ:
+    @pytest.mark.parametrize("fractions", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_sympy(self, seed, fractions):
+        rng = random.Random(seed)
+        for _ in range(8):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            m = random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), fractions)
+            if rng.random() < 0.5:  # a zero row somewhere
+                m.insert(rng.randint(0, rows), [0] * cols)
+            assert rank_over_q(sparse(m)) == sympy.Matrix(m).rank(), m
+
+    def test_empty_and_zero_inputs(self):
+        assert rank_over_q([]) == 0
+        assert rank_over_q([{}, {}]) == 0
+        assert rank_over_q(sparse([[0, 0], [0, 0]])) == 0
+        assert rank_over_q(iter([{(2, 1): Fraction(1, 3)}, {(1, 2): 0}])) == 1
 
 
 class TestSerialization:

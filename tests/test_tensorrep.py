@@ -1,7 +1,6 @@
 import pytest
 
 from mirhecke.algebra import (
-    GeneratorWord,
     basis_element,
     basis_word,
     gen_P,
@@ -26,22 +25,13 @@ from mirhecke.ring import (
 from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
-    TensorState,
-    apply_R,
-    apply_e,
     basis_words,
     char_oracle,
     content_blocks,
     image_rank,
-    psi_apply,
     psi_columns,
-    psi_matrix,
     trace_D,
 )
-
-
-def unit(n, r, word):
-    return TensorState(n, r, {tuple(word): ONE})
 
 
 # Reference rules on LaurentScalar coefficients, independent of the packed kernel.
@@ -84,6 +74,12 @@ def ref_act(letters, terms, r):
     return terms
 
 
+def ref_operator(letters, n, r):
+    """{input word: nonzero column} of a word's operator, by the reference rules."""
+    cols = {w: ref_act(letters, {w: ONE}, r) for w in basis_words(n, r)}
+    return {w: col for w, col in cols.items() if col}
+
+
 # one letter on a unit word: coefficients have l1 norm <= 3 and exponents >= -2
 BITS, OFFSET = slot_bits(3), 2
 
@@ -94,6 +90,23 @@ def unpacked(terms, bits=BITS, offset=OFFSET):
 
 def packed_unit(w):
     return {w: pack(ONE, BITS, OFFSET)}
+
+
+def psi(letters, w, r):
+    """Psi(word) e_w through `psi_columns`, unpacked, at the width the letters need."""
+    bits = slot_bits(tensorrep.letter_bound(letters))
+    offset = tensorrep.letter_offset(letters)
+    col = psi_columns({0: tuple(letters)}, [w], r, bits, offset)[0].get(w, {})
+    return unpacked(col, bits, offset)
+
+
+def combine(*parts):
+    """sum c * vec over (c, vec) pairs of sparse vectors, zeros dropped."""
+    out = {}
+    for c, vec in parts:
+        for k, a in vec.items():
+            accumulate(out, k, c * a)
+    return out
 
 
 SMALL = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3)]
@@ -118,84 +131,54 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_operators(self, n):
-        # whole words: the slot width and offset derived from the letters suffice
+        # whole words on every input word: the width and offset derived from the letters suffice
         for idx in iter_standard_basis(n):
             letters = basis_word(idx).letters
-            want = {}
-            for w in basis_words(n, n):
-                col = ref_act(letters, {w: ONE}, n)
-                if col:
-                    want[w] = col
-            assert psi_matrix(n, idx) == want, idx
+            bits = slot_bits(tensorrep.letter_bound(letters))
+            offset = tensorrep.letter_offset(letters)
+            cols = psi_columns({idx: letters}, basis_words(n, n), n, bits, offset)[idx]
+            got = {w: unpacked(col, bits, offset) for w, col in cols.items()}
+            assert got == ref_operator(letters, n, n), idx
 
 
 class TestLocalOperators:
     def test_equal_letters(self):
-        out = apply_R(1, unit(2, 2, (1, 1)))
-        assert out.terms == {(1, 1): -ONE}
+        out = unpacked(tensorrep._apply_R(1, packed_unit((1, 1)), BITS))
+        assert out == {(1, 1): -ONE}
 
     def test_increasing_pair(self):
-        out = apply_R(1, unit(2, 2, (1, 2)))
-        assert out.terms == {(2, 1): -V}
+        out = unpacked(tensorrep._apply_R(1, packed_unit((1, 2)), BITS))
+        assert out == {(2, 1): -V}
 
     def test_decreasing_pair(self):
-        out = apply_R(1, unit(2, 2, (2, 1)))
-        assert out.terms == {(1, 2): -V, (2, 1): Q_MINUS_1}
+        out = unpacked(tensorrep._apply_R(1, packed_unit((2, 1)), BITS))
+        assert out == {(1, 2): -V, (2, 1): Q_MINUS_1}
 
     def test_projection_keeps_top_prefix(self):
-        assert apply_e(1, unit(2, 1, (2, 1))).terms == {(2, 1): ONE}
-        assert apply_e(1, unit(2, 1, (1, 2))).terms == {}
-        assert apply_e(2, unit(2, 1, (2, 1))).terms == {}
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            apply_R(2, unit(2, 2, (1, 1)))
-        with pytest.raises(ValueError):
-            apply_e(3, unit(2, 2, (1, 1)))
-        with pytest.raises(ValueError):
-            TensorState(2, 1, {(3, 1): ONE})
+        assert unpacked(tensorrep._apply_e(1, packed_unit((2, 1)), 1)) == {(2, 1): ONE}
+        assert unpacked(tensorrep._apply_e(1, packed_unit((1, 2)), 1)) == {}
+        assert unpacked(tensorrep._apply_e(2, packed_unit((2, 1)), 1)) == {}
 
 
 class TestPsiApply:
     def test_projection_word(self):
-        state = unit(2, 2, (3, 1))
-        out = psi_apply(GeneratorWord(2, [("P", 1)]), state)
-        assert out == state
+        assert psi([("P", 1)], (3, 1), 2) == {(3, 1): ONE}
 
     def test_quadratic_relation(self):
         for w in basis_words(2, 2):
-            state = unit(2, 2, w)
-            twice = psi_apply(GeneratorWord(2, [("T", 1, 1), ("T", 1, 1)]), state)
-            once = apply_R(1, state)
-            rhs = TensorState(2, 2, {})
-            for k, c in once.terms.items():
-                rhs.terms[k] = c * Q_MINUS_1
-            for k, c in state.terms.items():
-                rhs.terms[k] = rhs.terms.get(k, ZERO) + c * LaurentScalar.q_power(1)
-            assert twice == TensorState(2, 2, rhs.terms)
+            twice = psi([("T", 1, 1), ("T", 1, 1)], w, 2)
+            once = psi([("T", 1, 1)], w, 2)
+            assert twice == combine((Q_MINUS_1, once), (LaurentScalar.q_power(1), {w: ONE})), w
 
     def test_idempotent_recursion_operator(self):
         # -q^-1 (e_i R_i e_i - (q-1) e_i) acts as e_{i+1}
         n, r = 3, 2
         qinv = LaurentScalar.q_power(-1)
         for w in basis_words(n, r):
-            state = unit(n, r, w)
-            sandwich = psi_apply(
-                GeneratorWord(n, [("P", 2), ("T", 2, 1), ("P", 2)]), state
-            )
-            single = psi_apply(GeneratorWord(n, [("P", 2)]), state)
-            combo = {}
-            for k, c in sandwich.terms.items():
-                combo[k] = c * (-qinv)
-            for k, c in single.terms.items():
-                s = combo.get(k, ZERO) + c * qinv * Q_MINUS_1
-                if s:
-                    combo[k] = s
-                else:
-                    combo.pop(k, None)
-            assert TensorState(n, r, combo) == psi_apply(
-                GeneratorWord(n, [("P", 3)]), state
-            )
+            sandwich = psi([("P", 2), ("T", 2, 1), ("P", 2)], w, r)
+            single = psi([("P", 2)], w, r)
+            combo = combine((-qinv, sandwich), (qinv * Q_MINUS_1, single))
+            assert combo == psi([("P", 3)], w, r), w
 
     def test_inverse_braid(self):
         # R_i R_i^-1 = R_i^-1 R_i = 1, and R_i^-1 = q^-1 (R_i - (q-1)), on every word
@@ -203,11 +186,9 @@ class TestPsiApply:
         for n, r, i in [(n, r, i) for n in (2, 3, 4) for r in (1, 2, 3) for i in range(1, n)]:
             for w in basis_words(n, r):
                 for order in ((1, -1), (-1, 1)):
-                    word = GeneratorWord(n, [("T", i, e) for e in order])
-                    assert psi_apply(word, unit(n, r, w)) == unit(n, r, w), (n, r, i, order, w)
-                want = {k: c * qinv for k, c in apply_R(i, unit(n, r, w)).terms.items()}
-                want[w] = want.get(w, ZERO) - qinv * Q_MINUS_1
-                want = {k: c for k, c in want.items() if c}
+                    word = [("T", i, e) for e in order]
+                    assert psi(word, w, r) == {w: ONE}, (n, r, i, order, w)
+                want = combine((qinv, psi([("T", i, 1)], w, r)), (-qinv * Q_MINUS_1, {w: ONE}))
                 got = unpacked(tensorrep._apply_R_inv(i, packed_unit(w), BITS))
                 assert got == want, (n, r, i, w)
 
@@ -317,19 +298,22 @@ class TestTraces:
             char_oracle(identity_element(3), r=2)
 
 
-def diagonal_trace(r, idx):
-    """The weighted trace read off the diagonal of the full operator psi_matrix."""
-    monos = {}
-    for col, colmap in psi_matrix(r, idx).items():
-        c = colmap.get(col)
-        if not c:
-            continue
-        expo = [0] * r
-        for k in col:
-            if k <= r:
-                expo[k - 1] += 1
-        monos[tuple(expo)] = monos.get(tuple(expo), ZERO) + c
-    return _from_monomials({e: c for e, c in monos.items() if c}, r)
+def diagonal_traces(n, r):
+    """{basis index: weighted trace} read off the diagonal of the columns that
+    `psi_columns` builds on every word, one content block at a time, each entry
+    unpacked before the sum."""
+    letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
+    bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
+    offset = max(map(tensorrep.letter_offset, letters.values()))
+    monos = {x: {} for x in letters}
+    for block in content_blocks(n, r):
+        for x, cols in psi_columns(letters, block, r, bits, offset).items():
+            for w, col in cols.items():
+                c = col.get(w)
+                if c:
+                    expo = tuple(sum(k == a for k in w) for a in range(1, r + 1))
+                    accumulate(monos[x], expo, unpack(c, bits, offset))
+    return {x: _from_monomials(m, r) for x, m in monos.items()}
 
 
 class TestRotatedTraces:
@@ -338,15 +322,15 @@ class TestRotatedTraces:
     )
     def test_matches_operator_diagonal(self, n, r, monkeypatch):
         monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
-        for idx in iter_standard_basis(n):
-            assert tensorrep.basis_trace(r, idx) == diagonal_trace(r, idx), idx
+        for idx, want in diagonal_traces(n, r).items():
+            assert tensorrep.basis_trace(r, idx) == want, idx
 
     def test_never_builds_an_operator(self, monkeypatch):
-        def no_operators(r, idx):
-            raise AssertionError("basis_trace must not build psi_matrix")
+        def no_operators(*args):
+            raise AssertionError("basis_trace must not build operator columns")
 
         monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
-        monkeypatch.setattr(tensorrep, "psi_matrix", no_operators)
+        monkeypatch.setattr(tensorrep, "psi_columns", no_operators)
         for idx in iter_standard_basis(3):
             tensorrep.basis_trace(3, idx)
         for mu in partitions_up_to(3):
@@ -417,7 +401,7 @@ def count_scalar_work(monkeypatch):
     mul = LaurentScalar.__mul__
     monkeypatch.setattr(LaurentScalar, "__mul__", counting(mul, "products"))
     monkeypatch.setattr(LaurentScalar, "__rmul__", counting(mul, "products"))
-    for module, name in [(tensorrep, "pack"), (tensorrep, "unpack"), (checks, "pack")]:
+    for module, name in [(tensorrep, "unpack"), (checks, "pack")]:
         monkeypatch.setattr(module, name, counting(getattr(module, name), "values"))
     return seen
 
@@ -489,7 +473,7 @@ class TestMultiplicativity:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_block_columns_match_operators(self, n):
         letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
-        whole = {x: psi_matrix(n, x) for x in letters}
+        whole = {x: ref_operator(lt, n, n) for x, lt in letters.items()}
         bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
         offset = max(map(tensorrep.letter_offset, letters.values()))
         for words in content_blocks(n, n):
@@ -499,11 +483,19 @@ class TestMultiplicativity:
                 assert got == {w: col for w, col in op.items() if w in words}, (x, words)
 
     def test_never_builds_an_operator(self, monkeypatch):
-        def no_operators(r, idx):
-            raise AssertionError("psi_multiplicative must not build psi_matrix")
+        # every call builds the columns of one content block only, never a whole operator
+        build = tensorrep.psi_columns
+        contents = []
 
-        monkeypatch.setattr(tensorrep, "psi_matrix", no_operators)
+        def one_block(words_of, inputs, r, bits, offset):
+            inputs = list(inputs)
+            contents.append({tuple(sorted(w)) for w in inputs})
+            assert len(contents[-1]) == 1, contents[-1]
+            return build(words_of, inputs, r, bits, offset)
+
+        monkeypatch.setattr(tensorrep, "psi_columns", one_block)
         assert checks.psi_multiplicative(checks.basis_pairs(3), 3) is None
+        assert len(contents) == len(list(content_blocks(3, 3)))
 
 
 class TestConformanceMode:
@@ -518,11 +510,18 @@ class TestConformanceMode:
 
 class TestImageRank:
     def test_rank1(self):
-        assert image_rank(1, 1, 4, 2) == 2
+        assert image_rank(1, 1, 1) == 2
 
     def test_rank2(self):
-        assert image_rank(2, 2, 4, 2) == 7
+        assert image_rank(2, 2, 1) == 7
 
     def test_rank3_two_points(self):
-        assert image_rank(3, 3, 4, 2) == 34
-        assert image_rank(3, 3, 9, 3) == 34
+        assert image_rank(3, 3, 1) == 34
+        assert image_rank(3, 3, 2) == 34
+
+    def test_rank_reads_the_kernel_columns(self, monkeypatch):
+        # e_j that keeps every word collapses P_j onto the identity: the rank drops
+        monkeypatch.setattr(tensorrep, "_apply_e", lambda j, terms, r: terms)
+        witness = checks.image_rank_equals_dim(2, 2)
+        assert witness is not None and len(witness) == 2
+        assert all(rank < 7 for rank in witness), witness
