@@ -28,7 +28,8 @@ representatives: the coefficient vector is the unique solution of the linear
 system given by the character table against the Schur-Weyl trace oracle.  It
 is solved fraction-free and must come out Laurent-polynomial: one exact
 division by d = +-det(table) per coefficient.  Every basis element solves
-against the same table, whose factorization `solve_linear` computes once.
+against the same table, whose factorization and adjugate columns
+`solve_linear` computes once, so each further solve only sums cached columns.
 That the table is invertible at sample points is checked in
 `checks.determinant_nonzero`, by its rank over Q.
 """

@@ -273,23 +273,21 @@ def psi_multiplicative(pairs, r: int):
 def _block_matches(cols: dict, a, b, prod: dict) -> bool:
     """Psi(ab) e_w = Psi(a) Psi(b) e_w, column by column, for the words w of one
     content; prod = {b_i: c_i} is the product ab with packed coefficients, cols
-    holds that content's packed columns."""
-    lhs: dict = {}
+    holds that content's packed columns.  Both sides are summed in place into
+    one difference, which must vanish."""
+    diff: dict = {}
     for x, c in prod.items():
         for w, col in cols[x].items():
-            tgt = lhs.setdefault(w, {})
+            tgt = diff.setdefault(w, {})
             for u, s in col.items():
-                accumulate(tgt, u, c * s)
-    rhs: dict = {}
+                tgt[u] = tgt.get(u, 0) + c * s
     acols = cols[a]
     for w, bcol in cols[b].items():
-        tgt = {}
+        tgt = diff.setdefault(w, {})
         for u, c in bcol.items():
             for y, s in acols.get(u, {}).items():
-                accumulate(tgt, y, c * s)
-        if tgt:
-            rhs[w] = tgt
-    return {w: col for w, col in lhs.items() if col} == rhs
+                tgt[y] = tgt.get(y, 0) - c * s
+    return not any(any(col.values()) for col in diff.values())
 
 
 def recursion_matches_oracle(n: int, r: int, variant: str = "oracle"):

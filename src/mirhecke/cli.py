@@ -17,6 +17,7 @@ skipped (rank >= 5 without --slow).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -107,8 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first `main` call and reused by later ones.
+
+    `parse_args` starts every call from a fresh namespace filled with the
+    defaults, so nothing carries over from one call to the next.
+    """
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "dim":
@@ -136,7 +147,7 @@ def main(argv=None) -> int:
         try:
             cp = characters.class_polynomials(args.n, idx)
         except characters.ClassPolynomialDefect as exc:
-            print(json.dumps({"status": "fail", "error": str(exc)}))
+            _emit(json.dumps({"status": "fail", "error": str(exc)}) + "\n", args.out)
             return 1
         _emit(json.dumps(cp.to_json(), indent=2) + "\n", args.out)
         return 0

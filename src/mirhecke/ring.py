@@ -18,8 +18,10 @@ n = 4, 19 x 19 at n = 5).
 Class polynomials solve one character table against many right sides, so
 the matrix half of the elimination (row swaps, pivots, eliminated columns
 and the final upper triangle) is computed once per matrix content and kept
-in a small bounded in-process cache; each call replays only its right side
-and the back substitution.
+in a small bounded in-process cache.  The same cache entry holds the
+adjugate columns d M^-1 e_j, each replayed through the elimination and the
+back substitution the first time a right side has c_j != 0; a call then
+returns y = sum_j c_j adj_j with one cache lookup.
 
 `rank_over_q` is the one elimination over Q: a sparse row reduction of
 rows {position: int or Fraction}.  It ranks the tensor image
@@ -421,9 +423,11 @@ def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
 def _bareiss(rows: tuple) -> tuple:
     """Fraction-free forward elimination of a square matrix, recorded for replay.
 
-    Returns (steps, upper, d): per column k the step (row swapped into k,
-    pivot, previous pivot, column entries m_ik below the pivot before they
-    were eliminated), the final upper triangle and the final pivot d.
+    Returns (steps, upper, d, adj): per column k the step (row swapped into
+    k, pivot, previous pivot, column entries m_ik below the pivot before
+    they were eliminated), the final upper triangle, the final pivot d and
+    the list of adjugate columns, None until `solve_linear` first needs
+    one and fills it in place with `_adjugate_column`.
     """
     m = [list(row) for row in rows]
     n = len(m)
@@ -447,32 +451,15 @@ def _bareiss(rows: tuple) -> tuple:
         for i in range(k + 1, n):
             m[i][k] = ZERO
         prev = piv
-    return tuple(steps), tuple(tuple(row) for row in m), prev
+    return tuple(steps), tuple(tuple(row) for row in m), prev, [None] * n
 
 
-def solve_linear(
-    matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
-) -> tuple[LaurentScalar, list[LaurentScalar]]:
-    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
-
-    Bareiss elimination divides exactly by the previous pivot; the back
-    substitution
-
-        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
-
-    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
-    Here d is the final pivot and c' the eliminated right side.  The matrix
-    half of the elimination is cached by content, so repeated solves against
-    one matrix replay only the right side, with the same operations in the
-    same order as on the augmented matrix.  Raises SingularMatrixError if M
-    is singular, on every call: a failed elimination is not cached.
-    """
-    rows = tuple(tuple(row) for row in matrix)
-    c = list(rhs)
-    n = len(rows)
-    if len(c) != n or any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square and match the rhs length")
-    steps, upper, d = _bareiss(rows)
+def _adjugate_column(steps: tuple, upper: tuple, d: LaurentScalar, j: int) -> tuple:
+    """adj_j = d M^-1 e_j as its nonzero (i, entry) pairs: the recorded
+    elimination applied to the unit vector e_j, then back substitution."""
+    n = len(upper)
+    c = [ZERO] * n
+    c[j] = ONE
     for k, (swap, piv, prev, col) in enumerate(steps):
         if swap != k:
             c[k], c[swap] = c[swap], c[k]
@@ -486,6 +473,45 @@ def solve_linear(
         for j in range(i + 1, n):
             acc = acc - row[j] * y[j]
         y[i] = acc.exact_div(row[i])
+    return tuple((i, a) for i, a in enumerate(y) if a)
+
+
+def solve_linear(
+    matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
+) -> tuple[LaurentScalar, list[LaurentScalar]]:
+    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
+
+    Bareiss elimination divides exactly by the previous pivot; the back
+    substitution
+
+        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
+
+    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
+    Here d is the final pivot and c' the eliminated right side.  Since M is
+    invertible, y = d M^-1 c is unique and linear in c: it is the sum of
+    c_j adj_j over the nonzero c_j, where adj_j = d M^-1 e_j is the solve
+    of the unit vector e_j.  The factorization and every adjugate column
+    are cached by matrix content, each column computed the first time a
+    right side needs it, so repeated solves against one matrix cost one
+    cache lookup plus the sum.  Raises SingularMatrixError if M is
+    singular, on every call: a failed elimination is not cached.
+    """
+    rows = tuple(tuple(row) for row in matrix)
+    c = list(rhs)
+    n = len(rows)
+    if len(c) != n or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and match the rhs length")
+    steps, upper, d, adj = _bareiss(rows)
+    y = [ZERO] * n
+    for j, cj in enumerate(c):
+        if not cj:
+            continue
+        col = adj[j]
+        if col is None:
+            col = adj[j] = _adjugate_column(steps, upper, d, j)
+        for i, a in col:
+            t = cj * a
+            y[i] = y[i] + t if y[i] else t
     return d, y
 
 

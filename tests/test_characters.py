@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mirhecke import characters, checks, symfun, tensorrep
+from mirhecke import characters, checks, ring, symfun, tensorrep
 from mirhecke.algebra import basis_element, hat_T
 from mirhecke.characters import (
     CharacterTable,
@@ -228,6 +228,24 @@ class TestClassPolynomials:
         )
         with pytest.raises(ClassPolynomialDefect, match=r"at \(\): \(q\^5.*\) / \(-q\^5.*-1\)"):
             class_polynomials(2, idx, scaled)
+
+    def test_whole_basis_builds_each_adjugate_column_once(self, monkeypatch):
+        # all 209 rank-4 solves share one table: each adjugate column is built at most once
+        built = []
+        real = ring._adjugate_column
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ring, "_adjugate_column", counting)
+        ring._bareiss.cache_clear()
+        table = character_table(4)
+        basis = list(iter_standard_basis(4))
+        for idx in basis:
+            class_polynomials(4, idx, table)
+        assert len(basis) == 209
+        assert len(built) <= len(table.labels) == 12
 
     def test_json(self):
         cp = class_polynomials(2, BasisIndex((2,), (1,), (1, 2)))

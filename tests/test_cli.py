@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from mirhecke import checks, tensorrep
+from mirhecke import characters, checks, cli, tensorrep
 from mirhecke.characters import character_table
 from mirhecke.cli import main
 from mirhecke.combinatorics import iter_standard_basis
@@ -125,6 +125,30 @@ class TestClasspoly:
         assert digest.hexdigest() == GOLDEN_CLASSPOLY[n]
 
 
+class TestClasspolyFailure:
+    ERROR = "non-polynomial coefficient at (): (q) / (q+1)"
+
+    @pytest.fixture(autouse=True)
+    def defect(self, monkeypatch):
+        def raising(n, idx, table=None):
+            raise characters.ClassPolynomialDefect(self.ERROR)
+
+        monkeypatch.setattr(characters, "class_polynomials", raising)
+
+    def test_report_on_stdout(self, capsys):
+        code, out = run_cli(capsys, "classpoly", "--n", "2", "--index", "A=2;B=1;w=1.2")
+        assert code == 1
+        assert out == json.dumps({"status": "fail", "error": self.ERROR}) + "\n"
+
+    def test_report_honours_out(self, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        argv = ["classpoly", "--n", "2", "--index", "A=2;B=1;w=1.2", "--out", str(path)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(path.read_text()) == {"status": "fail", "error": self.ERROR}
+
+
 class TestPieri:
     def test_oracle_variant_passes(self, capsys):
         code, out = run_cli(capsys, "pieri", "--m", "2", "--nu", "0", "--r", "4")
@@ -228,6 +252,64 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--n", "3", "--r", "2", "--suite", "oracle"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli._build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["dim", "--n", "2"], ["table", "--n", "1"], ["dim", "--n", "3"]):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    # "{out}" stands for a path in a directory of the run's own; an option
+    # given to one call must not reach the next
+    SEQUENCE = [
+        ["table", "--n", "2", "--format", "csv", "--g-variant", "paper", "--out", "{out}"],
+        ["table", "--n", "2", "--format", "csv"],
+        ["classpoly", "--n", "2", "--index", "A=2;B=1;w=1.2", "--out", "{out}"],
+        ["classpoly", "--n", "9"],
+        ["classpoly", "--n", "2", "--index", "A=2;B=1;w=1.2"],
+        ["pieri", "--m", "2", "--r", "4", "--g-variant", "paper"],
+        ["pieri", "--m", "2", "--r", "4"],
+        ["verify", "--n", "1", "--suite", "pieri"],
+    ]
+
+    def test_in_process_runs_match_fresh_processes(self, capsys, tmp_path):
+        codes = set()
+        for i, argv in enumerate(self.SEQUENCE):
+            outs = []
+            for where in ("in-process", "fresh"):
+                path = tmp_path / where / f"{i}.out"
+                path.parent.mkdir(exist_ok=True)
+                args = [str(path) if a == "{out}" else a for a in argv]
+                if where == "fresh":
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "mirhecke.cli", *args],
+                        capture_output=True,
+                        text=True,
+                    )
+                    code, out = proc.returncode, proc.stdout
+                else:
+                    try:
+                        code, out = run_cli(capsys, *args)
+                    except SystemExit as exc:
+                        code, out = exc.code, capsys.readouterr().out
+                written = path.read_bytes() if path.exists() else None
+                outs.append((code, out, written))
+            assert outs[0] == outs[1], argv
+            codes.add(outs[0][0])
+        assert codes == {0, 1, 2}
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from mirhecke import ring
 from mirhecke.ring import (
     InexactDivisionError,
     LaurentScalar,
@@ -380,6 +381,115 @@ class TestSolveLinear:
                 assert det.is_zero()
                 continue
             assert d in (det, -det)
+
+
+def replay_reference(M, c):
+    """Bareiss elimination on the augmented matrix [M | c], then back substitution:
+    the per-call replay that solve_linear did before it cached adjugate columns.
+    Raises SingularMatrixError when a column has no nonzero pivot."""
+    m = [list(row) + [ci] for row, ci in zip(M, c)]
+    n = len(m)
+    prev = ONE
+    for k in range(n):
+        if m[k][k].is_zero():
+            i = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if i is None:
+                raise SingularMatrixError(k)
+            m[k], m[i] = m[i], m[k]
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]).exact_div(prev)
+        prev = piv
+    y = [ZERO] * n
+    for i in range(n - 1, -1, -1):
+        acc = prev * m[i][n]
+        for j in range(i + 1, n):
+            acc = acc - m[i][j] * y[j]
+        y[i] = acc.exact_div(m[i][i])
+    return prev, y
+
+
+def random_laurent(rng, density):
+    """A sparse random Laurent scalar; zero with probability 1 - density."""
+    if rng.random() >= density:
+        return ZERO
+    return L({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 2))})
+
+
+def random_invertible(rng):
+    """A random invertible Laurent matrix of size 2..5 whose (0, 0) entry is
+    zero half of the time, so that column 0 needs a row swap."""
+    while True:
+        n = rng.randint(2, 5)
+        M = [[random_laurent(rng, 0.6) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            M[0][0] = ZERO
+        try:
+            replay_reference(M, [ZERO] * n)
+        except SingularMatrixError:
+            continue
+        return M
+
+
+class TestSolveLinearAdjugate:
+    """solve_linear sums cached adjugate columns; it must give exactly the pair
+    (d, y) that the replay on the augmented matrix gives."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_replay(self, seed):
+        rng = random.Random(seed)
+        ring._bareiss.cache_clear()
+        systems = []
+        swapped = 0
+        for _ in range(12):  # more matrices than the cache holds
+            M = random_invertible(rng)
+            n = len(M)
+            rhss = [
+                [ZERO] * n,
+                [random_laurent(rng, 1.0) for _ in range(n)],
+                [random_laurent(rng, 0.4) for _ in range(n)],  # sparse: zero c_j skipped
+                [ZERO] * (n - 1) + [random_laurent(rng, 1.0)],
+            ]
+            got = [solve_linear(M, c) for c in rhss]
+            assert got == [replay_reference(M, c) for c in rhss]
+            assert got[0] == (got[0][0], [ZERO] * n)
+            systems.append((M, rhss, got))
+            steps = ring._bareiss(tuple(tuple(row) for row in M))[0]
+            swapped += any(swap != k for k, (swap, *_) in enumerate(steps))
+        assert swapped and any(not d.is_unit() for _, _, ((d, _), *_) in systems)
+        assert ring._bareiss.cache_info().currsize == 8
+        # the first matrices were evicted: they are factored again, identically
+        misses = ring._bareiss.cache_info().misses
+        for M, rhss, got in systems:
+            assert [solve_linear(M, c) for c in rhss] == got
+        assert ring._bareiss.cache_info().misses > misses
+
+    def test_each_column_is_built_once(self, monkeypatch):
+        calls = []
+        real = ring._adjugate_column
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ring, "_adjugate_column", counting)
+        ring._bareiss.cache_clear()
+        M = [[ZERO, Q, ONE], [ONE, V, Q_MINUS_1], [Q, ONE, ZERO]]
+        # c_2 is zero on every right side, so column 2 is never built
+        for c in ([ZERO, Q, ZERO], [ONE, V, ZERO], [Q, MINUS_ONE, ZERO], [ZERO] * 3):
+            assert solve_linear(M, c) == replay_reference(M, c)
+        assert len(calls) == 2
+
+    def test_singular_raises_every_call_and_caches_nothing(self):
+        rng = random.Random(7)
+        row = [random_laurent(rng, 1.0) for _ in range(4)]
+        M = [row, [random_laurent(rng, 1.0) for _ in range(4)], list(row), [ONE, ZERO, Q, V]]
+        ring._bareiss.cache_clear()
+        for c in ([ONE, ZERO, ZERO, ZERO], [ZERO] * 4, [Q, V, ONE, MINUS_ONE]):
+            with pytest.raises(SingularMatrixError):
+                solve_linear(M, c)
+        assert ring._bareiss.cache_info().currsize == 0
 
 
 def random_matrix(rng, rows, cols, rank, fractions):

@@ -460,6 +460,20 @@ class TestMultiplicativity:
         perturb_products(monkeypatch, {(a, b): gen_P(3, 1).scale(LaurentScalar.q_power(-20))})
         assert checks.psi_multiplicative(pairs, 3) == {"a": a.to_json(), "b": b.to_json()}
 
+    def test_block_comparison_reads_every_column(self):
+        # Psi(x + y) = Psi(a) Psi(b) on the words w1, w2 of one content; the
+        # entries of x and y at v9 cancel, so that entry is absent on both sides
+        cols = {
+            "a": {"u1": {"v1": 2}, "u2": {"v2": 1}},
+            "b": {"w1": {"u1": 3}, "w2": {"u2": 1}, "w3": {"u3": 4}},
+            "x": {"w1": {"v1": 6, "v9": 5}, "w2": {"v2": 1}},
+            "y": {"w1": {"v9": -5}},
+            "z": {"w2": {"v3": 1}},
+        }
+        assert checks._block_matches(cols, "a", "b", {"x": 1, "y": 1})
+        assert not checks._block_matches(cols, "a", "b", {"x": 1})
+        assert not checks._block_matches(cols, "a", "b", {"x": 1, "y": 1, "z": 1})
+
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (n, n + 1)])
     def test_content_blocks_partition_the_words(self, n, r):
         blocks = list(content_blocks(n, r))
