@@ -521,20 +521,18 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
 
     The gain 3^(#T) G_P1^(#P1) bounds how much the word multiplies the l1
     mass of a working element; the drop 2 (#T^-1) - lo_P1 (#P1) bounds how
-    far it lowers the lowest v-exponent.  Each P_j counts as its expansion,
-    2^(j-1) letters P_1 and 2^(j-1) - 1 letters T^-1.
+    far it lowers the lowest v-exponent.  Each P_j counts as its expansion
+    `_pi_expansion(j)`.
     """
     g_p1, lo_p1, _, _ = _rank_gains(n)
     t = inv = p1 = 0
     for lt in letters:
-        if lt[0] == "T":
-            t += 1
-            inv += lt[2] == -1
-        else:
-            half = 1 << (lt[1] - 1)
-            p1 += half
-            t += half - 1
-            inv += half - 1
+        for x in _pi_expansion(lt[1])[1] if lt[0] == "P" else (lt,):
+            if x[0] == "T":
+                t += 1
+                inv += x[2] == -1
+            else:
+                p1 += 1
     return 3**t * g_p1**p1, 2 * inv - lo_p1 * p1
 
 

@@ -37,6 +37,7 @@ That the table is invertible at sample points is checked in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .combinatorics import (
     BasisIndex,
@@ -56,8 +57,6 @@ class ClassPolynomialDefect(RuntimeError):
 # the recursive character engine
 # ---------------------------------------------------------------------------
 
-_MN_CACHE: dict = {}
-
 
 def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
     """Character value chi[(lam, |lam|)] on the representative of mu, rank n.
@@ -69,16 +68,13 @@ def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(n, lam, mu, variant, last=True)
+    return _mn(n, lam, mu, variant, True)
 
 
+@cache
 def _mn(n: int, lam: Partition, mu: Partition, variant: str, last: bool) -> LaurentScalar:
     if not mu:
         return ONE if not lam else ZERO
-    key = (variant, n, lam, mu) if last else (variant + "!first", n, lam, mu)
-    hit = _MN_CACHE.get(key)
-    if hit is not None:
-        return hit
     if last:
         m, rest = mu[-1], mu[:-1]
     else:
@@ -89,7 +85,6 @@ def _mn(n: int, lam: Partition, mu: Partition, variant: str, last: bool) -> Laur
             sub = _mn(n - m, nu, rest, variant, last)
             if sub:
                 total = total + coeff * sub
-    _MN_CACHE[key] = total
     return total
 
 
@@ -99,7 +94,7 @@ def mn_character_removing_first(n: int, lam, mu, variant: str = "oracle") -> Lau
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(n, lam, mu, variant, last=False)
+    return _mn(n, lam, mu, variant, False)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +183,8 @@ def class_polynomials(
         raise ValueError("index rank mismatch")
     if table is None:
         table = character_table(n)
+    elif table.n != n:
+        raise ValueError(f"character table of rank {table.n} given for rank {n}")
     labels = table.labels
     traces = tensorrep.char_oracle(basis_element(idx), r=n)
     matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]

@@ -10,7 +10,8 @@ The defining relations of the algebra are written once, in
 `defining_relations`, as linear combinations of generator words.  The same
 table is evaluated through the normal-form engine (a left fold of
 `algebra.mul` over generator elements) and as operator identities on tensor
-space (the columns of every word of the table, one content at a time).
+space.  Relations and multiplicativity are both handed to
+`tensorrep.first_differences`, which owns the packing and the comparison.
 
 `run_suite` groups the checks into the four `verify` suites and turns their
 outcomes into {check, n, r, status, witness} records, where status is
@@ -52,9 +53,7 @@ from .ring import (
     Q_MINUS_1,
     ZERO,
     accumulate,
-    pack,
     rank_over_q,
-    slot_bits,
 )
 
 
@@ -180,48 +179,11 @@ def relations_through_engine(table: list, n: int) -> list:
     return [None if diff.is_zero() else repr(diff) for diff in diffs]
 
 
-def _column(cols: dict, combo: list, w) -> dict:
-    """Column w of a linear combination [(packed scalar, word)] of word operators,
-    from the columns of its words."""
-    if len(combo) == 1 and combo[0][0] == 1:  # most sides: one word, read as stored
-        return cols[combo[0][1]].get(w, {})
-    out: dict = {}
-    for c, x in combo:
-        for u, s in cols[x].get(w, {}).items():
-            accumulate(out, u, c * s)
-    return out
-
-
 def relations_on_tensor_space(table: list, n: int, r: int) -> list:
     """One witness per relation as an operator identity on r+1 letters: the first
-    input word, in content-block order, on which the two sides differ, else None.
-
-    Each block builds the columns of every word of the table once; only the
-    relations that have not failed yet are compared on it.  Columns and
-    coefficients are packed with one slot width for the whole table, so both
-    sides of every relation are compared as ints.
-    """
-    words = _words(table)
-    sides = [side for _, lhs, rhs in table for side in (lhs, rhs)]
-    # a side sum c Psi(x) has column entries of l1 norm <= sum ||c||_1 3^(L_x)
-    bits = slot_bits(
-        max(sum(c.l1_norm() * tensorrep.letter_bound(x) for c, x in side) for side in sides)
-    )
-    offset = max(map(tensorrep.letter_offset, words))
-    low = min(c.min_exp() for side in sides for c, _ in side)
-    scale = max(0, -low)
-    packed = [
-        tuple([(pack(c, bits, scale), x) for c, x in side] for side in (lhs, rhs))
-        for _, lhs, rhs in table
-    ]
-    out: list = [None] * len(table)
-    for block in tensorrep.content_blocks(n, r):
-        cols = tensorrep.psi_columns(words, block, r, bits, offset)
-        for k, (lhs, rhs) in enumerate(packed):
-            if out[k] is None:
-                bad = (w for w in block if _column(cols, lhs, w) != _column(cols, rhs, w))
-                out[k] = next(map(list, bad), None)
-    return out
+    input word, in content-block order, on which the two sides differ, else None."""
+    identities = [[[(c, (w,)) for c, w in side] for side in (lhs, rhs)] for _, lhs, rhs in table]
+    return [None if w is None else list(w) for w in tensorrep.first_differences(identities, n, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,64 +192,25 @@ def relations_on_tensor_space(table: list, n: int, r: int) -> list:
 
 
 def psi_multiplicative(pairs, r: int):
-    """Psi(ab) = Psi(a) o Psi(b) on r+1 letters for each basis pair (a, b).
-
-    The action preserves content, so the columns Psi(x) e_w that the pairs
-    need are built, compared and dropped one content at a time.  After a
-    failure only earlier pairs are checked, so the witness is the first
-    failing pair in `pairs` order.
-
-    Columns and the coefficients of ab are packed with one offset E, so
-    both sides of every comparison sit at offset 2E.  The slot width covers
-    both sides of every pair: sum ||c_x||_1 3^(L_x) for Psi(ab) = sum c_x Psi(x)
-    and 3^(L_a + L_b) for the composition.
-    """
+    """Psi(ab) = Psi(a) o Psi(b) on r+1 letters for each basis pair (a, b); the witness
+    is the first failing pair in `pairs` order.  Both sides are compared one content
+    at a time by `tensorrep.first_differences`."""
     pairs = list(pairs)
     if not pairs:
         return None
-    prods = [algebra.mul(*map(algebra.basis_element, pair)).terms for pair in pairs]
-    needed = {x for (a, b), prod in zip(pairs, prods) for x in (a, b, *prod)}
-    letters = {x: algebra.basis_word(x).letters for x in needed}
-    bound = {x: tensorrep.letter_bound(lt) for x, lt in letters.items()}
-    bits = slot_bits(
-        max(
-            max(sum(c.l1_norm() * bound[x] for x, c in prod.items()), bound[a] * bound[b])
-            for (a, b), prod in zip(pairs, prods)
-        )
-    )
-    low = min((c.min_exp() for prod in prods for c in prod.values()), default=0)
-    offset = max(-low, *map(tensorrep.letter_offset, letters.values()))
-    prods = [{x: pack(c, bits, offset) for x, c in prod.items()} for prod in prods]
-    failed = len(pairs)
-    for words in tensorrep.content_blocks(pairs[0][0].n, r):
-        cols = tensorrep.psi_columns(letters, words, r, bits, offset)
-        failed = next(
-            (i for i in range(failed) if not _block_matches(cols, *pairs[i], prods[i])), failed
-        )
-    if failed == len(pairs):
-        return None
-    a, b = pairs[failed]
-    return {"a": a.to_json(), "b": b.to_json()}
+    word = functools.cache(lambda x: algebra.basis_word(x).letters)
 
+    def identity(a, b):
+        prod = algebra.mul(algebra.basis_element(a), algebra.basis_element(b))
+        return [(ONE, (word(a), word(b)))], [(c, (word(x),)) for x, c in prod.terms.items()]
 
-def _block_matches(cols: dict, a, b, prod: dict) -> bool:
-    """Psi(ab) e_w = Psi(a) Psi(b) e_w, column by column, for the words w of one
-    content; prod = {b_i: c_i} is the product ab with packed coefficients, cols
-    holds that content's packed columns.  Both sides are summed in place into
-    one difference, which must vanish."""
-    diff: dict = {}
-    for x, c in prod.items():
-        for w, col in cols[x].items():
-            tgt = diff.setdefault(w, {})
-            for u, s in col.items():
-                tgt[u] = tgt.get(u, 0) + c * s
-    acols = cols[a]
-    for w, bcol in cols[b].items():
-        tgt = diff.setdefault(w, {})
-        for u, c in bcol.items():
-            for y, s in acols.get(u, {}).items():
-                tgt[y] = tgt.get(y, 0) - c * s
-    return not any(any(col.values()) for col in diff.values())
+    # a generator, so each product's scalars are freed once they are packed
+    identities = (identity(a, b) for a, b in pairs)
+    witnesses = tensorrep.first_differences(identities, pairs[0][0].n, r)
+    for (a, b), witness in zip(pairs, witnesses):
+        if witness is not None:
+            return {"a": a.to_json(), "b": b.to_json()}
+    return None
 
 
 def recursion_matches_oracle(n: int, r: int, variant: str = "oracle"):

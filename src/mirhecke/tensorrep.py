@@ -38,13 +38,21 @@ read back or compared satisfies |a| < 2^(B-1).  R^+-1 sends a unit word to
 at most two words whose coefficients have l1 norms 1 and 2, so every entry
 of Psi(word) e_w has l1 norm at most 3^L for L braid letters.  Callers
 derive B from that bound (`letter_bound`) and whatever they sum on top of
-it: a trace adds up at most (#words) entries, a combination sum c_x Psi(x)
-has norm at most sum ||c_x||_1 3^(L_x), a composition Psi(a) Psi(b) at most
-3^(L_a + L_b).  B is never a setting.
+it: a trace adds up at most (#words) entries, a side sum c Psi(x) o Psi(y)
+has norm at most sum ||c||_1 3^(L_x + L_y).  B is never a setting.
 
-`psi_columns` is the one function that builds operator columns; `checks`
-compares them and `image_rank` ranks them.  Only `basis_trace` applies
-letters itself, because it visits a rotated word (below).
+`psi_columns` is the one function that builds operator columns, for its
+two callers: `first_differences` compares them and `image_rank` ranks
+them.  Only `basis_trace` applies letters itself, because it visits a
+rotated word (below).
+
+`first_differences` is the one operator comparison.  `checks` hands it
+the defining relations and Psi(ab) = Psi(a) o Psi(b) as identities whose
+terms c Psi(x) or c Psi(x) o Psi(y) hold one word or two.  It derives B
+once, packs columns at E = the largest `letter_offset` of the words, so a
+k-word term sits at offset kE, and packs each c at base - kE, base being
+the largest kE - min(0, lowest exponent of c): every term lands at base,
+and lhs - rhs is summed into one difference per column, which must vanish.
 
 Traces never build an operator.  D preserves content, so it commutes with
 every R_i and e_j, and e_k is idempotent; by cyclicity of the trace
@@ -59,9 +67,8 @@ set is closed under relabelling 1..r, so every trace still passes the
 full-orbit symmetry check of `_from_monomials`.
 
 Everything here is lazy and sparse: operators are never materialized as
-dense matrices, and only per-basis-element traces are memoized.  The
-defining relations are checked as operator identities in `mirhecke.checks`,
-from the columns that `psi_columns` builds one content at a time.
+dense matrices, and only per-basis-element traces are memoized
+(`functools.cache` on `basis_trace`).
 
 `image_rank(n, r, bits)` ranks the basis operators at v = 2^bits.  An
 exact integer is all it needs, not a decodable one, so no slot width is
@@ -73,10 +80,11 @@ is allowed.  The rank is taken over Q by `ring.rank_over_q`.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .algebra import AlgebraElement, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import accumulate, rank_over_q, slot_bits, unpack
+from .ring import accumulate, pack, rank_over_q, slot_bits, unpack
 from .symfun import SymPoly, _from_monomials, schur_expand
 
 
@@ -166,12 +174,84 @@ def psi_columns(words_of: dict, inputs, r: int, bits: int, offset: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# operator identities: sum c Psi(x) (Psi(y)) = sum c' Psi(x') (Psi(y'))
+# ---------------------------------------------------------------------------
+
+
+def first_differences(identities, n: int, r: int) -> list:
+    """One witness per identity (lhs, rhs) on r+1 letters: the first input word, in
+    content-block order, on which the two sides differ, else None.
+
+    A side is a list of terms (c, words): a LaurentScalar c and one letter tuple
+    x (c Psi(x)) or two, x and y (c Psi(x) o Psi(y)).  Each block builds the
+    columns of every word once; only the identities that have not failed yet
+    are compared on it.
+    """
+    words, bits, offset, packed = _pack_identities(list(identities))
+    out: list = [None] * len(packed)
+    for block in content_blocks(n, r):
+        cols = psi_columns(words, block, r, bits, offset)
+        for k, signed in enumerate(packed):
+            if out[k] is None:
+                out[k] = _first_difference(cols, signed, block)
+    return out
+
+
+def _pack_identities(identities: list) -> tuple:
+    """(words, B, E, [lhs - rhs as terms (packed c, words)]) of the identities.
+    A function of its own, so the identities' scalars are freed once packed."""
+    sides = [side for identity in identities for side in identity]
+    words = {w: w for side in sides for _, ws in side for w in ws}
+    bound = (sum(c.l1_norm() * letter_bound(sum(ws, ())) for c, ws in side) for side in sides)
+    bits = slot_bits(max(bound))
+    offset = max(map(letter_offset, words))
+    floors = (len(ws) * offset - min(0, c.min_exp()) for side in sides for c, ws in side)
+    base = max(floors)
+    packed = [
+        [
+            (sign * pack(c, bits, base - len(ws) * offset), ws)
+            for sign, side in zip((1, -1), identity)
+            for c, ws in side
+        ]
+        for identity in identities
+    ]
+    return words, bits, offset, packed
+
+
+def _first_difference(cols: dict, signed: list, block):
+    """The first word w of `block` on which sum c Psi(words) e_w is not zero, else None.
+
+    `signed` holds the terms (c, words) of lhs - rhs with packed c; `cols` holds
+    the block's packed columns.  Every term is summed in place into one
+    difference per column."""
+    diff: dict = {}
+    for c, ws in signed:
+        if len(ws) == 1:
+            for w, col in cols[ws[0]].items():
+                tgt = diff.setdefault(w, {})
+                for u, s in col.items():
+                    tgt[u] = tgt.get(u, 0) + (s if c == 1 else c * s)
+        else:
+            x, y = ws
+            xcols = cols[x]
+            for w, ycol in cols[y].items():
+                tgt = diff.setdefault(w, {})
+                for u, t in ycol.items():
+                    if c != 1:
+                        t *= c
+                    for v, s in xcols.get(u, {}).items():
+                        tgt[v] = tgt.get(v, 0) + t * s
+    if not any(any(col.values()) for col in diff.values()):
+        return None
+    return next(w for w in block if any(diff.get(w, {}).values()))
+
+
+# ---------------------------------------------------------------------------
 # memoized per-basis-element traces
 # ---------------------------------------------------------------------------
 
-_TRACE_CACHE: dict = {}
 
-
+@cache
 def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
     """Weighted diagonal trace of one basis element, as a symmetric polynomial.
 
@@ -180,10 +260,6 @@ def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
     Diagonal entries are summed packed, one sum per monomial, and each sum
     is unpacked once.
     """
-    key = (r, idx)
-    hit = _TRACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     letters = basis_word(idx).letters
     k = idx.k
     if k:
@@ -204,9 +280,7 @@ def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
             if a <= r:
                 expo[a - 1] += 1
         accumulate(monos, tuple(expo), c)
-    out = _from_monomials({e: unpack(c, bits, offset) for e, c in monos.items()}, r)
-    _TRACE_CACHE[key] = out
-    return out
+    return _from_monomials({e: unpack(c, bits, offset) for e, c in monos.items()}, r)
 
 
 def trace_D(x: AlgebraElement, r: int) -> SymPoly:

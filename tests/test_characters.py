@@ -160,7 +160,7 @@ class TestCharacterTable:
         for variant in ("oracle", "paper"):
             fills = []
             for _ in range(2):
-                characters._MN_CACHE.clear()
+                characters._mn.cache_clear()
                 symfun.transitions.cache_clear()
                 fills.append(character_table(5, variant))
             assert fills[0].entries == fills[1].entries
@@ -168,6 +168,14 @@ class TestCharacterTable:
 
 
 class TestClassPolynomials:
+    def test_table_of_another_rank_is_refused(self):
+        # a rank-2 table has no column (3): solving against it gave f on (), (1), (2)
+        idx = BasisIndex((), (), (2, 3, 1))
+        assert class_polynomials(3, idx).coeffs == {(3,): ONE}
+        with pytest.raises(ValueError, match="rank 2 given for rank 3"):
+            class_polynomials(3, idx, character_table(2))
+        assert class_polynomials(3, idx, character_table(3)).coeffs == {(3,): ONE}
+
     def test_braid_idempotent_product(self):
         cp = class_polynomials(2, BasisIndex((2,), (1,), (1, 2)))
         assert cp.coeffs == {(1,): Q_MINUS_1, (): -Q}

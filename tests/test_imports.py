@@ -97,3 +97,26 @@ def test_exports_resolve():
     # the export list must not keep a name the package no longer defines
     missing = [name for name in mirhecke.__all__ if not hasattr(mirhecke, name)]
     assert not missing
+
+
+PACKED_FORMAT = {"pack", "unpack", "slot_bits"}
+
+
+def packed_format_importers() -> dict:
+    """{module: names} of the packed-format helpers each module takes from `.ring`."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ring":
+                names = PACKED_FORMAT & {alias.name for alias in node.names}
+                if names:
+                    found.setdefault(path.stem, set()).update(names)
+    return found
+
+
+def test_packed_format_stays_in_the_kernels():
+    # checks, characters and cli compare values, never packed ints
+    found = packed_format_importers()
+    assert set(found) <= {"ring", "algebra", "tensorrep"}, found
+    # the reader does see the kernels' own imports
+    assert {"algebra", "tensorrep"} <= set(found)

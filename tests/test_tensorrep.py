@@ -13,6 +13,7 @@ from mirhecke import ring
 from mirhecke.ring import (
     LaurentScalar,
     ONE,
+    Q,
     QINV,
     Q_MINUS_1,
     V,
@@ -110,6 +111,15 @@ def combine(*parts):
 
 
 SMALL = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3)]
+
+
+@pytest.fixture
+def fresh_traces():
+    """An empty trace memo before and after the test: traces are computed anew, and
+    none computed under a patched kernel reaches a later test."""
+    tensorrep.basis_trace.cache_clear()
+    yield
+    tensorrep.basis_trace.cache_clear()
 
 
 class TestKernelAgainstReference:
@@ -235,6 +245,13 @@ class TestRelationReports:
         assert [x["check"] for x in tensor] == [f"{c} on tensor space" for c in names]
         assert all(x["status"] == "pass" for x in engine + tensor)
 
+    def test_witness_can_be_a_later_word_of_its_block(self):
+        # P1 = P2 holds on (1, 3), the first word of content {1, 3}, and fails on (3, 1)
+        p1, p2 = (("P", 1),), (("P", 2),)
+        table = [("P1 = P2", [(ONE, p1)], [(ONE, p2)]), ("P2 = P2", [(ONE, p2)], [(ONE, p2)])]
+        assert checks.relations_on_tensor_space(table, 2, 2) == [[3, 1], None]
+
+    @pytest.mark.usefixtures("fresh_traces")
     def test_braid_without_quadratic_term_fails_the_tensor_route_only(self, monkeypatch):
         # R_i without its (q-1) term on a > b no longer satisfies the quadratic relation
         def mutant(i, terms, bits):
@@ -320,16 +337,16 @@ class TestRotatedTraces:
     @pytest.mark.parametrize(
         "n,r", [(n, r) for n in (1, 2, 3) for r in (n, n + 1)] + [(4, 4)]
     )
-    def test_matches_operator_diagonal(self, n, r, monkeypatch):
-        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+    @pytest.mark.usefixtures("fresh_traces")
+    def test_matches_operator_diagonal(self, n, r):
         for idx, want in diagonal_traces(n, r).items():
             assert tensorrep.basis_trace(r, idx) == want, idx
 
+    @pytest.mark.usefixtures("fresh_traces")
     def test_never_builds_an_operator(self, monkeypatch):
         def no_operators(*args):
             raise AssertionError("basis_trace must not build operator columns")
 
-        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
         monkeypatch.setattr(tensorrep, "psi_columns", no_operators)
         for idx in iter_standard_basis(3):
             tensorrep.basis_trace(3, idx)
@@ -351,11 +368,11 @@ def reference_trace(r, idx):
     return _from_monomials(monos, r)
 
 
+@pytest.mark.usefixtures("fresh_traces")
 class TestSlotWidth:
     N, R = 3, 3
 
-    def traces(self, monkeypatch):
-        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
+    def traces(self):
         return {idx: tensorrep.basis_trace(self.R, idx) for idx in iter_standard_basis(self.N)}
 
     def test_derived_width_covers_every_trace(self, monkeypatch):
@@ -366,7 +383,7 @@ class TestSlotWidth:
             return widths[-1]
 
         monkeypatch.setattr(tensorrep, "slot_bits", recording)
-        got = self.traces(monkeypatch)
+        got = self.traces()
         assert len(widths) == len(got)
         for bits, (idx, trace) in zip(widths, got.items()):
             assert trace == reference_trace(self.R, idx), idx
@@ -381,7 +398,7 @@ class TestSlotWidth:
         assert widest >= 2
         monkeypatch.setattr(tensorrep, "slot_bits", lambda bound: slot_bits(widest) - 1)
         wrong = []
-        for idx, trace in self.traces(monkeypatch).items():
+        for idx, trace in self.traces().items():
             if trace != want[idx]:
                 wrong.append(idx)
         assert wrong
@@ -401,14 +418,14 @@ def count_scalar_work(monkeypatch):
     mul = LaurentScalar.__mul__
     monkeypatch.setattr(LaurentScalar, "__mul__", counting(mul, "products"))
     monkeypatch.setattr(LaurentScalar, "__rmul__", counting(mul, "products"))
-    for module, name in [(tensorrep, "unpack"), (checks, "pack")]:
-        monkeypatch.setattr(module, name, counting(getattr(module, name), "values"))
+    for name in ("unpack", "pack"):
+        monkeypatch.setattr(tensorrep, name, counting(getattr(tensorrep, name), "values"))
     return seen
 
 
 class TestNoScalarProductsPerLetter:
+    @pytest.mark.usefixtures("fresh_traces")
     def test_traces(self, monkeypatch):
-        monkeypatch.setattr(tensorrep, "_TRACE_CACHE", {})
         seen = count_scalar_work(monkeypatch)
         for idx in iter_standard_basis(3):
             tensorrep.basis_trace(3, idx)
@@ -470,9 +487,29 @@ class TestMultiplicativity:
             "y": {"w1": {"v9": -5}},
             "z": {"w2": {"v3": 1}},
         }
-        assert checks._block_matches(cols, "a", "b", {"x": 1, "y": 1})
-        assert not checks._block_matches(cols, "a", "b", {"x": 1})
-        assert not checks._block_matches(cols, "a", "b", {"x": 1, "y": 1, "z": 1})
+
+        def first(*terms):
+            return tensorrep._first_difference(cols, list(terms), ["w1", "w2", "w3"])
+
+        ab, x, y, z = ("a", "b"), ("x",), ("y",), ("z",)
+        assert first((1, ab), (-1, x), (-1, y)) is None
+        assert first((1, ab), (-1, x)) == "w1"
+        # a mismatch in the second column only
+        assert first((1, ab), (-1, x), (-1, y), (-1, z)) == "w2"
+        # a one-word term beside the two-word term, with scalars 1 and not 1
+        assert first((1, ab), (1, z), (-1, x), (-1, y), (-1, z)) is None
+        assert first((3, ab), (3, z), (-3, x), (-3, y), (-3, z)) is None
+        assert first((3, ab), (2, z), (-3, x), (-3, y), (-3, z)) == "w2"
+
+    def test_low_exponent_on_a_two_word_side(self):
+        # q^-20 P2 = -q^-20 Psi(P1 T1^-1) o Psi(P1): q^-20 lies below every word's
+        # offset, so base must be 2E + 20 (E = 2) for the two-word term to pack
+        low = LaurentScalar.q_power(-20)
+        lhs = [(low, ((("P", 2),),))]
+        p1t, p1 = (("P", 1), ("T", 1, -1)), (("P", 1),)
+        identities = [(lhs, [(c, (p1t, p1))]) for c in (-low, -low * Q, low)]
+        # P2 keeps the words that begin 4, 4; the first in block order opens content {1, 4, 4}
+        assert tensorrep.first_differences(identities, 3, 3) == [None, (4, 4, 1), (4, 4, 1)]
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (n, n + 1)])
     def test_content_blocks_partition_the_words(self, n, r):
@@ -533,6 +570,7 @@ class TestImageRank:
         assert image_rank(3, 3, 1) == 34
         assert image_rank(3, 3, 2) == 34
 
+    @pytest.mark.usefixtures("fresh_traces")
     def test_rank_reads_the_kernel_columns(self, monkeypatch):
         # e_j that keeps every word collapses P_j onto the identity: the rank drops
         monkeypatch.setattr(tensorrep, "_apply_e", lambda j, terms, r: terms)
