@@ -583,6 +583,9 @@ def clear_caches() -> None:
         _rank_gains,
         _shared_letter,
         _basis_data,
+        _cycle_perm,
+        _subset_perm,
+        _pi_expansion,
     ):
         fn.cache_clear()
 

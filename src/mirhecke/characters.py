@@ -10,12 +10,18 @@ of size at most m from lambda:
 
 with the base case chi[lam](empty) = [lam == empty].
 
-The strips lam/nu come straight from the row-by-row generator
-`combinatorics.strip_removals`, which also reads off their components.  For
-each (lam, m, variant) the list of (nu, |nu|, g * wtbar) is built once by
-`symfun.transitions`, the table the strip Pieri rule reads too, so the Pieri
-brute-force check validates the very coefficients used here.  Values are
-memoized in process only; nothing is written to disk.
+For each (lam, m, variant) the list of (nu, |nu|, g * wtbar) is built once
+by `symfun.transitions`, the table the strip Pieri rule reads too, so the
+Pieri brute-force check validates the very coefficients used here; it
+filters one strip enumeration per lam and reads coefficients memoized by
+strip shape.
+
+The values are memoized in process only, keyed by (lam, mu, variant, which
+part is removed), and nothing is written to disk.  The rank n is not part of
+the key: chi[lam](mu) does not depend on n.  Each step removes at most m
+boxes, so chi[nu](rest) = 0 whenever |nu| > |rest|, and the recursion prunes
+on |nu| <= |rest|.  Tables of every rank therefore share one memo.
+`mn_character` and `mn_character_removing_first` still check |lam|, |mu| <= n.
 
 The transition coefficients ship in two variants (`symfun.G_VARIANTS`).  The
 default "oracle" variant passes the brute-force product oracle for every
@@ -68,21 +74,23 @@ def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(n, lam, mu, variant, True)
+    return _mn(lam, mu, variant, True)
 
 
 @cache
-def _mn(n: int, lam: Partition, mu: Partition, variant: str, last: bool) -> LaurentScalar:
+def _mn(lam: Partition, mu: Partition, variant: str, last: bool) -> LaurentScalar:
     if not mu:
         return ONE if not lam else ZERO
     if last:
         m, rest = mu[-1], mu[:-1]
     else:
         m, rest = mu[0], mu[1:]
+    # each step removes at most one part's worth of boxes, so chi[nu](rest) = 0 for |nu| > |rest|
+    rest_size = sum(rest)
     total = ZERO
     for nu, nu_size, coeff in transitions(lam, m, variant):
-        if nu_size <= n - m:
-            sub = _mn(n - m, nu, rest, variant, last)
+        if nu_size <= rest_size:
+            sub = _mn(nu, rest, variant, last)
             if sub:
                 total = total + coeff * sub
     return total
@@ -94,7 +102,7 @@ def mn_character_removing_first(n: int, lam, mu, variant: str = "oracle") -> Lau
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(n, lam, mu, variant, False)
+    return _mn(lam, mu, variant, False)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,7 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
         raise ValueError("n must be >= 1")
     labels = partitions_up_to(n)
     # the labels are canonical partitions of size <= n, so the recursion reads them as they are
-    entries = {(lam, mu): _mn(n, lam, mu, variant, True) for lam in labels for mu in labels}
+    entries = {(lam, mu): _mn(lam, mu, variant, True) for lam in labels for mu in labels}
     return CharacterTable(n, labels, entries, variant)
 
 

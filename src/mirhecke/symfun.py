@@ -21,6 +21,12 @@ the cached strip weights times transition coefficients `g_coeff` (two
 variants, see `G_VARIANTS`) that the character recursion reads too, and is
 always verifiable against the brute-force product expansion.  `wtbar`, the
 box-based weight, is the reference that tests compare against.
+
+Per-shape work is done once per process.  `_strips(lam)` enumerates every
+strip of lam once, and `transitions(lam, m, variant)` keeps those of size
+<= m.  A coefficient g(t, m) * strip_weight(t, components) depends only on
+the strip's shape, so `_strip_coeff` memoizes it under (t, components, m,
+variant) (Macdonald, I.3 and III.5; Ram, Invent. Math. 106 (1991)).
 """
 
 from __future__ import annotations
@@ -484,12 +490,30 @@ def g_coeff(t: int, m: int, variant: str = "oracle") -> LaurentScalar:
 
 
 @cache
+def _strips(lam: Partition) -> tuple:
+    """Every strip removal (nu, |lam/nu|, components) from lam, enumerated once per shape."""
+    return tuple(strip_removals(lam, sum(lam)))
+
+
+@cache
+def _strip_coeff(size: int, components: tuple, m: int, variant: str) -> LaurentScalar:
+    """g(size, m) * strip_weight(size, components), shared by all strips of one shape."""
+    return g_coeff(size, m, variant) * strip_weight(size, components)
+
+
+@cache
 def transitions(lam: Partition, m: int, variant: str) -> tuple:
-    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m."""
+    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m.
+
+    The strips of size <= m are filtered from `_strips(lam)`, in the order
+    `strip_removals(lam, m)` yields them, and their coefficients read from
+    `_strip_coeff`.
+    """
     k = sum(lam)
     return tuple(
-        (nu, k - size, g_coeff(size, m, variant) * strip_weight(size, comps))
-        for nu, size, comps in strip_removals(lam, m)
+        (nu, k - size, _strip_coeff(size, comps, m, variant))
+        for nu, size, comps in _strips(lam)
+        if size <= m
     )
 
 

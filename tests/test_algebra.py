@@ -259,6 +259,9 @@ class TestMul:
             algebra._rank_gains,
             algebra._shared_letter,
             algebra._basis_data,
+            algebra._cycle_perm,
+            algebra._subset_perm,
+            algebra._pi_expansion,
         )
         x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo
         want = mul(x, y)

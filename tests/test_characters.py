@@ -19,6 +19,11 @@ from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, ZER
 from mirhecke.symfun import g_coeff, wtbar
 
 
+def clear_character_memos():
+    for memo in (characters._mn, symfun.transitions, symfun._strips, symfun._strip_coeff):
+        memo.cache_clear()
+
+
 def q_int(x):
     return LaurentScalar.from_int(x)
 
@@ -151,6 +156,30 @@ class TestCharacterTable:
         b = character_table(2).to_csv()
         assert a == b
 
+    def test_rank_free_memo(self):
+        # chi[lam](mu) does not depend on n: a cold rank-n table is the
+        # restriction of a cold rank-(n+1) table
+        for variant in ("oracle", "paper"):
+            for n in range(1, 7):
+                clear_character_memos()
+                small = character_table(n, variant)
+                clear_character_memos()
+                big = character_table(n + 1, variant)
+                assert small.entries == {key: big.entries[key] for key in small.entries}
+
+    def test_one_strip_enumeration_per_partition(self, monkeypatch):
+        seen = []
+        real = symfun.strip_removals
+
+        def counting(lam, m):
+            seen.append(lam)
+            return real(lam, m)
+
+        monkeypatch.setattr(symfun, "strip_removals", counting)
+        clear_character_memos()
+        character_table(8)
+        assert seen and len(seen) == len(set(seen))
+
     def test_json_shape(self):
         obj = character_table(2).to_json()
         assert obj["labels"] == ["0", "1", "2", "1.1"]
@@ -160,8 +189,7 @@ class TestCharacterTable:
         for variant in ("oracle", "paper"):
             fills = []
             for _ in range(2):
-                characters._mn.cache_clear()
-                symfun.transitions.cache_clear()
+                clear_character_memos()
                 fills.append(character_table(5, variant))
             assert fills[0].entries == fills[1].entries
             assert fills[0].to_csv().encode() == fills[1].to_csv().encode()

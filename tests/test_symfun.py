@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from mirhecke.combinatorics import partitions_of, partitions_up_to
+from mirhecke.combinatorics import partitions_of, partitions_up_to, strip_removals
 from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1
 from mirhecke.symfun import (
     SchurExpandError,
@@ -10,6 +11,7 @@ from mirhecke.symfun import (
     check_generating,
     check_two_symmetric,
     from_schur_coeffs,
+    g_coeff,
     g_poly,
     hl_q_from_generating,
     m_sym,
@@ -21,8 +23,10 @@ from mirhecke.symfun import (
     qtilde_mu,
     schur,
     schur_expand,
+    strip_weight,
     sym_one,
     sym_zero,
+    transitions,
 )
 
 # -- independent oracle: expand a polynomial over explicit variables ----------
@@ -250,6 +254,21 @@ class TestPieri:
         got = pieri_qtilde(2, (), 1)
         assert got == pieri_bruteforce(2, (), 1)
         assert all(len(lam) <= 1 for lam in got)
+
+
+class TestTransitions:
+    def test_matches_direct_construction(self):
+        # one enumeration per shape, filtered by size, with shape-memoized
+        # coefficients, gives the same multiset as building each (lam, m) afresh
+        for lam in partitions_up_to(7):
+            k = sum(lam)
+            for m in range(1, 9):
+                for variant in ("oracle", "paper"):
+                    want = Counter(
+                        (nu, k - size, g_coeff(size, m, variant) * strip_weight(size, comps))
+                        for nu, size, comps in strip_removals(lam, m)
+                    )
+                    assert Counter(transitions(lam, m, variant)) == want, (lam, m, variant)
 
 
 class TestSerialization:
