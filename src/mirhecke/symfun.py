@@ -38,6 +38,7 @@ from functools import cache, lru_cache
 from .combinatorics import (
     Partition,
     check_partition,
+    _n_rearrangements,
     kostka,
     partitions_of,
     strip_data,
@@ -198,6 +199,29 @@ def _from_monomials(monos: dict, r: int) -> SymPoly:
     total = sum(len(_m_monomials(mu, r)) for mu in terms)
     if total != sum(1 for c in monos.values() if c):
         raise AssertionError("incomplete monomial orbit: polynomial is not symmetric")
+    return SymPoly(r, terms)
+
+
+def _from_compositions(comps: dict, r: int) -> SymPoly:
+    """Fold coefficients on compositions into partition keys, checking symmetry.
+
+    `comps` maps a composition alpha (an exponent vector with its zeros
+    removed) to the coefficient of the monomials of that content: a
+    quasisymmetric polynomial in the monomial basis M_alpha (Gessel 1984).  It
+    is symmetric iff all rearrangements of one partition carry the same
+    coefficient, zero included; a rearrangement missing from `comps` counts
+    as zero.
+    """
+    groups: dict = {}
+    for alpha, c in comps.items():
+        groups.setdefault(tuple(sorted(alpha, reverse=True)), []).append(c)
+    terms: dict[Partition, LaurentScalar] = {}
+    for lam, cs in groups.items():
+        c = cs[0]
+        if any(d != c for d in cs) or (c and len(cs) != _n_rearrangements(lam, len(lam))):
+            raise AssertionError(f"asymmetric coefficients on rearrangements of {lam}")
+        if c:
+            terms[lam] = c
     return SymPoly(r, terms)
 
 

@@ -8,7 +8,7 @@ lines; `-m "not slow"` skips the optional rank-5 tensor items.
 
 import pytest
 
-from mirhecke import checks, tensorrep
+from mirhecke import checks
 from mirhecke.characters import character_table, class_polynomials
 from mirhecke.combinatorics import (
     BasisIndex,
@@ -167,6 +167,5 @@ def test_slow_rank5_oracle_column():
 
 @pytest.mark.slow
 def test_slow_rank4_image_rank():
-    """Optional extension of criterion 12 to n = 4, at the single point v0 = 2."""
-    rank = tensorrep.image_rank(4, 4, 1)
-    report("12 (slow)", "image rank at n = 4", None if rank == standard_basis_count(4) else rank)
+    """Optional extension of criterion 12 to n = 4, at both points v0 = 2 and v0 = 4."""
+    report("12 (slow)", "image rank at n = 4, two points", checks.image_rank_equals_dim(4, 4))

@@ -7,6 +7,8 @@ from mirhecke.combinatorics import partitions_of, partitions_up_to, strip_remova
 from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1
 from mirhecke.symfun import (
     SchurExpandError,
+    _from_compositions,
+    _to_monomials,
     SymPoly,
     check_generating,
     check_two_symmetric,
@@ -131,6 +133,32 @@ class TestMul:
                 p, q = schur(lam, 3), schur(mu, 3)
                 prod = mul_sym(p, q)
                 assert eval_at(prod, vals) == eval_at(p, vals) * eval_at(q, vals)
+
+
+class TestFromCompositions:
+    def test_folds_every_composition_of_a_symmetric_polynomial(self):
+        for r in (1, 2, 3, 4):
+            for lam in partitions_up_to(4):
+                p = schur(lam, r)
+                comps = {tuple(a for a in e if a): c for e, c in _to_monomials(p).items()}
+                assert _from_compositions(comps, r) == p, (lam, r)
+
+    def test_zero_coefficients_fold_away(self):
+        got = _from_compositions({(1, 2): Q, (2, 1): Q, (1,): ONE - ONE, (): ONE}, 2)
+        assert got == SymPoly(2, {(2, 1): Q, (): ONE})
+
+    def test_rearrangements_that_differ_raise(self):
+        with pytest.raises(AssertionError, match=r"\(2, 1\)"):
+            _from_compositions({(1, 2): Q, (2, 1): Q_MINUS_1}, 2)
+
+    def test_zero_beside_a_nonzero_rearrangement_raises(self):
+        with pytest.raises(AssertionError):
+            _from_compositions({(1, 2): ONE - ONE, (2, 1): Q}, 2)
+
+    def test_missing_rearrangement_counts_as_zero(self):
+        with pytest.raises(AssertionError):
+            _from_compositions({(2, 1, 1): Q, (1, 2, 1): Q}, 3)
+        assert _from_compositions({(1, 2): ONE - ONE}, 2) == sym_zero(2)
 
 
 class TestSchurExpand:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mirhecke.algebra import (
@@ -26,13 +28,30 @@ from mirhecke.ring import (
 from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
-    basis_words,
     char_oracle,
-    content_blocks,
     image_rank,
+    pattern_blocks,
     psi_columns,
     trace_D,
 )
+
+
+def basis_words(n, r):
+    return itertools.product(range(1, r + 2), repeat=n)
+
+
+def content_blocks(n, r):
+    """Every index word, grouped by content (multiset of letters): the blocks in
+    `combinations_with_replacement` order, the words of each sorted."""
+    for content in itertools.combinations_with_replacement(range(1, r + 2), n):
+        yield sorted(set(itertools.permutations(content)))
+
+
+def relabelling(word, r):
+    """The order-preserving map of the word's letters below r+1 onto 1..p (r+1 fixed)."""
+    low = sorted({a for a in word if a <= r})
+    rank = dict(zip(low, range(1, len(low) + 1)))
+    return lambda w: tuple(rank.get(a, a) for a in w)
 
 
 # Reference rules on LaurentScalar coefficients, independent of the packed kernel.
@@ -111,6 +130,48 @@ def combine(*parts):
 
 
 SMALL = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3)]
+
+
+# Kernel mutants: R_i with its diagonal rule, (a, b) -> (a, b), replaced.
+
+
+def mutant_R(diagonal):
+    """R_i on packed coefficients; a word w with letters (a, b) at i, i+1 keeps the
+    coefficient diagonal((a, b), w, c, bits) on itself."""
+
+    def apply(i, terms, bits):
+        out = {}
+        for w, c in terms.items():
+            a, b = w[i - 1], w[i]
+            if a != b:
+                accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c << bits))
+            accumulate(out, w, diagonal(w[i - 1 : i + 1], w, c, bits))
+        return out
+
+    return apply
+
+
+def _diagonal(pair, c, bits, descent=1, equal=-1):
+    """equal * c on a == b, descent * (q-1) c on a > b, 0 on a < b (R_i: -1 and 1)."""
+    a, b = pair
+    if a == b:
+        return equal * c
+    return descent * ((c << 2 * bits) - c) if a > b else 0
+
+
+# no (q-1) term on a > b: the quadratic relation fails
+braid_without_quadratic_term = mutant_R(
+    lambda pair, w, c, bits: _diagonal(pair, c, bits, descent=0)
+)
+# the (q-1) term doubled when the larger letter repeats in the word: it reads only
+# letter order and letter counts, which relabelling keeps, but traces lose symmetry
+doubled_descent_term = mutant_R(
+    lambda pair, w, c, bits: _diagonal(pair, c, bits, descent=1 + (w.count(pair[0]) > 1))
+)
+# letter 2 is special: R_i acts on (2, 2) as +1, which no relabelling respects
+letter_two_special = mutant_R(
+    lambda pair, w, c, bits: _diagonal(pair, c, bits, equal=1 if pair[0] == 2 else -1)
+)
 
 
 @pytest.fixture
@@ -254,17 +315,7 @@ class TestRelationReports:
     @pytest.mark.usefixtures("fresh_traces")
     def test_braid_without_quadratic_term_fails_the_tensor_route_only(self, monkeypatch):
         # R_i without its (q-1) term on a > b no longer satisfies the quadratic relation
-        def mutant(i, terms, bits):
-            out = {}
-            for w, c in terms.items():
-                a, b = w[i - 1], w[i]
-                if a == b:
-                    accumulate(out, w, -c)
-                else:
-                    accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c << bits))
-            return out
-
-        monkeypatch.setattr(tensorrep, "_apply_R", mutant)
+        monkeypatch.setattr(tensorrep, "_apply_R", braid_without_quadratic_term)
         engine, tensor = split_routes(checks.run_suite("relations", 2, 2, "oracle", False))
         assert all(x["status"] == "pass" for x in engine)
         quad = next(x for x in tensor if x["check"] == "T1^2 = (q-1)T1 + q on tensor space")
@@ -354,6 +405,20 @@ class TestRotatedTraces:
             oracle = char_oracle(hat_T(3, mu), r=3)
             for lam in partitions_up_to(3):
                 assert oracle.get(lam, ZERO) == mn_character(3, lam, mu)
+
+    @pytest.mark.usefixtures("fresh_traces")
+    def test_order_invariant_asymmetry_is_caught(self, monkeypatch):
+        # the mutant keeps the relabelling premise, so only the comparison of
+        # rearranged compositions can see it
+        monkeypatch.setattr(tensorrep, "_apply_R", doubled_descent_term)
+        assert relabelling_mismatches(3, 3) == []
+        raised = []
+        for idx in iter_standard_basis(3):
+            try:
+                tensorrep.basis_trace(3, idx)
+            except AssertionError:
+                raised.append(idx)
+        assert len(raised) == 5, raised
 
 
 def reference_trace(r, idx):
@@ -546,7 +611,111 @@ class TestMultiplicativity:
 
         monkeypatch.setattr(tensorrep, "psi_columns", one_block)
         assert checks.psi_multiplicative(checks.basis_pairs(3), 3) is None
-        assert len(contents) == len(list(content_blocks(3, 3)))
+        assert len(contents) == len(list(pattern_blocks(3, 3)))
+
+
+def relabelling_mismatches(n, r):
+    """The content blocks whose basis-operator columns, relabelled onto their
+    representative block, differ from the representative's own columns."""
+    letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
+    bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
+    offset = max(map(tensorrep.letter_offset, letters.values()))
+    reps = {}
+    bad = []
+    for block in content_blocks(n, r):
+        move = relabelling(block[0], r)
+        rep = tuple(map(move, block))
+        if rep not in reps:
+            reps[rep] = psi_columns(letters, rep, r, bits, offset)
+        cols = psi_columns(letters, block, r, bits, offset)
+        moved = {
+            x: {move(w): {move(u): c for u, c in col.items()} for w, col in xcols.items()}
+            for x, xcols in cols.items()
+        }
+        if moved != reps[rep]:
+            bad.append(block[0])
+    return bad
+
+
+def all_block_differences(identities, n, r):
+    """`first_differences` by a scan over every content block."""
+    words, bits, offset, packed = tensorrep._pack_identities(list(identities))
+    out = [None] * len(packed)
+    for block in content_blocks(n, r):
+        cols = psi_columns(words, block, r, bits, offset)
+        for k, signed in enumerate(packed):
+            if out[k] is None:
+                out[k] = tensorrep._first_difference(cols, signed, block)
+    return out
+
+
+def relation_identities(n, crossed=False):
+    """The defining relations as operator identities; crossed pairs each left side
+    with the next relation's right side, so most of them fail."""
+    table = checks.defining_relations(n)
+    rights = [rhs for _, _, rhs in table]
+    if crossed:
+        rights = rights[1:] + rights[:1]
+    return [
+        [[(c, (w,)) for c, w in side] for side in (lhs, rhs)]
+        for (_, lhs, _), rhs in zip(table, rights)
+    ]
+
+
+class TestPatternBlocks:
+    @pytest.mark.parametrize(
+        "n,r", sorted({(n, r) for n in (1, 2, 3, 4) for r in (1, 2, n, n + 1)})
+    )
+    def test_representatives_in_block_order(self, n, r):
+        # the blocks whose letters below r+1 are exactly 1..p, in content-block order
+        want = [b for b in content_blocks(n, r) if relabelling(b[0], r)(b[0]) == b[0]]
+        assert list(pattern_blocks(n, r)) == want
+
+    def test_block_and_word_counts(self):
+        for n, blocks, words in [(4, 16, 150), (5, 32, 1082)]:
+            got = list(pattern_blocks(n, n))
+            assert (len(got), sum(map(len, got))) == (blocks, words), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_extra_letter_adds_no_block(self, n):
+        assert len(list(pattern_blocks(n, n))) == len(list(pattern_blocks(n, n + 1))) == 2**n
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in (1, 2, 3) for r in (n, n + 1)] + [(4, 4)]
+    )
+    def test_relabelled_blocks_have_the_same_columns(self, n, r):
+        assert relabelling_mismatches(n, r) == []
+
+    def test_value_dependent_kernel_breaks_the_premise(self, monkeypatch):
+        monkeypatch.setattr(tensorrep, "_apply_R", letter_two_special)
+        assert relabelling_mismatches(2, 2)
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in (1, 2, 3) for r in (n, n + 1)] + [(4, 4)]
+    )
+    @pytest.mark.parametrize("crossed", [False, True])
+    def test_relation_witnesses_match_the_all_block_scan(self, n, r, crossed):
+        identities = relation_identities(n, crossed)
+        got = tensorrep.first_differences(identities, n, r)
+        assert got == all_block_differences(identities, n, r)
+        assert crossed == any(w is not None for w in got) or n == 1
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            ("_apply_R", braid_without_quadratic_term),
+            ("_apply_R", doubled_descent_term),
+            ("_apply_e", lambda j, terms, r: terms),
+        ],
+    )
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.usefixtures("fresh_traces")
+    def test_mutant_witnesses_match_the_all_block_scan(self, monkeypatch, name, mutant, n):
+        monkeypatch.setattr(tensorrep, name, mutant)
+        identities = relation_identities(n)
+        got = tensorrep.first_differences(identities, n, n)
+        assert got == all_block_differences(identities, n, n)
+        assert any(w is not None for w in got)
 
 
 class TestConformanceMode:
