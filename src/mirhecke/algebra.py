@@ -31,8 +31,8 @@ computations stay in even v-exponents.
 
 The engine runs on plain ints (Kronecker substitution, see `ring.pack`).
 For one product, each working coefficient p is stored as
-p(2^B) * 2^(B*E), and every table constant, kept as (exponent, coeff)
-pairs, acts by one or two shifts with a sign or a small scale.  v -> 2^B is
+p(2^B) * 2^(B*E), and every table entry is one monomial a v^e that acts
+by one shift of e slots with a sign or a small scale.  v -> 2^B is
 a ring homomorphism, so every packed value is exactly the image of its true
 Laurent coefficient, and a packed zero can be dropped without changing any
 image downstream.  Only the decoded outputs must fit their slots:
@@ -54,30 +54,48 @@ image downstream.  Only the decoded outputs must fit their slots:
   it is scaled by c_y; then the lowest exponent that elimination makes.
 
 Decoding is exact because the true output coefficients satisfy
-|a| < 2^(B-1), where balanced base-2^B digits are unique.  The table
-builders (`_w_lmul_T_key`, `_hecke_rmul_letter`, `_tail_expansion`) stay on
-LaurentScalar; the tables the engine reads (`_w_rmul_T_key`,
-`_w_rmul_P1_key`, `_standard_step`) hold (exponent, coeff) constants.  One
-engine, `_product`, serves `mul`, `reduce_word` and `rmul_gen`.
+|a| < 2^(B-1), where balanced base-2^B digits are unique.  One engine,
+`_product`, serves `mul`, `reduce_word` and `rmul_gen`.
+
+Key ids.  The engine's working elements are {kid: packed int}.  Every
+working key (A, d) of rank n has a dense id kid = block(A) + index_k(d):
+index_k(d) is the position of d among the n!/k! minimal representatives
+of S_k \\ S_n, shortest first, and each k-subset A gets a block of n!/k!
+ids on first use (`_Layout`).  The T^+-1 rows and the elimination steps
+depend only on (k, d), so each is built once per (k, d) and names its
+targets by delta = index_k(d2) - index_k(d); it applies to every A as
+kid + delta.  The P_1 rows change A, so they are keyed by kid and name
+absolute ids.  A constant with several monomials, such as q - 1, is
+several entries.  `_w_rmul_letter`, `_to_standard` and `_product` shift,
+sign and accumulate inline; ids are mapped back to a BasisIndex only when
+`_to_standard` decodes a coefficient.
 
 Working to standard is an elimination: the key (A, d) is the unit leading
 term of one standard element (A, B, w), so it is replaced by that element
 minus its strictly shorter tail terms.  `_to_standard` buckets the keys by
-the length(d) that `_standard_step` returns and drains the buckets from the
-longest down; every tail term lands in a shorter bucket, so each key is
-eliminated exactly once.  `_product` right-multiplies x by the words of
-its terms in sorted order, restarting each word from the partial product of
-its longest common prefix with the previous word.
+length(d) and drains the buckets from the longest down; every tail term
+lands in a shorter bucket, so each key is eliminated exactly once.
+`_product` right-multiplies x by the words of its terms in sorted order,
+restarting each word from the partial product of its longest common prefix
+with the previous word.
 
-Per-key work is memoized with `functools.cache` (`cache_info()` gives hits,
-misses and size; `clear_caches` empties them): the generator actions
-`_w_rmul_T_key`, `_w_lmul_T_key` and `_w_rmul_P1_key`, the conversion
-`_tail_expansion`, the elimination steps `_standard_step` (keyed by (k, d),
-not by A), the validated indices `_standard_index`, the per-index word,
-gain and working mass `_basis_data`, and the per-rank gains `_rank_gains`.
-Each memo is bounded by the size of the basis or the working basis, times
-the number of generators.  The defining relations are checked through `mul`
-in `mirhecke.checks`.
+What is memoized, and where (`clear_caches` empties all of it):
+
+- `_layout(n)` holds the ids of rank n and the only copies of the engine
+  tables, each row filled on first read: `t_rows` (T^+-1, per (k, d) and
+  letter), `p1_rows` (per kid), `steps` (per (k, d)) and `basis` (the
+  BasisIndex of each kid).  Their builders `_w_rmul_T_key`,
+  `_w_rmul_P1_key` and `_standard_step` are plain tuple-keyed functions on
+  LaurentScalar, which the tests also read as the reference.
+- `functools.cache` memos (`cache_info()` gives hits, misses and size):
+  the builders' helpers `_w_lmul_T_key` and `_tail_expansion`, the
+  per-index word, gains and working terms `_basis_data`, and the per-rank
+  gains `_rank_gains`, whose scan over every key fills the P_1 rows and the
+  steps of its rank.
+
+Each table and memo is bounded by the size of the basis or the working
+basis, times the number of generators.  The defining relations are checked
+through `mul` in `mirhecke.checks`.
 """
 
 from __future__ import annotations
@@ -255,29 +273,20 @@ def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the working-basis engine
+# the working-basis tables, keyed by tuples
 # ---------------------------------------------------------------------------
 
-# working element: {(A, d): packed int}; k = len(A), rank = len(d).  A table
-# constant is a tuple ((v-exponent, coeff), ...) and acts by shifts.
+# A table constant is a tuple ((v-exponent, coeff), ...).  These builders are
+# plain functions: the engine reads their rows through the id tables below,
+# which build each row once.
 
 
 def _const(s: LaurentScalar) -> tuple:
     return tuple(s.items())
 
 
-def _scaled(c: int, s, bits: int) -> int:
-    """The packed value c times the constant s, given as (exponent, coeff) pairs."""
-    out = 0
-    for e, a in s:
-        t = c << (e * bits) if e >= 0 else c >> (-e * bits)
-        out += t if a == 1 else -t if a == -1 else a * t
-    return out
-
-
-@cache
 def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
-    """(P_k T_d) * T_i^{+-1} as ((d', const), ...) in the working basis (memoized).
+    """(P_k T_d) * T_i^{+-1} as ((d', const), ...) in the working basis.
 
     The sign of each discarded S_k-part is folded into its coefficient.
     """
@@ -328,9 +337,8 @@ def _w_lmul_T(elem: dict, i: int) -> dict:
     return out
 
 
-@cache
 def _w_rmul_P1_key(A: tuple, d: Permutation) -> tuple:
-    """(T_A P_k T_d) * P_1 as (((A', d'), const), ...) in the working basis (memoized)."""
+    """(T_A P_k T_d) * P_1 as (((A', d'), const), ...) in the working basis."""
     n = len(d)
     k = len(A)
     m = d[0]
@@ -377,30 +385,6 @@ def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
     return -1, prev + (("T", j - 1, -1),) + prev
 
 
-def _w_rmul_letter(elem: dict, letter: Letter, bits: int) -> dict:
-    if letter[0] == "T":
-        _, i, e = letter
-        inv = e == -1
-        out: dict = {}
-        for (A, d), c in elem.items():
-            for d2, s in _w_rmul_T_key(len(A), d, i, inv):
-                accumulate(out, (A, d2), _scaled(c, s, bits))
-        return out
-    j = letter[1]
-    if j == 1:
-        out = {}
-        for (A, d), c in elem.items():
-            for key, s in _w_rmul_P1_key(A, d):
-                accumulate(out, key, _scaled(c, s, bits))
-        return out
-    sign, word = _pi_expansion(j)
-    for lt in word:
-        elem = _w_rmul_letter(elem, lt, bits)
-    if sign < 0:
-        elem = {key: -c for key, c in elem.items()}
-    return elem
-
-
 # -- working <-> standard conversion ----------------------------------------
 
 
@@ -419,9 +403,8 @@ def _tail_expansion(B: tuple, w: Permutation) -> dict:
     return out
 
 
-@cache
 def _standard_step(k: int, d: Permutation) -> tuple:
-    """One elimination step for the working keys (A, d) with |A| = k (memoized).
+    """One elimination step for the working keys (A, d) with |A| = k.
 
     The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
     s * T_A P_k T_d2, each d2 strictly shorter than d.  Returns
@@ -450,69 +433,233 @@ def _standard_step(k: int, d: Permutation) -> tuple:
     return B, w, _const(inv), tuple(rest), ld
 
 
+# ---------------------------------------------------------------------------
+# the working-basis engine on key ids
+# ---------------------------------------------------------------------------
+
+
+class _Layout:
+    """Dense int ids for the working keys (A, d) of rank n, and the tables the engine reads.
+
+    A shape is a pair (k, d); shape ids run over k = 0..n and, within k,
+    over index_k(d).  kid(A, d) = block(A) + index_k(d).  Every table entry
+    is a monomial (target, v-exponent, coeff), and each row is filled on
+    first read from its tuple-keyed builder:
+
+    - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, targets kid + delta;
+    - `p1_rows[kid]`: P_1, targets absolute ids;
+    - `steps[shape]`: `_standard_step` as (length(d), lead^-1 exponent,
+      lead^-1 sign, tail, B, w), each tail entry (delta, exponent, coeff,
+      length(d2));
+    - `basis[kid]`: the BasisIndex (A, B, w) that key kid leads.
+    """
+
+    __slots__ = (
+        "n", "shapes", "index", "shape_base", "blocks", "kid_A", "kid_shape",
+        "t_rows", "p1_rows", "steps", "basis",
+    )
+
+    def __init__(self, n: int):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        reps = [
+            sorted({_absorb(k, u)[1] for u in perms}, key=lambda d: (plength(d), d))
+            for k in range(n + 1)
+        ]
+        self.n = n
+        self.shapes = [(k, d) for k in range(n + 1) for d in reps[k]]
+        self.index = [{d: t for t, d in enumerate(ds)} for ds in reps]
+        self.shape_base = list(itertools.accumulate(map(len, reps), initial=0))
+        self.blocks: dict[tuple, int] = {}
+        self.kid_A: list[tuple] = []
+        self.kid_shape: list[int] = []
+        self.t_rows = [[None] * len(self.shapes) for _ in range(2 * (n - 1))]
+        self.p1_rows: list = []
+        self.steps: list = [None] * len(self.shapes)
+        self.basis: list = []
+
+    def block(self, A: tuple) -> int:
+        """The first id of A's block, allocated on first use."""
+        base = self.blocks.get(A)
+        if base is None:
+            k = len(A)
+            first, end = self.shape_base[k], self.shape_base[k + 1]
+            base = self.blocks[A] = len(self.kid_A)
+            self.kid_A.extend([A] * (end - first))
+            self.kid_shape.extend(range(first, end))
+            self.p1_rows.extend([None] * (end - first))
+            self.basis.extend([None] * (end - first))
+        return base
+
+    def kid(self, A: tuple, d: Permutation) -> int:
+        return self.block(A) + self.index[len(A)][d]
+
+    def key(self, kid: int) -> tuple:
+        """The working key (A, d) of an id."""
+        return self.kid_A[kid], self.shapes[self.kid_shape[kid]][1]
+
+    def t_row(self, slot: int, s: int) -> tuple:
+        k, d = self.shapes[s]
+        index = self.index[k]
+        here = index[d]
+        row = self.t_rows[slot][s] = tuple(
+            (index[d2] - here, e, a)
+            for d2, const in _w_rmul_T_key(k, d, slot // 2 + 1, slot % 2 == 1)
+            for e, a in const
+        )
+        return row
+
+    def p1_row(self, kid: int) -> tuple:
+        row = self.p1_rows[kid] = tuple(
+            (self.kid(*key), e, a)
+            for key, const in _w_rmul_P1_key(*self.key(kid))
+            for e, a in const
+        )
+        return row
+
+    def step(self, s: int) -> tuple:
+        k, d = self.shapes[s]
+        B, w, ((e, a),), rest, ld = _standard_step(k, d)
+        index = self.index[k]
+        here = index[d]
+        tail = tuple((index[d2] - here, e2, a2, l2) for d2, t, l2 in rest for e2, a2 in t)
+        step = self.steps[s] = (ld, e, a, tail, B, w)
+        return step
+
+    def basis_index(self, kid: int) -> BasisIndex:
+        s = self.kid_shape[kid]
+        *_, B, w = self.steps[s] or self.step(s)
+        idx = self.basis[kid] = BasisIndex(self.kid_A[kid], B, w)
+        return idx
+
+
 @cache
-def _standard_index(A: tuple, B: tuple, w: Permutation) -> BasisIndex:
-    """The validated basis index (A, B, w), built once per index (memoized)."""
-    return BasisIndex(A, B, w)
+def _layout(n: int) -> _Layout:
+    """The key ids and engine tables of rank n, filled as they are read (memoized)."""
+    return _Layout(n)
 
 
-def _to_standard(welem: dict, bits: int, offset: int) -> dict:
+# A working element is {kid: packed int}.  Each monomial entry (target, e, a)
+# acts by a shift of e * bits and a sign or a small scale; the sums are
+# accumulated in place and exact zeros are dropped.
+
+
+def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, bits: int) -> dict:
+    out: dict = {}
+    get = out.get
+    if letter[0] == "T":
+        slot = 2 * letter[1] - 2 + (letter[2] == -1)
+        rows = lay.t_rows[slot]
+        shape = lay.kid_shape
+        for kid, c in elem.items():
+            s = shape[kid]
+            for delta, e, a in rows[s] or lay.t_row(slot, s):
+                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
+                key = kid + delta
+                v = get(key)
+                if v is None:
+                    out[key] = t if a == 1 else -t if a == -1 else a * t
+                else:
+                    v = v + t if a == 1 else v - t if a == -1 else v + a * t
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return out
+    j = letter[1]
+    if j == 1:
+        rows = lay.p1_rows
+        for kid, c in elem.items():
+            for key, e, a in rows[kid] or lay.p1_row(kid):
+                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
+                v = get(key)
+                if v is None:
+                    out[key] = t if a == 1 else -t if a == -1 else a * t
+                else:
+                    v = v + t if a == 1 else v - t if a == -1 else v + a * t
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return out
+    sign, word = _pi_expansion(j)
+    for lt in word:
+        elem = _w_rmul_letter(lay, elem, lt, bits)
+    if sign < 0:
+        elem = {key: -c for key, c in elem.items()}
+    return elem
+
+
+def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
     """Unitriangular elimination from the packed working basis to decoded standard terms.
 
     Keys are bucketed by length(d) and drained from the longest down; every
     tail term is strictly shorter, so a bucket is complete when it is reached
     and the order within it does not matter.
     """
+    steps, shape, basis = lay.steps, lay.kid_shape, lay.basis
     out: dict[BasisIndex, LaurentScalar] = {}
     buckets: list[dict] = []
-    for (A, d), c in welem.items():
-        ld = _standard_step(len(A), d)[4]
+    for kid, c in welem.items():
+        s = shape[kid]
+        ld = (steps[s] or lay.step(s))[0]
         while len(buckets) <= ld:
             buckets.append({})
-        buckets[ld][(A, d)] = c
+        buckets[ld][kid] = c
     for ld in range(len(buckets) - 1, -1, -1):
-        for (A, d), c in buckets[ld].items():
-            B, w, inv, rest, _ = _standard_step(len(A), d)
-            out[_standard_index(A, B, w)] = unpack(_scaled(c, inv, bits), bits, offset)
-            for d2, t, l2 in rest:
-                accumulate(buckets[l2], (A, d2), _scaled(c, t, bits))
+        for kid, c in buckets[ld].items():
+            s = shape[kid]
+            _, e, a, tail, _, _ = steps[s] or lay.step(s)
+            t = c if not e else c << e * bits if e > 0 else c >> -e * bits
+            idx = basis[kid] or lay.basis_index(kid)
+            out[idx] = unpack(t if a == 1 else -t, bits, offset)
+            for delta, e, a, l2 in tail:
+                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
+                bucket = buckets[l2]
+                key = kid + delta
+                v = bucket.get(key)
+                if v is None:
+                    bucket[key] = t if a == 1 else -t if a == -1 else a * t
+                else:
+                    v = v + t if a == 1 else v - t if a == -1 else v + a * t
+                    if v:
+                        bucket[key] = v
+                    else:
+                        del bucket[key]
     return out
 
 
 # -- a priori slot width and offset -----------------------------------------
 
 
-def _mass(s: tuple) -> int:
-    return sum(abs(a) for _, a in s)
-
-
 @cache
 def _rank_gains(n: int) -> tuple[int, int, int, int]:
     """(G_P1, lo_P1, G_elim, lo_elim) of rank n, read off every table row (memoized).
 
-    G_P1 is the largest l1 mass of a row of `_w_rmul_P1_key` and lo_P1 the
-    lowest exponent in any row.  G_elim is the largest mass that elimination
-    makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t
-    of the step, and lo_elim the lowest exponent of any value it makes.  Both
-    lows are capped at 0.
+    G_P1 is the largest l1 mass of a P_1 row and lo_P1 the lowest exponent
+    in any row.  G_elim is the largest mass that elimination makes from a
+    unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of the
+    step, and lo_elim the lowest exponent of any value it makes.  Both lows
+    are capped at 0.  The scan fills the P_1 rows and the elimination steps
+    of rank n.
     """
-    perms = list(itertools.permutations(range(1, n + 1)))
+    lay = _layout(n)
     g_p1, lo_p1, g_elim, lo_elim = 1, 0, 1, 0
     for k in range(n + 1):
-        reps = sorted({_absorb(k, u)[1] for u in perms}, key=plength)
+        first, end = lay.shape_base[k], lay.shape_base[k + 1]
         for A in itertools.combinations(range(1, n + 1), k):
-            for d in reps:
-                row = _w_rmul_P1_key(A, d)
-                g_p1 = max(g_p1, sum(_mass(s) for _, s in row))
-                lo_p1 = min(lo_p1, min((e for _, s in row for e, _ in s), default=0))
+            base = lay.block(A)
+            for kid in range(base, base + end - first):
+                row = lay.p1_rows[kid] or lay.p1_row(kid)
+                g_p1 = max(g_p1, sum(abs(a) for _, _, a in row))
+                lo_p1 = min(lo_p1, *(e for _, e, _ in row))
         gain: dict = {}
         low: dict = {}
-        for d in reps:  # shortest first, so every tail term is already known
-            _, _, inv, rest, _ = _standard_step(k, d)
-            gain[d] = 1 + sum(_mass(t) * gain[d2] for d2, t, _ in rest)
-            low[d] = min(0, inv[0][0], *(e + low[d2] for d2, t, _ in rest for e, _ in t))
-            g_elim = max(g_elim, gain[d])
-            lo_elim = min(lo_elim, low[d])
+        for s in range(first, end):  # shortest first, so every tail term is already known
+            _, e, _, tail, _, _ = lay.steps[s] or lay.step(s)
+            gain[s] = 1 + sum(abs(a) * gain[s + delta] for delta, _, a, _ in tail)
+            low[s] = min(0, e, *(e2 + low[s + delta] for delta, e2, _, _ in tail))
+            g_elim = max(g_elim, gain[s])
+            lo_elim = min(lo_elim, low[s])
     return g_p1, lo_p1, g_elim, lo_elim
 
 
@@ -559,27 +706,30 @@ def _shared_letter(letter: Letter) -> Letter:
 def _basis_data(idx: BasisIndex) -> tuple:
     """What the engine needs of a basis index, validated once (memoized).
 
-    Returns (letters, gain, drop, tail mass, tail low): the letters of
-    `basis_word(idx)` with their `_word_bounds`, the l1 mass of idx in the
-    working basis and the lowest exponent of its working coefficients,
-    capped at 0.
+    Returns (letters, gain, drop, tail mass, tail low, working): the letters
+    of `basis_word(idx)` with their `_word_bounds`, the l1 mass of idx in the
+    working basis, the lowest exponent of its working coefficients capped at
+    0, and idx in the working basis as monomials (d, exponent, coeff) under
+    the subset idx.A.
     """
     letters = tuple(map(_shared_letter, GeneratorWord(idx.n, _basis_letters(idx))))
     gain, drop = _word_bounds(idx.n, letters)
-    tail = _tail_expansion(idx.B, idx.w).values()
-    mass = sum(map(LaurentScalar.l1_norm, tail))
-    return letters, gain, drop, mass, min(0, *map(LaurentScalar.min_exp, tail))
+    tail = _tail_expansion(idx.B, idx.w)
+    mass = sum(map(LaurentScalar.l1_norm, tail.values()))
+    low = min(0, *map(LaurentScalar.min_exp, tail.values()))
+    working = tuple((d, e, a) for d, s in tail.items() for e, a in s.items())
+    return letters, gain, drop, mass, low, working
 
 
 def clear_caches() -> None:
-    """Drop all memoized engine state (useful in long-running processes)."""
+    """Drop all memoized engine state, the id layouts and tables included.
+
+    Useful in long-running processes.
+    """
     for fn in (
-        _w_rmul_T_key,
-        _w_rmul_P1_key,
+        _layout,
         _w_lmul_T_key,
         _tail_expansion,
-        _standard_step,
-        _standard_index,
         _rank_gains,
         _shared_letter,
         _basis_data,
@@ -608,7 +758,7 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     even = True
     for idx, c in x.terms.items():
         lo, mass, ev = _read(c)
-        *_, tail_mass, tail_lo = _basis_data(idx)
+        _, _, _, tail_mass, tail_lo, _ = _basis_data(idx)
         mass_x += mass * tail_mass
         lo_x = lo + tail_lo if lo_x is None else min(lo_x, lo + tail_lo)
         even = even and ev
@@ -624,28 +774,42 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
         scaled.append((letters, c, max(0, -lo)))
     bits = slot_bits(mass_x * gain * g_elim)
     offset = -low
+    lay = _layout(n)
     welem: dict = {}
     for idx, c in x.terms.items():
         cp = pack(c, bits, offset)
-        for d, s in _tail_expansion(idx.B, idx.w).items():
-            accumulate(welem, (idx.A, d), _scaled(cp, s.items(), bits))
+        base = lay.block(idx.A)
+        index = lay.index[idx.k]
+        for d, e, a in _basis_data(idx)[5]:
+            t = cp << e * bits if e >= 0 else cp >> -e * bits
+            accumulate(welem, base + index[d], t if a == 1 else -t if a == -1 else a * t)
     scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
     stack = [welem]  # stack[j]: x times the first j letters of prev
     prev: tuple = ()
     total: dict = {}
+    get = total.get
     for letters, c, shift in scaled:
         j = 0
         while j < len(prev) and j < len(letters) and prev[j] == letters[j]:
             j += 1
         del stack[j + 1 :]
         for lt in letters[j:]:
-            stack.append(_w_rmul_letter(stack[-1], lt, bits))
+            stack.append(_w_rmul_letter(lay, stack[-1], lt, bits))
         prev = letters
         cp = pack(c, bits, shift)
         shift *= bits
-        for key, s in stack[-1].items():
-            accumulate(total, key, (s * cp) >> shift)
-    return _finish(n, total, bits, offset, check_even=even)
+        for kid, s in stack[-1].items():
+            t = (s * cp) >> shift if shift else s * cp if cp != 1 else s
+            v = get(kid)
+            if v is None:
+                total[kid] = t
+            else:
+                v += t
+                if v:
+                    total[kid] = v
+                else:
+                    del total[kid]
+    return _finish(lay, total, bits, offset, check_even=even)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +942,10 @@ def basis_word(idx: BasisIndex) -> GeneratorWord:
     return GeneratorWord(idx.n, _basis_letters(idx))
 
 
-def _finish(n: int, welem: dict, bits: int, offset: int, check_even: bool = True) -> AlgebraElement:
-    out = AlgebraElement(n, _to_standard(welem, bits, offset))
+def _finish(
+    lay: _Layout, welem: dict, bits: int, offset: int, check_even: bool = True
+) -> AlgebraElement:
+    out = AlgebraElement(lay.n, _to_standard(lay, welem, bits, offset))
     # intrinsic computations on even inputs never leave the Z[q, q^-1] subring
     if check_even and not even_exponent_ok(out):
         raise OddExponentError(f"odd v-exponent escaped the engine: {out!r}")

@@ -101,9 +101,6 @@ class LaurentScalar:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
     def is_even(self) -> bool:
         """True when the scalar lies in the subring Z[q, q^-1]."""
         return all(e % 2 == 0 for e in self._c)
@@ -404,7 +401,10 @@ def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     c = {}
-    e = -offset
+    # skip the whole zero slots at the bottom in one shift
+    low = ((packed & -packed).bit_length() - 1) // bits if packed else 0
+    packed >>= low * bits
+    e = low - offset
     while packed:
         d = packed & mask
         if d >= half:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -250,12 +251,9 @@ class TestMul:
 
     def test_clear_caches_empties_every_memo(self):
         memos = (
-            algebra._w_rmul_T_key,
-            algebra._w_rmul_P1_key,
+            algebra._layout,
             algebra._w_lmul_T_key,
             algebra._tail_expansion,
-            algebra._standard_step,
-            algebra._standard_index,
             algebra._rank_gains,
             algebra._shared_letter,
             algebra._basis_data,
@@ -263,12 +261,19 @@ class TestMul:
             algebra._subset_perm,
             algebra._pi_expansion,
         )
-        x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo
+        x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo and every id table
         want = mul(x, y)
         assert mul(x, y) == want and algebra._basis_data.cache_info().hits > 0
         assert all(fn.cache_info().currsize > 0 for fn in memos)
+        lay = algebra._layout(3)
+        tables = (lay.p1_rows, lay.steps, lay.basis, *lay.t_rows)
+        assert lay.blocks and all(any(table) for table in tables)
         algebra.clear_caches()
         assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
+        fresh = algebra._layout(3)
+        assert fresh is not lay and not fresh.blocks and not fresh.kid_A
+        assert fresh.p1_rows == fresh.basis == []
+        assert not any(any(table) for table in (fresh.steps, *fresh.t_rows))
         assert mul(x, y) == want
 
     def test_golden_products(self):
@@ -299,8 +304,9 @@ class TestMul:
             _, _, g_elim, lo_elim = algebra._rank_gains(n)
             bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * g_elim)
             offset = -min(c.min_exp() for c in welem.values()) - lo_elim
-            packed = {key: pack(c, bits, offset) for key, c in welem.items()}
-            assert algebra._to_standard(packed, bits, offset) == greedy_to_standard(welem)
+            lay = algebra._layout(n)
+            packed = {lay.kid(*key): pack(c, bits, offset) for key, c in welem.items()}
+            assert algebra._to_standard(lay, packed, bits, offset) == greedy_to_standard(welem)
         assert mixed >= 10
 
     def test_prefix_shared_mul_matches_term_by_term(self):
@@ -328,12 +334,13 @@ class TestMul:
             "_tail_expansion",
             lambda B, w: bad_tail if w == (2, 1, 3) else true_tail(B, w),
         )
-        algebra._standard_step.cache_clear()
+        algebra._layout.cache_clear()  # the layout holds the elimination steps
         try:
+            lay = algebra._layout(3)
             with pytest.raises(AssertionError, match=message):
-                algebra._to_standard({((), (2, 1, 3)): pack(ONE, 8, 0)}, 8, 0)
+                algebra._to_standard(lay, {lay.kid((), (2, 1, 3)): pack(ONE, 8, 0)}, 8, 0)
         finally:
-            algebra._standard_step.cache_clear()
+            algebra._layout.cache_clear()
 
 
 class TestPackedEngine:
@@ -421,14 +428,85 @@ class TestPackedEngine:
         assert products == 0
 
 
+def golden_json(triples):
+    """The per-product JSON of the golden triples, both bracketings, in the given order."""
+    return [
+        json.dumps(prod.to_json(), sort_keys=True)
+        for a, b, c in triples
+        for prod in (mul(mul(a, b), c), mul(a, mul(b, c)))
+    ]
+
+
+class TestKeyIds:
+    """The id layout: outputs free of id order, rows built once, and the per-rank gains."""
+
+    def test_outputs_do_not_depend_on_id_order(self):
+        triples = golden_triples()
+        algebra.clear_caches()
+        forward = golden_json(triples)
+        forward_blocks = list(algebra._layout(4).blocks)
+        algebra.clear_caches()
+        # allocate the rank-4 blocks in reverse order before any product, then
+        # run the triples backwards with rank-3 products in between
+        lay = algebra._layout(4)
+        for A in reversed(forward_blocks):
+            lay.block(A)
+        assert list(lay.blocks) != forward_blocks
+        rng = random.Random(23)
+        els3 = all_basis_elements(3)
+        backward = []
+        for triple in reversed(triples):
+            mul(rng.choice(els3), rng.choice(els3))
+            backward.extend(reversed(golden_json([triple])))
+        assert algebra._layout(4) is lay
+        assert backward[::-1] == forward
+
+    def test_rows_are_built_once(self, monkeypatch):
+        algebra.clear_caches()
+        calls = {name: {} for name in ("_w_rmul_T_key", "_standard_step", "_w_rmul_P1_key")}
+        for name, seen in calls.items():
+            def counting(*args, _true=getattr(algebra, name), _seen=seen):
+                _seen[args] = _seen.get(args, 0) + 1
+                return _true(*args)
+
+            monkeypatch.setattr(algebra, name, counting)
+        golden_json(golden_triples())
+        # T rows per (k, d, i, inverse), steps per (k, d), P_1 rows per (A, d)
+        assert all(seen for seen in calls.values())
+        assert {name: max(seen.values()) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
+        algebra.clear_caches()
+
+    @pytest.mark.parametrize("n, attained", [(2, 3), (3, 9), (4, 27)])
+    def test_rank_gains_bound_every_unit_key(self, n, attained):
+        # the slot width rests on G_elim, lo_elim, G_P1 and lo_P1; the largest
+        # elimination mass a unit key reaches is far below G_elim for n >= 3
+        g_p1, lo_p1, g_elim, lo_elim = algebra._rank_gains(n)
+        elim_mass, p1_mass, p1_low = [], [], []
+        for u in itertools.permutations(range(1, n + 1)):
+            for k in range(n + 1):
+                _, d = algebra._absorb(k, u)
+                for A in itertools.combinations(range(1, n + 1), k):
+                    out = greedy_to_standard({(A, d): ONE}).values()
+                    elim_mass.append(sum(c.l1_norm() for c in out))
+                    assert min(c.min_exp() for c in out) >= lo_elim
+                    row = reference_rmul_letter({(A, d): ONE}, ("P", 1)).values()
+                    p1_mass.append(sum(c.l1_norm() for c in row))
+                    p1_low.append(min(c.min_exp() for c in row))
+        assert max(elim_mass) == attained <= g_elim
+        assert max(p1_mass) == g_p1
+        assert min(0, *p1_low) == lo_p1
+
+
 class TestEvenExponentInvariant:
     def test_odd_exponent_raises(self):
         # a hand-built working-basis term v * 1, which no even input can produce
+        lay = algebra._layout(2)
         with pytest.raises(OddExponentError):
-            _finish(2, {((), identity_perm(2)): pack(V, 4, 0)}, 4, 0)
+            _finish(lay, {lay.kid((), identity_perm(2)): pack(V, 4, 0)}, 4, 0)
 
     def test_unchecked_finish_keeps_odd_exponent(self):
-        out = _finish(2, {((), identity_perm(2)): pack(V, 4, 0)}, 4, 0, check_even=False)
+        lay = algebra._layout(2)
+        out = _finish(lay, {lay.kid((), identity_perm(2)): pack(V, 4, 0)}, 4, 0, check_even=False)
         assert not even_exponent_ok(out)
 
 
