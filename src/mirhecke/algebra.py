@@ -19,6 +19,15 @@ the cosets S_k \\ S_n.  In that basis the generator actions are local:
     = sum_{j=1}^{k-1} (-q)^{j-1}(q-1) P_k T_k...T_{j+1}
       + (-q)^{k-1}(q-1) P_k + (-1)^k q^k P_{k+1},
   obtained by repeatedly rewriting P_j T_j P_j = (q-1)P_j - q P_{j+1}.
+  With m = d(1) > k, (P_k T_d) P_1 is T_{m-1} ... T_{k+1} times that form
+  (times T_z on the right), and (T_A P_k T_d) P_1 is T_{a_j-1} ... T_j
+  times the row of A with a_j replaced by j, for the first j with a_j > j.
+  So each row is one group of left letters on a row already built.  A left
+  letter acts on T_A P_k T_d by a four-case rule, from T_s T_w = T_{sw} or
+  (q-1) T_w + q T_{sw} (Geck-Pfeiffer 2000, 4.4): T_i T_A P_k is
+  T_{A-i+(i+1)} P_k if only i is in A, (q-1) T_A P_k + q T_{A-(i+1)+i} P_k
+  if only i+1 is, -T_A P_k if both are, and T_A P_k T_p for one p > k if
+  neither is; then T_p T_d is that step on the left of d.
 
 Conversion between the working and standard bases is unitriangular with
 respect to permutation length (the tail T_w T_B^{-1} expands as
@@ -84,14 +93,19 @@ What is memoized, and where (`clear_caches` empties all of it):
 - `_layout(n)` holds the ids of rank n and the only copies of the engine
   tables, each row filled on first read: `t_rows` (T^+-1, per (k, d) and
   letter), `p1_rows` (per kid), `steps` (per (k, d)) and `basis` (the
-  BasisIndex of each kid).  Their builders `_w_rmul_T_key`,
-  `_w_rmul_P1_key` and `_standard_step` are plain tuple-keyed functions on
-  LaurentScalar, which the tests also read as the reference.
+  BasisIndex of each kid).  The T rows and steps come from the plain
+  tuple-keyed functions `_w_rmul_T_key` and `_standard_step` on
+  LaurentScalar, which the tests also read as the reference.  A P_1 row is
+  built by `_Layout.p1_row` from an earlier row (or from
+  `_p1_closed_form`) with the left rule `_Layout.t_left`; the tests
+  compare every row with a replay of its whole word through a general
+  Hecke product.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
-  the builders' helpers `_w_lmul_T_key` and `_tail_expansion`, the
-  per-index word, gains and working terms `_basis_data`, and the per-rank
-  gains `_rank_gains`, whose scan over every key fills the P_1 rows and the
-  steps of its rank.
+  the builders' helpers `_absorb` (the coset split of a permutation) and
+  `_tail_expansion`; the per-index word, gains and working terms
+  `_basis_data`, whose working terms depend only on the tail (B, w) and
+  are shared through `_tail_data`; and the per-rank gains `_rank_gains`,
+  whose scan over every key fills the P_1 rows and the steps of its rank.
 
 Each table and memo is bounded by the size of the basis or the working
 basis, times the number of generators.  The defining relations are checked
@@ -119,7 +133,6 @@ from .combinatorics import (
 )
 from .ring import (
     LaurentScalar,
-    MINUS_ONE,
     MINUS_QINV_QM1,
     ONE,
     Q,
@@ -218,11 +231,13 @@ def _subset_word(A: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(letters)
 
 
+@cache
 def _absorb(k: int, u: Permutation) -> tuple[int, Permutation]:
-    """Split u = u1 * d with u1 in S_k and d minimal in the coset S_k u.
+    """Split u = u1 * d with u1 in S_k and d minimal in the coset S_k u (memoized).
 
     Returns ((-1)^length(u1), d); multiplying P_k by the S_k-part contributes
-    exactly that sign.
+    exactly that sign.  `_Layout` asks for every (k, u) of its rank, and
+    every table builder asks again.
     """
     if k <= 1:
         return 1, u
@@ -297,82 +312,30 @@ def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
     return tuple((dd, _const(s)) for dd, s in out.items())
 
 
-@cache
-def _w_lmul_T_key(i: int, A: tuple, d: Permutation) -> dict:
-    """T_i * (T_A P_k T_d) expanded in the working basis (memoized)."""
+def _p1_closed_form(k: int, d: Permutation) -> tuple:
+    """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as (((A', d'), const), ...).
+
+    The closed form of the module docstring, with T_z multiplied in on the
+    right for z = (T_{m-1} ... T_1)^-1 d; every A' is 1..k or 1..k+1.
+    (P_k T_d) * P_1 is T_{m-1} ... T_{k+1} times this.
+    """
     n = len(d)
-    k = len(A)
-    cA = _subset_perm(n, A)
-    cAinv = pinverse(cA)
-    ascent = cAinv[i - 1] < cAinv[i]
-    x2 = apply_left_s(cA, i)
-    branches = ((x2, ONE),) if ascent else ((cA, Q_MINUS_1), (x2, Q))
+    z = pcompose(pinverse(_cycle_perm(n, d[0], 1)), d)
     out: dict = {}
-    for x, s in branches:
-        if x == cA:
-            accumulate(out, (A, d), s)
-            continue
-        head = x[:k]
-        sign = 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                if head[a] > head[b]:
-                    sign = -sign
-        A2 = tuple(sorted(head))
-        e = A2 + x[k:]
-        wt = pcompose(pinverse(_subset_perm(n, A2)), e)
-        hecke = _hecke_rmul_perm({wt: ONE}, d)
+    Ak = tuple(range(1, k + 1))
+    coeff = Q_MINUS_1
+    for j in range(1, k):
+        hecke = _hecke_rmul_perm({_cycle_perm(n, k + 1, j + 1): ONE}, z)
         for u, su in hecke.items():
-            sg2, dd = _absorb(k, u)
-            val = s * su
-            accumulate(out, (A2, dd), -val if sign * sg2 < 0 else val)
-    return out
-
-
-def _w_lmul_T(elem: dict, i: int) -> dict:
-    out: dict = {}
-    for (A, d), c in elem.items():
-        for key, s in _w_lmul_T_key(i, A, d).items():
-            accumulate(out, key, c * s)
-    return out
-
-
-def _w_rmul_P1_key(A: tuple, d: Permutation) -> tuple:
-    """(T_A P_k T_d) * P_1 as (((A', d'), const), ...) in the working basis."""
-    n = len(d)
-    k = len(A)
-    m = d[0]
-    z = pcompose(pinverse(_cycle_perm(n, m, 1)), d)
-    out: dict = {}
-    if k >= 1 and m <= k:
-        sign, dd = _absorb(k, z)
-        if (m - 1) % 2:
-            sign = -sign
-        out[(A, dd)] = ONE if sign > 0 else MINUS_ONE
-    elif k == 0:
-        out[((m,), z)] = ONE
-    else:
-        # tail terms of T_{m,k+1} E_k T_z before the left word is applied
-        base: dict = {}
-        Ak = tuple(range(1, k + 1))
-        Ak1 = tuple(range(1, k + 2))
-        coeff = Q_MINUS_1
-        for j in range(1, k):
-            hecke = _hecke_rmul_perm({_cycle_perm(n, k + 1, j + 1): ONE}, z)
-            for u, su in hecke.items():
-                sign, dd = _absorb(k, u)
-                val = coeff * su
-                accumulate(base, (Ak, dd), -val if sign < 0 else val)
-            coeff = coeff * _MINUS_Q
-        sign, dd = _absorb(k, z)
-        accumulate(base, (Ak, dd), -coeff if sign < 0 else coeff)
-        coeffp = _MINUS_Q**k
-        sign, dd = _absorb(k + 1, z)
-        accumulate(base, (Ak1, dd), -coeffp if sign < 0 else coeffp)
-        word = _subset_word(A) + tuple(range(m - 1, k, -1))
-        for i in reversed(word):
-            base = _w_lmul_T(base, i)
-        out = base
+            sign, dd = _absorb(k, u)
+            val = coeff * su
+            accumulate(out, (Ak, dd), -val if sign < 0 else val)
+        coeff = coeff * _MINUS_Q
+    sign, dd = _absorb(k, z)
+    accumulate(out, (Ak, dd), -coeff if sign < 0 else coeff)
+    coeffp = _MINUS_Q**k
+    sign, dd = _absorb(k + 1, z)
+    accumulate(out, (Ak + (k + 1,), dd), -coeffp if sign < 0 else coeffp)
     return tuple((key, _const(s)) for key, s in out.items())
 
 
@@ -509,12 +472,92 @@ class _Layout:
         return row
 
     def p1_row(self, kid: int) -> tuple:
-        row = self.p1_rows[kid] = tuple(
-            (self.kid(*key), e, a)
-            for key, const in _w_rmul_P1_key(*self.key(kid))
-            for e, a in const
-        )
+        """(T_A P_k T_d) * P_1 for kid = (A, d), from an already-built row.
+
+        If a_j > j for some j, the first such, the row is T_{a_j-1} ... T_j
+        times the row of the parent, A with a_j replaced by j (an earlier
+        subset in `itertools.combinations` order); for m = d(1) <= k that
+        only moves the parent's one term to A's block.  Else A = 1..k, and
+        the row is one term for k = 0 or m <= k, else T_{m-1} ... T_{k+1}
+        times `_p1_closed_form`.
+        """
+        A, d = self.key(kid)
+        k, m = len(A), d[0]
+        j = next((j for j, a in enumerate(A, 1) if a > j), 0)
+        letters = ()
+        if j:
+            parent = self.kid(A[: j - 1] + (j,) + A[j:], d)
+            row = self.p1_rows[parent] or self.p1_row(parent)
+            if m <= k:
+                row = tuple((target + kid - parent, e, a) for target, e, a in row)
+            else:
+                letters = range(j, A[j - 1])
+        elif k and m > k:
+            row = tuple(
+                (self.kid(*key), e, a) for key, const in _p1_closed_form(k, d) for e, a in const
+            )
+            letters = range(k + 1, m)
+        else:
+            z = pcompose(pinverse(_cycle_perm(self.n, m, 1)), d)
+            if not k:
+                row = ((self.kid((m,), z), 0, 1),)
+            else:  # P_1 T_z passes P_k with one sign per letter T_{m-1} .. T_1
+                sign, dd = _absorb(k, z)
+                row = ((self.kid(A, dd), 0, -sign if (m - 1) % 2 else sign),)
+        for i in letters:
+            row = self.t_left(row, i)
+        self.p1_rows[kid] = row
         return row
+
+    def t_left(self, row: tuple, i: int) -> tuple:
+        """T_i * row for a row of monomials (kid, e, a), by the four-case left rule.
+
+        The cases are those of the module docstring, q = v^2.  If neither i
+        nor i+1 is in A, T_i T_A = T_A T_p for p = k + #{letters <= i
+        outside A}, and T_p T_d is T_{s_p d} if d^-1(p) < d^-1(p+1), else
+        (q-1) T_d + q T_{s_p d}; s_p d is again a minimal representative.
+        """
+        out: dict = {}
+        get = out.get
+        kid_A, kid_shape, shapes, index = self.kid_A, self.kid_shape, self.shapes, self.index
+        moves: dict = {}  # per subset A in the row
+        for kid, e, a in row:
+            A = kid_A[kid]
+            move = moves.get(A)
+            if move is None:
+                move = moves[A] = self.left_move(A, i)
+            case, x = move
+            if case == 3:
+                terms = ((kid, e, -a),)
+            elif case == 1:
+                terms = ((kid + x, e, a),)
+            elif case == 2:
+                terms = ((kid, e + 2, a), (kid, e, -a), (kid + x, e + 2, a))
+            else:
+                k, d = shapes[kid_shape[kid]]
+                kid2 = kid - index[k][d] + index[k][apply_left_s(d, x)]
+                if d.index(x) < d.index(x + 1):
+                    terms = ((kid2, e, a),)
+                else:
+                    terms = ((kid, e + 2, a), (kid, e, -a), (kid2, e + 2, a))
+            for kid2, e2, a2 in terms:
+                key = kid2, e2
+                out[key] = get(key, 0) + a2
+        return tuple((kid, e, a) for (kid, e), a in out.items() if a)
+
+    def left_move(self, A: tuple, i: int) -> tuple:
+        """How T_i meets T_A, as (case, x) for `t_left`.
+
+        Case 3: i and i+1 are both in A.  Case 1 (only i) and case 2 (only
+        i+1): x is the id shift from A's block to that of A with i and i+1
+        swapped.  Case 0 (neither): x = p.
+        """
+        if i in A and i + 1 in A:
+            return 3, 0
+        if i in A or i + 1 in A:
+            A2 = tuple(i + 1 if x == i else i if x == i + 1 else x for x in A)
+            return 1 if i in A else 2, self.block(A2) - self.blocks[A]
+        return 0, len(A) + i - sum(x < i for x in A)
 
     def step(self, s: int) -> tuple:
         k, d = self.shapes[s]
@@ -640,7 +683,9 @@ def _rank_gains(n: int) -> tuple[int, int, int, int]:
     unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of the
     step, and lo_elim the lowest exponent of any value it makes.  Both lows
     are capped at 0.  The scan fills the P_1 rows and the elimination steps
-    of rank n.
+    of rank n.  It visits the subsets in `itertools.combinations` order, in
+    which the parent that `_Layout.p1_row` builds a row from comes first,
+    so every row is built once, from a row already in the table.
     """
     lay = _layout(n)
     g_p1, lo_p1, g_elim, lo_elim = 1, 0, 1, 0
@@ -713,12 +758,17 @@ def _basis_data(idx: BasisIndex) -> tuple:
     the subset idx.A.
     """
     letters = tuple(map(_shared_letter, GeneratorWord(idx.n, _basis_letters(idx))))
-    gain, drop = _word_bounds(idx.n, letters)
-    tail = _tail_expansion(idx.B, idx.w)
+    return letters, *_word_bounds(idx.n, letters), *_tail_data(idx.B, idx.w)
+
+
+@cache
+def _tail_data(B: tuple, w: Permutation) -> tuple:
+    """(mass, low, working) of `_tail_expansion(B, w)`, shared by every subset A (memoized)."""
+    tail = _tail_expansion(B, w)
     mass = sum(map(LaurentScalar.l1_norm, tail.values()))
     low = min(0, *map(LaurentScalar.min_exp, tail.values()))
     working = tuple((d, e, a) for d, s in tail.items() for e, a in s.items())
-    return letters, gain, drop, mass, low, working
+    return mass, low, working
 
 
 def clear_caches() -> None:
@@ -728,11 +778,12 @@ def clear_caches() -> None:
     """
     for fn in (
         _layout,
-        _w_lmul_T_key,
         _tail_expansion,
         _rank_gains,
         _shared_letter,
         _basis_data,
+        _tail_data,
+        _absorb,
         _cycle_perm,
         _subset_perm,
         _pi_expansion,

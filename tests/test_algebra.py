@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -29,6 +30,7 @@ from mirhecke.algebra import (
 from mirhecke import algebra, checks
 from mirhecke.combinatorics import (
     BasisIndex,
+    apply_left_s,
     identity_perm,
     iter_standard_basis,
     partitions_up_to,
@@ -36,7 +38,17 @@ from mirhecke.combinatorics import (
     pinverse,
     plength,
 )
-from mirhecke.ring import LaurentScalar, ONE, Q, Q_MINUS_1, V, accumulate, pack, slot_bits
+from mirhecke.ring import (
+    LaurentScalar,
+    MINUS_ONE,
+    ONE,
+    Q,
+    Q_MINUS_1,
+    V,
+    accumulate,
+    pack,
+    slot_bits,
+)
 
 
 def idx(A, B, w):
@@ -50,6 +62,73 @@ def idx(A, B, w):
 
 def scalar(const):
     return LaurentScalar(dict(const))
+
+
+@functools.cache
+def reference_lmul_T_key(i, A, d):
+    """T_i * (T_A P_k T_d) in the working basis, as a general Hecke product.
+
+    T_i T_A is T_{s_i c_A} or (q-1) T_A + q T_{s_i c_A}, for c_A the
+    permutation of T_A; each permutation x is split as T_{A'} times T_t with
+    A' the sorted head of x (sorting the head costs one sign per inversion),
+    and T_t T_d is expanded and reduced modulo S_k.
+    """
+    n = len(d)
+    k = len(A)
+    cA = algebra._subset_perm(n, A)
+    cAinv = pinverse(cA)
+    ascent = cAinv[i - 1] < cAinv[i]
+    x2 = apply_left_s(cA, i)
+    branches = ((x2, ONE),) if ascent else ((cA, Q_MINUS_1), (x2, Q))
+    out = {}
+    for x, s in branches:
+        if x == cA:
+            accumulate(out, (A, d), s)
+            continue
+        head = x[:k]
+        sign = 1
+        for a in range(k):
+            for b in range(a + 1, k):
+                if head[a] > head[b]:
+                    sign = -sign
+        A2 = tuple(sorted(head))
+        e = A2 + x[k:]
+        wt = pcompose(pinverse(algebra._subset_perm(n, A2)), e)
+        hecke = algebra._hecke_rmul_perm({wt: ONE}, d)
+        for u, su in hecke.items():
+            sg2, dd = algebra._absorb(k, u)
+            val = s * su
+            accumulate(out, (A2, dd), -val if sign * sg2 < 0 else val)
+    return out
+
+
+def reference_lmul_T(elem, i):
+    out = {}
+    for (A, d), c in elem.items():
+        for key, s in reference_lmul_T_key(i, A, d).items():
+            accumulate(out, key, c * s)
+    return out
+
+
+def reference_rmul_P1_key(A, d):
+    """(T_A P_k T_d) * P_1 from scratch: for m = d(1) > k, the whole word
+    T_A T_{m-1} ... T_{k+1} replayed on the closed form through
+    `reference_lmul_T`."""
+    n = len(d)
+    k = len(A)
+    m = d[0]
+    z = pcompose(pinverse(algebra._cycle_perm(n, m, 1)), d)
+    if k >= 1 and m <= k:
+        sign, dd = algebra._absorb(k, z)
+        if (m - 1) % 2:
+            sign = -sign
+        return {(A, dd): ONE if sign > 0 else MINUS_ONE}
+    if k == 0:
+        return {((m,), z): ONE}
+    out = {key: scalar(const) for key, const in algebra._p1_closed_form(k, d)}
+    for i in reversed(algebra._subset_word(A) + tuple(range(m - 1, k, -1))):
+        out = reference_lmul_T(out, i)
+    return out
 
 
 def reference_working(x):
@@ -72,8 +151,8 @@ def reference_rmul_letter(elem, letter):
         return out
     if letter[1] == 1:
         for (A, d), c in elem.items():
-            for key, s in algebra._w_rmul_P1_key(A, d):
-                accumulate(out, key, c * scalar(s))
+            for key, s in reference_rmul_P1_key(A, d).items():
+                accumulate(out, key, c * s)
         return out
     sign, word = algebra._pi_expansion(letter[1])
     for lt in word:
@@ -252,16 +331,19 @@ class TestMul:
     def test_clear_caches_empties_every_memo(self):
         memos = (
             algebra._layout,
-            algebra._w_lmul_T_key,
             algebra._tail_expansion,
             algebra._rank_gains,
             algebra._shared_letter,
             algebra._basis_data,
+            algebra._tail_data,
+            algebra._absorb,
             algebra._cycle_perm,
             algebra._subset_perm,
             algebra._pi_expansion,
         )
-        x, y = gen_T(3, 2), gen_P(3, 2)  # fills every memo and every id table
+        # fills every memo and every id table, T^-1 rows of both letters included
+        x = reduce_word(GeneratorWord(3, [("T", 2, 1), ("T", 1, 1), ("T", 2, -1)]))
+        y = gen_P(3, 2)
         want = mul(x, y)
         assert mul(x, y) == want and algebra._basis_data.cache_info().hits > 0
         assert all(fn.cache_info().currsize > 0 for fn in memos)
@@ -463,17 +545,106 @@ class TestKeyIds:
 
     def test_rows_are_built_once(self, monkeypatch):
         algebra.clear_caches()
-        calls = {name: {} for name in ("_w_rmul_T_key", "_standard_step", "_w_rmul_P1_key")}
+        calls = {name: {} for name in ("_w_rmul_T_key", "_standard_step", "_p1_closed_form")}
         for name, seen in calls.items():
             def counting(*args, _true=getattr(algebra, name), _seen=seen):
                 _seen[args] = _seen.get(args, 0) + 1
                 return _true(*args)
 
             monkeypatch.setattr(algebra, name, counting)
+        # P_1 rows per (rank, kid); a row built while another is being built
+        # is a parent that had to be rebuilt
+        true_row = algebra._Layout.p1_row
+        rows, building, nested = {}, [], []
+
+        def counting_row(lay, kid):
+            key = lay.n, kid
+            rows[key] = rows.get(key, 0) + 1
+            nested.extend(building[-1:])
+            building.append(key)
+            try:
+                return true_row(lay, kid)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(algebra._Layout, "p1_row", counting_row)
+        calls["p1_row"] = rows
         golden_json(golden_triples())
-        # T rows per (k, d, i, inverse), steps per (k, d), P_1 rows per (A, d)
+        # T rows per (k, d, i, inverse), steps and closed forms per (k, d)
         assert all(seen for seen in calls.values())
         assert {name: max(seen.values()) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
+        assert len(rows) == len(algebra._layout(4).kid_A) and not nested
+        algebra.clear_caches()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_p1_rows_match_the_word_replay(self, n):
+        algebra.clear_caches()
+        algebra._rank_gains(n)  # the scan builds the row of every key
+        lay = algebra._layout(n)
+        assert len(lay.p1_rows) == sum(1 for _ in iter_standard_basis(n))
+        for kid, row in enumerate(lay.p1_rows):
+            want = {
+                (lay.kid(*key), e): a
+                for key, s in reference_rmul_P1_key(*lay.key(kid)).items()
+                for e, a in s.items()
+            }
+            assert len(row) == len(want) and {(t, e): a for t, e, a in row} == want
+        algebra.clear_caches()
+        reference_lmul_T_key.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_left_rule_matches_the_hecke_product(self, n):
+        algebra._rank_gains(n)  # allocates every block
+        lay = algebra._layout(n)
+        for kid in range(len(lay.kid_A)):
+            A, d = lay.key(kid)
+            for i in range(1, n):
+                want = {
+                    (lay.kid(*key), e): a
+                    for key, s in reference_lmul_T_key(i, A, d).items()
+                    for e, a in s.items()
+                }
+                got = lay.t_left(((kid, 0, 1),), i)
+                assert len(got) == len(want) and {(t, e): a for t, e, a in got} == want
+        if n <= 4:  # whole rows: scaled terms, shared targets and cancellation
+            for row in lay.p1_rows:
+                elem = {}
+                for t, e, a in row:
+                    accumulate(elem, lay.key(t), LaurentScalar({e: a}))
+                for i in range(1, n):
+                    want = {
+                        (lay.kid(*key), e): a
+                        for key, s in reference_lmul_T(elem, i).items()
+                        for e, a in s.items()
+                    }
+                    got = lay.t_left(row, i)
+                    assert len(got) == len(want) and {(t, e): a for t, e, a in got} == want
+
+    @pytest.mark.parametrize("n, applications", [(4, 174), (5, 1820)])
+    def test_p1_rows_cost_one_group_of_left_letters_each(self, monkeypatch, n, applications):
+        # a recursive row applies a_j - j letters to its parent's row, a base
+        # row (A = 1..k) m - k - 1 letters to the closed form, any other none;
+        # a full-word replay would apply far more
+        algebra.clear_caches()
+        count = 0
+        true_left = algebra._Layout.t_left
+
+        def counting(lay, row, i):
+            nonlocal count
+            count += 1
+            return true_left(lay, row, i)
+
+        monkeypatch.setattr(algebra._Layout, "t_left", counting)
+        algebra._rank_gains(n)
+        lay = algebra._layout(n)
+        want = 0
+        for k in range(1, n + 1):
+            for A in itertools.combinations(range(1, n + 1), k):
+                j = next((j for j, a in enumerate(A, 1) if a > j), 0)
+                for d in lay.index[k]:
+                    if d[0] > k:
+                        want += A[j - 1] - j if j else d[0] - k - 1
+        assert count == want == applications
         algebra.clear_caches()
 
     @pytest.mark.parametrize("n, attained", [(2, 3), (3, 9), (4, 27)])
