@@ -20,7 +20,7 @@ Subpackages:
 """
 
 from .ring import LaurentScalar, solve_linear
-from .combinatorics import BasisIndex, SkewStripData, partitions_up_to, standard_basis
+from .combinatorics import BasisIndex, partitions_up_to, standard_basis
 from .algebra import AlgebraElement, GeneratorWord, basis_word, hat_T, mul, rmul_gen
 from .symfun import SymPoly, qtilde, schur, schur_expand
 from .characters import CharacterTable, character_table, class_polynomials, mn_character
@@ -30,7 +30,6 @@ __all__ = [
     "LaurentScalar",
     "solve_linear",
     "BasisIndex",
-    "SkewStripData",
     "partitions_up_to",
     "standard_basis",
     "AlgebraElement",

@@ -4,24 +4,24 @@ Rows of the character table are labelled by pairs (lambda, k) with lambda a
 partition of k <= n; columns by the cocenter representatives attached to
 partitions mu of size <= n.  Entries are computed by a recursion that strips
 the last (smallest) part m of mu and sums over all ways of removing a strip
-of size at most m from lambda:
+lam/nu of size t <= m, with components c, from lambda:
 
-    chi[lam](mu) = sum_nu g(|lam/nu|, m) * wtbar(lam, nu) * chi[nu](mu - last part)
+    chi[lam](mu) = sum_nu g(t, m) * strip_weight(t, c) * chi[nu](mu - last part)
 
 with the base case chi[lam](empty) = [lam == empty].
 
-For each (lam, m, variant) the list of (nu, |nu|, g * wtbar) is built once
-by `symfun.transitions`, the table the strip Pieri rule reads too, so the
+For each (lam, m, variant) the list of (nu, |nu|, g * strip_weight) is built
+once by `symfun.transitions`, the table the strip Pieri rule reads too, so the
 Pieri brute-force check validates the very coefficients used here; it
 filters one strip enumeration per lam and reads coefficients memoized by
 strip shape.
 
-The values are memoized in process only, keyed by (lam, mu, variant, which
-part is removed), and nothing is written to disk.  The rank n is not part of
-the key: chi[lam](mu) does not depend on n.  Each step removes at most m
-boxes, so chi[nu](rest) = 0 whenever |nu| > |rest|, and the recursion prunes
-on |nu| <= |rest|.  Tables of every rank therefore share one memo.
-`mn_character` and `mn_character_removing_first` still check |lam|, |mu| <= n.
+The values are memoized in process only, keyed by (lam, mu, variant), and
+nothing is written to disk.  The rank n is not part of the key: chi[lam](mu)
+does not depend on n.  Each step removes at most m boxes, so chi[nu](rest) = 0
+whenever |nu| > |rest|, and the recursion prunes on |nu| <= |rest|.  Tables of
+every rank therefore share one memo.  `mn_character` still checks
+|lam|, |mu| <= n.
 
 The transition coefficients ship in two variants (`symfun.G_VARIANTS`).  The
 default "oracle" variant passes the brute-force product oracle for every
@@ -68,41 +68,29 @@ def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
     """Character value chi[(lam, |lam|)] on the representative of mu, rank n.
 
     The recursion removes the last part of mu; removing any other part gives
-    the same value (see `mn_character_removing_first` for the cross-check).
+    the same value, which a test checks for the first part.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(lam, mu, variant, True)
+    return _mn(lam, mu, variant)
 
 
 @cache
-def _mn(lam: Partition, mu: Partition, variant: str, last: bool) -> LaurentScalar:
+def _mn(lam: Partition, mu: Partition, variant: str) -> LaurentScalar:
     if not mu:
         return ONE if not lam else ZERO
-    if last:
-        m, rest = mu[-1], mu[:-1]
-    else:
-        m, rest = mu[0], mu[1:]
+    m, rest = mu[-1], mu[:-1]
     # each step removes at most one part's worth of boxes, so chi[nu](rest) = 0 for |nu| > |rest|
     rest_size = sum(rest)
     total = ZERO
     for nu, nu_size, coeff in transitions(lam, m, variant):
         if nu_size <= rest_size:
-            sub = _mn(nu, rest, variant, last)
+            sub = _mn(nu, rest, variant)
             if sub:
                 total = total + coeff * sub
     return total
-
-
-def mn_character_removing_first(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
-    """Cross-check mode: the same recursion stripping the first (largest) part."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) > n or sum(mu) > n:
-        raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(lam, mu, variant, False)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +106,6 @@ class CharacterTable:
     labels: list
     entries: dict  # (row partition, col partition) -> LaurentScalar
     variant: str = "oracle"
-
-    def value(self, lam, mu) -> LaurentScalar:
-        return self.entries[(tuple(lam), tuple(mu))]
 
     def matrix(self) -> list:
         return [[self.entries[(lam, mu)] for mu in self.labels] for lam in self.labels]
@@ -150,7 +135,7 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
         raise ValueError("n must be >= 1")
     labels = partitions_up_to(n)
     # the labels are canonical partitions of size <= n, so the recursion reads them as they are
-    entries = {(lam, mu): _mn(lam, mu, variant, True) for lam in labels for mu in labels}
+    entries = {(lam, mu): _mn(lam, mu, variant) for lam in labels for mu in labels}
     return CharacterTable(n, labels, entries, variant)
 
 

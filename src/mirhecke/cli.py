@@ -41,7 +41,12 @@ def _parse_index(parser: argparse.ArgumentParser, text: str, n: int) -> BasisInd
         if "=" not in chunk:
             parser.error(f"bad index component {chunk!r}")
         key, _, val = chunk.partition("=")
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in ("A", "B", "w"):
+            parser.error(f"unknown index key {key!r} in {text!r} (keys: A, B, w)")
+        if key in fields:
+            parser.error(f"repeated index key {key!r} in {text!r}")
+        fields[key] = val.strip()
     try:
         A = _parse_dotted(fields.get("A", ""))
         B = _parse_dotted(fields.get("B", ""))
@@ -103,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", choices=checks.SUITES + ("all",), default="all"
     )
     p_verify.add_argument("--g-variant", choices=symfun.G_VARIANTS, default="oracle")
-    p_verify.add_argument("--r-mode", choices=("n", "n-plus-1"), default="n")
     p_verify.add_argument("--slow", action="store_true", help="include rank-5 oracle items")
     return parser
 
@@ -176,9 +180,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.n < 1:
             parser.error("--n must be >= 1")
-        r = args.r
-        if r is None:
-            r = args.n + 1 if args.r_mode == "n-plus-1" else args.n
+        r = args.n if args.r is None else args.r
         if r < args.n:
             parser.error(f"--r must be >= --n (got r={r}, n={args.n})")
         suites = checks.SUITES if args.suite == "all" else (args.suite,)

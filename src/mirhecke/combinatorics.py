@@ -22,10 +22,6 @@ Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
 
-class ContainmentError(ValueError):
-    """Raised when a skew shape lambda/nu is requested with nu not inside lambda."""
-
-
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -68,23 +64,6 @@ def partitions_up_to(n: int) -> list[Partition]:
     return out
 
 
-def contains(lam: Partition, nu: Partition) -> bool:
-    """Componentwise containment nu subset-of lambda of Young diagrams."""
-    if len(nu) > len(lam):
-        return False
-    return all(nu[i] <= lam[i] for i in range(len(nu)))
-
-
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    out = [0] * lam[0]
-    for a in lam:
-        for j in range(a):
-            out[j] += 1
-    return tuple(out)
-
-
 def dominates(lam: Partition, mu: Partition) -> bool:
     """Dominance order on partitions of equal size."""
     s1 = s2 = 0
@@ -101,68 +80,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewStripData:
-    """Strip analysis of a skew shape lambda/nu.
-
-    A strip is a skew diagram containing no 2x2 block of boxes; its connected
-    components (boxes joined edge-to-edge) are recorded as (rows occupied,
-    columns occupied) pairs, ordered top to bottom.  The empty shape is a
-    strip with size 0 and cc = 0.
-    """
-
-    is_strip: bool
-    size: int
-    cc: int
-    components: tuple[tuple[int, int], ...]
-
-
-def _skew_boxes(lam: Partition, nu: Partition) -> list[tuple[int, int]]:
-    boxes = []
-    for i, a in enumerate(lam):
-        lo = nu[i] if i < len(nu) else 0
-        boxes.extend((i + 1, j) for j in range(lo + 1, a + 1))
-    return boxes
-
-
-def strip_data(lam: Partition, nu: Partition) -> SkewStripData:
-    lam = check_partition(lam)
-    nu = check_partition(nu)
-    if not contains(lam, nu):
-        raise ContainmentError(f"{nu} is not contained in {lam}")
-    boxes = _skew_boxes(lam, nu)
-    if not boxes:
-        return SkewStripData(True, 0, 0, ())
-    box_set = set(boxes)
-    has_block = any(
-        (i, j + 1) in box_set and (i + 1, j) in box_set and (i + 1, j + 1) in box_set
-        for (i, j) in box_set
-    )
-    # connected components by shared edges
-    seen: set[tuple[int, int]] = set()
-    comps = []
-    for b in boxes:
-        if b in seen:
-            continue
-        stack = [b]
-        comp = set()
-        while stack:
-            i, j = stack.pop()
-            if (i, j) in comp:
-                continue
-            comp.add((i, j))
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in box_set and nb not in comp:
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: min(i for i, _ in c))
-    data = tuple(
-        (len({i for i, _ in c}), len({j for _, j in c})) for c in comps
-    )
-    return SkewStripData(not has_block, len(boxes), len(comps), data)
-
-
 def strip_removals(lam: Partition, m: int):
     """Yield (nu, |lam/nu|, components) for every strip lam/nu with |lam/nu| <= m.
 
@@ -171,8 +88,8 @@ def strip_removals(lam: Partition, m: int):
     2x2 block iff nu_i >= lam_{i+1} - 1 for every row i, and consecutive
     non-empty rows i, i+1 lie in one component iff nu_i < lam_{i+1}.  A
     component running from row a down to row b occupies b - a + 1 rows and
-    lam_a - nu_b columns.  Sizes and components (top to bottom) agree with
-    `strip_data`, the box-based analysis that tests hold this against.
+    lam_a - nu_b columns.  Components are listed top to bottom; tests hold
+    all of this against a brute-force analysis of the boxes.
     """
     lam = check_partition(lam)
     if m < 0:
@@ -250,16 +167,6 @@ def _horizontal_strip_removals(lam: Partition, m: int):
             yield from gen(i + 1, remaining - (lam[i] - nu_i), prefix + [nu_i])
 
     yield from gen(0, m, [])
-
-
-def count_ssyt(lam: Partition, max_entry: int) -> int:
-    """Number of SSYT of shape lam with entries <= max_entry (test oracle aid)."""
-    total = 0
-    for mu in partitions_of(sum(lam)):
-        if len(mu) > max_entry:
-            continue
-        total += kostka(lam, mu) * _n_rearrangements(mu, max_entry)
-    return total
 
 
 def _n_rearrangements(mu: Partition, r: int) -> int:
@@ -422,21 +329,6 @@ def standard_basis(n: int) -> list[BasisIndex]:
             f"basis enumeration mismatch at n={n}: {len(basis)} != {expected}"
         )
     return basis
-
-
-def count_standard_basis_by_enumeration(n: int) -> int:
-    """Count the index set by generating every (A, B, w) triple.
-
-    Skips BasisIndex construction so ranks up to 8 stay cheap; the result
-    must agree with `standard_basis_count`.
-    """
-    universe = range(1, n + 1)
-    total = 0
-    for k in range(n + 1):
-        subs = list(itertools.combinations(universe, k))
-        perms = list(itertools.permutations(range(k + 1, n + 1)))
-        total += sum(1 for _ in itertools.product(subs, subs, perms))
-    return total
 
 
 def standard_basis_count(n: int) -> int:

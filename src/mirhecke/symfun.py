@@ -19,8 +19,7 @@ and the generating-function description are exposed as exact checks.  The
 strip Pieri rule `pieri_qtilde` expands qtilde * schur through `transitions`,
 the cached strip weights times transition coefficients `g_coeff` (two
 variants, see `G_VARIANTS`) that the character recursion reads too, and is
-always verifiable against the brute-force product expansion.  `wtbar`, the
-box-based weight, is the reference that tests compare against.
+always verifiable against the brute-force product expansion.
 
 Per-shape work is done once per process.  `_strips(lam)` enumerates every
 strip of lam once, and `transitions(lam, m, variant)` keeps those of size
@@ -41,7 +40,6 @@ from .combinatorics import (
     _n_rearrangements,
     kostka,
     partitions_of,
-    strip_data,
     strip_removals,
 )
 from .ring import LaurentScalar, ONE, Q_MINUS_1, ZERO, accumulate
@@ -456,7 +454,7 @@ def strip_weight(size: int, components) -> LaurentScalar:
     """The inverted weight of a strip with the given size and components.
 
     This is the classical strip weight under q -> q^-1.  It is 1 for the
-    empty strip; otherwise
+    empty strip (the Pieri oracle at m = 1 forces that convention); otherwise
     (-q)^(1 - size) (q-1)^(cc - 1) prod_b q^(rows(b)-1) (-1)^(cols(b)-1)
     over the (rows, cols) pairs b of its cc connected components.
     """
@@ -468,18 +466,6 @@ def strip_weight(size: int, components) -> LaurentScalar:
         if (co - 1) % 2:
             out = -out
     return out
-
-
-def wtbar(lam, nu) -> LaurentScalar:
-    """The inverted strip weight of lam/nu, from the box-based `strip_data`.
-
-    Zero when lam/nu is not a strip; 1 when lam == nu (the Pieri oracle at
-    m = 1 forces that convention).
-    """
-    data = strip_data(check_partition(lam), check_partition(nu))
-    if not data.is_strip:
-        return ZERO
-    return strip_weight(data.size, data.components)
 
 
 def g_coeff(t: int, m: int, variant: str = "oracle") -> LaurentScalar:
@@ -527,7 +513,7 @@ def _strip_coeff(size: int, components: tuple, m: int, variant: str) -> LaurentS
 
 @cache
 def transitions(lam: Partition, m: int, variant: str) -> tuple:
-    """(nu, |nu|, g(|lam/nu|, m) * wtbar(lam, nu)) for every strip lam/nu of size <= m.
+    """(nu, |nu|, g(t, m) * strip_weight(t, components)) for every strip lam/nu of size t <= m.
 
     The strips of size <= m are filtered from `_strips(lam)`, in the order
     `strip_removals(lam, m)` yields them, and their coefficients read from

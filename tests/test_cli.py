@@ -114,6 +114,19 @@ class TestClasspoly:
             main(["classpoly", "--n", "2", "--index", "A=9;B=1;w=1.2"])
         assert err.value.code == 2
 
+    def test_unknown_index_key_is_usage_error(self, capsys):
+        # lower-case keys once fell through to the identity element
+        with pytest.raises(SystemExit) as err:
+            main(["classpoly", "--n", "2", "--index", "a=2;b=1"])
+        assert err.value.code == 2
+        assert "unknown index key 'a'" in capsys.readouterr().err
+
+    def test_repeated_index_key_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classpoly", "--n", "2", "--index", "A=2;A=1;B=1"])
+        assert err.value.code == 2
+        assert "repeated index key 'A'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", sorted(GOLDEN_CLASSPOLY))
     def test_golden_stdout_whole_basis(self, capsys, n):
         # stdout concatenated over every basis index in iter_standard_basis order
@@ -210,10 +223,7 @@ class TestVerify:
         assert "[FAIL]" in out
 
     def test_r_mode_plus_one(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "verify", "--n", "2", "--suite", "frobenius", "--r-mode", "n-plus-1",
-        )
+        code, out = run_cli(capsys, "verify", "--n", "2", "--suite", "frobenius", "--r", "3")
         assert code == 0
         assert "r=3" in out
 

@@ -120,3 +120,50 @@ def test_packed_format_stays_in_the_kernels():
     assert set(found) <= {"ring", "algebra", "tensorrep"}, found
     # the reader does see the kernels' own imports
     assert {"algebra", "tensorrep"} <= set(found)
+
+
+# public algebra and symfun API that no module of the package calls itself
+LIBRARY_API = {
+    "gen_T", "t0_element", "iota_embed", "rho", "star", "all_basis_elements", "clear_caches",
+    "m_sym",
+}
+
+
+def unreferenced_definitions() -> list:
+    """Top-level functions and classes of the package that nothing in the package uses.
+
+    A definition counts as used when a name or attribute elsewhere in the
+    package refers to it; a use inside its own body (recursion) does not count.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    uses = []  # (top-level statement, names it refers to)
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            uses.append((stmt, names))
+    unused = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not any(stmt.name in names for other, names in uses if other is not stmt):
+                unused.append(f"{mod}.{stmt.name}")
+    return unused
+
+
+def test_every_definition_is_used_or_public():
+    # code that only tests run belongs in tests/, next to the tests that use it
+    unused = unreferenced_definitions()
+    public = set(mirhecke.__all__) | LIBRARY_API
+    stray = [name for name in unused if name.split(".")[1] not in public]
+    assert not stray, stray
+    # every name of the set is still a definition that nothing in the package uses
+    assert LIBRARY_API <= {name.split(".")[1] for name in unused}
