@@ -16,12 +16,48 @@ Pieri brute-force check validates the very coefficients used here; it
 filters one strip enumeration per lam and reads coefficients memoized by
 strip shape.
 
-The values are memoized in process only, keyed by (lam, mu, variant), and
-nothing is written to disk.  The rank n is not part of the key: chi[lam](mu)
-does not depend on n.  Each step removes at most m boxes, so chi[nu](rest) = 0
-whenever |nu| > |rest|, and the recursion prunes on |nu| <= |rest|.  Tables of
-every rank therefore share one memo.  `mn_character` still checks
-|lam|, |mu| <= n.
+The table is built by columns.  Partitions of size <= n get dense ids, their
+positions in `partitions_up_to(n)`; that order is graded by size, so the
+partitions of size <= k are the ids below a cut.  Columns come in the same
+order: the column of mu = rest + (m,) is built from the column of rest, which
+comes earlier.  Each step removes at most m boxes, so chi[nu](rest) = 0
+whenever |nu| > |rest|; a column of mu therefore holds only the ids with
+|lam| <= |mu|, every larger lam reads as zero, and the sum over the strips
+stops at the first nu id past the column of rest.  The strips of one
+(lam, m) are read once into an id-row of (nu id, packed coefficient, shift),
+sorted by nu id.
+
+Values are plain ints (Kronecker substitution, see `ring.pack`) in q-slots:
+every transition coefficient lies in Z[q, q^-1], an entry x is stored as
+x(q = 2^B) * 2^(B*E), a coefficient c that reaches d powers of q below q^0
+as c(q = 2^B) * 2^(B*d), and a product is (x * c) >> (d*B), as in
+`algebra._product`.  A coefficient with an odd power of v raises ValueError
+when it is packed.  B and E are fixed a priori, before any value is
+computed:
+
+- M[m] is the largest sum of |c|_1 over the strips of one (lam, m), and s(m)
+  the largest depth d of a coefficient for m, both over the lam that some
+  column with last part m reads (|lam| <= the largest |mu| ending in m);
+- B = `slot_bits`(max over mu of the product of M[m] over the parts m of mu)
+  and E = max over mu of the sum of s(m) over its parts.
+
+Proof, by induction on the length of mu: chi[lam](()) is 0 or 1, and
+chi[lam](mu) = sum c * chi[nu](rest) gives
+|chi[lam](mu)|_1 <= M[m] * max |chi[nu](rest)|_1 and a lowest q-exponent of
+every product c * chi[nu](rest) of at least -s(m) - (the bound for rest).
+So every product and every entry reaches at most E powers of q below q^0,
+which makes each packed value an int and each right shift exact, and every
+coefficient of every entry has absolute value < 2^(B-1), so each entry
+decodes uniquely and a packed value is 0 exactly when the entry is.
+Each distinct packed value is decoded once, every zero is the shared `ZERO`,
+and the packed columns and id-rows are dropped once the table is decoded.
+
+The decoded table is memoized in process only, one per (n, variant), and
+nothing is written to disk.  The memo is not rank-free, because B and E
+depend on n, although chi[lam](mu) itself does not (a test checks that a
+rank-n table is the restriction of the rank-(n+1) one).  `character_table`
+returns a fresh table over a copy of the memoized entries, and
+`mn_character` builds the rank-n table on its first call and then reads it.
 
 The transition coefficients ship in two variants (`symfun.G_VARIANTS`).  The
 default "oracle" variant passes the brute-force product oracle for every
@@ -51,7 +87,15 @@ from .combinatorics import (
     check_partition,
     partitions_up_to,
 )
-from .ring import InexactDivisionError, LaurentScalar, ONE, ZERO, solve_linear
+from .ring import (
+    InexactDivisionError,
+    LaurentScalar,
+    ZERO,
+    pack,
+    slot_bits,
+    solve_linear,
+    unpack,
+)
 from .symfun import transitions
 
 
@@ -68,29 +112,130 @@ def mn_character(n: int, lam, mu, variant: str = "oracle") -> LaurentScalar:
     """Character value chi[(lam, |lam|)] on the representative of mu, rank n.
 
     The recursion removes the last part of mu; removing any other part gives
-    the same value, which a test checks for the first part.
+    the same value, which a test checks for the first part.  The first call
+    builds the whole rank-n table; later calls read it.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) > n or sum(mu) > n:
         raise ValueError(f"|lam| and |mu| must be <= n = {n}")
-    return _mn(lam, mu, variant)
+    return _table(n, variant)[(lam, mu)]
+
+
+def _q_depth(c: LaurentScalar) -> int:
+    """How many powers of q the transition coefficient c reaches below q^0."""
+    return max(0, -(c.min_exp() // 2))
+
+
+def _bounds(n: int, variant: str) -> tuple[int, int]:
+    """(B, E): the slot width and the q-offset of every packed value of the rank-n
+    table, from the transition coefficients alone (see the module docstring)."""
+    labels = partitions_up_to(n)
+    top = [0] * (n + 1)  # the largest |mu| with last part m: rows (lam, m) are read for |lam| <= top[m]
+    for mu in labels[1:]:
+        top[mu[-1]] = max(top[mu[-1]], sum(mu))
+    mass = [0] * (n + 1)  # M[m]: the largest sum of |c|_1 over one transitions(lam, m)
+    depth = [0] * (n + 1)  # s(m): the largest _q_depth of any coefficient for m
+    seen: dict = {}  # distinct coefficient -> (|c|_1, depth)
+    for m in range(1, n + 1):
+        for lam in labels:
+            if sum(lam) > top[m]:
+                break
+            total = 0
+            for _, _, c in transitions(lam, m, variant):
+                data = seen.get(c)
+                if data is None:
+                    data = seen[c] = (c.l1_norm(), _q_depth(c))
+                total += data[0]
+                depth[m] = max(depth[m], data[1])
+            mass[m] = max(mass[m], total)
+    bound = offset = 0
+    for mu in labels:
+        b, s = 1, 0
+        for m in mu:
+            b *= mass[m]
+            s += depth[m]
+        bound = max(bound, b)
+        offset = max(offset, s)
+    return slot_bits(bound), offset
+
+
+class _Columns:
+    """One build of the rank-n table: partition ids, id-rows and packed columns.
+
+    Ids are positions in `partitions_up_to(n)`, graded by size, so the
+    partitions of size <= k are the ids below `sizes[k]`.  A packed column
+    of mu lists chi[lam](mu) for those ids only: every larger lam is zero.
+    """
+
+    def __init__(self, n: int, variant: str):
+        self.labels = partitions_up_to(n)
+        self.ids = {lam: i for i, lam in enumerate(self.labels)}
+        self.sizes = [0] * (n + 1)
+        for lam in self.labels:
+            self.sizes[sum(lam)] += 1
+        for k in range(1, n + 1):
+            self.sizes[k] += self.sizes[k - 1]
+        self.variant = variant
+        self.bits, self.offset = _bounds(n, variant)
+        self.packed: dict = {}  # distinct coefficient -> (packed, shift in bits)
+        self.rows: dict = {}  # m -> id-rows of the ids 0, 1, ... built so far
+
+    def id_row(self, lid: int, m: int) -> tuple:
+        """(nu id, packed coefficient, shift in bits) for every strip of size <= m of
+        labels[lid], by ascending nu id."""
+        bits = self.bits
+        row = []
+        for nu, _, c in transitions(self.labels[lid], m, self.variant):
+            data = self.packed.get(c)
+            if data is None:
+                depth = _q_depth(c)
+                data = self.packed[c] = (pack(c, bits, depth, 2), depth * bits)
+            row.append((self.ids[nu], *data))
+        row.sort()  # one strip per nu, so by nu id
+        return tuple(row)
+
+    def column(self, rest: list, m: int, count: int) -> list:
+        """The packed column of mu = rest + (m,), ids below count, from the packed column of rest."""
+        rows = self.rows.setdefault(m, [])
+        while len(rows) < count:
+            rows.append(self.id_row(len(rows), m))
+        top = len(rest)
+        col = []
+        for row in rows[:count]:
+            acc = 0
+            for nid, p, shift in row:
+                if nid >= top:
+                    break
+                x = rest[nid]
+                if x:
+                    acc += (x * p) >> shift
+            col.append(acc)
+        return col
 
 
 @cache
-def _mn(lam: Partition, mu: Partition, variant: str) -> LaurentScalar:
-    if not mu:
-        return ONE if not lam else ZERO
-    m, rest = mu[-1], mu[:-1]
-    # each step removes at most one part's worth of boxes, so chi[nu](rest) = 0 for |nu| > |rest|
-    rest_size = sum(rest)
-    total = ZERO
-    for nu, nu_size, coeff in transitions(lam, m, variant):
-        if nu_size <= rest_size:
-            sub = _mn(nu, rest, variant)
-            if sub:
-                total = total + coeff * sub
-    return total
+def _table(n: int, variant: str) -> dict:
+    """{(lam, mu): chi[lam](mu)} for |lam|, |mu| <= n, built column by column on packed ints."""
+    build = _Columns(n, variant)
+    labels, ids, bits, offset = build.labels, build.ids, build.bits, build.offset
+    columns = []
+    for mu in labels:
+        if mu:
+            columns.append(build.column(columns[ids[mu[:-1]]], mu[-1], build.sizes[sum(mu)]))
+        else:
+            columns.append([1 << bits * offset])  # chi[()](()) = 1
+    decoded = {0: ZERO}
+    entries = {}
+    for mu, col in zip(labels, columns):
+        for lam, x in zip(labels, col):
+            s = decoded.get(x)
+            if s is None:
+                s = decoded[x] = unpack(x, bits, offset, 2)
+            entries[(lam, mu)] = s
+        for lam in labels[len(col) :]:
+            entries[(lam, mu)] = ZERO
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +278,7 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
     """The full table of chi[(lam, |lam|)] on the mu-representatives, |lam|, |mu| <= n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = partitions_up_to(n)
-    # the labels are canonical partitions of size <= n, so the recursion reads them as they are
-    entries = {(lam, mu): _mn(lam, mu, variant) for lam in labels for mu in labels}
-    return CharacterTable(n, labels, entries, variant)
+    return CharacterTable(n, partitions_up_to(n), dict(_table(n, variant)), variant)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,15 @@ rows {position: int or Fraction}.  It ranks the tensor image
 (`tensorrep.image_rank`) and tests the specialized character table for
 invertibility (`checks.determinant_nonzero`).
 
-The tensor-space kernels (`tensorrep`) and the normal-form engine
-(`algebra`) run on plain ints instead (Kronecker substitution).
+The tensor-space kernels (`tensorrep`), the normal-form engine (`algebra`)
+and the character recursion (`characters`) run on plain ints instead
+(Kronecker substitution).
 `pack(x, bits, offset)` stores a Laurent polynomial p as the integer
 p(2^bits) * 2^(bits * offset): v -> 2^bits is a ring homomorphism, so sums
 and products of packed values are the packed sums and products, and
-multiplying by v^+-1 is a shift by `bits`.  The offset must cover the lowest
+multiplying by v^+-1 is a shift by `bits`.  With `step` = 2 a slot holds a
+power of q = v^2 instead (v^2 -> 2^bits), for values in Z[q, q^-1], and
+`pack` raises ValueError on an odd exponent.  The offset must cover the lowest
 exponent that can occur, so that every right shift is exact.  `unpack` reads
 the integer back as balanced base-2^bits digits.  The digits are unique as
 long as every coefficient satisfies |a| < 2^(bits-1); `slot_bits(bound)` is
@@ -315,25 +318,29 @@ class LaurentScalar:
 
     def to_string(self) -> str:
         """Human-readable form, in q when all exponents are even, else in v."""
-        if not self._c:
+        c = self._c
+        if not c:
             return "0"
-        var = "q" if self.is_even() else "v"
-        halve = var == "q"
+        var, halve = "q", 1
+        for e in c:
+            if e & 1:
+                var, halve = "v", 0
+                break
         parts = []
-        for e in sorted(self._c, reverse=True):
-            a = self._c[e]
-            ee = e // 2 if halve else e
-            if ee == 0:
-                term = str(abs(a))
+        for e in sorted(c, reverse=True):
+            a = c[e]
+            sign = "+"
+            if a < 0:
+                sign, a = "-", -a
+            e >>= halve
+            if e == 0:
+                parts.append(f"{sign}{a}")
+            elif a == 1:
+                parts.append(f"{sign}{var}" if e == 1 else f"{sign}{var}^{e}")
             else:
-                mag = "" if abs(a) == 1 else f"{abs(a)}*"
-                pw = var if ee == 1 else f"{var}^{ee}"
-                term = f"{mag}{pw}"
-            if not parts:
-                parts.append(("-" if a < 0 else "") + term)
-            else:
-                parts.append(("-" if a < 0 else "+") + term)
-        return "".join(parts)
+                parts.append(f"{sign}{a}*{var}" if e == 1 else f"{sign}{a}*{var}^{e}")
+        out = "".join(parts)
+        return out[1:] if out[0] == "+" else out
 
     def to_json(self) -> dict:
         # exponents are emitted high-to-low so output bytes are reproducible
@@ -379,13 +386,23 @@ def slot_bits(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def pack(x: LaurentScalar, bits: int, offset: int) -> int:
-    """x(2^bits) * 2^(bits * offset), the integer image of x under v -> 2^bits."""
+def pack(x: LaurentScalar, bits: int, offset: int, step: int = 1) -> int:
+    """x(2^bits) * 2^(bits * offset), the integer image of x under v^step -> 2^bits.
+
+    With step = 2 each slot holds a power of q = v^2, and an odd power of v
+    raises ValueError.
+    """
     if bits < 2:
         raise ValueError(f"slot width must be >= 2 bits, got {bits}")
     half = 1 << (bits - 1)
+    items = x.items()
+    if step != 1:
+        for e, _ in items:
+            if e % step:
+                raise ValueError(f"exponent {e} is not a multiple of {step}")
+        items = [(e // step, a) for e, a in items]
     out = 0
-    for e, a in x.items():
+    for e, a in items:
         if e < -offset:
             raise ValueError(f"exponent {e} below the offset -{offset}")
         if not -half < a < half:
@@ -394,7 +411,7 @@ def pack(x: LaurentScalar, bits: int, offset: int) -> int:
     return out
 
 
-def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
+def unpack(packed: int, bits: int, offset: int, step: int = 1) -> LaurentScalar:
     """The Laurent polynomial with coefficients |a| < 2^(bits-1) that packs to `packed`."""
     if bits < 2:
         raise ValueError(f"slot width must be >= 2 bits, got {bits}")
@@ -404,7 +421,7 @@ def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
     # skip the whole zero slots at the bottom in one shift
     low = ((packed & -packed).bit_length() - 1) // bits if packed else 0
     packed >>= low * bits
-    e = low - offset
+    e = (low - offset) * step
     while packed:
         d = packed & mask
         if d >= half:
@@ -412,7 +429,7 @@ def unpack(packed: int, bits: int, offset: int) -> LaurentScalar:
         if d:
             c[e] = d
         packed = (packed - d) >> bits
-        e += 1
+        e += step
     out = LaurentScalar.__new__(LaurentScalar)
     out._c = c
     out._hash = None

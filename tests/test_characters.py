@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -19,13 +20,29 @@ from mirhecke.combinatorics import (
     partitions_up_to,
     strip_removals,
 )
-from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, ZERO, rank_over_q
+from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, V, ZERO, rank_over_q
 from mirhecke.symfun import g_coeff, strip_weight, transitions
 
 
 def clear_character_memos():
-    for memo in (characters._mn, symfun.transitions, symfun._strips, symfun._strip_coeff):
+    for memo in (characters._table, symfun.transitions, symfun._strips, symfun._strip_coeff):
         memo.cache_clear()
+
+
+@functools.cache
+def reference_chi(lam, mu, variant):
+    """The recursion on LaurentScalar, memoized per (lam, mu), that the packed columns replace."""
+    if not mu:
+        return ONE if not lam else ZERO
+    m, rest = mu[-1], mu[:-1]
+    rest_size = sum(rest)
+    total = ZERO
+    for nu, nu_size, coeff in transitions(lam, m, variant):
+        if nu_size <= rest_size:
+            sub = reference_chi(nu, rest, variant)
+            if sub:
+                total = total + coeff * sub
+    return total
 
 
 def q_int(x):
@@ -175,8 +192,9 @@ class TestCharacterTable:
         assert a == b
 
     def test_rank_free_memo(self):
-        # chi[lam](mu) does not depend on n: a cold rank-n table is the
-        # restriction of a cold rank-(n+1) table
+        # chi[lam](mu) does not depend on n, though the memo is per rank (its
+        # slot width and offset are): a cold rank-n table is the restriction
+        # of a cold rank-(n+1) table
         for variant in ("oracle", "paper"):
             for n in range(1, 7):
                 clear_character_memos()
@@ -197,6 +215,108 @@ class TestCharacterTable:
         clear_character_memos()
         character_table(8)
         assert seen and len(seen) == len(set(seen))
+
+    def test_columns_match_the_reference_recursion(self):
+        for variant in ("oracle", "paper"):
+            for n in range(1, 9):
+                table = character_table(n, variant)
+                labels = table.labels
+                for lam in labels:
+                    for mu in labels:
+                        assert table.entries[(lam, mu)] == reference_chi(lam, mu, variant), (n, lam, mu)
+
+    def test_bounds_cover_every_entry_and_product(self):
+        # B decodes every entry; E reaches below the lowest q-exponent of every
+        # product c * chi[nu](rest) the recursion sums (v-exponents are 2 * q)
+        for variant in ("oracle", "paper"):
+            for n in range(1, 11):
+                bits, offset = characters._bounds(n, variant)
+                table = character_table(n, variant)
+                entries = table.entries
+                widest = max(abs(a) for x in entries.values() for _, a in x.items())
+                assert widest < 1 << (bits - 1), (n, variant)
+                lowest = 0
+                for mu in table.labels[1:]:
+                    rest, rest_size = mu[:-1], sum(mu) - mu[-1]
+                    for lam in table.labels:
+                        if sum(lam) > sum(mu):
+                            break
+                        for nu, nu_size, c in transitions(lam, mu[-1], variant):
+                            x = entries[(nu, rest)]
+                            if nu_size <= rest_size and x:
+                                lowest = min(lowest, c.min_exp() + x.min_exp())
+                assert lowest >= -2 * offset, (n, variant)
+                if variant == "paper" and n >= 2:
+                    assert lowest < 0  # the bound is exercised, not vacuous
+
+    def test_bounds_read_every_row_the_columns_read(self, monkeypatch):
+        # B and E are sound only if M[m] and s(m) range over every (lam, m) a column reads
+        read = {True: set(), False: set()}
+        in_bounds = [False]
+        real_transitions, real_bounds = characters.transitions, characters._bounds
+
+        def transitions_spy(lam, m, variant):
+            read[in_bounds[0]].add((lam, m, variant))
+            return real_transitions(lam, m, variant)
+
+        def bounds_spy(n, variant):
+            in_bounds[0] = True
+            try:
+                return real_bounds(n, variant)
+            finally:
+                in_bounds[0] = False
+
+        monkeypatch.setattr(characters, "transitions", transitions_spy)
+        monkeypatch.setattr(characters, "_bounds", bounds_spy)
+        for variant in ("oracle", "paper"):
+            for n in range(1, 10):
+                characters._table.cache_clear()
+                read[True].clear()
+                read[False].clear()
+                character_table(n, variant)
+                assert read[False] and read[False] <= read[True], (n, variant)
+
+    def test_odd_power_of_v_is_refused(self, monkeypatch):
+        real = characters.transitions
+
+        def odd(lam, m, variant):
+            return tuple((nu, size, c * V) for nu, size, c in real(lam, m, variant))
+
+        monkeypatch.setattr(characters, "transitions", odd)
+        clear_character_memos()
+        with pytest.raises(ValueError, match="multiple of 2"):
+            character_table(3)
+        with pytest.raises(ValueError, match="multiple of 2"):
+            mn_character(2, (1,), (1,))
+
+    def test_each_column_and_id_row_is_built_once(self, monkeypatch):
+        columns, rows = [], []
+        real_column, real_row = characters._Columns.column, characters._Columns.id_row
+
+        def column(build, rest, m, count):
+            columns.append((len(build.labels), build.variant))
+            return real_column(build, rest, m, count)
+
+        def id_row(build, lid, m):
+            rows.append((len(build.labels), build.variant, lid, m))
+            return real_row(build, lid, m)
+
+        monkeypatch.setattr(characters._Columns, "column", column)
+        monkeypatch.setattr(characters._Columns, "id_row", id_row)
+        clear_character_memos()
+        for _ in range(2):
+            for variant in ("oracle", "paper"):
+                for n in (4, 6):
+                    labels = character_table(n, variant).labels
+                    for lam in labels:
+                        for mu in labels:
+                            mn_character(n, lam, mu, variant)
+        for variant in ("oracle", "paper"):
+            for n in (4, 6):
+                # one column per nonempty mu; the empty column is the base case
+                size = len(partitions_up_to(n))
+                assert columns.count((size, variant)) == size - 1
+        assert rows and len(rows) == len(set(rows))
 
     def test_json_shape(self):
         obj = character_table(2).to_json()

@@ -53,6 +53,13 @@ class TestTable:
 # row-by-row strip generator; table bytes change only on purpose
 GOLDEN_N9_CSV = "a7b98dbd7c6ce3c5b07755d28bef623cbf38fc12b09b21044e6baf096092c76a"
 GOLDEN_ALL_TABLES = "d0313a8e781d9fd0c46088d5bc2fe2fffc58c5595ece92b1db72975cadc258c3"
+# sha256 of `table --n N --format csv` from the (lam, mu)-memoized recursion on
+# LaurentScalar that preceded the packed columns
+GOLDEN_LARGE_CSV = {
+    10: "00e7b4a5a5cdf2723e0f26c92d6847679d8081a8cad28a90dae7ab73fa99a611",
+    11: "bc8d56f760427fe8da6b086a8b4bb0c22320ec8a1ee1ebe24df4778391074be2",
+    12: "a072936b4bfc483074f900b0ed96b6a4164541c6bc4f318563551b52e6448ee5",
+}
 
 
 class TestTableGolden:
@@ -60,6 +67,12 @@ class TestTableGolden:
         code, out = run_cli(capsys, "table", "--n", "9", "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_N9_CSV
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_LARGE_CSV))
+    def test_large_rank_csv(self, capsys, n):
+        code, out = run_cli(capsys, "table", "--n", str(n), "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_CSV[n]
 
     def test_all_tables_up_to_rank9(self, capsys):
         # stdout concatenated over variant, then n = 1..9, then format

@@ -57,6 +57,30 @@ def L(coeffs):
     return LaurentScalar(coeffs)
 
 
+def reference_to_string(x):
+    """The term-by-term rendering `LaurentScalar.to_string` must reproduce byte for byte."""
+    c = dict(x.items())
+    if not c:
+        return "0"
+    var = "q" if x.is_even() else "v"
+    halve = var == "q"
+    parts = []
+    for e in sorted(c, reverse=True):
+        a = c[e]
+        ee = e // 2 if halve else e
+        if ee == 0:
+            term = str(abs(a))
+        else:
+            mag = "" if abs(a) == 1 else f"{abs(a)}*"
+            pw = var if ee == 1 else f"{var}^{ee}"
+            term = f"{mag}{pw}"
+        if not parts:
+            parts.append(("-" if a < 0 else "") + term)
+        else:
+            parts.append(("-" if a < 0 else "+") + term)
+    return "".join(parts)
+
+
 class TestScalarArith:
     def test_q_minus_1_plus_1_is_q(self):
         assert Q_MINUS_1 + ONE == Q
@@ -171,6 +195,21 @@ class TestPacking:
             pack(ONE, 1, 0)
         with pytest.raises(ValueError, match="2 bits"):
             unpack(1, 1, 0)
+
+    @given(packable())
+    def test_q_slots(self, case):
+        # step 2: v^2 -> 2^bits, one slot per power of q
+        x, bits, offset = case
+        q = LaurentScalar({2 * e: a for e, a in x.items()})
+        packed = pack(q, bits, offset, 2)
+        assert packed == pack(x, bits, offset)
+        assert unpack(packed, bits, offset, 2) == q
+
+    def test_q_slots_refuse_odd_powers_of_v(self):
+        with pytest.raises(ValueError, match="multiple of 2"):
+            pack(L({2: 1, -1: 3}), 8, 2, 2)
+        with pytest.raises(ValueError, match="offset"):
+            pack(L({-6: 1}), 8, 2, 2)
 
     def test_slot_bits_is_the_narrowest_width(self):
         for bound in range(1, 300):
@@ -553,3 +592,26 @@ class TestSerialization:
         assert QINV.to_string() == "q^-1"
         assert ZERO.to_string() == "0"
         assert V.to_string() == "v"
+
+    def test_strings_match_the_reference(self):
+        # every sign and magnitude class on exponents 0, +-1, +-2 and beyond,
+        # all even (rendered in q) or with an odd one (rendered in v)
+        rng = random.Random(19)
+        coeffs = [1, -1, 2, -2, 3, -7, 10, -12, 100, -1000]
+        exps = list(range(-9, 10))
+        cases = [ZERO, ONE, MINUS_ONE, Q, QINV, V, -V, V.inverse_unit(), Q_MINUS_1]
+        cases += [L({e: a}) for e in exps for a in coeffs]
+        for _ in range(2000):
+            terms = rng.randint(1, 6)
+            even = rng.random() < 0.5
+            cases.append(
+                L({rng.choice(exps) * (2 if even else 1): rng.choice(coeffs) for _ in range(terms)})
+            )
+        assert any(not x.is_even() for x in cases) and any(x and x.is_even() for x in cases)
+        for x in cases:
+            assert x.to_string() == reference_to_string(x), x._c
+
+    @given(scalars)
+    @settings(deadline=None, max_examples=200)
+    def test_strings_match_the_reference_on_drawn_scalars(self, x):
+        assert x.to_string() == reference_to_string(x)
