@@ -1,6 +1,6 @@
 """Exact computational kernel for the mirabolic Hecke algebra.
 
-Subpackages:
+Modules:
 
 - `ring`: Laurent scalars over Z[v, v^-1] (q = v^2), exact division,
   fraction-free linear solving and the rank of sparse rational matrices.

@@ -54,8 +54,8 @@ image downstream.  Only the decoded outputs must fit their slots:
   as its expansion (2^(j-1) letters P_1, 2^(j-1) - 1 letters T^-1).
   G_elim(n) is the largest mass elimination makes from one unit key,
   g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail of its step.  Both are
-  read off the tables once per rank (`_rank_gains`), never at import.
-  B is `slot_bits` of that bound and never a setting.
+  read off the complete tables of the rank when its `_Layout` is built,
+  never at import.  B is `slot_bits` of that bound and never a setting.
 - E.  Every right shift must be exact, so -E is a lower bound on every
   exponent of every intermediate value: x's lowest working exponent, less 2
   per inverse letter (those inside P_j included) and the lowest exponent of
@@ -67,17 +67,19 @@ Decoding is exact because the true output coefficients satisfy
 `_product`, serves `mul`, `reduce_word` and `rmul_gen`.
 
 Key ids.  The engine's working elements are {kid: packed int}.  Every
-working key (A, d) of rank n has a dense id kid = block(A) + index_k(d):
+working key (A, d) of rank n has a dense id kid = blocks[A] + index_k(d):
 index_k(d) is the position of d among the n!/k! minimal representatives
-of S_k \\ S_n, shortest first, and each k-subset A gets a block of n!/k!
-ids on first use (`_Layout`).  The T^+-1 rows and the elimination steps
-depend only on (k, d), so each is built once per (k, d) and names its
-targets by delta = index_k(d2) - index_k(d); it applies to every A as
-kid + delta.  The P_1 rows change A, so they are keyed by kid and name
-absolute ids.  A constant with several monomials, such as q - 1, is
-several entries.  `_w_rmul_letter`, `_to_standard` and `_product` shift,
-sign and accumulate inline; ids are mapped back to a BasisIndex only when
-`_to_standard` decodes a coefficient.
+of S_k \\ S_n, shortest first, and every k-subset A owns a block of n!/k!
+ids, the blocks laid out for k = 0..n in `itertools.combinations` order
+(`_Layout`).  The T^+-1 rows, the elimination steps and the working
+expansions of the standard elements depend only on the shape (k, d), so
+each is built once per shape and names its targets by the shift
+delta = index_k(d2) - index_k(d); it applies to every A as kid + delta.
+The P_1 rows change A, so they are keyed by kid and name absolute ids.
+A constant with several monomials, such as q - 1, is several entries.
+`_w_rmul_letter`, `_to_standard` and `_product` shift, sign and accumulate
+inline; ids are mapped to and from a BasisIndex only where a product
+enters and leaves the engine.
 
 Working to standard is an elimination: the key (A, d) is the unit leading
 term of one standard element (A, B, w), so it is replaced by that element
@@ -90,22 +92,21 @@ with the previous word.
 
 What is memoized, and where (`clear_caches` empties all of it):
 
-- `_layout(n)` holds the ids of rank n and the only copies of the engine
-  tables, each row filled on first read: `t_rows` (T^+-1, per (k, d) and
-  letter), `p1_rows` (per kid), `steps` (per (k, d)) and `basis` (the
-  BasisIndex of each kid).  The T rows and steps come from the plain
-  tuple-keyed functions `_w_rmul_T_key` and `_standard_step` on
+- `_layout(n)` is the one engine state of rank n, complete when it is
+  built: the ids, `t_rows` (T^+-1, per shape and letter), `steps` and
+  `tails` (per shape), `p1_rows`, `basis` (per kid) and `kids`, and the
+  gains G_P1, lo_P1, G_elim and lo_elim.  The T rows and steps come from
+  the plain tuple-keyed functions `_w_rmul_T_key` and `_standard_step` on
   LaurentScalar, which the tests also read as the reference.  A P_1 row is
-  built by `_Layout.p1_row` from an earlier row (or from
+  built by `_Layout.rmul_p1` from an earlier row (or from
   `_p1_closed_form`) with the left rule `_Layout.t_left`; the tests
   compare every row with a replay of its whole word through a general
   Hecke product.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
-  the builders' helpers `_absorb` (the coset split of a permutation) and
-  `_tail_expansion`; the per-index word, gains and working terms
-  `_basis_data`, whose working terms depend only on the tail (B, w) and
-  are shared through `_tail_data`; and the per-rank gains `_rank_gains`,
-  whose scan over every key fills the P_1 rows and the steps of its rank.
+  the builders' helpers `_absorb` (the coset split of a permutation),
+  `_tail_expansion`, `_cycle_perm`, `_subset_perm` and `_pi_expansion`,
+  and the per-index word and gains `_basis_data` of the terms of y in
+  `mul`.
 
 Each table and memo is bounded by the size of the basis or the working
 basis, times the number of generators.  The defining relations are checked
@@ -402,24 +403,34 @@ def _standard_step(k: int, d: Permutation) -> tuple:
 
 
 class _Layout:
-    """Dense int ids for the working keys (A, d) of rank n, and the tables the engine reads.
+    """Dense int ids for the working keys (A, d) of rank n, and every table the engine reads.
 
     A shape is a pair (k, d); shape ids run over k = 0..n and, within k,
-    over index_k(d).  kid(A, d) = block(A) + index_k(d).  Every table entry
-    is a monomial (target, v-exponent, coeff), and each row is filled on
-    first read from its tuple-keyed builder:
+    over index_k(d).  kid(A, d) = blocks[A] + index_k(d).  Every table is
+    complete when `__init__` returns, and every entry is a monomial
+    (target, v-exponent, coeff):
 
     - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, targets kid + delta;
-    - `p1_rows[kid]`: P_1, targets absolute ids;
+    - `p1_rows[kid]`: P_1, targets absolute ids, built in ascending kid
+      order, so the parent that `rmul_p1` reads is always built;
     - `steps[shape]`: `_standard_step` as (length(d), lead^-1 exponent,
-      lead^-1 sign, tail, B, w), each tail entry (delta, exponent, coeff,
+      lead^-1 sign, tail), each tail entry (delta, exponent, coeff,
       length(d2));
-    - `basis[kid]`: the BasisIndex (A, B, w) that key kid leads.
+    - `tails[shape]`: the standard element (A, B, w) that key (A, d) leads,
+      in the working basis and the same for every A: (l1 mass, lowest
+      exponent capped at 0, ((delta, exponent, coeff), ...));
+    - `basis[kid]`: the BasisIndex that key kid leads; `kids` is its inverse.
+
+    `g_p1` is the largest l1 mass of a P_1 row and `lo_p1` the lowest
+    exponent in any row.  `g_elim` is the largest mass that elimination
+    makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail
+    t of the step, and `lo_elim` the lowest exponent of any value it makes.
+    Both lows are capped at 0.
     """
 
     __slots__ = (
-        "n", "shapes", "index", "shape_base", "blocks", "kid_A", "kid_shape",
-        "t_rows", "p1_rows", "steps", "basis",
+        "n", "shapes", "index", "blocks", "kid_A", "kid_shape", "t_rows", "p1_rows",
+        "steps", "tails", "basis", "kids", "g_p1", "lo_p1", "g_elim", "lo_elim",
     )
 
     def __init__(self, n: int):
@@ -429,57 +440,68 @@ class _Layout:
             for k in range(n + 1)
         ]
         self.n = n
-        self.shapes = [(k, d) for k in range(n + 1) for d in reps[k]]
-        self.index = [{d: t for t, d in enumerate(ds)} for ds in reps]
-        self.shape_base = list(itertools.accumulate(map(len, reps), initial=0))
+        self.shapes = shapes = [(k, d) for k in range(n + 1) for d in reps[k]]
+        self.index = index = [{d: t for t, d in enumerate(ds)} for ds in reps]
         self.blocks: dict[tuple, int] = {}
         self.kid_A: list[tuple] = []
         self.kid_shape: list[int] = []
-        self.t_rows = [[None] * len(self.shapes) for _ in range(2 * (n - 1))]
-        self.p1_rows: list = []
-        self.steps: list = [None] * len(self.shapes)
-        self.basis: list = []
-
-    def block(self, A: tuple) -> int:
-        """The first id of A's block, allocated on first use."""
-        base = self.blocks.get(A)
-        if base is None:
-            k = len(A)
-            first, end = self.shape_base[k], self.shape_base[k + 1]
-            base = self.blocks[A] = len(self.kid_A)
-            self.kid_A.extend([A] * (end - first))
-            self.kid_shape.extend(range(first, end))
-            self.p1_rows.extend([None] * (end - first))
-            self.basis.extend([None] * (end - first))
-        return base
+        first = 0
+        for k, ds in enumerate(reps):
+            for A in itertools.combinations(range(1, n + 1), k):
+                self.blocks[A] = len(self.kid_A)
+                self.kid_A.extend([A] * len(ds))
+                self.kid_shape.extend(range(first, first + len(ds)))
+            first += len(ds)
+        self.t_rows = [[] for _ in range(2 * (n - 1))]
+        shared: dict = {}  # few distinct T rows (117 of 2608 at n = 5): keep one tuple each
+        for slot, rows in enumerate(self.t_rows):
+            for k, d in shapes:
+                row = tuple(
+                    (index[k][d2] - index[k][d], e, a)
+                    for d2, const in _w_rmul_T_key(k, d, slot // 2 + 1, slot % 2 == 1)
+                    for e, a in const
+                )
+                rows.append(shared.setdefault(row, row))
+        self.steps, self.tails, leads, gain, low = [], [], [], [], []
+        for s, (k, d) in enumerate(shapes):  # shortest first: every tail shape is known
+            here = index[k][d]
+            B, w, ((e, a),), rest, ld = _standard_step(k, d)
+            tail = tuple((index[k][d2] - here, e2, a2, l2) for d2, t, l2 in rest for e2, a2 in t)
+            self.steps.append((ld, e, a, tail))
+            leads.append((B, w))
+            gain.append(1 + sum(abs(a2) * gain[s + delta] for delta, _, a2, _ in tail))
+            low.append(min(0, e, *(e2 + low[s + delta] for delta, e2, _, _ in tail)))
+            working = _tail_expansion(B, w)
+            self.tails.append((
+                sum(map(LaurentScalar.l1_norm, working.values())),
+                min(0, *map(LaurentScalar.min_exp, working.values())),
+                tuple((index[k][d2] - here, e2, a2) for d2, c in working.items() for e2, a2 in c.items()),
+            ))
+        self.g_elim, self.lo_elim = max(gain), min(low)
+        self.basis = [BasisIndex(A, *leads[s]) for A, s in zip(self.kid_A, self.kid_shape)]
+        self.kids = {idx: kid for kid, idx in enumerate(self.basis)}
+        self.p1_rows: list[tuple] = []
+        for kid in range(len(self.kid_A)):
+            self.p1_rows.append(self.rmul_p1(kid))
+        self.g_p1 = max(sum(abs(a) for _, _, a in row) for row in self.p1_rows)
+        self.lo_p1 = min(0, *(e for row in self.p1_rows for _, e, _ in row))
 
     def kid(self, A: tuple, d: Permutation) -> int:
-        return self.block(A) + self.index[len(A)][d]
+        return self.blocks[A] + self.index[len(A)][d]
 
     def key(self, kid: int) -> tuple:
         """The working key (A, d) of an id."""
         return self.kid_A[kid], self.shapes[self.kid_shape[kid]][1]
 
-    def t_row(self, slot: int, s: int) -> tuple:
-        k, d = self.shapes[s]
-        index = self.index[k]
-        here = index[d]
-        row = self.t_rows[slot][s] = tuple(
-            (index[d2] - here, e, a)
-            for d2, const in _w_rmul_T_key(k, d, slot // 2 + 1, slot % 2 == 1)
-            for e, a in const
-        )
-        return row
-
-    def p1_row(self, kid: int) -> tuple:
-        """(T_A P_k T_d) * P_1 for kid = (A, d), from an already-built row.
+    def rmul_p1(self, kid: int) -> tuple:
+        """The row of (T_A P_k T_d) * P_1 for kid = (A, d), from an already-built row.
 
         If a_j > j for some j, the first such, the row is T_{a_j-1} ... T_j
         times the row of the parent, A with a_j replaced by j (an earlier
-        subset in `itertools.combinations` order); for m = d(1) <= k that
-        only moves the parent's one term to A's block.  Else A = 1..k, and
-        the row is one term for k = 0 or m <= k, else T_{m-1} ... T_{k+1}
-        times `_p1_closed_form`.
+        subset in `itertools.combinations` order, so a smaller kid); for
+        m = d(1) <= k that only moves the parent's one term to A's block.
+        Else A = 1..k, and the row is one term for k = 0 or m <= k, else
+        T_{m-1} ... T_{k+1} times `_p1_closed_form`.
         """
         A, d = self.key(kid)
         k, m = len(A), d[0]
@@ -487,7 +509,7 @@ class _Layout:
         letters = ()
         if j:
             parent = self.kid(A[: j - 1] + (j,) + A[j:], d)
-            row = self.p1_rows[parent] or self.p1_row(parent)
+            row = self.p1_rows[parent]
             if m <= k:
                 row = tuple((target + kid - parent, e, a) for target, e, a in row)
             else:
@@ -506,7 +528,6 @@ class _Layout:
                 row = ((self.kid(A, dd), 0, -sign if (m - 1) % 2 else sign),)
         for i in letters:
             row = self.t_left(row, i)
-        self.p1_rows[kid] = row
         return row
 
     def t_left(self, row: tuple, i: int) -> tuple:
@@ -556,28 +577,13 @@ class _Layout:
             return 3, 0
         if i in A or i + 1 in A:
             A2 = tuple(i + 1 if x == i else i if x == i + 1 else x for x in A)
-            return 1 if i in A else 2, self.block(A2) - self.blocks[A]
+            return 1 if i in A else 2, self.blocks[A2] - self.blocks[A]
         return 0, len(A) + i - sum(x < i for x in A)
-
-    def step(self, s: int) -> tuple:
-        k, d = self.shapes[s]
-        B, w, ((e, a),), rest, ld = _standard_step(k, d)
-        index = self.index[k]
-        here = index[d]
-        tail = tuple((index[d2] - here, e2, a2, l2) for d2, t, l2 in rest for e2, a2 in t)
-        step = self.steps[s] = (ld, e, a, tail, B, w)
-        return step
-
-    def basis_index(self, kid: int) -> BasisIndex:
-        s = self.kid_shape[kid]
-        *_, B, w = self.steps[s] or self.step(s)
-        idx = self.basis[kid] = BasisIndex(self.kid_A[kid], B, w)
-        return idx
 
 
 @cache
 def _layout(n: int) -> _Layout:
-    """The key ids and engine tables of rank n, filled as they are read (memoized)."""
+    """The key ids and complete engine tables of rank n, built at once (memoized)."""
     return _Layout(n)
 
 
@@ -594,8 +600,7 @@ def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, bits: int) -> dict:
         rows = lay.t_rows[slot]
         shape = lay.kid_shape
         for kid, c in elem.items():
-            s = shape[kid]
-            for delta, e, a in rows[s] or lay.t_row(slot, s):
+            for delta, e, a in rows[shape[kid]]:
                 t = c if not e else c << e * bits if e > 0 else c >> -e * bits
                 key = kid + delta
                 v = get(key)
@@ -612,7 +617,7 @@ def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, bits: int) -> dict:
     if j == 1:
         rows = lay.p1_rows
         for kid, c in elem.items():
-            for key, e, a in rows[kid] or lay.p1_row(kid):
+            for key, e, a in rows[kid]:
                 t = c if not e else c << e * bits if e > 0 else c >> -e * bits
                 v = get(key)
                 if v is None:
@@ -643,18 +648,15 @@ def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
     out: dict[BasisIndex, LaurentScalar] = {}
     buckets: list[dict] = []
     for kid, c in welem.items():
-        s = shape[kid]
-        ld = (steps[s] or lay.step(s))[0]
+        ld = steps[shape[kid]][0]
         while len(buckets) <= ld:
             buckets.append({})
         buckets[ld][kid] = c
     for ld in range(len(buckets) - 1, -1, -1):
         for kid, c in buckets[ld].items():
-            s = shape[kid]
-            _, e, a, tail, _, _ = steps[s] or lay.step(s)
+            _, e, a, tail = steps[shape[kid]]
             t = c if not e else c << e * bits if e > 0 else c >> -e * bits
-            idx = basis[kid] or lay.basis_index(kid)
-            out[idx] = unpack(t if a == 1 else -t, bits, offset)
+            out[basis[kid]] = unpack(t if a == 1 else -t, bits, offset)
             for delta, e, a, l2 in tail:
                 t = c if not e else c << e * bits if e > 0 else c >> -e * bits
                 bucket = buckets[l2]
@@ -674,40 +676,6 @@ def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
 # -- a priori slot width and offset -----------------------------------------
 
 
-@cache
-def _rank_gains(n: int) -> tuple[int, int, int, int]:
-    """(G_P1, lo_P1, G_elim, lo_elim) of rank n, read off every table row (memoized).
-
-    G_P1 is the largest l1 mass of a P_1 row and lo_P1 the lowest exponent
-    in any row.  G_elim is the largest mass that elimination makes from a
-    unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of the
-    step, and lo_elim the lowest exponent of any value it makes.  Both lows
-    are capped at 0.  The scan fills the P_1 rows and the elimination steps
-    of rank n.  It visits the subsets in `itertools.combinations` order, in
-    which the parent that `_Layout.p1_row` builds a row from comes first,
-    so every row is built once, from a row already in the table.
-    """
-    lay = _layout(n)
-    g_p1, lo_p1, g_elim, lo_elim = 1, 0, 1, 0
-    for k in range(n + 1):
-        first, end = lay.shape_base[k], lay.shape_base[k + 1]
-        for A in itertools.combinations(range(1, n + 1), k):
-            base = lay.block(A)
-            for kid in range(base, base + end - first):
-                row = lay.p1_rows[kid] or lay.p1_row(kid)
-                g_p1 = max(g_p1, sum(abs(a) for _, _, a in row))
-                lo_p1 = min(lo_p1, *(e for _, e, _ in row))
-        gain: dict = {}
-        low: dict = {}
-        for s in range(first, end):  # shortest first, so every tail term is already known
-            _, e, _, tail, _, _ = lay.steps[s] or lay.step(s)
-            gain[s] = 1 + sum(abs(a) * gain[s + delta] for delta, _, a, _ in tail)
-            low[s] = min(0, e, *(e2 + low[s + delta] for delta, e2, _, _ in tail))
-            g_elim = max(g_elim, gain[s])
-            lo_elim = min(lo_elim, low[s])
-    return g_p1, lo_p1, g_elim, lo_elim
-
-
 def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
     """(gain, drop) of a generator word at rank n.
 
@@ -716,7 +684,6 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
     far it lowers the lowest v-exponent.  Each P_j counts as its expansion
     `_pi_expansion(j)`.
     """
-    g_p1, lo_p1, _, _ = _rank_gains(n)
     t = inv = p1 = 0
     for lt in letters:
         for x in _pi_expansion(lt[1])[1] if lt[0] == "P" else (lt,):
@@ -725,7 +692,8 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
                 inv += x[2] == -1
             else:
                 p1 += 1
-    return 3**t * g_p1**p1, 2 * inv - lo_p1 * p1
+    lay = _layout(n)
+    return 3**t * lay.g_p1**p1, 2 * inv - lay.lo_p1 * p1
 
 
 def _read(c: LaurentScalar) -> tuple[int, int, bool]:
@@ -742,33 +710,14 @@ def _read(c: LaurentScalar) -> tuple[int, int, bool]:
 
 
 @cache
-def _shared_letter(letter: Letter) -> Letter:
-    """One tuple per distinct letter, shared by every memoized word (memoized)."""
-    return letter
-
-
-@cache
 def _basis_data(idx: BasisIndex) -> tuple:
-    """What the engine needs of a basis index, validated once (memoized).
+    """(letters, gain, drop) of a basis index: `basis_word(idx)` and its `_word_bounds` (memoized).
 
-    Returns (letters, gain, drop, tail mass, tail low, working): the letters
-    of `basis_word(idx)` with their `_word_bounds`, the l1 mass of idx in the
-    working basis, the lowest exponent of its working coefficients capped at
-    0, and idx in the working basis as monomials (d, exponent, coeff) under
-    the subset idx.A.
+    The letters are not checked again: a BasisIndex is validated when it is
+    made, and its basis word is then a valid word of rank idx.n.
     """
-    letters = tuple(map(_shared_letter, GeneratorWord(idx.n, _basis_letters(idx))))
-    return letters, *_word_bounds(idx.n, letters), *_tail_data(idx.B, idx.w)
-
-
-@cache
-def _tail_data(B: tuple, w: Permutation) -> tuple:
-    """(mass, low, working) of `_tail_expansion(B, w)`, shared by every subset A (memoized)."""
-    tail = _tail_expansion(B, w)
-    mass = sum(map(LaurentScalar.l1_norm, tail.values()))
-    low = min(0, *map(LaurentScalar.min_exp, tail.values()))
-    working = tuple((d, e, a) for d, s in tail.items() for e, a in s.items())
-    return mass, low, working
+    letters = tuple(_basis_letters(idx))
+    return letters, *_word_bounds(idx.n, letters)
 
 
 def clear_caches() -> None:
@@ -777,16 +726,7 @@ def clear_caches() -> None:
     Useful in long-running processes.
     """
     for fn in (
-        _layout,
-        _tail_expansion,
-        _rank_gains,
-        _shared_letter,
-        _basis_data,
-        _tail_data,
-        _absorb,
-        _cycle_perm,
-        _subset_perm,
-        _pi_expansion,
+        _layout, _tail_expansion, _basis_data, _absorb, _cycle_perm, _subset_perm, _pi_expansion,
     ):
         fn.cache_clear()
 
@@ -803,13 +743,14 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     n = x.n
     if not x.terms or not words:
         return AlgebraElement(n, {})
-    _, _, g_elim, lo_elim = _rank_gains(n)
+    lay = _layout(n)
+    kids, tails, shape = lay.kids, lay.tails, lay.kid_shape
     mass_x = 0
     lo_x = None
     even = True
     for idx, c in x.terms.items():
         lo, mass, ev = _read(c)
-        _, _, _, tail_mass, tail_lo, _ = _basis_data(idx)
+        tail_mass, tail_lo, _ = tails[shape[kids[idx]]]
         mass_x += mass * tail_mass
         lo_x = lo + tail_lo if lo_x is None else min(lo_x, lo + tail_lo)
         even = even and ev
@@ -820,20 +761,18 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
         lo, mass, ev = _read(c)
         gain += mass * g
         # the stack before and after it is scaled by c, then what elimination makes
-        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + lo_elim)
+        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + lay.lo_elim)
         even = even and ev
         scaled.append((letters, c, max(0, -lo)))
-    bits = slot_bits(mass_x * gain * g_elim)
+    bits = slot_bits(mass_x * gain * lay.g_elim)
     offset = -low
-    lay = _layout(n)
     welem: dict = {}
     for idx, c in x.terms.items():
         cp = pack(c, bits, offset)
-        base = lay.block(idx.A)
-        index = lay.index[idx.k]
-        for d, e, a in _basis_data(idx)[5]:
+        kid = kids[idx]
+        for delta, e, a in tails[shape[kid]][2]:
             t = cp << e * bits if e >= 0 else cp >> -e * bits
-            accumulate(welem, base + index[d], t if a == 1 else -t if a == -1 else a * t)
+            accumulate(welem, kid + delta, t if a == 1 else -t if a == -1 else a * t)
     scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
     stack = [welem]  # stack[j]: x times the first j letters of prev
     prev: tuple = ()
@@ -1024,7 +963,7 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
-    return _product(x, [(*_basis_data(idx)[:3], c) for idx, c in y.terms.items()])
+    return _product(x, [(*_basis_data(idx), c) for idx, c in y.terms.items()])
 
 
 def hat_T(n: int, mu) -> AlgebraElement:

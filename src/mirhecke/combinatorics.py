@@ -130,8 +130,10 @@ def strip_removals(lam: Partition, m: int):
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu.
 
-    Computed by peeling the horizontal strip of the largest entry; the cache
-    is shared process-wide (lru_cache insertion is atomic per key).
+    Computed by peeling the horizontal strip of the largest entry: the
+    strips of `strip_removals` of size mu[-1] whose components each span
+    one row.  The cache is shared process-wide (lru_cache insertion is
+    atomic per key).
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
@@ -143,30 +145,11 @@ def kostka(lam: Partition, mu: Partition) -> int:
         return 0
     last = mu[-1]
     rest = mu[:-1]
-    total = 0
-    for nu in _horizontal_strip_removals(lam, last):
-        total += kostka(nu, rest)
-    return total
-
-
-def _horizontal_strip_removals(lam: Partition, m: int):
-    """Partitions nu inside lam with lam/nu a horizontal strip of size m."""
-
-    def gen(i: int, remaining: int, prefix: list[int]):
-        if i == len(lam):
-            if remaining == 0:
-                yield check_partition([a for a in prefix if a])
-            return
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        hi = lam[i]
-        lo = max(below, lam[i] - remaining)
-        # horizontal strip: nu_i >= lam_{i+1}
-        for nu_i in range(hi, lo - 1, -1):
-            if prefix and nu_i > prefix[-1]:
-                continue
-            yield from gen(i + 1, remaining - (lam[i] - nu_i), prefix + [nu_i])
-
-    yield from gen(0, m, [])
+    return sum(
+        kostka(nu, rest)
+        for nu, size, comps in strip_removals(lam, last)
+        if size == last and all(rows == 1 for rows, _ in comps)
+    )
 
 
 def _n_rearrangements(mu: Partition, r: int) -> int:

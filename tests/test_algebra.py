@@ -329,33 +329,23 @@ class TestMul:
             assert even_exponent_ok(prod)
 
     def test_clear_caches_empties_every_memo(self):
-        memos = (
-            algebra._layout,
-            algebra._tail_expansion,
-            algebra._rank_gains,
-            algebra._shared_letter,
-            algebra._basis_data,
-            algebra._tail_data,
-            algebra._absorb,
-            algebra._cycle_perm,
-            algebra._subset_perm,
-            algebra._pi_expansion,
-        )
-        # fills every memo and every id table, T^-1 rows of both letters included
+        # every memo of the module, found by name: one that `clear_caches`
+        # leaves out fails here
+        memos = [
+            fn
+            for fn in vars(algebra).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == algebra.__name__
+        ]
+        assert algebra._layout in memos and algebra._basis_data in memos
         x = reduce_word(GeneratorWord(3, [("T", 2, 1), ("T", 1, 1), ("T", 2, -1)]))
         y = gen_P(3, 2)
         want = mul(x, y)
         assert mul(x, y) == want and algebra._basis_data.cache_info().hits > 0
         assert all(fn.cache_info().currsize > 0 for fn in memos)
         lay = algebra._layout(3)
-        tables = (lay.p1_rows, lay.steps, lay.basis, *lay.t_rows)
-        assert lay.blocks and all(any(table) for table in tables)
         algebra.clear_caches()
         assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
-        fresh = algebra._layout(3)
-        assert fresh is not lay and not fresh.blocks and not fresh.kid_A
-        assert fresh.p1_rows == fresh.basis == []
-        assert not any(any(table) for table in (fresh.steps, *fresh.t_rows))
+        assert algebra._layout(3) is not lay
         assert mul(x, y) == want
 
     def test_golden_products(self):
@@ -383,10 +373,9 @@ class TestMul:
                 accumulate(welem, (A, d), random_scalar(rng))
             mixed += len({A for A, _ in welem}) > 2
             # the a priori width and offset of `_product`, for this input
-            _, _, g_elim, lo_elim = algebra._rank_gains(n)
-            bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * g_elim)
-            offset = -min(c.min_exp() for c in welem.values()) - lo_elim
             lay = algebra._layout(n)
+            bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * lay.g_elim)
+            offset = -min(c.min_exp() for c in welem.values()) - lay.lo_elim
             packed = {lay.kid(*key): pack(c, bits, offset) for key, c in welem.items()}
             assert algebra._to_standard(lay, packed, bits, offset) == greedy_to_standard(welem)
         assert mixed >= 10
@@ -416,11 +405,10 @@ class TestMul:
             "_tail_expansion",
             lambda B, w: bad_tail if w == (2, 1, 3) else true_tail(B, w),
         )
-        algebra._layout.cache_clear()  # the layout holds the elimination steps
+        algebra._layout.cache_clear()  # the layout builds every elimination step
         try:
-            lay = algebra._layout(3)
             with pytest.raises(AssertionError, match=message):
-                algebra._to_standard(lay, {lay.kid((), (2, 1, 3)): pack(ONE, 8, 0)}, 8, 0)
+                algebra._layout(3)
         finally:
             algebra._layout.cache_clear()
 
@@ -520,20 +508,30 @@ def golden_json(triples):
 
 
 class TestKeyIds:
-    """The id layout: outputs free of id order, rows built once, and the per-rank gains."""
+    """The id layout: complete tables, outputs free of id order, rows built once, the gains."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_table_is_complete(self, n):
+        algebra.clear_caches()
+        lay = algebra._layout(n)
+        tables = (lay.kid_A, lay.kid_shape, lay.p1_rows, lay.basis, lay.steps, lay.tails, *lay.t_rows)
+        assert len(lay.t_rows) == 2 * (n - 1)
+        assert all(None not in table for table in tables)
+        assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_A)
+        assert all(len(table) == len(lay.shapes) for table in (lay.steps, lay.tails, *lay.t_rows))
+        # `kids` maps the standard basis one-to-one onto the ids
+        basis = list(iter_standard_basis(n))
+        assert len(lay.kids) == len(basis) == len(lay.kid_A)
+        assert sorted(lay.kids[idx] for idx in basis) == list(range(len(lay.kid_A)))
+        assert all(lay.basis[lay.kids[idx]] == idx for idx in basis)
 
     def test_outputs_do_not_depend_on_id_order(self):
         triples = golden_triples()
         algebra.clear_caches()
         forward = golden_json(triples)
-        forward_blocks = list(algebra._layout(4).blocks)
         algebra.clear_caches()
-        # allocate the rank-4 blocks in reverse order before any product, then
-        # run the triples backwards with rank-3 products in between
+        # the triples backwards, with rank-3 products in between
         lay = algebra._layout(4)
-        for A in reversed(forward_blocks):
-            lay.block(A)
-        assert list(lay.blocks) != forward_blocks
         rng = random.Random(23)
         els3 = all_basis_elements(3)
         backward = []
@@ -554,7 +552,7 @@ class TestKeyIds:
             monkeypatch.setattr(algebra, name, counting)
         # P_1 rows per (rank, kid); a row built while another is being built
         # is a parent that had to be rebuilt
-        true_row = algebra._Layout.p1_row
+        true_row = algebra._Layout.rmul_p1
         rows, building, nested = {}, [], []
 
         def counting_row(lay, kid):
@@ -567,8 +565,8 @@ class TestKeyIds:
             finally:
                 building.pop()
 
-        monkeypatch.setattr(algebra._Layout, "p1_row", counting_row)
-        calls["p1_row"] = rows
+        monkeypatch.setattr(algebra._Layout, "rmul_p1", counting_row)
+        calls["rmul_p1"] = rows
         golden_json(golden_triples())
         # T rows per (k, d, i, inverse), steps and closed forms per (k, d)
         assert all(seen for seen in calls.values())
@@ -579,7 +577,6 @@ class TestKeyIds:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_p1_rows_match_the_word_replay(self, n):
         algebra.clear_caches()
-        algebra._rank_gains(n)  # the scan builds the row of every key
         lay = algebra._layout(n)
         assert len(lay.p1_rows) == sum(1 for _ in iter_standard_basis(n))
         for kid, row in enumerate(lay.p1_rows):
@@ -594,7 +591,6 @@ class TestKeyIds:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_left_rule_matches_the_hecke_product(self, n):
-        algebra._rank_gains(n)  # allocates every block
         lay = algebra._layout(n)
         for kid in range(len(lay.kid_A)):
             A, d = lay.key(kid)
@@ -635,7 +631,6 @@ class TestKeyIds:
             return true_left(lay, row, i)
 
         monkeypatch.setattr(algebra._Layout, "t_left", counting)
-        algebra._rank_gains(n)
         lay = algebra._layout(n)
         want = 0
         for k in range(1, n + 1):
@@ -651,7 +646,8 @@ class TestKeyIds:
     def test_rank_gains_bound_every_unit_key(self, n, attained):
         # the slot width rests on G_elim, lo_elim, G_P1 and lo_P1; the largest
         # elimination mass a unit key reaches is far below G_elim for n >= 3
-        g_p1, lo_p1, g_elim, lo_elim = algebra._rank_gains(n)
+        lay = algebra._layout(n)
+        g_p1, lo_p1, g_elim, lo_elim = lay.g_p1, lay.lo_p1, lay.g_elim, lay.lo_elim
         elim_mass, p1_mass, p1_low = [], [], []
         for u in itertools.permutations(range(1, n + 1)):
             for k in range(n + 1):

@@ -197,6 +197,10 @@ class TestStripRemovals:
                     assert not has_block(boxes[nu]), (lam, nu)
                     assert size == len(boxes[nu]), (lam, nu)
                     assert comps == component_shapes(boxes[nu]), (lam, nu)
+                    # one-row components, as `kostka` reads them, are horizontal strips
+                    columns = [j for _, j in boxes[nu]]
+                    horizontal = len(set(columns)) == len(columns)
+                    assert all(rows == 1 for rows, _ in comps) == horizontal, (lam, nu)
 
     def test_empty_partition(self):
         assert list(strip_removals((), 3)) == [((), 0, ())]
@@ -227,7 +231,9 @@ class TestKostka:
             kostka((2,), (1,))
 
     def test_against_bruteforce(self):
-        for size in range(1, 5):
+        # size 6 is the first with a strip of size mu[-1] that is not horizontal
+        # and a nonzero count below it: (3, 3) / (2, 2) with mu = (2, 2, 2)
+        for size in range(1, 7):
             for lam in partitions_of(size):
                 for mu in partitions_of(size):
                     assert kostka(lam, mu) == ssyt_oracle(lam, mu), (lam, mu)
