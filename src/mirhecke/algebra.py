@@ -36,13 +36,17 @@ exact over Z[q, q^-1].  Higher idempotents appearing in input words are
 first expanded through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
 
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
-computations stay in even v-exponents.
+computations stay in even v-exponents, and so do the engine tables, which
+`_Layout` stores in powers of q (`OddExponentError` on an odd exponent).
 
 The engine runs on plain ints (Kronecker substitution, see `ring.pack`).
-For one product, each working coefficient p is stored as
-p(2^B) * 2^(B*E), and every table entry is one monomial a v^e that acts
-by one shift of e slots with a sign or a small scale.  v -> 2^B is
-a ring homomorphism, so every packed value is exactly the image of its true
+A product whose inputs are all in Z[q, q^-1], as every product of
+generators is, packs each working coefficient p in q-slots as
+p(q = 2^B) * 2^(B*E) (step 2), where one power of q is a shift of
+unit = B bits; any other product packs in v-slots, p(v = 2^B) * 2^(B*E)
+(step 1), unit = 2B.  Every table entry is a monomial a q^e that acts by
+a shift of e units with a sign or a small scale.  Both substitutions are
+ring homomorphisms, so every packed value is exactly the image of its true
 Laurent coefficient, and a packed zero can be dropped without changing any
 image downstream.  Only the decoded outputs must fit their slots:
 
@@ -56,14 +60,16 @@ image downstream.  Only the decoded outputs must fit their slots:
   g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail of its step.  Both are
   read off the complete tables of the rank when its `_Layout` is built,
   never at import.  B is `slot_bits` of that bound and never a setting.
-- E.  Every right shift must be exact, so -E is a lower bound on every
-  exponent of every intermediate value: x's lowest working exponent, less 2
-  per inverse letter (those inside P_j included) and the lowest exponent of
-  the P_1 rows per P_1 letter; the stack is covered both before and after
-  it is scaled by c_y; then the lowest exponent that elimination makes.
+- E.  Every right shift must be exact, so -E * step is a lower bound on
+  every v-exponent (even with step 2) of every intermediate value: x's
+  lowest working exponent, less 2 per inverse letter (those inside P_j
+  included) and the lowest exponent of the P_1 rows per P_1 letter; the
+  stack is covered both before and after it is scaled by c_y; then the
+  lowest exponent that elimination makes.
 
 Decoding is exact because the true output coefficients satisfy
-|a| < 2^(B-1), where balanced base-2^B digits are unique.  One engine,
+|a| < 2^(B-1), where balanced base-2^B digits are unique.  Nothing scans
+an output for odd exponents: q-slots cannot hold one.  One engine,
 `_product`, serves `mul`, `reduce_word` and `rmul_gen`.
 
 Key ids.  The engine's working elements are {kid: packed int}.  Every
@@ -71,15 +77,15 @@ working key (A, d) of rank n has a dense id kid = blocks[A] + index_k(d):
 index_k(d) is the position of d among the n!/k! minimal representatives
 of S_k \\ S_n, shortest first, and every k-subset A owns a block of n!/k!
 ids, the blocks laid out for k = 0..n in `itertools.combinations` order
-(`_Layout`).  The T^+-1 rows, the elimination steps and the working
-expansions of the standard elements depend only on the shape (k, d), so
-each is built once per shape and names its targets by the shift
-delta = index_k(d2) - index_k(d); it applies to every A as kid + delta.
-The P_1 rows change A, so they are keyed by kid and name absolute ids.
-A constant with several monomials, such as q - 1, is several entries.
-`_w_rmul_letter`, `_to_standard` and `_product` shift, sign and accumulate
-inline; ids are mapped to and from a BasisIndex only where a product
-enters and leaves the engine.
+(`_Layout`).  Every row names its targets by the shift delta = target -
+kid.  The T^+-1 rows, the elimination steps and the working expansions of
+the standard elements depend only on the shape (k, d), so each is built
+once per shape and applies to every A; the P_1 rows change A and are
+built per kid.  A constant with several monomials, such as q - 1, is
+several entries.  One kernel, `_apply`, shifts, signs and accumulates
+every row table (T^+-1, P_1, `tails`); `_to_standard` does the same per
+length bucket.  Ids are mapped to and from a BasisIndex only where a
+product enters and leaves the engine.
 
 Working to standard is an elimination: the key (A, d) is the unit leading
 term of one standard element (A, B, w), so it is replaced by that element
@@ -93,15 +99,15 @@ with the previous word.
 What is memoized, and where (`clear_caches` empties all of it):
 
 - `_layout(n)` is the one engine state of rank n, complete when it is
-  built: the ids, `t_rows` (T^+-1, per shape and letter), `steps` and
-  `tails` (per shape), `p1_rows`, `basis` (per kid) and `kids`, and the
-  gains G_P1, lo_P1, G_elim and lo_elim.  The T rows and steps come from
-  the plain tuple-keyed functions `_w_rmul_T_key` and `_standard_step` on
-  LaurentScalar, which the tests also read as the reference.  A P_1 row is
-  built by `_Layout.rmul_p1` from an earlier row (or from
-  `_p1_closed_form`) with the left rule `_Layout.t_left`; the tests
-  compare every row with a replay of its whole word through a general
-  Hecke product.
+  built: the ids, `t_rows` (T^+-1, per shape and letter), `steps`, `tails`
+  and `tail_bounds` (per shape), `p1_rows`, `basis` (per kid), `kids`, the
+  gains G_P1, lo_P1, G_elim and lo_elim, and the `letters` of the rank.
+  The T rows and steps come from the plain tuple-keyed functions
+  `_w_rmul_T_key` and `_standard_step` on LaurentScalar, which the tests
+  also read as the reference.  A P_1 row is built by `_Layout.rmul_p1`
+  from an earlier row (or from `_p1_closed_form`) with the left rule
+  `_Layout.t_left`; the tests compare every row with a replay of its whole
+  word through a general Hecke product.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
   the builders' helpers `_absorb` (the coset split of a permutation),
   `_tail_expansion`, `_cycle_perm`, `_subset_perm` and `_pi_expansion`,
@@ -152,7 +158,7 @@ _MINUS_Q = -Q
 
 
 class OddExponentError(ArithmeticError):
-    """Raised when a normal form computed from even inputs has an odd v-exponent."""
+    """Raised when an engine table built for a rank has an odd v-exponent."""
 
 
 class GeneratorWord:
@@ -294,7 +300,7 @@ def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
 
 # A table constant is a tuple ((v-exponent, coeff), ...).  These builders are
 # plain functions: the engine reads their rows through the id tables below,
-# which build each row once.
+# which build each row once and store each exponent as a power of q.
 
 
 def _const(s: LaurentScalar) -> tuple:
@@ -402,35 +408,48 @@ def _standard_step(k: int, d: Permutation) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _q_exp(e: int) -> int:
+    """A table v-exponent as a power of q; raises OddExponentError if it is odd."""
+    if e & 1:
+        raise OddExponentError(f"odd v-exponent {e} in an engine table")
+    return e >> 1
+
+
+def _letters(n: int) -> list:
+    """One tuple per generator letter of rank n: (T_i, T_i^-1, P_i) at position i."""
+    return [(("T", i, 1), ("T", i, -1), ("P", i)) for i in range(n + 1)]
+
+
 class _Layout:
     """Dense int ids for the working keys (A, d) of rank n, and every table the engine reads.
 
     A shape is a pair (k, d); shape ids run over k = 0..n and, within k,
     over index_k(d).  kid(A, d) = blocks[A] + index_k(d).  Every table is
-    complete when `__init__` returns, and every entry is a monomial
-    (target, v-exponent, coeff):
+    complete when `__init__` returns.  A row is a tuple of monomials
+    (delta, e, a), the term a q^e of target kid + delta, which `_apply`
+    reads; equal rows are one shared tuple:
 
-    - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, targets kid + delta;
-    - `p1_rows[kid]`: P_1, targets absolute ids, built in ascending kid
-      order, so the parent that `rmul_p1` reads is always built;
-    - `steps[shape]`: `_standard_step` as (length(d), lead^-1 exponent,
-      lead^-1 sign, tail), each tail entry (delta, exponent, coeff,
-      length(d2));
+    - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1};
+    - `p1_rows[kid]`: P_1, built in ascending kid order, so the parent that
+      `rmul_p1` reads is always built;
     - `tails[shape]`: the standard element (A, B, w) that key (A, d) leads,
-      in the working basis and the same for every A: (l1 mass, lowest
-      exponent capped at 0, ((delta, exponent, coeff), ...));
-    - `basis[kid]`: the BasisIndex that key kid leads; `kids` is its inverse.
+      in the working basis and the same for every A; `tail_bounds[shape]`
+      is its (l1 mass, lowest exponent capped at 0).
 
-    `g_p1` is the largest l1 mass of a P_1 row and `lo_p1` the lowest
-    exponent in any row.  `g_elim` is the largest mass that elimination
-    makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail
-    t of the step, and `lo_elim` the lowest exponent of any value it makes.
-    Both lows are capped at 0.
+    `steps[shape]` is `_standard_step` as (length(d), lead^-1 exponent,
+    lead^-1 sign, tail), each tail entry (delta, e, a, length(d2)).
+    `basis[kid]` is the BasisIndex that key kid leads; `kids` is its
+    inverse.  Every exponent is a power of q (`_q_exp`).  `g_p1` is the
+    largest l1 mass of a P_1 row and `lo_p1` the lowest exponent in any
+    row.  `g_elim` is the largest mass that elimination makes from a unit
+    key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of the step,
+    and `lo_elim` the lowest exponent of any value it makes.  Both lows are
+    capped at 0.
     """
 
     __slots__ = (
-        "n", "shapes", "index", "blocks", "kid_A", "kid_shape", "t_rows", "p1_rows",
-        "steps", "tails", "basis", "kids", "g_p1", "lo_p1", "g_elim", "lo_elim",
+        "n", "shapes", "index", "blocks", "kid_A", "kid_shape", "t_rows", "p1_rows", "steps",
+        "tails", "tail_bounds", "basis", "kids", "letters", "g_p1", "lo_p1", "g_elim", "lo_elim",
     )
 
     def __init__(self, n: int):
@@ -452,37 +471,43 @@ class _Layout:
                 self.kid_A.extend([A] * len(ds))
                 self.kid_shape.extend(range(first, first + len(ds)))
             first += len(ds)
+        shared: dict = {}  # few distinct rows (117 of 2,608 T rows at n = 5): one tuple each
         self.t_rows = [[] for _ in range(2 * (n - 1))]
-        shared: dict = {}  # few distinct T rows (117 of 2608 at n = 5): keep one tuple each
         for slot, rows in enumerate(self.t_rows):
             for k, d in shapes:
                 row = tuple(
-                    (index[k][d2] - index[k][d], e, a)
+                    (index[k][d2] - index[k][d], _q_exp(e), a)
                     for d2, const in _w_rmul_T_key(k, d, slot // 2 + 1, slot % 2 == 1)
                     for e, a in const
                 )
                 rows.append(shared.setdefault(row, row))
-        self.steps, self.tails, leads, gain, low = [], [], [], [], []
+        self.steps, self.tails, self.tail_bounds, leads, gain, low = [], [], [], [], [], []
         for s, (k, d) in enumerate(shapes):  # shortest first: every tail shape is known
             here = index[k][d]
             B, w, ((e, a),), rest, ld = _standard_step(k, d)
-            tail = tuple((index[k][d2] - here, e2, a2, l2) for d2, t, l2 in rest for e2, a2 in t)
+            e = _q_exp(e)
+            tail = tuple(
+                (index[k][d2] - here, _q_exp(e2), a2, l2) for d2, t, l2 in rest for e2, a2 in t
+            )
             self.steps.append((ld, e, a, tail))
             leads.append((B, w))
             gain.append(1 + sum(abs(a2) * gain[s + delta] for delta, _, a2, _ in tail))
             low.append(min(0, e, *(e2 + low[s + delta] for delta, e2, _, _ in tail)))
-            working = _tail_expansion(B, w)
-            self.tails.append((
-                sum(map(LaurentScalar.l1_norm, working.values())),
-                min(0, *map(LaurentScalar.min_exp, working.values())),
-                tuple((index[k][d2] - here, e2, a2) for d2, c in working.items() for e2, a2 in c.items()),
-            ))
+            row = tuple(
+                (index[k][d2] - here, _q_exp(e2), a2)
+                for d2, c in _tail_expansion(B, w).items()
+                for e2, a2 in c.items()
+            )
+            self.tails.append(row)
+            self.tail_bounds.append((sum(abs(a) for *_, a in row), min(0, *(e for _, e, _ in row))))
         self.g_elim, self.lo_elim = max(gain), min(low)
         self.basis = [BasisIndex(A, *leads[s]) for A, s in zip(self.kid_A, self.kid_shape)]
         self.kids = {idx: kid for kid, idx in enumerate(self.basis)}
+        self.letters = _letters(n)
         self.p1_rows: list[tuple] = []
         for kid in range(len(self.kid_A)):
-            self.p1_rows.append(self.rmul_p1(kid))
+            row = self.rmul_p1(kid)
+            self.p1_rows.append(shared.setdefault(row, row))
         self.g_p1 = max(sum(abs(a) for _, _, a in row) for row in self.p1_rows)
         self.lo_p1 = min(0, *(e for row in self.p1_rows for _, e, _ in row))
 
@@ -499,9 +524,9 @@ class _Layout:
         If a_j > j for some j, the first such, the row is T_{a_j-1} ... T_j
         times the row of the parent, A with a_j replaced by j (an earlier
         subset in `itertools.combinations` order, so a smaller kid); for
-        m = d(1) <= k that only moves the parent's one term to A's block.
-        Else A = 1..k, and the row is one term for k = 0 or m <= k, else
-        T_{m-1} ... T_{k+1} times `_p1_closed_form`.
+        m = d(1) <= k it is the parent's row itself (its one delta moves to
+        A's block).  Else A = 1..k, and the row is one term for k = 0 or
+        m <= k, else T_{m-1} ... T_{k+1} times `_p1_closed_form`.
         """
         A, d = self.key(kid)
         k, m = len(A), d[0]
@@ -509,14 +534,13 @@ class _Layout:
         letters = ()
         if j:
             parent = self.kid(A[: j - 1] + (j,) + A[j:], d)
-            row = self.p1_rows[parent]
             if m <= k:
-                row = tuple((target + kid - parent, e, a) for target, e, a in row)
-            else:
-                letters = range(j, A[j - 1])
+                return self.p1_rows[parent]
+            row = tuple((parent + delta, e, a) for delta, e, a in self.p1_rows[parent])
+            letters = range(j, A[j - 1])
         elif k and m > k:
             row = tuple(
-                (self.kid(*key), e, a) for key, const in _p1_closed_form(k, d) for e, a in const
+                (self.kid(*key), _q_exp(e), a) for key, c in _p1_closed_form(k, d) for e, a in c
             )
             letters = range(k + 1, m)
         else:
@@ -528,14 +552,14 @@ class _Layout:
                 row = ((self.kid(A, dd), 0, -sign if (m - 1) % 2 else sign),)
         for i in letters:
             row = self.t_left(row, i)
-        return row
+        return tuple((target - kid, e, a) for target, e, a in row)
 
     def t_left(self, row: tuple, i: int) -> tuple:
-        """T_i * row for a row of monomials (kid, e, a), by the four-case left rule.
+        """T_i * row for a row of monomials (kid, e, a) on absolute ids, by the four-case left rule.
 
-        The cases are those of the module docstring, q = v^2.  If neither i
-        nor i+1 is in A, T_i T_A = T_A T_p for p = k + #{letters <= i
-        outside A}, and T_p T_d is T_{s_p d} if d^-1(p) < d^-1(p+1), else
+        The cases are those of the module docstring.  If neither i nor i+1
+        is in A, T_i T_A = T_A T_p for p = k + #{letters <= i outside A},
+        and T_p T_d is T_{s_p d} if d^-1(p) < d^-1(p+1), else
         (q-1) T_d + q T_{s_p d}; s_p d is again a minimal representative.
         """
         out: dict = {}
@@ -553,14 +577,14 @@ class _Layout:
             elif case == 1:
                 terms = ((kid + x, e, a),)
             elif case == 2:
-                terms = ((kid, e + 2, a), (kid, e, -a), (kid + x, e + 2, a))
+                terms = ((kid, e + 1, a), (kid, e, -a), (kid + x, e + 1, a))
             else:
                 k, d = shapes[kid_shape[kid]]
                 kid2 = kid - index[k][d] + index[k][apply_left_s(d, x)]
                 if d.index(x) < d.index(x + 1):
                     terms = ((kid2, e, a),)
                 else:
-                    terms = ((kid, e + 2, a), (kid, e, -a), (kid2, e + 2, a))
+                    terms = ((kid, e + 1, a), (kid, e, -a), (kid2, e + 1, a))
             for kid2, e2, a2 in terms:
                 key = kid2, e2
                 out[key] = get(key, 0) + a2
@@ -587,57 +611,44 @@ def _layout(n: int) -> _Layout:
     return _Layout(n)
 
 
-# A working element is {kid: packed int}.  Each monomial entry (target, e, a)
-# acts by a shift of e * bits and a sign or a small scale; the sums are
-# accumulated in place and exact zeros are dropped.
+def _apply(elem: dict, rows: list, sel, unit: int) -> dict:
+    """The working element sum of c * rows[sel[kid]] over the terms (kid, c) of elem.
 
-
-def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, bits: int) -> dict:
+    An entry (delta, e, a) of a row adds a * q^e * c to target kid + delta;
+    q^e is a shift by e * unit bits, the sums are accumulated in place and
+    exact zeros are dropped.  `sel` is `kid_shape` for the per-shape tables
+    and the ids themselves for `p1_rows`.
+    """
     out: dict = {}
     get = out.get
+    for kid, c in elem.items():
+        for delta, e, a in rows[sel[kid]]:
+            t = c if not e else c << e * unit if e > 0 else c >> -e * unit
+            key = kid + delta
+            v = get(key)
+            if v is None:
+                out[key] = t if a == 1 else -t if a == -1 else a * t
+            else:
+                v = v + t if a == 1 else v - t if a == -1 else v + a * t
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, unit: int) -> dict:
     if letter[0] == "T":
-        slot = 2 * letter[1] - 2 + (letter[2] == -1)
-        rows = lay.t_rows[slot]
-        shape = lay.kid_shape
-        for kid, c in elem.items():
-            for delta, e, a in rows[shape[kid]]:
-                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
-                key = kid + delta
-                v = get(key)
-                if v is None:
-                    out[key] = t if a == 1 else -t if a == -1 else a * t
-                else:
-                    v = v + t if a == 1 else v - t if a == -1 else v + a * t
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        return out
-    j = letter[1]
-    if j == 1:
-        rows = lay.p1_rows
-        for kid, c in elem.items():
-            for key, e, a in rows[kid]:
-                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
-                v = get(key)
-                if v is None:
-                    out[key] = t if a == 1 else -t if a == -1 else a * t
-                else:
-                    v = v + t if a == 1 else v - t if a == -1 else v + a * t
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        return out
-    sign, word = _pi_expansion(j)
+        return _apply(elem, lay.t_rows[2 * letter[1] - 2 + (letter[2] == -1)], lay.kid_shape, unit)
+    if letter[1] == 1:
+        return _apply(elem, lay.p1_rows, range(len(lay.p1_rows)), unit)
+    sign, word = _pi_expansion(letter[1])
     for lt in word:
-        elem = _w_rmul_letter(lay, elem, lt, bits)
-    if sign < 0:
-        elem = {key: -c for key, c in elem.items()}
-    return elem
+        elem = _w_rmul_letter(lay, elem, lt, unit)
+    return {key: -c for key, c in elem.items()} if sign < 0 else elem
 
 
-def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
+def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int, step: int) -> dict:
     """Unitriangular elimination from the packed working basis to decoded standard terms.
 
     Keys are bucketed by length(d) and drained from the longest down; every
@@ -645,6 +656,7 @@ def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
     and the order within it does not matter.
     """
     steps, shape, basis = lay.steps, lay.kid_shape, lay.basis
+    unit = 2 // step * bits
     out: dict[BasisIndex, LaurentScalar] = {}
     buckets: list[dict] = []
     for kid, c in welem.items():
@@ -655,10 +667,10 @@ def _to_standard(lay: _Layout, welem: dict, bits: int, offset: int) -> dict:
     for ld in range(len(buckets) - 1, -1, -1):
         for kid, c in buckets[ld].items():
             _, e, a, tail = steps[shape[kid]]
-            t = c if not e else c << e * bits if e > 0 else c >> -e * bits
-            out[basis[kid]] = unpack(t if a == 1 else -t, bits, offset)
+            t = c if not e else c << e * unit if e > 0 else c >> -e * unit
+            out[basis[kid]] = unpack(t if a == 1 else -t, bits, offset, step)
             for delta, e, a, l2 in tail:
-                t = c if not e else c << e * bits if e > 0 else c >> -e * bits
+                t = c if not e else c << e * unit if e > 0 else c >> -e * unit
                 bucket = buckets[l2]
                 key = kid + delta
                 v = bucket.get(key)
@@ -680,9 +692,9 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
     """(gain, drop) of a generator word at rank n.
 
     The gain 3^(#T) G_P1^(#P1) bounds how much the word multiplies the l1
-    mass of a working element; the drop 2 (#T^-1) - lo_P1 (#P1) bounds how
-    far it lowers the lowest v-exponent.  Each P_j counts as its expansion
-    `_pi_expansion(j)`.
+    mass of a working element; the drop 2 (#T^-1) - 2 lo_P1 (#P1) bounds
+    how far it lowers the lowest v-exponent (lo_P1 is a power of q).  Each
+    P_j counts as its expansion `_pi_expansion(j)`.
     """
     t = inv = p1 = 0
     for lt in letters:
@@ -693,7 +705,7 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
             else:
                 p1 += 1
     lay = _layout(n)
-    return 3**t * lay.g_p1**p1, 2 * inv - lay.lo_p1 * p1
+    return 3**t * lay.g_p1**p1, 2 * (inv - lay.lo_p1 * p1)
 
 
 def _read(c: LaurentScalar) -> tuple[int, int, bool]:
@@ -713,10 +725,11 @@ def _read(c: LaurentScalar) -> tuple[int, int, bool]:
 def _basis_data(idx: BasisIndex) -> tuple:
     """(letters, gain, drop) of a basis index: `basis_word(idx)` and its `_word_bounds` (memoized).
 
-    The letters are not checked again: a BasisIndex is validated when it is
-    made, and its basis word is then a valid word of rank idx.n.
+    The letters are the rank's shared letter tuples and are not checked
+    again: a BasisIndex is validated when it is made, and its basis word is
+    then a valid word of rank idx.n.
     """
-    letters = tuple(_basis_letters(idx))
+    letters = tuple(_basis_letters(idx, _layout(idx.n).letters))
     return letters, *_word_bounds(idx.n, letters)
 
 
@@ -735,24 +748,25 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     """x * sum c * word over words = [(letters, gain, drop, c), ...] in normal form.
 
     One pass over x and one over the words read every coefficient for the
-    slot width, the offset and the parity; then x is packed into the working
-    basis and right-multiplied by the words in sorted order, each starting
-    from the stored partial product of its longest common prefix with the
-    previous word.
+    slot width, the offset and the slot unit (q-slots when every
+    coefficient is in Z[q, q^-1], else v-slots); then x is packed into the
+    working basis and right-multiplied by the words in sorted order, each
+    starting from the stored partial product of its longest common prefix
+    with the previous word.
     """
     n = x.n
     if not x.terms or not words:
         return AlgebraElement(n, {})
     lay = _layout(n)
-    kids, tails, shape = lay.kids, lay.tails, lay.kid_shape
+    kids, tail_bounds, shape = lay.kids, lay.tail_bounds, lay.kid_shape
     mass_x = 0
     lo_x = None
     even = True
     for idx, c in x.terms.items():
         lo, mass, ev = _read(c)
-        tail_mass, tail_lo, _ = tails[shape[kids[idx]]]
+        tail_mass, tail_lo = tail_bounds[shape[kids[idx]]]
         mass_x += mass * tail_mass
-        lo_x = lo + tail_lo if lo_x is None else min(lo_x, lo + tail_lo)
+        lo_x = lo + 2 * tail_lo if lo_x is None else min(lo_x, lo + 2 * tail_lo)
         even = even and ev
     gain = 0
     low = lo_x
@@ -761,20 +775,16 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
         lo, mass, ev = _read(c)
         gain += mass * g
         # the stack before and after it is scaled by c, then what elimination makes
-        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + lay.lo_elim)
+        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + 2 * lay.lo_elim)
         even = even and ev
         scaled.append((letters, c, max(0, -lo)))
     bits = slot_bits(mass_x * gain * lay.g_elim)
-    offset = -low
-    welem: dict = {}
-    for idx, c in x.terms.items():
-        cp = pack(c, bits, offset)
-        kid = kids[idx]
-        for delta, e, a in tails[shape[kid]][2]:
-            t = cp << e * bits if e >= 0 else cp >> -e * bits
-            accumulate(welem, kid + delta, t if a == 1 else -t if a == -1 else a * t)
+    step = 2 if even else 1  # every exponent, low included, is even when step is 2
+    unit = 2 // step * bits  # the shift of one power of q
+    offset = -low // step
+    packed = {kids[idx]: pack(c, bits, offset, step) for idx, c in x.terms.items()}
     scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
-    stack = [welem]  # stack[j]: x times the first j letters of prev
+    stack = [_apply(packed, lay.tails, shape, unit)]  # stack[j]: x times prev[:j]
     prev: tuple = ()
     total: dict = {}
     get = total.get
@@ -784,9 +794,10 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
             j += 1
         del stack[j + 1 :]
         for lt in letters[j:]:
-            stack.append(_w_rmul_letter(lay, stack[-1], lt, bits))
+            stack.append(_w_rmul_letter(lay, stack[-1], lt, unit))
         prev = letters
-        cp = pack(c, bits, shift)
+        shift //= step
+        cp = pack(c, bits, shift, step)
         shift *= bits
         for kid, s in stack[-1].items():
             t = (s * cp) >> shift if shift else s * cp if cp != 1 else s
@@ -799,7 +810,7 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
                     total[kid] = v
                 else:
                     del total[kid]
-    return _finish(lay, total, bits, offset, check_even=even)
+    return AlgebraElement(n, _to_standard(lay, total, bits, offset, step))
 
 
 # ---------------------------------------------------------------------------
@@ -917,29 +928,20 @@ def t0_element(n: int) -> AlgebraElement:
     return identity_element(n).scale(Q_MINUS_1) - gen_P(n, 1).scale(Q)
 
 
-def _basis_letters(idx: BasisIndex) -> list[Letter]:
-    letters: list[Letter] = [("T", i, 1) for i in _subset_word(idx.A)]
+def _basis_letters(idx: BasisIndex, letters: list) -> list[Letter]:
+    """The letters of T_A P_k T_w T_B^{-1}, taken from `letters` = `_letters(idx.n)`."""
+    out = [letters[i][0] for i in _subset_word(idx.A)]
     if idx.k >= 1:
-        letters.append(("P", idx.k))
-    letters.extend(("T", i, 1) for i in reduced_word(idx.w))
+        out.append(letters[idx.k][2])
+    out.extend(letters[i][0] for i in reduced_word(idx.w))
     for j in range(idx.k, 0, -1):
-        letters.extend(("T", t, -1) for t in range(j, idx.B[j - 1]))
-    return letters
+        out.extend(letters[t][1] for t in range(j, idx.B[j - 1]))
+    return out
 
 
 def basis_word(idx: BasisIndex) -> GeneratorWord:
     """The defining word T_A P_k T_w T_B^{-1} of a standard basis element."""
-    return GeneratorWord(idx.n, _basis_letters(idx))
-
-
-def _finish(
-    lay: _Layout, welem: dict, bits: int, offset: int, check_even: bool = True
-) -> AlgebraElement:
-    out = AlgebraElement(lay.n, _to_standard(lay, welem, bits, offset))
-    # intrinsic computations on even inputs never leave the Z[q, q^-1] subring
-    if check_even and not even_exponent_ok(out):
-        raise OddExponentError(f"odd v-exponent escaped the engine: {out!r}")
-    return out
+    return GeneratorWord(idx.n, _basis_letters(idx, _letters(idx.n)))
 
 
 def reduce_word(word: GeneratorWord) -> AlgebraElement:
@@ -1032,11 +1034,6 @@ def star(x: AlgebraElement) -> AlgebraElement:
     for idx, c in x.terms.items():
         out = out + reduce_word(basis_word(idx).reversed()).scale(c)
     return out
-
-
-def even_exponent_ok(x: AlgebraElement) -> bool:
-    """Intrinsic computations must stay in the Z[q, q^-1] subring."""
-    return all(c.is_even() for c in x.terms.values())
 
 
 def all_basis_elements(n: int) -> list[AlgebraElement]:

@@ -35,10 +35,12 @@ and the character recursion (`characters`) run on plain ints instead
 p(2^bits) * 2^(bits * offset): v -> 2^bits is a ring homomorphism, so sums
 and products of packed values are the packed sums and products, and
 multiplying by v^+-1 is a shift by `bits`.  With `step` = 2 a slot holds a
-power of q = v^2 instead (v^2 -> 2^bits), for values in Z[q, q^-1], and
-`pack` raises ValueError on an odd exponent.  The offset must cover the lowest
-exponent that can occur, so that every right shift is exact.  `unpack` reads
-the integer back as balanced base-2^bits digits.  The digits are unique as
+power of q = v^2 instead (v^2 -> 2^bits), for values in Z[q, q^-1]: the
+character recursion always packs so, the engine whenever every input of a
+product is in Z[q, q^-1], and `pack` raises ValueError on an odd exponent.
+The offset must cover the lowest exponent that can occur, so that every
+right shift is exact.  `unpack` reads the integer back as balanced
+base-2^bits digits.  The digits are unique as
 long as every coefficient satisfies |a| < 2^(bits-1); `slot_bits(bound)` is
 the width at which any coefficient of absolute value <= bound decodes, and
 a caller must derive the bound a priori for every value it will unpack or

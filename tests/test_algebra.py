@@ -10,11 +10,9 @@ from mirhecke.algebra import (
     AlgebraElement,
     GeneratorWord,
     OddExponentError,
-    _finish,
     all_basis_elements,
     basis_element,
     basis_word,
-    even_exponent_ok,
     gen_P,
     gen_T,
     hat_T,
@@ -31,7 +29,6 @@ from mirhecke import algebra, checks
 from mirhecke.combinatorics import (
     BasisIndex,
     apply_left_s,
-    identity_perm,
     iter_standard_basis,
     partitions_up_to,
     pcompose,
@@ -44,7 +41,6 @@ from mirhecke.ring import (
     ONE,
     Q,
     Q_MINUS_1,
-    V,
     accumulate,
     pack,
     slot_bits,
@@ -191,6 +187,17 @@ def term_by_term_mul(x, y):
     return AlgebraElement(x.n, greedy_to_standard(total))
 
 
+def even_exponent_ok(x):
+    """Whether every coefficient of x lies in the Z[q, q^-1] subring."""
+    return all(c.is_even() for c in x.terms.values())
+
+
+def q_exp(e):
+    """A v-exponent of a reference term as the power of q that the engine tables store."""
+    assert e % 2 == 0, f"odd v-exponent {e} in a reference term"
+    return e // 2
+
+
 def needed_bits(x):
     """The narrowest slot in which every coefficient of x decodes.
 
@@ -225,6 +232,16 @@ def random_combination(rng, els, terms, draw=random_scalar):
     for _ in range(terms):
         out = out + rng.choice(els).scale(draw(rng))
     return out
+
+
+def odd_pairs():
+    """30 seeded rank-3 pairs (x, y) with odd v-exponents in their coefficients."""
+    els = all_basis_elements(3)
+    rng = random.Random(13)
+    return [
+        (random_combination(rng, els, 2, odd_scalar), random_combination(rng, els, 3, odd_scalar))
+        for _ in range(30)
+    ]
 
 
 class TestBasisWords:
@@ -372,12 +389,15 @@ class TestMul:
                 _, d = algebra._absorb(len(A), u)
                 accumulate(welem, (A, d), random_scalar(rng))
             mixed += len({A for A, _ in welem}) > 2
-            # the a priori width and offset of `_product`, for this input
+            # the a priori width and offset of `_product`, for this input, in
+            # q-slots (the inputs are even) and in v-slots
             lay = algebra._layout(n)
             bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * lay.g_elim)
-            offset = -min(c.min_exp() for c in welem.values()) - lay.lo_elim
-            packed = {lay.kid(*key): pack(c, bits, offset) for key, c in welem.items()}
-            assert algebra._to_standard(lay, packed, bits, offset) == greedy_to_standard(welem)
+            low = min(c.min_exp() for c in welem.values()) + 2 * lay.lo_elim
+            want = greedy_to_standard(welem)
+            for step in (2, 1):
+                packed = {lay.kid(*key): pack(c, bits, -low // step, step) for key, c in welem.items()}
+                assert algebra._to_standard(lay, packed, bits, -low // step, step) == want
         assert mixed >= 10
 
     def test_prefix_shared_mul_matches_term_by_term(self):
@@ -417,17 +437,33 @@ class TestPackedEngine:
     """The int engine against the LaurentScalar reference loops, and its slot width."""
 
     def test_odd_exponents_match_the_reference(self):
-        # odd inputs take the check_even=False path of `_finish`
-        els = all_basis_elements(3)
-        rng = random.Random(13)
+        # odd inputs are packed in v-slots
         odd = 0
-        for _ in range(30):
-            x = random_combination(rng, els, 2, odd_scalar)
-            y = random_combination(rng, els, 3, odd_scalar)
+        for x, y in odd_pairs():
             got = mul(x, y)
             odd += not even_exponent_ok(got)
             assert got == term_by_term_mul(x, y)
         assert odd >= 10
+
+    def test_slot_unit_follows_the_inputs(self, monkeypatch):
+        # q-slots (step 2) on every golden product, v-slots (step 1) on odd inputs
+        steps = set()
+
+        def recording(x, bits, offset, step=1):
+            steps.add(step)
+            return pack(x, bits, offset, step)
+
+        def steps_of(x, y):
+            steps.clear()
+            mul(x, y)
+            return set(steps)
+
+        monkeypatch.setattr(algebra, "pack", recording)
+        for a, b, c in golden_triples():
+            for x, y in ((a, b), (b, c), (mul(a, b), c), (a, mul(b, c))):
+                assert steps_of(x, y) == {2}
+        for x, y in odd_pairs():
+            assert steps_of(x, y) == {1}
 
     def test_positive_lowest_exponents_on_lowering_words(self):
         # q^a c_y with a > 0 on words with T^-1 or P_j letters: the offset must
@@ -473,10 +509,7 @@ class TestPackedEngine:
         monkeypatch.setattr(algebra, "slot_bits", lambda bound: top - 1)
         wrong = 0
         for (x, y), prod in zip(pairs, want):
-            try:
-                wrong += mul(x, y) != prod
-            except OddExponentError:  # a misread digit can surface as an odd exponent
-                wrong += 1
+            wrong += mul(x, y) != prod
         assert wrong
 
     def test_no_scalar_products_once_the_tables_are_built(self, monkeypatch):
@@ -514,11 +547,12 @@ class TestKeyIds:
     def test_every_table_is_complete(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
-        tables = (lay.kid_A, lay.kid_shape, lay.p1_rows, lay.basis, lay.steps, lay.tails, *lay.t_rows)
+        per_shape = (lay.steps, lay.tails, lay.tail_bounds, *lay.t_rows)
+        tables = (lay.kid_A, lay.kid_shape, lay.p1_rows, lay.basis, *per_shape)
         assert len(lay.t_rows) == 2 * (n - 1)
         assert all(None not in table for table in tables)
         assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_A)
-        assert all(len(table) == len(lay.shapes) for table in (lay.steps, lay.tails, *lay.t_rows))
+        assert all(len(table) == len(lay.shapes) for table in per_shape)
         # `kids` maps the standard basis one-to-one onto the ids
         basis = list(iter_standard_basis(n))
         assert len(lay.kids) == len(basis) == len(lay.kid_A)
@@ -580,8 +614,9 @@ class TestKeyIds:
         lay = algebra._layout(n)
         assert len(lay.p1_rows) == sum(1 for _ in iter_standard_basis(n))
         for kid, row in enumerate(lay.p1_rows):
+            # the reference as the rows store it: id deltas and powers of q
             want = {
-                (lay.kid(*key), e): a
+                (lay.kid(*key) - kid, q_exp(e)): a
                 for key, s in reference_rmul_P1_key(*lay.key(kid)).items()
                 for e, a in s.items()
             }
@@ -595,21 +630,23 @@ class TestKeyIds:
         for kid in range(len(lay.kid_A)):
             A, d = lay.key(kid)
             for i in range(1, n):
+                # `t_left` reads and writes absolute ids and powers of q
                 want = {
-                    (lay.kid(*key), e): a
+                    (lay.kid(*key), q_exp(e)): a
                     for key, s in reference_lmul_T_key(i, A, d).items()
                     for e, a in s.items()
                 }
                 got = lay.t_left(((kid, 0, 1),), i)
                 assert len(got) == len(want) and {(t, e): a for t, e, a in got} == want
         if n <= 4:  # whole rows: scaled terms, shared targets and cancellation
-            for row in lay.p1_rows:
+            for kid, deltas in enumerate(lay.p1_rows):
+                row = tuple((kid + delta, e, a) for delta, e, a in deltas)
                 elem = {}
                 for t, e, a in row:
-                    accumulate(elem, lay.key(t), LaurentScalar({e: a}))
+                    accumulate(elem, lay.key(t), LaurentScalar({2 * e: a}))
                 for i in range(1, n):
                     want = {
-                        (lay.kid(*key), e): a
+                        (lay.kid(*key), q_exp(e)): a
                         for key, s in reference_lmul_T(elem, i).items()
                         for e, a in s.items()
                     }
@@ -644,8 +681,9 @@ class TestKeyIds:
 
     @pytest.mark.parametrize("n, attained", [(2, 3), (3, 9), (4, 27)])
     def test_rank_gains_bound_every_unit_key(self, n, attained):
-        # the slot width rests on G_elim, lo_elim, G_P1 and lo_P1; the largest
-        # elimination mass a unit key reaches is far below G_elim for n >= 3
+        # the slot width rests on G_elim, lo_elim, G_P1 and lo_P1 (the lows are
+        # powers of q); the largest elimination mass a unit key reaches is far
+        # below G_elim for n >= 3
         lay = algebra._layout(n)
         g_p1, lo_p1, g_elim, lo_elim = lay.g_p1, lay.lo_p1, lay.g_elim, lay.lo_elim
         elim_mass, p1_mass, p1_low = [], [], []
@@ -655,26 +693,57 @@ class TestKeyIds:
                 for A in itertools.combinations(range(1, n + 1), k):
                     out = greedy_to_standard({(A, d): ONE}).values()
                     elim_mass.append(sum(c.l1_norm() for c in out))
-                    assert min(c.min_exp() for c in out) >= lo_elim
+                    assert min(c.min_exp() for c in out) >= 2 * lo_elim
                     row = reference_rmul_letter({(A, d): ONE}, ("P", 1)).values()
                     p1_mass.append(sum(c.l1_norm() for c in row))
                     p1_low.append(min(c.min_exp() for c in row))
         assert max(elim_mass) == attained <= g_elim
         assert max(p1_mass) == g_p1
-        assert min(0, *p1_low) == lo_p1
+        assert min(0, *p1_low) == 2 * lo_p1
+
+
+def with_odd_first_exponent(result):
+    """A builder's row ((key, ((e, a), ...)), ...) with one v-exponent made odd."""
+    (key, ((e, a), *rest)), *others = result
+    return ((key, ((e + 1, a), *rest)), *others)
+
+
+def with_odd_tail(result):
+    """A `_tail_expansion` {d: scalar} with one term moved to an odd v-exponent."""
+    (d, c), *others = result.items()
+    e, a = next(iter(c.items()))
+    return {d: c + LaurentScalar({e + 1: a}) - LaurentScalar({e: a}), **dict(others)}
 
 
 class TestEvenExponentInvariant:
-    def test_odd_exponent_raises(self):
-        # a hand-built working-basis term v * 1, which no even input can produce
-        lay = algebra._layout(2)
-        with pytest.raises(OddExponentError):
-            _finish(lay, {lay.kid((), identity_perm(2)): pack(V, 4, 0)}, 4, 0)
+    """Every engine table is in Z[q, q^-1]; `_layout` refuses a builder that leaves it."""
 
-    def test_unchecked_finish_keeps_odd_exponent(self):
+    @pytest.mark.parametrize("name", ["_w_rmul_T_key", "_p1_closed_form", "_tail_expansion"])
+    def test_odd_table_exponent_raises_at_build(self, monkeypatch, name):
+        make_odd = with_odd_tail if name == "_tail_expansion" else with_odd_first_exponent
+        true_builder = getattr(algebra, name)
+        calls = []
+
+        def odd_once(*args):
+            calls.append(args)
+            result = true_builder(*args)
+            return make_odd(result) if len(calls) == 1 else result
+
+        monkeypatch.setattr(algebra, name, odd_once)
+        algebra._layout.cache_clear()  # the layout builds every table
+        try:
+            with pytest.raises(OddExponentError):
+                algebra._layout(3)
+            assert calls
+        finally:
+            algebra._layout.cache_clear()
+
+    def test_tables_store_powers_of_q(self):
+        # the builders' v-exponents, halved: T_1 on the unit key of P_0 T_{s_1}
+        # is (q-1) T_{s_1} + q T_1
         lay = algebra._layout(2)
-        out = _finish(lay, {lay.kid((), identity_perm(2)): pack(V, 4, 0)}, 4, 0, check_even=False)
-        assert not even_exponent_ok(out)
+        row = lay.t_rows[0][lay.kid_shape[lay.kid((), (2, 1))]]
+        assert sorted(row) == [(-1, 1, 1), (0, 0, -1), (0, 1, 1)]
 
 
 class TestHatT:
