@@ -3,7 +3,9 @@
 Modules:
 
 - `ring`: Laurent scalars over Z[v, v^-1] (q = v^2), exact division,
-  fraction-free linear solving and the rank of sparse rational matrices.
+  fraction-free linear solving, the rank of sparse rational matrices, the
+  packed int format and `apply_rows`, the row-table kernel that `algebra`
+  and `tensorrep` share.
 - `combinatorics`: partitions, skew strips, Kostka numbers, permutations,
   and the standard basis index set.
 - `algebra`: normal-form arithmetic in the standard basis.

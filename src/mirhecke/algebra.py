@@ -63,9 +63,10 @@ image downstream.  Only the decoded outputs must fit their slots:
 - E.  Every right shift must be exact, so -E * step is a lower bound on
   every v-exponent (even with step 2) of every intermediate value: x's
   lowest working exponent, less 2 per inverse letter (those inside P_j
-  included) and the lowest exponent of the P_1 rows per P_1 letter; the
-  stack is covered both before and after it is scaled by c_y; then the
-  lowest exponent that elimination makes.
+  included); the stack is covered both before and after it is scaled by
+  c_y.  P_1 letters and elimination lower no exponent: `_Layout` raises
+  `NegativeExponentError` when a P_1 row or an elimination step of the
+  rank has a negative power of q.
 
 Decoding is exact because the true output coefficients satisfy
 |a| < 2^(B-1), where balanced base-2^B digits are unique.  Nothing scans
@@ -82,10 +83,12 @@ kid.  The T^+-1 rows, the elimination steps and the working expansions of
 the standard elements depend only on the shape (k, d), so each is built
 once per shape and applies to every A; the P_1 rows change A and are
 built per kid.  A constant with several monomials, such as q - 1, is
-several entries.  One kernel, `_apply`, shifts, signs and accumulates
-every row table (T^+-1, P_1, `tails`); `_to_standard` does the same per
-length bucket.  Ids are mapped to and from a BasisIndex only where a
-product enters and leaves the engine.
+several entries.  One kernel, `ring.apply_rows` with `sel` = `kid_shape`
+for the per-shape tables and the ids themselves for the P_1 rows, shifts,
+signs and accumulates every row table (T^+-1, P_1, `tails`);
+`_to_standard` does the same per length bucket.  The same kernel applies
+the letter rows of tensor space (`tensorrep`).  Ids are mapped to and
+from a BasisIndex only where a product enters and leaves the engine.
 
 Working to standard is an elimination: the key (A, d) is the unit leading
 term of one standard element (A, B, w), so it is replaced by that element
@@ -101,7 +104,7 @@ What is memoized, and where (`clear_caches` empties all of it):
 - `_layout(n)` is the one engine state of rank n, complete when it is
   built: the ids, `t_rows` (T^+-1, per shape and letter), `steps`, `tails`
   and `tail_bounds` (per shape), `p1_rows`, `basis` (per kid), `kids`, the
-  gains G_P1, lo_P1, G_elim and lo_elim, and the `letters` of the rank.
+  gains G_P1 and G_elim, and the `letters` of the rank.
   The T rows and steps come from the plain tuple-keyed functions
   `_w_rmul_T_key` and `_standard_step` on LaurentScalar, which the tests
   also read as the reference.  A P_1 row is built by `_Layout.rmul_p1`
@@ -147,6 +150,7 @@ from .ring import (
     Q_MINUS_1,
     ZERO,
     accumulate,
+    apply_rows,
     pack,
     slot_bits,
     unpack,
@@ -159,6 +163,10 @@ _MINUS_Q = -Q
 
 class OddExponentError(ArithmeticError):
     """Raised when an engine table built for a rank has an odd v-exponent."""
+
+
+class NegativeExponentError(ArithmeticError):
+    """Raised when a P_1 row or an elimination step built for a rank has a power of q below 0."""
 
 
 class GeneratorWord:
@@ -426,8 +434,8 @@ class _Layout:
     A shape is a pair (k, d); shape ids run over k = 0..n and, within k,
     over index_k(d).  kid(A, d) = blocks[A] + index_k(d).  Every table is
     complete when `__init__` returns.  A row is a tuple of monomials
-    (delta, e, a), the term a q^e of target kid + delta, which `_apply`
-    reads; equal rows are one shared tuple:
+    (delta, e, a), the term a q^e of target kid + delta, which
+    `ring.apply_rows` reads; equal rows are one shared tuple:
 
     - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1};
     - `p1_rows[kid]`: P_1, built in ascending kid order, so the parent that
@@ -440,16 +448,16 @@ class _Layout:
     lead^-1 sign, tail), each tail entry (delta, e, a, length(d2)).
     `basis[kid]` is the BasisIndex that key kid leads; `kids` is its
     inverse.  Every exponent is a power of q (`_q_exp`).  `g_p1` is the
-    largest l1 mass of a P_1 row and `lo_p1` the lowest exponent in any
-    row.  `g_elim` is the largest mass that elimination makes from a unit
-    key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of the step,
-    and `lo_elim` the lowest exponent of any value it makes.  Both lows are
-    capped at 0.
+    largest l1 mass of a P_1 row.  `g_elim` is the largest mass that
+    elimination makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2)
+    over the tail t of the step.  No P_1 row and no step lowers an exponent:
+    every exponent in them is >= 0, or `NegativeExponentError` is raised,
+    so neither needs a term in the offset of `_product`.
     """
 
     __slots__ = (
         "n", "shapes", "index", "blocks", "kid_A", "kid_shape", "t_rows", "p1_rows", "steps",
-        "tails", "tail_bounds", "basis", "kids", "letters", "g_p1", "lo_p1", "g_elim", "lo_elim",
+        "tails", "tail_bounds", "basis", "kids", "letters", "g_p1", "g_elim",
     )
 
     def __init__(self, n: int):
@@ -481,7 +489,7 @@ class _Layout:
                     for e, a in const
                 )
                 rows.append(shared.setdefault(row, row))
-        self.steps, self.tails, self.tail_bounds, leads, gain, low = [], [], [], [], [], []
+        self.steps, self.tails, self.tail_bounds, leads, gain = [], [], [], [], []
         for s, (k, d) in enumerate(shapes):  # shortest first: every tail shape is known
             here = index[k][d]
             B, w, ((e, a),), rest, ld = _standard_step(k, d)
@@ -489,10 +497,11 @@ class _Layout:
             tail = tuple(
                 (index[k][d2] - here, _q_exp(e2), a2, l2) for d2, t, l2 in rest for e2, a2 in t
             )
+            if e < 0 or any(e2 < 0 for _, e2, _, _ in tail):
+                raise NegativeExponentError(f"elimination step of shape {(k, d)} lowers q")
             self.steps.append((ld, e, a, tail))
             leads.append((B, w))
             gain.append(1 + sum(abs(a2) * gain[s + delta] for delta, _, a2, _ in tail))
-            low.append(min(0, e, *(e2 + low[s + delta] for delta, e2, _, _ in tail)))
             row = tuple(
                 (index[k][d2] - here, _q_exp(e2), a2)
                 for d2, c in _tail_expansion(B, w).items()
@@ -500,16 +509,17 @@ class _Layout:
             )
             self.tails.append(row)
             self.tail_bounds.append((sum(abs(a) for *_, a in row), min(0, *(e for _, e, _ in row))))
-        self.g_elim, self.lo_elim = max(gain), min(low)
+        self.g_elim = max(gain)
         self.basis = [BasisIndex(A, *leads[s]) for A, s in zip(self.kid_A, self.kid_shape)]
         self.kids = {idx: kid for kid, idx in enumerate(self.basis)}
         self.letters = _letters(n)
         self.p1_rows: list[tuple] = []
         for kid in range(len(self.kid_A)):
             row = self.rmul_p1(kid)
+            if any(e < 0 for _, e, _ in row):
+                raise NegativeExponentError(f"P_1 row of key {self.key(kid)} lowers q")
             self.p1_rows.append(shared.setdefault(row, row))
         self.g_p1 = max(sum(abs(a) for _, _, a in row) for row in self.p1_rows)
-        self.lo_p1 = min(0, *(e for row in self.p1_rows for _, e, _ in row))
 
     def kid(self, A: tuple, d: Permutation) -> int:
         return self.blocks[A] + self.index[len(A)][d]
@@ -611,37 +621,12 @@ def _layout(n: int) -> _Layout:
     return _Layout(n)
 
 
-def _apply(elem: dict, rows: list, sel, unit: int) -> dict:
-    """The working element sum of c * rows[sel[kid]] over the terms (kid, c) of elem.
-
-    An entry (delta, e, a) of a row adds a * q^e * c to target kid + delta;
-    q^e is a shift by e * unit bits, the sums are accumulated in place and
-    exact zeros are dropped.  `sel` is `kid_shape` for the per-shape tables
-    and the ids themselves for `p1_rows`.
-    """
-    out: dict = {}
-    get = out.get
-    for kid, c in elem.items():
-        for delta, e, a in rows[sel[kid]]:
-            t = c if not e else c << e * unit if e > 0 else c >> -e * unit
-            key = kid + delta
-            v = get(key)
-            if v is None:
-                out[key] = t if a == 1 else -t if a == -1 else a * t
-            else:
-                v = v + t if a == 1 else v - t if a == -1 else v + a * t
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
-
-
 def _w_rmul_letter(lay: _Layout, elem: dict, letter: Letter, unit: int) -> dict:
     if letter[0] == "T":
-        return _apply(elem, lay.t_rows[2 * letter[1] - 2 + (letter[2] == -1)], lay.kid_shape, unit)
+        rows = lay.t_rows[2 * letter[1] - 2 + (letter[2] == -1)]
+        return apply_rows(elem, rows, lay.kid_shape, unit)
     if letter[1] == 1:
-        return _apply(elem, lay.p1_rows, range(len(lay.p1_rows)), unit)
+        return apply_rows(elem, lay.p1_rows, range(len(lay.p1_rows)), unit)
     sign, word = _pi_expansion(letter[1])
     for lt in word:
         elem = _w_rmul_letter(lay, elem, lt, unit)
@@ -692,9 +677,9 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
     """(gain, drop) of a generator word at rank n.
 
     The gain 3^(#T) G_P1^(#P1) bounds how much the word multiplies the l1
-    mass of a working element; the drop 2 (#T^-1) - 2 lo_P1 (#P1) bounds
-    how far it lowers the lowest v-exponent (lo_P1 is a power of q).  Each
-    P_j counts as its expansion `_pi_expansion(j)`.
+    mass of a working element; the drop 2 (#T^-1) bounds how far it lowers
+    the lowest v-exponent (a P_1 row lowers none).  Each P_j counts as its
+    expansion `_pi_expansion(j)`.
     """
     t = inv = p1 = 0
     for lt in letters:
@@ -704,8 +689,7 @@ def _word_bounds(n: int, letters: tuple) -> tuple[int, int]:
                 inv += x[2] == -1
             else:
                 p1 += 1
-    lay = _layout(n)
-    return 3**t * lay.g_p1**p1, 2 * (inv - lay.lo_p1 * p1)
+    return 3**t * _layout(n).g_p1**p1, 2 * inv
 
 
 def _read(c: LaurentScalar) -> tuple[int, int, bool]:
@@ -774,8 +758,8 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     for letters, g, drop, c in words:
         lo, mass, ev = _read(c)
         gain += mass * g
-        # the stack before and after it is scaled by c, then what elimination makes
-        low = min(low, lo_x - drop + min(lo, 0), lo_x - drop + lo + 2 * lay.lo_elim)
+        # the stack before and after it is scaled by c; elimination lowers nothing
+        low = min(low, lo_x - drop + min(lo, 0))
         even = even and ev
         scaled.append((letters, c, max(0, -lo)))
     bits = slot_bits(mass_x * gain * lay.g_elim)
@@ -784,7 +768,7 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     offset = -low // step
     packed = {kids[idx]: pack(c, bits, offset, step) for idx, c in x.terms.items()}
     scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
-    stack = [_apply(packed, lay.tails, shape, unit)]  # stack[j]: x times prev[:j]
+    stack = [apply_rows(packed, lay.tails, shape, unit)]  # stack[j]: x times prev[:j]
     prev: tuple = ()
     total: dict = {}
     get = total.get

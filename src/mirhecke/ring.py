@@ -28,7 +28,7 @@ rows {position: int or Fraction}.  It ranks the tensor image
 (`tensorrep.image_rank`) and tests the specialized character table for
 invertibility (`checks.determinant_nonzero`).
 
-The tensor-space kernels (`tensorrep`), the normal-form engine (`algebra`)
+The tensor-space action (`tensorrep`), the normal-form engine (`algebra`)
 and the character recursion (`characters`) run on plain ints instead
 (Kronecker substitution).
 `pack(x, bits, offset)` stores a Laurent polynomial p as the integer
@@ -47,6 +47,14 @@ a caller must derive the bound a priori for every value it will unpack or
 compare.  `pack` raises ValueError on an exponent below -offset or a
 coefficient too wide for the slot; a packed integer carries no record of
 either, so `unpack` cannot check them.
+
+`apply_rows(elem, rows, sel, unit)` is the one shift-and-accumulate kernel
+on packed sparse vectors {int key: packed int}.  A row is a tuple of
+monomials (delta, e, a): the term a x^e of key + delta, x^e being a shift
+by e * unit bits.  `sel[key]` picks the row of a key.  The engine applies
+its T^+-1, P_1 and tail tables with it (x = q, unit = B or 2B bits), and
+tensor space its letter rows (x = v, unit = B), so both read their tables
+by the same code.
 """
 
 from __future__ import annotations
@@ -435,6 +443,33 @@ def unpack(packed: int, bits: int, offset: int, step: int = 1) -> LaurentScalar:
     out = LaurentScalar.__new__(LaurentScalar)
     out._c = c
     out._hash = None
+    return out
+
+
+def apply_rows(elem: dict, rows, sel, unit: int) -> dict:
+    """The packed sparse vector sum of c * rows[sel[key]] over the terms (key, c) of elem.
+
+    A row is a tuple of monomials (delta, e, a): the term a x^e of target
+    key + delta, where x is the variable one slot unit stands for and x^e is
+    a shift by e * unit bits.  The sums are accumulated in place and exact
+    zeros are dropped.  A right shift is exact when the packing offset covers
+    every exponent that can occur; the caller derives it.
+    """
+    out: dict = {}
+    get = out.get
+    for key, c in elem.items():
+        for delta, e, a in rows[sel[key]]:
+            t = c if not e else c << e * unit if e > 0 else c >> -e * unit
+            target = key + delta
+            v = get(target)
+            if v is None:
+                out[target] = t if a == 1 else -t if a == -1 else a * t
+            else:
+                v = v + t if a == 1 else v - t if a == -1 else v + a * t
+                if v:
+                    out[target] = v
+                else:
+                    del out[target]
     return out
 
 

@@ -23,8 +23,21 @@ polynomial whose Schur expansion recovers every irreducible character value
 of that element at once; this is the module's `char_oracle`, the independent
 route against which the recursive character engine is validated.
 
-The kernel runs on plain ints (see `ring.pack`).  A coefficient p is
-stored as X = p(2^B) * 2^(B*E), so the four letter constants become shifts:
+Word ids and rows.  Every letter maps the words of one content (a block)
+into the same block, so each block gets dense word ids: the position of a
+word among the block's sorted words.  `_block(content, r)` builds, once
+per (content, r), one row per word and braid letter R_i^+-1, from the
+local rules above (`_braid_row`): a tuple of at most three monomials
+(delta, e, a), the term a v^e of word id + delta.  For each idempotent e_j
+it keeps the set of the ids that e_j keeps (`_idempotent_keeps`).  A
+block of N words thus holds 2(n-1) N rows, equal rows shared, and n id
+sets: linear in N times the number of letters.  The memo is pure and in
+process only; `_block.cache_clear()` empties it.
+
+The rows are applied by the engine's one kernel, `ring.apply_rows`, on
+plain ints (see `ring.pack`).  A coefficient p is stored as
+X = p(2^B) * 2^(B*E), one power of v being a shift of unit = B bits, so
+the four letter constants become shifts:
 
     -v c         = -(c << B)
     (q-1) c      = (c << 2B) - c
@@ -43,8 +56,15 @@ has norm at most sum ||c||_1 3^(L_x + L_y).  B is never a setting.
 
 `psi_columns` is the one function that builds operator columns, for its
 two callers: `first_differences` compares them and `image_rank` ranks
-them.  Only `basis_trace` applies letters itself, because it visits a
-rotated word (below).
+them.  It advances the columns of every input word of a block together:
+its state is one packed sparse vector keyed w * N + u (entry u of the
+column of input w), and the kernel finds the row of key k through a
+selector list, sel[k] = k mod N, made for the call and dropped after it.
+So a block costs one kernel pass per distinct letter suffix that starts
+with a braid letter, and one filter by the kept ids per suffix that starts
+with an idempotent, whatever N is.  Only `basis_trace` applies letters
+itself, because it visits a rotated word (below); it advances the
+diagonal starting points of a whole block the same way.
 
 `first_differences` is the one operator comparison.  `checks` hands it
 the defining relations and Psi(ab) = Psi(a) o Psi(b) as identities whose
@@ -52,7 +72,9 @@ terms c Psi(x) or c Psi(x) o Psi(y) hold one word or two.  It derives B
 once, packs columns at E = the largest `letter_offset` of the words, so a
 k-word term sits at offset kE, and packs each c at base - kE, base being
 the largest kE - min(0, lowest exponent of c): every term lands at base,
-and lhs - rhs is summed into one difference per column, which must vanish.
+and lhs - rhs is summed into one int-keyed difference per block, which
+must vanish.  Its witness is the first failing word in block order, that
+is the smallest failing input id.
 
 Every route visits one content block per order pattern of letters.  The
 local rules read only whether a < b, a == b or a > b, and whether a letter
@@ -88,13 +110,14 @@ every R_i and e_j, and e_k is idempotent; by cyclicity of the trace
 
 So `basis_trace` runs only over the words that begin with k letters r+1 and
 whose last n-k letters form a representative block, applies the letters of
-Y T_A to each and reads back the word's own coefficient.  The packed
+Y T_A to all of them at once, on the rows of their common block, and reads
+back each word's own coefficient.  The packed
 diagonal entries are summed per composition and each sum is unpacked once,
 with B derived from (r+1)^(n-k) 3^L.
 
 Everything here is lazy and sparse: operators are never materialized as
-dense matrices, and only per-basis-element traces are memoized
-(`functools.cache` on `basis_trace`).
+dense matrices.  Two things are memoized, with `functools.cache`: the
+block tables (`_block`) and the per-basis-element traces (`basis_trace`).
 
 `image_rank(n, r, bits)` ranks the basis operators at v = 2^bits.  An
 exact integer is all it needs, not a decodable one, so no slot width is
@@ -111,60 +134,63 @@ from functools import cache
 
 from .algebra import AlgebraElement, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
-from .ring import accumulate, pack, rank_over_q, slot_bits, unpack
+from .ring import apply_rows, pack, rank_over_q, slot_bits, unpack
 from .symfun import SymPoly, _from_compositions, schur_expand
 
 
 # ---------------------------------------------------------------------------
-# the kernel: packed int coefficients, v = 2^bits
+# content blocks on dense word ids, one row table per letter
 # ---------------------------------------------------------------------------
 
 
-def _apply_R(i: int, terms: dict, bits: int) -> dict:
-    out: dict = {}
-    two = 2 * bits
-    for w, c in terms.items():
-        a, b = w[i - 1], w[i]
-        if a == b:
-            accumulate(out, w, -c)
-        else:
-            accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c << bits))
-            if a > b:
-                accumulate(out, w, (c << two) - c)
-    return out
+def _braid_row(word: tuple, i: int, s: int) -> tuple:
+    """R_i^s (s = +-1) on one word by the local rules: ((word', e, a), ...), terms a v^e word'."""
+    a, b = word[i - 1], word[i]
+    if a == b:
+        return ((word, 0, -1),)
+    swap = (word[: i - 1] + (b, a) + word[i + 1 :], s, -1)
+    return (swap, (word, 2 * s, 1), (word, 0, -1)) if (a > b) == (s == 1) else (swap,)
 
 
-def _apply_R_inv(i: int, terms: dict, bits: int) -> dict:
-    out: dict = {}
-    two = 2 * bits
-    for w, c in terms.items():
-        a, b = w[i - 1], w[i]
-        if a == b:
-            accumulate(out, w, -c)
-        else:
-            accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c >> bits))
-            if a < b:
-                accumulate(out, w, (c >> two) - c)
-    return out
+def _idempotent_keeps(word: tuple, j: int, r: int) -> bool:
+    """Whether e_j keeps the word: its first j letters all equal r+1."""
+    return all(k == r + 1 for k in word[:j])
 
 
-def _apply_e(j: int, terms: dict, r: int) -> dict:
-    top = r + 1
-    return {w: c for w, c in terms.items() if all(k == top for k in w[:j])}
+class _Block:
+    """The words of one content, sorted, and the action of every letter on them.
+
+    A word's id is its position in `words`.  `table[("T", i, s)][u]` is the
+    row of R_i^s on word u, `_braid_row` with each target word named by its
+    id shift delta = target - u: monomials (delta, e, a), the term a v^e of
+    word u + delta.  `table[("P", j)]` is the set of the ids that e_j keeps.
+    """
+
+    __slots__ = ("words", "ids", "table")
+
+    def __init__(self, content: tuple, r: int):
+        n = len(content)
+        self.words = words = sorted(set(itertools.permutations(content)))
+        self.ids = ids = {w: u for u, w in enumerate(words)}
+        self.table: dict = {}
+        shared: dict = {}  # equal rows are one tuple
+        for i in range(1, n):
+            for s in (1, -1):
+                rows = []
+                for u, w in enumerate(words):
+                    row = tuple((ids[t] - u, e, a) for t, e, a in _braid_row(w, i, s))
+                    rows.append(shared.setdefault(row, row))
+                self.table[("T", i, s)] = rows
+        for j in range(1, n + 1):
+            self.table[("P", j)] = frozenset(
+                u for u, w in enumerate(words) if _idempotent_keeps(w, j, r)
+            )
 
 
-def _act(letters, terms: dict, r: int, bits: int) -> dict:
-    """Apply a word's letters to a packed sparse vector, rightmost letter first."""
-    for lt in reversed(letters):
-        if not terms:
-            break
-        if lt[0] == "P":
-            terms = _apply_e(lt[1], terms, r)
-        elif lt[2] == 1:
-            terms = _apply_R(lt[1], terms, bits)
-        else:
-            terms = _apply_R_inv(lt[1], terms, bits)
-    return terms
+@cache
+def _block(content: tuple, r: int) -> _Block:
+    """The block of the words with this content (sorted) on r+1 letters (memoized)."""
+    return _Block(content, r)
 
 
 def letter_bound(letters) -> int:
@@ -198,14 +224,27 @@ def pattern_blocks(n: int, r: int):
 
 
 def psi_columns(words_of: dict, inputs, r: int, bits: int, offset: int) -> dict:
-    """{x: {w: Psi(words_of[x]) e_w}} over the input words w, zero columns left out,
-    packed with (bits, offset); the caller derives both from the words it compares.
-    Letter tuples that end alike share their common suffix, applied only once."""
+    """{x: {w * N + u: entry u of Psi(words_of[x]) e_w}} over the input words w, zeros left out.
+
+    The inputs are words of one content; w and u are ids in that content's
+    block of N words.  The entries are packed with (bits, offset); the
+    caller derives both from the words it compares.  The columns of every
+    input advance together: one kernel pass per distinct letter suffix that
+    starts with a braid letter, one filter per suffix that starts with an
+    idempotent; letter tuples that end alike share their common suffix.
+    """
+    inputs = list(inputs)
+    blk = _block(tuple(sorted(inputs[0])), r)
+    size = len(blk.words)
+    sel = list(range(size)) * size  # key w * N + u -> u, for this call only
     one = 1 << (bits * offset)
-    done = {(): {w: {w: one} for w in inputs}}
+    done = {(): {blk.ids[w] * (size + 1): one for w in inputs}}
     for letters in sorted({lt[i:] for lt in words_of.values() for i in range(len(lt))}, key=len):
-        tail = done[letters[1:]].items()
-        done[letters] = {w: c for w, v in tail if (c := _act(letters[:1], v, r, bits))}
+        state, table = done[letters[1:]], blk.table[letters[0]]
+        if letters[0][0] == "P":
+            done[letters] = {key: c for key, c in state.items() if sel[key] in table}
+        else:
+            done[letters] = apply_rows(state, table, sel, bits)
     return {x: done[letters] for x, letters in words_of.items()}
 
 
@@ -230,7 +269,8 @@ def first_differences(identities, n: int, r: int) -> list:
         cols = psi_columns(words, block, r, bits, offset)
         for k, signed in enumerate(packed):
             if out[k] is None:
-                out[k] = _first_difference(cols, signed, block)
+                w = _first_difference(cols, signed, len(block))
+                out[k] = None if w is None else block[w]
     return out
 
 
@@ -255,32 +295,36 @@ def _pack_identities(identities: list) -> tuple:
     return words, bits, offset, packed
 
 
-def _first_difference(cols: dict, signed: list, block):
-    """The first word w of `block` on which sum c Psi(words) e_w is not zero, else None.
+def _first_difference(cols: dict, signed: list, size: int):
+    """The smallest input id w on which sum c Psi(words) e_w is not zero, else None.
 
-    `signed` holds the terms (c, words) of lhs - rhs with packed c; `cols` holds
-    the block's packed columns.  Every term is summed in place into one
-    difference per column."""
+    `signed` holds the terms (c, words) of lhs - rhs with packed c; `cols`
+    holds the block's packed columns, keyed w * size + u (`psi_columns`).
+    Every term is summed in place into one difference, keyed alike.  For
+    c Psi(x) o Psi(y), entry u of Psi(y) e_w meets column u of Psi(x), whose
+    entry v lands on key w * size + v, the key of the y entry plus v - u.
+    """
     diff: dict = {}
+    get = diff.get
     for c, ws in signed:
         if len(ws) == 1:
-            for w, col in cols[ws[0]].items():
-                tgt = diff.setdefault(w, {})
-                for u, s in col.items():
-                    tgt[u] = tgt.get(u, 0) + (s if c == 1 else c * s)
-        else:
-            x, y = ws
-            xcols = cols[x]
-            for w, ycol in cols[y].items():
-                tgt = diff.setdefault(w, {})
-                for u, t in ycol.items():
-                    if c != 1:
-                        t *= c
-                    for v, s in xcols.get(u, {}).items():
-                        tgt[v] = tgt.get(v, 0) + t * s
-    if not any(any(col.values()) for col in diff.values()):
+            for key, s in cols[ws[0]].items():
+                diff[key] = get(key, 0) + (s if c == 1 else c * s)
+            continue
+        x, y = ws
+        xcols: dict = {}  # the entries of Psi(x) by input id u, as (v - u, entry)
+        for key, s in cols[x].items():
+            u, v = divmod(key, size)
+            xcols.setdefault(u, []).append((v - u, s))
+        for key, t in cols[y].items():
+            if c != 1:
+                t *= c
+            for shift, s in xcols.get(key % size, ()):
+                target = key + shift
+                diff[target] = get(target, 0) + t * s
+    if not any(diff.values()):
         return None
-    return next(w for w in block if any(diff.get(w, {}).values()))
+    return min(key for key, d in diff.items() if d) // size
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +353,14 @@ def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
     head = (r + 1,) * k
     comps: dict = {}
     for block in pattern_blocks(idx.n - k, r):
-        total = 0
-        for tail in block:
-            w = head + tail
-            total += _act(letters, {w: one}, r, bits).get(w, 0)
+        blk = _block(block[0] + head, r)  # a sorted content: the letters r+1 come last
+        size = len(blk.words)
+        sel = list(range(size)) * size  # key w * N + u -> u, as in `psi_columns`
+        diagonal = [blk.ids[head + tail] * (size + 1) for tail in block]
+        vec = dict.fromkeys(diagonal, one)
+        for lt in reversed(letters):  # braid letters only
+            vec = apply_rows(vec, blk.table[lt], sel, bits)
+        total = sum(vec.get(key, 0) for key in diagonal)
         comps[tuple(Counter(a for a in block[0] if a <= r).values())] = total
     return _from_compositions({a: unpack(c, bits, offset) for a, c in comps.items()}, r)
 
@@ -355,10 +403,9 @@ def image_rank(n: int, r: int, bits: int) -> int:
     words_of = {idx: basis_word(idx).letters for idx in iter_standard_basis(n)}
     offset = max(map(letter_offset, words_of.values()))
     rows: dict = {idx: {} for idx in words_of}
+    base = 0
     for block in pattern_blocks(n, r):
-        for idx, cols in psi_columns(words_of, block, r, bits, offset).items():
-            row = rows[idx]
-            for w, col in cols.items():
-                for u, c in col.items():
-                    row[(w, u)] = c
+        for idx, col in psi_columns(words_of, block, r, bits, offset).items():
+            rows[idx].update((base + key, c) for key, c in col.items())
+        base += len(block) ** 2
     return rank_over_q(rows.values())

@@ -393,7 +393,7 @@ class TestMul:
             # q-slots (the inputs are even) and in v-slots
             lay = algebra._layout(n)
             bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * lay.g_elim)
-            low = min(c.min_exp() for c in welem.values()) + 2 * lay.lo_elim
+            low = min(c.min_exp() for c in welem.values())  # elimination lowers nothing
             want = greedy_to_standard(welem)
             for step in (2, 1):
                 packed = {lay.kid(*key): pack(c, bits, -low // step, step) for key, c in welem.items()}
@@ -681,11 +681,11 @@ class TestKeyIds:
 
     @pytest.mark.parametrize("n, attained", [(2, 3), (3, 9), (4, 27)])
     def test_rank_gains_bound_every_unit_key(self, n, attained):
-        # the slot width rests on G_elim, lo_elim, G_P1 and lo_P1 (the lows are
-        # powers of q); the largest elimination mass a unit key reaches is far
-        # below G_elim for n >= 3
+        # the slot width rests on G_elim and G_P1, the offset on neither P_1
+        # nor elimination lowering an exponent; the largest elimination mass a
+        # unit key reaches is far below G_elim for n >= 3
         lay = algebra._layout(n)
-        g_p1, lo_p1, g_elim, lo_elim = lay.g_p1, lay.lo_p1, lay.g_elim, lay.lo_elim
+        g_p1, g_elim = lay.g_p1, lay.g_elim
         elim_mass, p1_mass, p1_low = [], [], []
         for u in itertools.permutations(range(1, n + 1)):
             for k in range(n + 1):
@@ -693,13 +693,13 @@ class TestKeyIds:
                 for A in itertools.combinations(range(1, n + 1), k):
                     out = greedy_to_standard({(A, d): ONE}).values()
                     elim_mass.append(sum(c.l1_norm() for c in out))
-                    assert min(c.min_exp() for c in out) >= 2 * lo_elim
+                    assert min(c.min_exp() for c in out) >= 0
                     row = reference_rmul_letter({(A, d): ONE}, ("P", 1)).values()
                     p1_mass.append(sum(c.l1_norm() for c in row))
                     p1_low.append(min(c.min_exp() for c in row))
         assert max(elim_mass) == attained <= g_elim
         assert max(p1_mass) == g_p1
-        assert min(0, *p1_low) == 2 * lo_p1
+        assert min(p1_low) >= 0
 
 
 def with_odd_first_exponent(result):
@@ -733,6 +733,33 @@ class TestEvenExponentInvariant:
         algebra._layout.cache_clear()  # the layout builds every table
         try:
             with pytest.raises(OddExponentError):
+                algebra._layout(3)
+            assert calls
+        finally:
+            algebra._layout.cache_clear()
+
+    @pytest.mark.parametrize("name", ["_p1_closed_form", "_standard_step"])
+    def test_negative_power_of_q_raises_at_build(self, monkeypatch, name):
+        # a P_1 row or an elimination step with a q^-1 term would lower the
+        # offset that `_product` derives without them
+        true_builder = getattr(algebra, name)
+        calls = []
+
+        def with_q_inverse(*args):
+            calls.append(args)
+            result = true_builder(*args)
+            if len(calls) > 1:
+                return result
+            if name == "_p1_closed_form":
+                (key, _), *others = result
+                return ((key, ((-2, 1),)), *others)
+            B, w, _, rest, ld = result
+            return B, w, ((-2, 1),), rest, ld
+
+        monkeypatch.setattr(algebra, name, with_q_inverse)
+        algebra._layout.cache_clear()
+        try:
+            with pytest.raises(algebra.NegativeExponentError):
                 algebra._layout(3)
             assert calls
         finally:

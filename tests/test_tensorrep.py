@@ -47,6 +47,20 @@ def content_blocks(n, r):
         yield sorted(set(itertools.permutations(content)))
 
 
+def block_of(word):
+    """The sorted words of the word's content: its content block."""
+    return sorted(set(itertools.permutations(word)))
+
+
+def columns(cols, block):
+    """{input word: {output word: packed entry}} of columns keyed w * N + u on N block words."""
+    out = {}
+    for key, c in cols.items():
+        w, u = divmod(key, len(block))
+        out.setdefault(block[w], {})[block[u]] = c
+    return out
+
+
 def relabelling(word, r):
     """The order-preserving map of the word's letters below r+1 onto 1..p (r+1 fixed)."""
     low = sorted({a for a in word if a <= r})
@@ -108,16 +122,23 @@ def unpacked(terms, bits=BITS, offset=OFFSET):
     return {w: unpack(c, bits, offset) for w, c in terms.items()}
 
 
-def packed_unit(w):
-    return {w: pack(ONE, BITS, OFFSET)}
+def letter_image(letter, w, r):
+    """One letter on the unit word w: its row in the block table, applied by the
+    engine's kernel (a braid letter) or read off the kept ids (an idempotent), unpacked."""
+    blk = tensorrep._block(tuple(sorted(w)), r)
+    u, table = blk.ids[w], blk.table[letter]
+    if letter[0] == "P":
+        return {w: ONE} if u in table else {}
+    out = ring.apply_rows({u: pack(ONE, BITS, OFFSET)}, table, range(len(blk.words)), BITS)
+    return unpacked({blk.words[t]: c for t, c in out.items()})
 
 
 def psi(letters, w, r):
     """Psi(word) e_w through `psi_columns`, unpacked, at the width the letters need."""
     bits = slot_bits(tensorrep.letter_bound(letters))
     offset = tensorrep.letter_offset(letters)
-    col = psi_columns({0: tuple(letters)}, [w], r, bits, offset)[0].get(w, {})
-    return unpacked(col, bits, offset)
+    cols = psi_columns({0: tuple(letters)}, [w], r, bits, offset)[0]
+    return unpacked(columns(cols, block_of(w)).get(w, {}), bits, offset)
 
 
 def combine(*parts):
@@ -129,75 +150,78 @@ def combine(*parts):
     return out
 
 
-SMALL = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3)]
+# every row of every block: r from 1 to 3, and r in {n, n + 1}
+SMALL = sorted({(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3, n, n + 1)})
 
 
-# Kernel mutants: R_i with its diagonal rule, (a, b) -> (a, b), replaced.
+# Row-builder mutants: R_i (not R_i^-1) with its diagonal rule, (a, b) -> (a, b), replaced.
 
 
 def mutant_R(diagonal):
-    """R_i on packed coefficients; a word w with letters (a, b) at i, i+1 keeps the
-    coefficient diagonal((a, b), w, c, bits) on itself."""
+    """`_braid_row` whose R_i keeps the terms diagonal((a, b), w), as (v-exponent,
+    coeff) pairs, on a word w with letters (a, b) at i, i+1."""
+    true_row = tensorrep._braid_row
 
-    def apply(i, terms, bits):
-        out = {}
-        for w, c in terms.items():
-            a, b = w[i - 1], w[i]
-            if a != b:
-                accumulate(out, w[: i - 1] + (b, a) + w[i + 1 :], -(c << bits))
-            accumulate(out, w, diagonal(w[i - 1 : i + 1], w, c, bits))
-        return out
+    def row(w, i, s):
+        if s == -1:
+            return true_row(w, i, s)
+        a, b = w[i - 1], w[i]
+        swap = () if a == b else ((w[: i - 1] + (b, a) + w[i + 1 :], 1, -1),)
+        return swap + tuple((w, e, c) for e, c in diagonal((a, b), w))
 
-    return apply
+    return row
 
 
-def _diagonal(pair, c, bits, descent=1, equal=-1):
-    """equal * c on a == b, descent * (q-1) c on a > b, 0 on a < b (R_i: -1 and 1)."""
+def _diagonal(pair, descent=1, equal=-1):
+    """equal on a == b, descent * (q-1) on a > b, nothing on a < b (R_i: -1 and 1)."""
     a, b = pair
     if a == b:
-        return equal * c
-    return descent * ((c << 2 * bits) - c) if a > b else 0
+        return ((0, equal),)
+    return ((2, descent), (0, -descent)) if a > b and descent else ()
 
 
 # no (q-1) term on a > b: the quadratic relation fails
-braid_without_quadratic_term = mutant_R(
-    lambda pair, w, c, bits: _diagonal(pair, c, bits, descent=0)
-)
+braid_without_quadratic_term = mutant_R(lambda pair, w: _diagonal(pair, descent=0))
 # the (q-1) term doubled when the larger letter repeats in the word: it reads only
 # letter order and letter counts, which relabelling keeps, but traces lose symmetry
 doubled_descent_term = mutant_R(
-    lambda pair, w, c, bits: _diagonal(pair, c, bits, descent=1 + (w.count(pair[0]) > 1))
+    lambda pair, w: _diagonal(pair, descent=1 + (w.count(pair[0]) > 1))
 )
 # letter 2 is special: R_i acts on (2, 2) as +1, which no relabelling respects
-letter_two_special = mutant_R(
-    lambda pair, w, c, bits: _diagonal(pair, c, bits, equal=1 if pair[0] == 2 else -1)
-)
+letter_two_special = mutant_R(lambda pair, w: _diagonal(pair, equal=1 if pair[0] == 2 else -1))
+
+
+def keeps_every_word(w, j, r):
+    """An e_j that keeps every word: P_j collapses onto the identity."""
+    return True
 
 
 @pytest.fixture
-def fresh_traces():
-    """An empty trace memo before and after the test: traces are computed anew, and
-    none computed under a patched kernel reaches a later test."""
+def fresh_tables():
+    """Empty block-table and trace memos before and after the test: rows are built
+    anew, so a patched row builder is read, and nothing built or computed under it
+    reaches a later test."""
+    tensorrep._block.cache_clear()
     tensorrep.basis_trace.cache_clear()
     yield
+    tensorrep._block.cache_clear()
     tensorrep.basis_trace.cache_clear()
 
 
 class TestKernelAgainstReference:
     @pytest.mark.parametrize("n,r", SMALL)
     def test_braid_letters(self, n, r):
+        # every word is one row of its block's table
         for w in basis_words(n, r):
             for i in range(1, n):
-                got = unpacked(tensorrep._apply_R(i, packed_unit(w), BITS))
-                assert got == ref_apply_R(i, {w: ONE}), (i, w)
-                got = unpacked(tensorrep._apply_R_inv(i, packed_unit(w), BITS))
-                assert got == ref_apply_R_inv(i, {w: ONE}), (i, w)
+                assert letter_image(("T", i, 1), w, r) == ref_apply_R(i, {w: ONE}), (i, w)
+                assert letter_image(("T", i, -1), w, r) == ref_apply_R_inv(i, {w: ONE}), (i, w)
 
     @pytest.mark.parametrize("n,r", SMALL)
     def test_idempotent_letters(self, n, r):
         for w in basis_words(n, r):
             for j in range(1, n + 1):
-                got = unpacked(tensorrep._apply_e(j, packed_unit(w), r))
+                got = letter_image(("P", j), w, r)
                 assert got == ref_act([("P", j)], {w: ONE}, r), (j, w)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -207,28 +231,30 @@ class TestKernelAgainstReference:
             letters = basis_word(idx).letters
             bits = slot_bits(tensorrep.letter_bound(letters))
             offset = tensorrep.letter_offset(letters)
-            cols = psi_columns({idx: letters}, basis_words(n, n), n, bits, offset)[idx]
-            got = {w: unpacked(col, bits, offset) for w, col in cols.items()}
+            got = {}
+            for block in content_blocks(n, n):
+                cols = psi_columns({idx: letters}, block, n, bits, offset)[idx]
+                for w, col in columns(cols, block).items():
+                    got[w] = unpacked(col, bits, offset)
             assert got == ref_operator(letters, n, n), idx
 
 
 class TestLocalOperators:
     def test_equal_letters(self):
-        out = unpacked(tensorrep._apply_R(1, packed_unit((1, 1)), BITS))
-        assert out == {(1, 1): -ONE}
+        for r in (1, 2):
+            assert letter_image(("T", 1, 1), (1, 1), r) == {(1, 1): -ONE}
+            assert letter_image(("T", 1, -1), (1, 1), r) == {(1, 1): -ONE}
 
     def test_increasing_pair(self):
-        out = unpacked(tensorrep._apply_R(1, packed_unit((1, 2)), BITS))
-        assert out == {(2, 1): -V}
+        assert letter_image(("T", 1, 1), (1, 2), 1) == {(2, 1): -V}
 
     def test_decreasing_pair(self):
-        out = unpacked(tensorrep._apply_R(1, packed_unit((2, 1)), BITS))
-        assert out == {(1, 2): -V, (2, 1): Q_MINUS_1}
+        assert letter_image(("T", 1, 1), (2, 1), 1) == {(1, 2): -V, (2, 1): Q_MINUS_1}
 
     def test_projection_keeps_top_prefix(self):
-        assert unpacked(tensorrep._apply_e(1, packed_unit((2, 1)), 1)) == {(2, 1): ONE}
-        assert unpacked(tensorrep._apply_e(1, packed_unit((1, 2)), 1)) == {}
-        assert unpacked(tensorrep._apply_e(2, packed_unit((2, 1)), 1)) == {}
+        assert letter_image(("P", 1), (2, 1), 1) == {(2, 1): ONE}
+        assert letter_image(("P", 1), (1, 2), 1) == {}
+        assert letter_image(("P", 2), (2, 1), 1) == {}
 
 
 class TestPsiApply:
@@ -260,8 +286,7 @@ class TestPsiApply:
                     word = [("T", i, e) for e in order]
                     assert psi(word, w, r) == {w: ONE}, (n, r, i, order, w)
                 want = combine((qinv, psi([("T", i, 1)], w, r)), (-qinv * Q_MINUS_1, {w: ONE}))
-                got = unpacked(tensorrep._apply_R_inv(i, packed_unit(w), BITS))
-                assert got == want, (n, r, i, w)
+                assert letter_image(("T", i, -1), w, r) == want, (n, r, i, w)
 
 
 def split_routes(records):
@@ -312,10 +337,10 @@ class TestRelationReports:
         table = [("P1 = P2", [(ONE, p1)], [(ONE, p2)]), ("P2 = P2", [(ONE, p2)], [(ONE, p2)])]
         assert checks.relations_on_tensor_space(table, 2, 2) == [[3, 1], None]
 
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_braid_without_quadratic_term_fails_the_tensor_route_only(self, monkeypatch):
         # R_i without its (q-1) term on a > b no longer satisfies the quadratic relation
-        monkeypatch.setattr(tensorrep, "_apply_R", braid_without_quadratic_term)
+        monkeypatch.setattr(tensorrep, "_braid_row", braid_without_quadratic_term)
         engine, tensor = split_routes(checks.run_suite("relations", 2, 2, "oracle", False))
         assert all(x["status"] == "pass" for x in engine)
         quad = next(x for x in tensor if x["check"] == "T1^2 = (q-1)T1 + q on tensor space")
@@ -376,7 +401,7 @@ def diagonal_traces(n, r):
     monos = {x: {} for x in letters}
     for block in content_blocks(n, r):
         for x, cols in psi_columns(letters, block, r, bits, offset).items():
-            for w, col in cols.items():
+            for w, col in columns(cols, block).items():
                 c = col.get(w)
                 if c:
                     expo = tuple(sum(k == a for k in w) for a in range(1, r + 1))
@@ -388,12 +413,12 @@ class TestRotatedTraces:
     @pytest.mark.parametrize(
         "n,r", [(n, r) for n in (1, 2, 3) for r in (n, n + 1)] + [(4, 4)]
     )
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_matches_operator_diagonal(self, n, r):
         for idx, want in diagonal_traces(n, r).items():
             assert tensorrep.basis_trace(r, idx) == want, idx
 
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_never_builds_an_operator(self, monkeypatch):
         def no_operators(*args):
             raise AssertionError("basis_trace must not build operator columns")
@@ -406,11 +431,11 @@ class TestRotatedTraces:
             for lam in partitions_up_to(3):
                 assert oracle.get(lam, ZERO) == mn_character(3, lam, mu)
 
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_order_invariant_asymmetry_is_caught(self, monkeypatch):
         # the mutant keeps the relabelling premise, so only the comparison of
         # rearranged compositions can see it
-        monkeypatch.setattr(tensorrep, "_apply_R", doubled_descent_term)
+        monkeypatch.setattr(tensorrep, "_braid_row", doubled_descent_term)
         assert relabelling_mismatches(3, 3) == []
         raised = []
         for idx in iter_standard_basis(3):
@@ -433,7 +458,7 @@ def reference_trace(r, idx):
     return _from_monomials(monos, r)
 
 
-@pytest.mark.usefixtures("fresh_traces")
+@pytest.mark.usefixtures("fresh_tables")
 class TestSlotWidth:
     N, R = 3, 3
 
@@ -489,7 +514,7 @@ def count_scalar_work(monkeypatch):
 
 
 class TestNoScalarProductsPerLetter:
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_traces(self, monkeypatch):
         seen = count_scalar_work(monkeypatch)
         for idx in iter_standard_basis(3):
@@ -545,16 +570,25 @@ class TestMultiplicativity:
     def test_block_comparison_reads_every_column(self):
         # Psi(x + y) = Psi(a) Psi(b) on the words w1, w2 of one content; the
         # entries of x and y at v9 cancel, so that entry is absent on both sides
-        cols = {
+        names = ["w1", "w2", "w3", "u1", "u2", "u3", "v1", "v2", "v3", "v9"]
+        size = len(names)
+        ids = {name: i for i, name in enumerate(names)}
+        nested = {
             "a": {"u1": {"v1": 2}, "u2": {"v2": 1}},
             "b": {"w1": {"u1": 3}, "w2": {"u2": 1}, "w3": {"u3": 4}},
             "x": {"w1": {"v1": 6, "v9": 5}, "w2": {"v2": 1}},
             "y": {"w1": {"v9": -5}},
             "z": {"w2": {"v3": 1}},
         }
+        # keyed w * N + u, as `psi_columns` keys them
+        cols = {
+            x: {ids[w] * size + ids[u]: c for w, col in xcols.items() for u, c in col.items()}
+            for x, xcols in nested.items()
+        }
 
         def first(*terms):
-            return tensorrep._first_difference(cols, list(terms), ["w1", "w2", "w3"])
+            w = tensorrep._first_difference(cols, list(terms), size)
+            return None if w is None else names[w]
 
         ab, x, y, z = ("a", "b"), ("x",), ("y",), ("z",)
         assert first((1, ab), (-1, x), (-1, y)) is None
@@ -595,7 +629,7 @@ class TestMultiplicativity:
         for words in content_blocks(n, n):
             cols = psi_columns(letters, words, n, bits, offset)
             for x, op in whole.items():
-                got = {w: unpacked(col, bits, offset) for w, col in cols[x].items()}
+                got = {w: unpacked(col, bits, offset) for w, col in columns(cols[x], words).items()}
                 assert got == {w: col for w, col in op.items() if w in words}, (x, words)
 
     def test_never_builds_an_operator(self, monkeypatch):
@@ -614,6 +648,47 @@ class TestMultiplicativity:
         assert len(contents) == len(list(pattern_blocks(3, 3)))
 
 
+class TestBlockTables:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_kernel_call_per_suffix(self, monkeypatch, n):
+        # the columns of every input word advance together: a block makes one
+        # kernel call per distinct suffix that starts with a braid letter,
+        # whatever its size
+        letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
+        suffixes = {lt[i:] for lt in letters.values() for i in range(len(lt))}
+        braid = sum(suffix[0][0] == "T" for suffix in suffixes)
+        kernel = ring.apply_rows
+        calls = []
+
+        def counting(elem, rows, sel, unit):
+            calls.append(len(elem))
+            return kernel(elem, rows, sel, unit)
+
+        monkeypatch.setattr(tensorrep, "apply_rows", counting)
+        sizes = set()
+        for block in pattern_blocks(n, n):
+            calls.clear()
+            psi_columns(letters, block, n, 8, 16)
+            assert len(calls) == braid, len(block)
+            sizes.add(len(block))
+        assert len(sizes) >= 3
+
+    @pytest.mark.parametrize("n,r", [(4, 4), (5, 5)])
+    def test_tables_are_linear_in_the_block(self, n, r):
+        # one row of at most 3 monomials per word and braid letter, one id set per idempotent
+        for block in pattern_blocks(n, r):
+            blk = tensorrep._block(block[0], r)
+            assert blk.words == block
+            braid = [("T", i, s) for i in range(1, n) for s in (1, -1)]
+            assert sorted(blk.table) == sorted(braid + [("P", j) for j in range(1, n + 1)])
+            for letter, table in blk.table.items():
+                if letter[0] == "T":
+                    assert len(table) == len(block)
+                    assert all(1 <= len(row) <= 3 for row in table)
+                else:
+                    assert table <= set(range(len(block)))
+
+
 def relabelling_mismatches(n, r):
     """The content blocks whose basis-operator columns, relabelled onto their
     representative block, differ from the representative's own columns."""
@@ -626,10 +701,16 @@ def relabelling_mismatches(n, r):
         move = relabelling(block[0], r)
         rep = tuple(map(move, block))
         if rep not in reps:
-            reps[rep] = psi_columns(letters, rep, r, bits, offset)
+            reps[rep] = {
+                x: columns(xcols, list(rep))
+                for x, xcols in psi_columns(letters, rep, r, bits, offset).items()
+            }
         cols = psi_columns(letters, block, r, bits, offset)
         moved = {
-            x: {move(w): {move(u): c for u, c in col.items()} for w, col in xcols.items()}
+            x: {
+                move(w): {move(u): c for u, c in col.items()}
+                for w, col in columns(xcols, block).items()
+            }
             for x, xcols in cols.items()
         }
         if moved != reps[rep]:
@@ -645,7 +726,8 @@ def all_block_differences(identities, n, r):
         cols = psi_columns(words, block, r, bits, offset)
         for k, signed in enumerate(packed):
             if out[k] is None:
-                out[k] = tensorrep._first_difference(cols, signed, block)
+                w = tensorrep._first_difference(cols, signed, len(block))
+                out[k] = None if w is None else block[w]
     return out
 
 
@@ -686,8 +768,9 @@ class TestPatternBlocks:
     def test_relabelled_blocks_have_the_same_columns(self, n, r):
         assert relabelling_mismatches(n, r) == []
 
+    @pytest.mark.usefixtures("fresh_tables")
     def test_value_dependent_kernel_breaks_the_premise(self, monkeypatch):
-        monkeypatch.setattr(tensorrep, "_apply_R", letter_two_special)
+        monkeypatch.setattr(tensorrep, "_braid_row", letter_two_special)
         assert relabelling_mismatches(2, 2)
 
     @pytest.mark.parametrize(
@@ -703,13 +786,13 @@ class TestPatternBlocks:
     @pytest.mark.parametrize(
         "name,mutant",
         [
-            ("_apply_R", braid_without_quadratic_term),
-            ("_apply_R", doubled_descent_term),
-            ("_apply_e", lambda j, terms, r: terms),
+            ("_braid_row", braid_without_quadratic_term),
+            ("_braid_row", doubled_descent_term),
+            ("_idempotent_keeps", keeps_every_word),
         ],
     )
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_mutant_witnesses_match_the_all_block_scan(self, monkeypatch, name, mutant, n):
         monkeypatch.setattr(tensorrep, name, mutant)
         identities = relation_identities(n)
@@ -739,10 +822,10 @@ class TestImageRank:
         assert image_rank(3, 3, 1) == 34
         assert image_rank(3, 3, 2) == 34
 
-    @pytest.mark.usefixtures("fresh_traces")
+    @pytest.mark.usefixtures("fresh_tables")
     def test_rank_reads_the_kernel_columns(self, monkeypatch):
         # e_j that keeps every word collapses P_j onto the identity: the rank drops
-        monkeypatch.setattr(tensorrep, "_apply_e", lambda j, terms, r: terms)
+        monkeypatch.setattr(tensorrep, "_idempotent_keeps", keeps_every_word)
         witness = checks.image_rank_equals_dim(2, 2)
         assert witness is not None and len(witness) == 2
         assert all(rank < 7 for rank in witness), witness
