@@ -105,12 +105,14 @@ What is memoized, and where (`clear_caches` empties all of it):
   built: the ids, `t_rows` (T^+-1, per shape and letter), `steps`, `tails`
   and `tail_bounds` (per shape), `p1_rows`, `basis` (per kid), `kids`, the
   gains G_P1 and G_elim, and the `letters` of the rank.
-  The T rows and steps come from the plain tuple-keyed functions
-  `_w_rmul_T_key` and `_standard_step` on LaurentScalar, which the tests
-  also read as the reference.  A P_1 row is built by `_Layout.rmul_p1`
-  from an earlier row (or from `_p1_closed_form`) with the left rule
-  `_Layout.t_left`; the tests compare every row with a replay of its whole
-  word through a general Hecke product.
+  The T rows are written straight in ids and powers of q by Deodhar's
+  lemma (`_t_row`); the tests compare each with a term-by-term Hecke
+  product.  The steps come from the plain tuple-keyed `_standard_step` on
+  LaurentScalar, which the tests also read as the reference.  A P_1 row is
+  built by `_Layout.rmul_p1` from an earlier row (or from
+  `_p1_closed_form`) with the left rule `_Layout.t_left`; the tests compare
+  every row with a replay of its whole word through a general Hecke
+  product.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
   the builders' helpers `_absorb` (the coset split of a permutation),
   `_tail_expansion`, `_cycle_perm`, `_subset_perm` and `_pi_expansion`,
@@ -315,18 +317,6 @@ def _const(s: LaurentScalar) -> tuple:
     return tuple(s.items())
 
 
-def _w_rmul_T_key(k: int, d: Permutation, i: int, inv: bool) -> tuple:
-    """(P_k T_d) * T_i^{+-1} as ((d', const), ...) in the working basis.
-
-    The sign of each discarded S_k-part is folded into its coefficient.
-    """
-    out: dict = {}
-    for u, s in _hecke_rmul_letter({d: ONE}, i, inv).items():
-        sign, dd = (1, d) if u == d else _absorb(k, u)
-        accumulate(out, dd, -s if sign < 0 else s)
-    return tuple((dd, _const(s)) for dd, s in out.items())
-
-
 def _p1_closed_form(k: int, d: Permutation) -> tuple:
     """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as (((A', d'), const), ...).
 
@@ -428,6 +418,28 @@ def _letters(n: int) -> list:
     return [(("T", i, 1), ("T", i, -1), ("P", i)) for i in range(n + 1)]
 
 
+def _t_row(index_k: dict, k: int, d: Permutation, i: int, inv: bool) -> tuple:
+    """The row of (P_k T_d) * T_i^{+-1} by Deodhar's lemma, in powers of q.
+
+    For a minimal representative d of S_k \\ S_n, either d s_i is minimal
+    too, or d s_i = s_j d with s_j in S_k.  The latter happens exactly on an
+    ascent d(i) < d(i+1) with both values <= k, and then both signs give
+    -P_k T_d, because P_k T_j = -P_k and so P_k T_j^-1 = -P_k.  Otherwise,
+    with delta the id shift from d to d s_i, an ascent gives T_{d s_i} for
+    T_i and q^-1 T_{d s_i} + (q^-1 - 1) T_d for T_i^-1, and a descent gives
+    (q-1) T_d + q T_{d s_i} for T_i and T_{d s_i} for T_i^-1.  The monomials
+    come in the order of a term-by-term Hecke product, so that equal rows
+    are equal tuples.
+    """
+    a, b = d[i - 1], d[i]
+    if a < b and b <= k:
+        return ((0, 0, -1),)
+    delta = index_k[apply_right_s(d, i)] - index_k[d]
+    if a < b:
+        return ((delta, -1, 1), (0, 0, -1), (0, -1, 1)) if inv else ((delta, 0, 1),)
+    return ((delta, 0, 1),) if inv else ((0, 1, 1), (0, 0, -1), (delta, 1, 1))
+
+
 class _Layout:
     """Dense int ids for the working keys (A, d) of rank n, and every table the engine reads.
 
@@ -482,12 +494,9 @@ class _Layout:
         shared: dict = {}  # few distinct rows (117 of 2,608 T rows at n = 5): one tuple each
         self.t_rows = [[] for _ in range(2 * (n - 1))]
         for slot, rows in enumerate(self.t_rows):
+            i, inv = slot // 2 + 1, slot % 2 == 1
             for k, d in shapes:
-                row = tuple(
-                    (index[k][d2] - index[k][d], _q_exp(e), a)
-                    for d2, const in _w_rmul_T_key(k, d, slot // 2 + 1, slot % 2 == 1)
-                    for e, a in const
-                )
+                row = _t_row(index[k], k, d, i, inv)
                 rows.append(shared.setdefault(row, row))
         self.steps, self.tails, self.tail_bounds, leads, gain = [], [], [], [], []
         for s, (k, d) in enumerate(shapes):  # shortest first: every tail shape is known

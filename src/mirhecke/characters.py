@@ -66,12 +66,54 @@ fails that oracle at m = 2 (kept selectable so the discrepancy is
 demonstrable, never used by default).
 
 Class polynomials express any standard basis element through the cocenter
-representatives: the coefficient vector is the unique solution of the linear
-system given by the character table against the Schur-Weyl trace oracle.  It
-is solved fraction-free and must come out Laurent-polynomial: one exact
-division by d = +-det(table) per coefficient.  Every basis element solves
-against the same table, whose factorization and adjugate columns
-`solve_linear` computes once, so each further solve only sums cached columns.
+representatives: its coefficient vector f is the unique solution of
+M f = chi, with M the character table and chi the element's character
+values from the Schur-Weyl trace oracle.  Past the trace kernel, f is a
+fixed linear map of the trace over Z[v, v^-1] for each table.  If t lists
+the coefficients of the weighted trace in the monomial basis m_mu
+(`tensorrep.trace_sums`), then chi = S t, with S the inverse Kostka matrix
+(s_lam = sum_mu K_lam,mu m_mu, Macdonald I.6), and f = y / d with
+y = adj S t, adj = d M^-1 the adjugate and d = +-det M, both from the
+fraction-free Bareiss elimination of `ring` (Bareiss 1968).  Each nonzero
+y_mu must divide exactly by d in Z[v, v^-1]; one that does not is a
+defect, not a result, and raises ClassPolynomialDefect.
+
+`_class_map` forms W = adj S once per table and packs it in v-slots
+(`ring.pack`, step 1) at a width B and an offset E_adj.  A call asks
+`tensorrep.trace_sums` for t packed at the same width, forms each
+y_i = sum_mu W_i,mu t_mu from int products, unpacks each nonzero y_i once
+and divides it by d.  B and E_adj are derived from the table and the rank
+before any trace is taken, and neither is a constant or a setting:
+
+- T is the largest `tensorrep.trace_bound`, (r+1)^(n-k) 3^L, over the
+  basis words of rank n at r = n.  A trace sum adds at most (r+1)^(n-k)
+  diagonal entries of l1 norm at most 3^L each, so ||t_mu||_1 <= T;
+- B = `slot_bits`(max over i of sum over j of ||adj_ij||_1 times
+  sum over mu of |S_j,mu|, times T), and E_adj = max(0, -(the lowest
+  v-exponent of adj)).
+
+Proof.  y_i = sum_j adj_ij sum_mu S_j,mu t_mu, so
+||y_i||_1 <= sum_j ||adj_ij||_1 sum_mu |S_j,mu| T, and every coefficient
+of y_i has absolute value below 2^(B-1): it decodes uniquely, and a
+packed y_i is 0 exactly when y_i is.  The coefficients of each W_i,mu are
+bounded by a part of the same sum, so W packs at B too.  S is an integer
+matrix, so no exponent of W is below -E_adj, and no exponent of t is below
+-E, E being the `letter_offset` of the element's rotated word, which
+`trace_sums` returns.  Packing is a ring homomorphism, so each int product
+W_i,mu t_mu is the packed product at offset E_adj + E, and y_i is unpacked
+there.  Nothing is shifted right, so nothing needs to be exact but the
+decoding.
+
+The map is cached by the table's content, as `ring._bareiss` caches the
+factorization: under the key (n, labels, rows), so a table with other
+entries, such as a scaled one, gets a map of its own and never reads
+another's.  At most 8 maps are kept, in process only.  S is read off
+`symfun.schur_expand` of each m_mu, one expansion per label.  Every
+adjugate column is built when the map is, by `ring.adjugate_columns`,
+into the cache entry that `solve_linear` reads.  That makes a first call
+dearer when its trace needs only a few columns, but B is a maximum over
+every entry of adj, so a map built from some columns could be too narrow
+for a later trace, and a whole basis of calls needs every column anyway.
 That the table is invertible at sample points is checked in
 `checks.determinant_nonzero`, by its rank over Q.
 """
@@ -79,24 +121,26 @@ That the table is invertible at sample points is checked in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .combinatorics import (
     BasisIndex,
     Partition,
     check_partition,
+    iter_standard_basis,
     partitions_up_to,
 )
 from .ring import (
     InexactDivisionError,
     LaurentScalar,
+    ONE,
     ZERO,
+    adjugate_columns,
     pack,
     slot_bits,
-    solve_linear,
     unpack,
 )
-from .symfun import transitions
+from .symfun import SymPoly, schur_expand, transitions
 
 
 class ClassPolynomialDefect(RuntimeError):
@@ -301,18 +345,60 @@ class ClassPolyVector:
         }
 
 
+@lru_cache(maxsize=8)
+def _class_map(n: int, labels: tuple, rows: tuple) -> tuple:
+    """(d, B, E_adj, cols): the class-polynomial map of one table, rows in label order.
+
+    cols[mu] lists (i, W[i][mu] packed at (B, E_adj)) over the nonzero
+    entries of W = adj S, with adj = d M^-1 (`ring.adjugate_columns`) and S
+    the inverse Kostka matrix: S[j][m] is the coefficient of s_(labels[j]) in
+    m_(labels[m]).  B and E_adj are derived as in the module docstring.
+    """
+    from . import tensorrep
+
+    size = len(labels)
+    ids = {lam: j for j, lam in enumerate(labels)}
+    kostka_inv = [[0] * size for _ in labels]
+    for m, mu in enumerate(labels):
+        for lam, c in schur_expand(SymPoly(n, {mu: ONE})).items():
+            ((e, a),) = c.items()
+            if e:
+                raise ValueError(f"inverse Kostka entry {c.to_string()} is not an integer")
+            kostka_inv[ids[lam]][m] = a
+    d, adj = adjugate_columns(rows)
+    offset = max(0, -min(e for col in adj for _, a in col for e, _ in a.items()))
+    spread = [sum(map(abs, row)) for row in kostka_inv]
+    mass = [0] * size  # sum over j of ||adj[i][j]||_1 * sum over mu of |S[j][mu]|
+    for j, col in enumerate(adj):
+        for i, a in col:
+            mass[i] += a.l1_norm() * spread[j]
+    top = max(tensorrep.trace_bound(n, idx) for idx in iter_standard_basis(n))
+    bits = slot_bits(max(mass) * top)
+    w = [[0] * size for _ in labels]  # w[m][i]: W[i][m] packed, summed on ints
+    for j, col in enumerate(adj):
+        packed = [(i, pack(a, bits, offset)) for i, a in col]
+        for m, s_jm in enumerate(kostka_inv[j]):
+            if s_jm:
+                row = w[m]
+                for i, a in packed:
+                    row[i] += s_jm * a
+    cols = {mu: tuple((i, x) for i, x in enumerate(w[m]) if x) for m, mu in enumerate(labels)}
+    return d, bits, offset, cols
+
+
 def class_polynomials(
     n: int, idx: BasisIndex, table: CharacterTable | None = None
 ) -> ClassPolyVector:
     """Solve for the coefficients f with chi[lam](T_idx) = sum_mu f[mu] chi[lam](mu-rep).
 
-    The right side comes from the independent tensor trace oracle at r = n.
-    `solve_linear` gives (d, y) with f = y / d; each nonzero y[mu] must divide
-    exactly by d in Z[v, v^-1] (a non-Laurent coefficient is a defect, not a
-    result, and raises ClassPolynomialDefect).
+    The right side comes from the independent tensor trace oracle at r = n:
+    the packed diagonal sums t of `tensorrep.trace_sums`, which the cached
+    map of the table turns into y = adj S t with f = y / d (see the module
+    docstring).  Each nonzero y[mu] must divide exactly by d in Z[v, v^-1]
+    (a non-Laurent coefficient is a defect, not a result, and raises
+    ClassPolynomialDefect).
     """
     from . import tensorrep
-    from .algebra import basis_element
 
     if idx.n != n:
         raise ValueError("index rank mismatch")
@@ -320,15 +406,20 @@ def class_polynomials(
         table = character_table(n)
     elif table.n != n:
         raise ValueError(f"character table of rank {table.n} given for rank {n}")
-    labels = table.labels
-    traces = tensorrep.char_oracle(basis_element(idx), r=n)
-    matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
-    rhs = [traces.get(lam, ZERO) for lam in labels]
-    d, y = solve_linear(matrix, rhs)
+    labels = tuple(table.labels)
+    entries = table.entries
+    rows = tuple(tuple([entries[(lam, mu)] for mu in labels]) for lam in labels)
+    d, bits, offset, cols = _class_map(n, labels, rows)
+    e, sums = tensorrep.trace_sums(n, idx, bits)
+    y = [0] * len(labels)
+    for mu, t in sums.items():
+        for i, w in cols[mu]:
+            y[i] += w * t
     coeffs = {}
     for mu, y_mu in zip(labels, y):
-        if y_mu.is_zero():
+        if not y_mu:
             continue
+        y_mu = unpack(y_mu, bits, offset + e)
         try:
             coeffs[mu] = y_mu.exact_div(d)
         except InexactDivisionError:

@@ -15,13 +15,16 @@ raises InexactDivisionError when the quotient is not Laurent.  Coefficient
 growth stays polynomial for the table sizes that occur here (12 x 12 at
 n = 4, 19 x 19 at n = 5).
 
-Class polynomials solve one character table against many right sides, so
-the matrix half of the elimination (row swaps, pivots, eliminated columns
-and the final upper triangle) is computed once per matrix content and kept
-in a small bounded in-process cache.  The same cache entry holds the
-adjugate columns d M^-1 e_j, each replayed through the elimination and the
-back substitution the first time a right side has c_j != 0; a call then
-returns y = sum_j c_j adj_j with one cache lookup.
+One matrix is often solved against many right sides, so the matrix half
+of the elimination (row swaps, pivots, eliminated columns and the final
+upper triangle) is computed once per matrix content and kept in a small
+bounded in-process cache.  The same cache entry holds the adjugate columns
+d M^-1 e_j, each replayed through the elimination and the back substitution
+the first time a right side has c_j != 0; a call then returns
+y = sum_j c_j adj_j with one cache lookup.  `adjugate_columns` builds every
+column of a matrix into that entry at once: the class polynomials of
+`characters` read the whole adjugate of a character table, and
+`solve_linear` stays the reference they are tested against.
 
 `rank_over_q` is the one elimination over Q: a sparse row reduction of
 rows {position: int or Fraction}.  It ranks the tensor image
@@ -528,6 +531,18 @@ def _adjugate_column(steps: tuple, upper: tuple, d: LaurentScalar, j: int) -> tu
             acc = acc - row[j] * y[j]
         y[i] = acc.exact_div(row[i])
     return tuple((i, a) for i, a in enumerate(y) if a)
+
+
+def adjugate_columns(rows: tuple) -> tuple:
+    """(d, [adj_0, ..., adj_{n-1}]) for a square matrix given as a tuple of row
+    tuples: d = +-det M and adj_j = d M^-1 e_j as its nonzero (i, entry)
+    pairs.  Every column is built now, into the cache entry that
+    `solve_linear` reads, so neither builds a column twice."""
+    steps, upper, d, adj = _bareiss(rows)
+    for j, col in enumerate(adj):
+        if col is None:
+            adj[j] = _adjugate_column(steps, upper, d, j)
+    return d, list(adj)
 
 
 def solve_linear(

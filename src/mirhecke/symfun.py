@@ -200,7 +200,7 @@ def _from_monomials(monos: dict, r: int) -> SymPoly:
     return SymPoly(r, terms)
 
 
-def _from_compositions(comps: dict, r: int) -> SymPoly:
+def _from_compositions(comps: dict) -> dict:
     """Fold coefficients on compositions into partition keys, checking symmetry.
 
     `comps` maps a composition alpha (an exponent vector with its zeros
@@ -208,19 +208,21 @@ def _from_compositions(comps: dict, r: int) -> SymPoly:
     quasisymmetric polynomial in the monomial basis M_alpha (Gessel 1984).  It
     is symmetric iff all rearrangements of one partition carry the same
     coefficient, zero included; a rearrangement missing from `comps` counts
-    as zero.
+    as zero.  Returns {lam: coefficient} without the zeros.  The coefficients
+    need only compare and test for zero, so packed ints (`ring.pack`) fold
+    as well as scalars.
     """
     groups: dict = {}
     for alpha, c in comps.items():
         groups.setdefault(tuple(sorted(alpha, reverse=True)), []).append(c)
-    terms: dict[Partition, LaurentScalar] = {}
+    terms: dict = {}
     for lam, cs in groups.items():
         c = cs[0]
         if any(d != c for d in cs) or (c and len(cs) != _n_rearrangements(lam, len(lam))):
             raise AssertionError(f"asymmetric coefficients on rearrangements of {lam}")
         if c:
             terms[lam] = c
-    return SymPoly(r, terms)
+    return terms
 
 
 def mul_sym(p: SymPoly, q: SymPoly) -> SymPoly:

@@ -108,16 +108,28 @@ every R_i and e_j, and e_k is idempotent; by cyclicity of the trace
 
     tr(D Psi(T_A e_k Y)) = tr(D e_k (Y T_A) e_k).
 
-So `basis_trace` runs only over the words that begin with k letters r+1 and
-whose last n-k letters form a representative block, applies the letters of
-Y T_A to all of them at once, on the rows of their common block, and reads
-back each word's own coefficient.  The packed
-diagonal entries are summed per composition and each sum is unpacked once,
-with B derived from (r+1)^(n-k) 3^L.
+So `trace_sums` runs only over the words that begin with k letters r+1
+(the ids that e_k keeps) in the blocks whose last n-k letters have a
+representative content, applies the letters of Y T_A to all of them at
+once, on the rows of their common block, and reads back each word's own
+coefficient.  Only the diagonal of the last letter's image is read, and
+the entry (w, w) of R_i^+-1 X comes from the entries (w, w) and (w, s_i w)
+of X alone, the targets of w's own row (s_i is an involution on words);
+so the last letter is applied to those entries only.  The packed diagonal
+entries are summed per composition, and the sums are folded into
+partitions as packed ints: at a width where every sum decodes, equal ints
+are equal sums, so the rearrangement check of `symfun._from_compositions`
+runs on the ints themselves.  A sum adds at most (r+1)^(n-k) entries of l1
+norm at most 3^L, so the caller passes a width of at least
+slot_bits((r+1)^(n-k) 3^L) (`trace_bound`) plus whatever it sums on top.  `basis_trace` passes exactly that and unpacks
+once per partition; `characters.class_polynomials` passes the width of its
+class-polynomial map and reads the sums packed.
 
 Everything here is lazy and sparse: operators are never materialized as
-dense matrices.  Two things are memoized, with `functools.cache`: the
-block tables (`_block`) and the per-basis-element traces (`basis_trace`).
+dense matrices.  Four things are memoized, with `functools.cache`: the
+block tables (`_block`), the representative contents per (n, r)
+(`_pattern_contents`), the rotated word of each basis index
+(`_rotated_letters`) and the per-basis-element traces (`basis_trace`).
 
 `image_rank(n, r, bits)` ranks the basis operators at v = 2^bits.  An
 exact integer is all it needs, not a decodable one, so no slot width is
@@ -203,6 +215,18 @@ def letter_offset(letters) -> int:
     return 2 * sum(lt[0] == "T" and lt[2] == -1 for lt in letters)
 
 
+@cache
+def _pattern_contents(n: int, r: int) -> tuple:
+    """The sorted contents of the representative blocks, in content order (memoized)."""
+    top = r + 1
+    contents = [(top,) * n]
+    for m in range(1, n + 1):
+        for steps in itertools.product((0, 1), repeat=m - 1):
+            if sum(steps) < r:
+                contents.append(tuple(itertools.accumulate(steps, initial=1)) + (top,) * (n - m))
+    return tuple(sorted(contents))
+
+
 def pattern_blocks(n: int, r: int):
     """The sorted words of each representative content block: those whose letters
     below r+1 are exactly 1..p, in content order (that of
@@ -213,13 +237,7 @@ def pattern_blocks(n: int, r: int):
     relabelling of 1..r maps onto it (see the module docstring).  It is built
     from the composition (c_1..c_p), so the cost does not grow with r.
     """
-    top = r + 1
-    contents = [(top,) * n]
-    for m in range(1, n + 1):
-        for steps in itertools.product((0, 1), repeat=m - 1):
-            if sum(steps) < r:
-                contents.append(tuple(itertools.accumulate(steps, initial=1)) + (top,) * (n - m))
-    for content in sorted(contents):
+    for content in _pattern_contents(n, r):
         yield sorted(set(itertools.permutations(content)))
 
 
@@ -333,36 +351,69 @@ def _first_difference(cols: dict, signed: list, size: int):
 
 
 @cache
-def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
-    """Weighted diagonal trace of one basis element, as a symmetric polynomial.
+def _rotated_letters(idx: BasisIndex) -> tuple:
+    """The letters of Y T_A for the basis word T_A P_k Y (all of them for k = 0), memoized."""
+    letters = basis_word(idx).letters
+    if idx.k:
+        p = letters.index(("P", idx.k))
+        letters = letters[p + 1 :] + letters[:p]
+    return letters
+
+
+def trace_bound(r: int, idx: BasisIndex) -> int:
+    """(r+1)^(n-k) 3^L: a bound on the l1 norm of every diagonal sum of `trace_sums`."""
+    return (r + 1) ** (idx.n - idx.k) * letter_bound(_rotated_letters(idx))
+
+
+def trace_sums(r: int, idx: BasisIndex, bits: int) -> tuple[int, dict]:
+    """(E, {lam: packed sum}): the diagonal sums of one basis element, folded to partitions.
 
     The word T_A P_k Y is rotated to e_k (Y T_A) e_k (see the module
     docstring), so only words starting with k letters r+1 are visited, and of
     those only the representative blocks of the tail.  Diagonal entries are
-    summed packed, one sum per composition, and each sum is unpacked once;
-    the fold into partitions checks that rearranged compositions agree.
+    summed packed at `bits` and offset E, one sum per composition; the fold
+    into partitions checks, on the packed ints, that rearranged compositions
+    agree.  The caller passes bits >= slot_bits(`trace_bound`(r, idx)) plus
+    whatever it sums on top; the sums are never unpacked here.
     """
-    letters = basis_word(idx).letters
-    k = idx.k
-    if k:
-        p = letters.index(("P", k))
-        letters = letters[p + 1 :] + letters[:p]
-    bits = slot_bits((r + 1) ** (idx.n - k) * letter_bound(letters))
+    letters = _rotated_letters(idx)
     offset = letter_offset(letters)
     one = 1 << (bits * offset)
+    k = idx.k
     head = (r + 1,) * k
     comps: dict = {}
-    for block in pattern_blocks(idx.n - k, r):
-        blk = _block(block[0] + head, r)  # a sorted content: the letters r+1 come last
+    for tail in _pattern_contents(idx.n - k, r):
+        blk = _block(tail + head, r)  # a sorted content: the letters r+1 come last
         size = len(blk.words)
         sel = list(range(size)) * size  # key w * N + u -> u, as in `psi_columns`
-        diagonal = [blk.ids[head + tail] * (size + 1) for tail in block]
+        # the words that begin with k letters r+1: those that e_k keeps
+        diagonal = [u * (size + 1) for u in (blk.table[("P", k)] if k else range(size))]
         vec = dict.fromkeys(diagonal, one)
-        for lt in reversed(letters):  # braid letters only
+        for lt in reversed(letters[1:]):  # braid letters only
             vec = apply_rows(vec, blk.table[lt], sel, bits)
+        if letters:
+            # of the last letter's image only the diagonal is read: entry (w, w)
+            # comes from (w, w) and (w, s_i w), the keys of w's own row
+            rows = blk.table[letters[0]]
+            near = {}
+            for key in diagonal:
+                for delta, _, _ in rows[sel[key]]:
+                    c = vec.get(key + delta)
+                    if c:
+                        near[key + delta] = c
+            vec = apply_rows(near, rows, sel, bits)
         total = sum(vec.get(key, 0) for key in diagonal)
-        comps[tuple(Counter(a for a in block[0] if a <= r).values())] = total
-    return _from_compositions({a: unpack(c, bits, offset) for a, c in comps.items()}, r)
+        comps[tuple(Counter(a for a in tail if a <= r).values())] = total
+    return offset, _from_compositions(comps)
+
+
+@cache
+def basis_trace(r: int, idx: BasisIndex) -> SymPoly:
+    """Weighted diagonal trace of one basis element, as a symmetric polynomial:
+    `trace_sums` at the width of its own bound, each partition's sum unpacked once."""
+    bits = slot_bits(trace_bound(r, idx))
+    offset, sums = trace_sums(r, idx, bits)
+    return SymPoly(r, {lam: unpack(c, bits, offset) for lam, c in sums.items()})
 
 
 def trace_D(x: AlgebraElement, r: int) -> SymPoly:

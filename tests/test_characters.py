@@ -20,7 +20,18 @@ from mirhecke.combinatorics import (
     partitions_up_to,
     strip_removals,
 )
-from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, QINV, Q_MINUS_1, V, ZERO, rank_over_q
+from mirhecke.ring import (
+    InexactDivisionError,
+    LaurentScalar,
+    MINUS_ONE,
+    ONE,
+    Q,
+    QINV,
+    Q_MINUS_1,
+    V,
+    ZERO,
+    rank_over_q,
+)
 from mirhecke.symfun import g_coeff, strip_weight, transitions
 
 
@@ -333,6 +344,26 @@ class TestCharacterTable:
             assert fills[0].to_csv().encode() == fills[1].to_csv().encode()
 
 
+def class_map(table):
+    labels = tuple(table.labels)
+    rows = tuple(tuple(table.entries[(lam, mu)] for mu in labels) for lam in labels)
+    return characters._class_map(table.n, labels, rows)
+
+
+def reference_solve(n, idx, table):
+    """(d, y) of `ring.solve_linear` against the Schur expansion of the oracle trace at r = n."""
+    labels = table.labels
+    traces = tensorrep.char_oracle(basis_element(idx), r=n)
+    matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
+    return ring.solve_linear(matrix, [traces.get(lam, ZERO) for lam in labels])
+
+
+def reference_class_polynomials(n, idx, table):
+    """{mu: y_mu / d} by `reference_solve` and exact division; InexactDivisionError if not Laurent."""
+    d, y = reference_solve(n, idx, table)
+    return {mu: y_mu.exact_div(d) for mu, y_mu in zip(table.labels, y) if y_mu}
+
+
 class TestClassPolynomials:
     def test_table_of_another_rank_is_refused(self):
         # a rank-2 table has no column (3): solving against it gave f on (), (1), (2)
@@ -404,22 +435,88 @@ class TestClassPolynomials:
             class_polynomials(2, idx, scaled)
 
     def test_whole_basis_builds_each_adjugate_column_once(self, monkeypatch):
-        # all 209 rank-4 solves share one table: each adjugate column is built at most once
-        built = []
-        real = ring._adjugate_column
+        # all 209 rank-4 solves share one table: each adjugate column is built at
+        # most once, and the inverse Kostka matrix by one Schur expansion per label
+        built, expanded = [], []
+        real_column, real_expand = ring._adjugate_column, symfun.schur_expand
 
-        def counting(*args):
+        def counting_column(*args):
             built.append(1)
-            return real(*args)
+            return real_column(*args)
 
-        monkeypatch.setattr(ring, "_adjugate_column", counting)
+        def counting_expand(p):
+            expanded.append(1)
+            return real_expand(p)
+
+        monkeypatch.setattr(ring, "_adjugate_column", counting_column)
+        for module in (symfun, characters, tensorrep):
+            monkeypatch.setattr(module, "schur_expand", counting_expand)
         ring._bareiss.cache_clear()
+        characters._class_map.cache_clear()
         table = character_table(4)
         basis = list(iter_standard_basis(4))
         for idx in basis:
             class_polynomials(4, idx, table)
         assert len(basis) == 209
-        assert len(built) <= len(table.labels) == 12
+        assert 0 < len(built) <= len(table.labels) == 12
+        assert 0 < len(expanded) <= 12
+
+    @pytest.mark.parametrize("variant", ["oracle", "paper"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_map_matches_solve_linear(self, n, variant):
+        # the two tables differ in content, so each gets its own map
+        table = character_table(n, variant)
+        for idx in iter_standard_basis(n):
+            try:
+                want = reference_class_polynomials(n, idx, table)
+            except InexactDivisionError:
+                with pytest.raises(ClassPolynomialDefect):
+                    class_polynomials(n, idx, table)
+                continue
+            assert class_polynomials(n, idx, table).coeffs == want, idx
+
+    @pytest.mark.parametrize("variant", ["oracle", "paper"])
+    def test_width_and_offset_cover_every_decoded_value(self, variant):
+        for n in (2, 3, 4):
+            table = character_table(n, variant)
+            d, bits, offset, _ = class_map(table)
+            for idx in iter_standard_basis(n):
+                _, y = reference_solve(n, idx, table)
+                low = -(offset + tensorrep.letter_offset(tensorrep._rotated_letters(idx)))
+                for y_mu in y:
+                    if y_mu:
+                        assert max(abs(a) for _, a in y_mu.items()) < 1 << (bits - 1), idx
+                        assert y_mu.min_exp() >= low, idx
+
+    @pytest.mark.parametrize("variant", ["oracle", "paper"])
+    def test_width_and_offset_are_the_documented_bounds(self, variant):
+        # B = slot_bits(max_i sum_j ||adj_ij||_1 sum_mu |S_j,mu| T) and
+        # E_adj = max(0, -lowest exponent of adj), read off independent solves
+        for n in (2, 3, 4):
+            table = character_table(n, variant)
+            labels = table.labels
+            matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
+            size = len(labels)
+            units = [[ONE if i == j else ZERO for i in range(size)] for j in range(size)]
+            adj = [ring.solve_linear(matrix, unit)[1] for unit in units]  # adj[j][i] = adj_ij
+            spread = [0] * size  # sum over mu of |S_j,mu|, S_j,mu = [s_j] m_mu
+            for mu in labels:
+                for lam, c in symfun.schur_expand(symfun.SymPoly(n, {mu: ONE})).items():
+                    spread[labels.index(lam)] += abs(int(c.specialize(1)))
+            mass = max(sum(adj[j][i].l1_norm() * spread[j] for j in range(size)) for i in range(size))
+            top = max(tensorrep.trace_bound(n, idx) for idx in iter_standard_basis(n))
+            low = min(a.min_exp() for col in adj for a in col if a)
+            _, bits, offset, _ = class_map(table)
+            assert (bits, offset) == (ring.slot_bits(mass * top), max(0, -low)), n
+
+    def test_width_follows_the_table(self):
+        # B is derived from the table's adjugate, not fixed: scaling the table
+        # by (q + 1) scales the adjugate by (q + 1)^11 and widens the slots
+        table = character_table(4)
+        scaled = CharacterTable(
+            table.n, table.labels, {k: (Q + ONE) * v for k, v in table.entries.items()}
+        )
+        assert class_map(character_table(3))[1] < class_map(table)[1] < class_map(scaled)[1]
 
     def test_json(self):
         cp = class_polynomials(2, BasisIndex((2,), (1,), (1, 2)))

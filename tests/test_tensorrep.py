@@ -10,7 +10,7 @@ from mirhecke.algebra import (
     identity_element,
 )
 from mirhecke.combinatorics import BasisIndex, iter_standard_basis, partitions_up_to
-from mirhecke.characters import mn_character
+from mirhecke.characters import class_polynomials, mn_character
 from mirhecke import ring
 from mirhecke.ring import (
     LaurentScalar,
@@ -441,6 +441,18 @@ class TestRotatedTraces:
         for idx in iter_standard_basis(3):
             try:
                 tensorrep.basis_trace(3, idx)
+            except AssertionError:
+                raised.append(idx)
+        assert len(raised) == 5, raised
+
+    @pytest.mark.usefixtures("fresh_tables")
+    def test_asymmetry_is_caught_on_the_class_polynomial_route(self, monkeypatch):
+        # class polynomials read the packed trace sums, folded by the same check
+        monkeypatch.setattr(tensorrep, "_braid_row", doubled_descent_term)
+        raised = []
+        for idx in iter_standard_basis(3):
+            try:
+                class_polynomials(3, idx)
             except AssertionError:
                 raised.append(idx)
         assert len(raised) == 5, raised
