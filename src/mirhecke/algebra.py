@@ -36,8 +36,8 @@ exact over Z[q, q^-1].  Higher idempotents appearing in input words are
 first expanded through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
 
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
-computations stay in even v-exponents, and so do the engine tables, which
-`_Layout` stores in powers of q (`OddExponentError` on an odd exponent).
+computations stay in even v-exponents, and so do the engine tables: the T
+rows are written in powers of q and every other table is built from them.
 
 The engine runs on plain ints (Kronecker substitution, see `ring.pack`).
 A product whose inputs are all in Z[q, q^-1], as every product of
@@ -105,19 +105,23 @@ What is memoized, and where (`clear_caches` empties all of it):
   built: the ids, `t_rows` (T^+-1, per shape and letter), `steps`, `tails`
   and `tail_bounds` (per shape), `p1_rows`, `basis` (per kid), `kids`, the
   gains G_P1 and G_elim, and the `letters` of the rank.
-  The T rows are written straight in ids and powers of q by Deodhar's
-  lemma (`_t_row`); the tests compare each with a term-by-term Hecke
-  product.  The steps come from the plain tuple-keyed `_standard_step` on
-  LaurentScalar, which the tests also read as the reference.  A P_1 row is
-  built by `_Layout.rmul_p1` from an earlier row (or from
-  `_p1_closed_form`) with the left rule `_Layout.t_left`; the tests compare
-  every row with a replay of its whole word through a general Hecke
-  product.
+  Every table is a product of the rank's T rows, in ids and powers of q;
+  the build does no LaurentScalar arithmetic.  The T rows are written by
+  Deodhar's lemma (`_t_row`).  The standard element T_A P_k T_w T_B^-1 is
+  the key (A, w) times the T^-1 letters of T_B^-1, so its `tails` row is
+  those T^-1 rows applied to one monomial, and its step (`_standard_step`)
+  is read off that row: the monomial at delta 0 is the unit lead, the
+  others the strictly shorter tail.  A P_1 row is built by
+  `_Layout.rmul_p1` from an earlier row, or from `_p1_closed_form` (the
+  keys of P_k T_k ... T_{j+1} times the T rows of z), with the left rule
+  `_Layout.t_left`.  Each distinct monomial, row, step-tail entry and step
+  is one object across all tables.  The tests compare every T row, step,
+  tail, closed form and P_1 row with a term-by-term Hecke product on
+  LaurentScalar.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
   the builders' helpers `_absorb` (the coset split of a permutation),
-  `_tail_expansion`, `_cycle_perm`, `_subset_perm` and `_pi_expansion`,
-  and the per-index word and gains `_basis_data` of the terms of y in
-  `mul`.
+  `_cycle_perm`, `_subset_perm` and `_pi_expansion`, and the per-index
+  word and gains `_basis_data` of the terms of y in `mul`.
 
 Each table and memo is bounded by the size of the basis or the working
 basis, times the number of generators.  The defining relations are checked
@@ -145,10 +149,8 @@ from .combinatorics import (
 )
 from .ring import (
     LaurentScalar,
-    MINUS_QINV_QM1,
     ONE,
     Q,
-    QINV,
     Q_MINUS_1,
     ZERO,
     accumulate,
@@ -160,11 +162,6 @@ from .ring import (
 
 # a generator letter is ("T", i, +1 | -1) or ("P", j)
 Letter = tuple
-_MINUS_Q = -Q
-
-
-class OddExponentError(ArithmeticError):
-    """Raised when an engine table built for a rank has an odd v-exponent."""
 
 
 class NegativeExponentError(ArithmeticError):
@@ -273,77 +270,6 @@ def _absorb(k: int, u: Permutation) -> tuple[int, Permutation]:
     return sign, d
 
 
-# ---------------------------------------------------------------------------
-# plain Hecke arithmetic on {T_u : u in S_n}
-# ---------------------------------------------------------------------------
-
-
-def _hecke_rmul_letter(terms: dict, i: int, inv: bool) -> dict:
-    out: dict[Permutation, LaurentScalar] = {}
-    for u, c in terms.items():
-        u2 = apply_right_s(u, i)
-        ascent = u[i - 1] < u[i]
-        if not inv:
-            if ascent:
-                accumulate(out, u2, c)
-            else:
-                accumulate(out, u, c * Q_MINUS_1)
-                accumulate(out, u2, c * Q)
-        else:
-            if not ascent:
-                accumulate(out, u2, c)
-            else:
-                accumulate(out, u2, c * QINV)
-                accumulate(out, u, c * MINUS_QINV_QM1)
-    return out
-
-
-def _hecke_rmul_perm(terms: dict, d: Permutation) -> dict:
-    for i in reduced_word(d):
-        terms = _hecke_rmul_letter(terms, i, inv=False)
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# the working-basis tables, keyed by tuples
-# ---------------------------------------------------------------------------
-
-# A table constant is a tuple ((v-exponent, coeff), ...).  These builders are
-# plain functions: the engine reads their rows through the id tables below,
-# which build each row once and store each exponent as a power of q.
-
-
-def _const(s: LaurentScalar) -> tuple:
-    return tuple(s.items())
-
-
-def _p1_closed_form(k: int, d: Permutation) -> tuple:
-    """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as (((A', d'), const), ...).
-
-    The closed form of the module docstring, with T_z multiplied in on the
-    right for z = (T_{m-1} ... T_1)^-1 d; every A' is 1..k or 1..k+1.
-    (P_k T_d) * P_1 is T_{m-1} ... T_{k+1} times this.
-    """
-    n = len(d)
-    z = pcompose(pinverse(_cycle_perm(n, d[0], 1)), d)
-    out: dict = {}
-    Ak = tuple(range(1, k + 1))
-    coeff = Q_MINUS_1
-    for j in range(1, k):
-        hecke = _hecke_rmul_perm({_cycle_perm(n, k + 1, j + 1): ONE}, z)
-        for u, su in hecke.items():
-            sign, dd = _absorb(k, u)
-            val = coeff * su
-            accumulate(out, (Ak, dd), -val if sign < 0 else val)
-        coeff = coeff * _MINUS_Q
-    sign, dd = _absorb(k, z)
-    accumulate(out, (Ak, dd), -coeff if sign < 0 else coeff)
-    coeffp = _MINUS_Q**k
-    sign, dd = _absorb(k + 1, z)
-    accumulate(out, (Ak + (k + 1,), dd), -coeffp if sign < 0 else coeffp)
-    return tuple((key, _const(s)) for key, s in out.items())
-
-
 @lru_cache(maxsize=None)
 def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
     """P_j as (sign, word) over {P_1, T_i^-1}: P_j = sign * product(word)."""
@@ -353,64 +279,9 @@ def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
     return -1, prev + (("T", j - 1, -1),) + prev
 
 
-# -- working <-> standard conversion ----------------------------------------
-
-
-@cache
-def _tail_expansion(B: tuple, w: Permutation) -> dict:
-    """P_k (T_w T_B^{-1}) as {d: coeff} over minimal coset representatives (memoized)."""
-    k = len(B)
-    terms = {w: ONE}
-    for j in range(k, 0, -1):
-        for t in range(j, B[j - 1]):
-            terms = _hecke_rmul_letter(terms, t, inv=True)
-    out: dict = {}
-    for u, c in terms.items():
-        sign, d = _absorb(k, u)
-        accumulate(out, d, -c if sign < 0 else c)
-    return out
-
-
-def _standard_step(k: int, d: Permutation) -> tuple:
-    """One elimination step for the working keys (A, d) with |A| = k.
-
-    The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
-    s * T_A P_k T_d2, each d2 strictly shorter than d.  Returns
-    (B, w, lead^-1, ((d2, -s * lead^-1, length(d2)), ...), length(d)) with
-    constants as (exponent, coeff) pairs, so that
-    T_A P_k T_d = lead^-1 (A, B, w) + sum (-s * lead^-1) T_A P_k T_d2.
-    Raises AssertionError if lead is not a unit or a tail term is not shorter.
-    """
-    n = len(d)
-    B = pinverse(d)[:k]
-    w = pcompose(d, _subset_perm(n, B))
-    tail = _tail_expansion(B, w)
-    lead = tail[d]
-    if not lead.is_unit():
-        raise AssertionError(f"non-unit leading coefficient for B={B}, w={w}")
-    inv = lead.inverse_unit()
-    ld = plength(d)
-    rest = []
-    for d2, s in tail.items():
-        if d2 == d:
-            continue
-        l2 = plength(d2)
-        if l2 >= ld:
-            raise AssertionError("length triangularity violated")
-        rest.append((d2, _const(-(s * inv)), l2))
-    return B, w, _const(inv), tuple(rest), ld
-
-
 # ---------------------------------------------------------------------------
 # the working-basis engine on key ids
 # ---------------------------------------------------------------------------
-
-
-def _q_exp(e: int) -> int:
-    """A table v-exponent as a power of q; raises OddExponentError if it is odd."""
-    if e & 1:
-        raise OddExponentError(f"odd v-exponent {e} in an engine table")
-    return e >> 1
 
 
 def _letters(n: int) -> list:
@@ -440,6 +311,76 @@ def _t_row(index_k: dict, k: int, d: Permutation, i: int, inv: bool) -> tuple:
     return ((delta, 0, 1),) if inv else ((0, 1, 1), (0, 0, -1), (delta, 1, 1))
 
 
+def _rmul_t(t_rows: list, row: tuple, slots: Iterable[int]) -> tuple:
+    """A row of monomials (shape, e, a) on absolute shape ids times the T rows of each slot in turn.
+
+    Slot 2(i-1) + inv is T_i^{+-1}, as in `_Layout.t_rows`; a row's delta
+    moves a shape id as it moves a key id.  Exact zeros are dropped.
+    """
+    for slot in slots:
+        rows = t_rows[slot]
+        out: dict = {}
+        get = out.get
+        for s, e, a in row:
+            for delta, e2, a2 in rows[s]:
+                key = s + delta, e + e2
+                out[key] = get(key, 0) + a * a2
+        row = tuple((s, e, a) for (s, e), a in out.items() if a)
+    return row
+
+
+def _standard_step(row: tuple, lengths: tuple, s: int) -> tuple:
+    """The elimination step of shape s, read off its `tails` row.
+
+    The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
+    t * T_A P_k T_d2, each d2 strictly shorter than d; the lead is the one
+    monomial of the row at delta 0.  So T_A P_k T_d = lead^-1 (A, B, w) +
+    sum (-t lead^-1) T_A P_k T_d2, and the step is (length(d), e, a, tail)
+    for lead^-1 = a q^e, each tail entry (delta, e2, a2, length(d2)) for
+    -t lead^-1 = a2 q^e2; `lengths` holds length(d) per shape id.
+    Raises AssertionError if lead is not a unit or a tail term is not shorter.
+    """
+    lead = [(e, a) for delta, e, a in row if not delta]
+    if len(lead) != 1 or lead[0][1] not in (1, -1):
+        raise AssertionError(f"non-unit leading coefficient for shape {s}")
+    ((e, a),) = lead
+    ld = lengths[s]
+    tail = []
+    for delta, e2, a2 in row:
+        if delta:
+            l2 = lengths[s + delta]
+            if l2 >= ld:
+                raise AssertionError("length triangularity violated")
+            tail.append((delta, e2 - e, -a2 * a, l2))
+    return ld, -e, a, tuple(tail)
+
+
+def _p1_closed_form(lay: "_Layout", k: int, d: Permutation) -> tuple:
+    """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as a row of monomials (kid, e, a).
+
+    The closed form of the module docstring, with T_z multiplied in on the
+    right for z = (T_{m-1} ... T_1)^-1 d.  T_k ... T_{j+1} maps j+1 to k+1
+    and keeps 1..j in order, so it is its own minimal representative: each
+    P_k term is that key times its monomials of (-q)^(j-1)(q-1), times the
+    T rows of the letters of z.  The ids are absolute; every A' is 1..k or
+    1..k+1.  (P_k T_d) * P_1 is T_{m-1} ... T_{k+1} times this.
+    """
+    n = len(d)
+    z = pcompose(pinverse(_cycle_perm(n, d[0], 1)), d)
+    Ak = tuple(range(1, k + 1))
+    base = lay.blocks[Ak]
+    first = lay.kid_shape[base]  # the shape id of (k, identity)
+    terms = []
+    for j in range(1, k + 1):  # j = k is P_k itself
+        shape = first + lay.index[k][_cycle_perm(n, k + 1, j + 1)]
+        sign = 1 if j % 2 else -1
+        terms += [(shape, j, sign), (shape, j - 1, -sign)]
+    row = _rmul_t(lay.t_rows, tuple(terms), [2 * i - 2 for i in reduced_word(z)])
+    sign, dd = _absorb(k + 1, z)  # (-q)^k P_{k+1} T_z
+    last = (lay.kid(Ak + (k + 1,), dd), k, sign if k % 2 == 0 else -sign)
+    return tuple((base + s - first, e, a) for s, e, a in row) + (last,)
+
+
 class _Layout:
     """Dense int ids for the working keys (A, d) of rank n, and every table the engine reads.
 
@@ -456,15 +397,22 @@ class _Layout:
       in the working basis and the same for every A; `tail_bounds[shape]`
       is its (l1 mass, lowest exponent capped at 0).
 
-    `steps[shape]` is `_standard_step` as (length(d), lead^-1 exponent,
-    lead^-1 sign, tail), each tail entry (delta, e, a, length(d2)).
+    Every table is a product of the T rows.  The T rows are written by
+    `_t_row`.  (A, B, w) = T_A P_k T_w T_B^-1 with w fixing 1..k, so its
+    tails row is the T_t^-1 rows of the letters of T_B^-1 applied to the
+    one monomial at (k, w).  `steps[shape]` is `_standard_step` of that
+    row: (length(d), lead^-1 exponent, lead^-1 sign, tail), each tail entry
+    (delta, e, a, length(d2)).  A P_1 row is `rmul_p1`.  Each distinct
+    monomial, row, step-tail entry and step is one object, shared by every
+    table that holds it.
+
     `basis[kid]` is the BasisIndex that key kid leads; `kids` is its
-    inverse.  Every exponent is a power of q (`_q_exp`).  `g_p1` is the
-    largest l1 mass of a P_1 row.  `g_elim` is the largest mass that
-    elimination makes from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2)
-    over the tail t of the step.  No P_1 row and no step lowers an exponent:
-    every exponent in them is >= 0, or `NegativeExponentError` is raised,
-    so neither needs a term in the offset of `_product`.
+    inverse.  Every exponent is a power of q.  `g_p1` is the largest l1
+    mass of a P_1 row.  `g_elim` is the largest mass that elimination makes
+    from a unit key, g(k, d) = 1 + sum ||t||_1 g(k, d2) over the tail t of
+    the step.  No P_1 row and no step lowers an exponent: every exponent in
+    them is >= 0, or `NegativeExponentError` is raised, so neither needs a
+    term in the offset of `_product`.
     """
 
     __slots__ = (
@@ -484,40 +432,46 @@ class _Layout:
         self.blocks: dict[tuple, int] = {}
         self.kid_A: list[tuple] = []
         self.kid_shape: list[int] = []
-        first = 0
+        first = [0]  # first[k]: the shape id of (k, identity)
         for k, ds in enumerate(reps):
             for A in itertools.combinations(range(1, n + 1), k):
                 self.blocks[A] = len(self.kid_A)
                 self.kid_A.extend([A] * len(ds))
-                self.kid_shape.extend(range(first, first + len(ds)))
-            first += len(ds)
-        shared: dict = {}  # few distinct rows (117 of 2,608 T rows at n = 5): one tuple each
+                self.kid_shape.extend(range(first[k], first[k] + len(ds)))
+            first.append(first[k] + len(ds))
+        # one object per distinct monomial, row, step-tail entry and step (at
+        # n = 5, 117 of 2,608 T rows are distinct)
+        shared: dict = {}
+
+        def intern(row: tuple) -> tuple:
+            got = shared.get(row)
+            if got is None:
+                got = tuple([shared.setdefault(m, m) for m in row])
+                shared[got] = got
+            return got
+
         self.t_rows = [[] for _ in range(2 * (n - 1))]
         for slot, rows in enumerate(self.t_rows):
             i, inv = slot // 2 + 1, slot % 2 == 1
             for k, d in shapes:
-                row = _t_row(index[k], k, d, i, inv)
-                rows.append(shared.setdefault(row, row))
+                rows.append(intern(_t_row(index[k], k, d, i, inv)))
+        lengths = tuple(plength(d) for _, d in shapes)
         self.steps, self.tails, self.tail_bounds, leads, gain = [], [], [], [], []
         for s, (k, d) in enumerate(shapes):  # shortest first: every tail shape is known
-            here = index[k][d]
-            B, w, ((e, a),), rest, ld = _standard_step(k, d)
-            e = _q_exp(e)
-            tail = tuple(
-                (index[k][d2] - here, _q_exp(e2), a2, l2) for d2, t, l2 in rest for e2, a2 in t
-            )
-            if e < 0 or any(e2 < 0 for _, e2, _, _ in tail):
-                raise NegativeExponentError(f"elimination step of shape {(k, d)} lowers q")
-            self.steps.append((ld, e, a, tail))
+            B = pinverse(d)[:k]
+            w = pcompose(d, _subset_perm(n, B))
             leads.append((B, w))
-            gain.append(1 + sum(abs(a2) * gain[s + delta] for delta, _, a2, _ in tail))
-            row = tuple(
-                (index[k][d2] - here, _q_exp(e2), a2)
-                for d2, c in _tail_expansion(B, w).items()
-                for e2, a2 in c.items()
-            )
+            inverse = [2 * t - 1 for j in range(k, 0, -1) for t in range(j, B[j - 1])]
+            row = _rmul_t(self.t_rows, ((first[k] + index[k][w], 0, 1),), inverse)
+            row = intern(tuple((s2 - s, e, a) for s2, e, a in row))
             self.tails.append(row)
             self.tail_bounds.append((sum(abs(a) for *_, a in row), min(0, *(e for _, e, _ in row))))
+            ld, e, a, tail = _standard_step(row, lengths, s)
+            if e < 0 or any(e2 < 0 for _, e2, _, _ in tail):
+                raise NegativeExponentError(f"elimination step of shape {(k, d)} lowers q")
+            step = ld, e, a, intern(tail)
+            self.steps.append(shared.setdefault(step, step))
+            gain.append(1 + sum(abs(a2) * gain[s + delta] for delta, _, a2, _ in tail))
         self.g_elim = max(gain)
         self.basis = [BasisIndex(A, *leads[s]) for A, s in zip(self.kid_A, self.kid_shape)]
         self.kids = {idx: kid for kid, idx in enumerate(self.basis)}
@@ -527,7 +481,7 @@ class _Layout:
             row = self.rmul_p1(kid)
             if any(e < 0 for _, e, _ in row):
                 raise NegativeExponentError(f"P_1 row of key {self.key(kid)} lowers q")
-            self.p1_rows.append(shared.setdefault(row, row))
+            self.p1_rows.append(intern(row))
         self.g_p1 = max(sum(abs(a) for _, _, a in row) for row in self.p1_rows)
 
     def kid(self, A: tuple, d: Permutation) -> int:
@@ -538,14 +492,17 @@ class _Layout:
         return self.kid_A[kid], self.shapes[self.kid_shape[kid]][1]
 
     def rmul_p1(self, kid: int) -> tuple:
-        """The row of (T_A P_k T_d) * P_1 for kid = (A, d), from an already-built row.
+        """The row of (T_A P_k T_d) * P_1 for kid = (A, d), from an already-built row or the T rows.
 
         If a_j > j for some j, the first such, the row is T_{a_j-1} ... T_j
         times the row of the parent, A with a_j replaced by j (an earlier
         subset in `itertools.combinations` order, so a smaller kid); for
         m = d(1) <= k it is the parent's row itself (its one delta moves to
         A's block).  Else A = 1..k, and the row is one term for k = 0 or
-        m <= k, else T_{m-1} ... T_{k+1} times `_p1_closed_form`.
+        m <= k, else T_{m-1} ... T_{k+1} times `_p1_closed_form`, the T rows
+        of z applied to the keys of P_k T_k ... T_{j+1}.  The left letters
+        act by `t_left` on absolute ids; the row is returned in id deltas
+        and powers of q, and `__init__` shares it with every equal row.
         """
         A, d = self.key(kid)
         k, m = len(A), d[0]
@@ -558,9 +515,7 @@ class _Layout:
             row = tuple((parent + delta, e, a) for delta, e, a in self.p1_rows[parent])
             letters = range(j, A[j - 1])
         elif k and m > k:
-            row = tuple(
-                (self.kid(*key), _q_exp(e), a) for key, c in _p1_closed_form(k, d) for e, a in c
-            )
+            row = _p1_closed_form(self, k, d)
             letters = range(k + 1, m)
         else:
             z = pcompose(pinverse(_cycle_perm(self.n, m, 1)), d)
@@ -732,7 +687,7 @@ def clear_caches() -> None:
     Useful in long-running processes.
     """
     for fn in (
-        _layout, _tail_expansion, _basis_data, _absorb, _cycle_perm, _subset_perm, _pi_expansion,
+        _layout, _basis_data, _absorb, _cycle_perm, _subset_perm, _pi_expansion,
     ):
         fn.cache_clear()
 

@@ -378,8 +378,6 @@ Q = LaurentScalar.q_power(1)
 QINV = LaurentScalar.q_power(-1)
 V = LaurentScalar.v_power(1)
 Q_MINUS_1 = Q - ONE
-# -q^-1 (q-1): the constant term of T^-1 = q^-1 T - q^-1 (q-1)
-MINUS_QINV_QM1 = -(QINV * Q_MINUS_1)
 
 
 def accumulate(terms: dict, key, val) -> None:

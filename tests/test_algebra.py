@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from mirhecke.algebra import (
     AlgebraElement,
     GeneratorWord,
-    OddExponentError,
     all_basis_elements,
     basis_element,
     basis_word,
@@ -28,18 +28,22 @@ from mirhecke.algebra import (
 from mirhecke import algebra, checks
 from mirhecke.combinatorics import (
     BasisIndex,
+    Permutation,
     apply_left_s,
+    apply_right_s,
     iter_standard_basis,
     partitions_up_to,
     pcompose,
     pinverse,
     plength,
+    reduced_word,
 )
 from mirhecke.ring import (
     LaurentScalar,
     MINUS_ONE,
     ONE,
     Q,
+    QINV,
     Q_MINUS_1,
     accumulate,
     pack,
@@ -55,9 +59,103 @@ def idx(A, B, w):
 # These run on LaurentScalar coefficients: each table constant, stored as
 # (exponent, coeff) pairs, is read back as a scalar and multiplied in.
 
+# -q^-1 (q-1): the constant term of T^-1 = q^-1 T - q^-1 (q-1)
+MINUS_QINV_QM1 = -(QINV * Q_MINUS_1)
+
 
 def scalar(const):
     return LaurentScalar(dict(const))
+
+
+def const(s):
+    return tuple(s.items())
+
+
+def hecke_rmul_letter(terms, i, inv):
+    """{u: coeff} over S_n times T_i^{+-1} in the plain Hecke algebra."""
+    out = {}
+    for u, c in terms.items():
+        u2 = apply_right_s(u, i)
+        ascent = u[i - 1] < u[i]
+        if not inv:
+            if ascent:
+                accumulate(out, u2, c)
+            else:
+                accumulate(out, u, c * Q_MINUS_1)
+                accumulate(out, u2, c * Q)
+        else:
+            if not ascent:
+                accumulate(out, u2, c)
+            else:
+                accumulate(out, u2, c * QINV)
+                accumulate(out, u, c * MINUS_QINV_QM1)
+    return out
+
+
+def hecke_rmul_perm(terms, d):
+    for i in reduced_word(d):
+        terms = hecke_rmul_letter(terms, i, inv=False)
+    return terms
+
+
+@functools.cache
+def reference_tail_expansion(B, w: Permutation):
+    """P_k (T_w T_B^{-1}) as {d: coeff} over minimal coset representatives."""
+    k = len(B)
+    terms = {w: ONE}
+    for j in range(k, 0, -1):
+        for t in range(j, B[j - 1]):
+            terms = hecke_rmul_letter(terms, t, inv=True)
+    out = {}
+    for u, c in terms.items():
+        sign, d = algebra._absorb(k, u)
+        accumulate(out, d, -c if sign < 0 else c)
+    return out
+
+
+def reference_standard_step(k, d):
+    """One elimination step for the working keys (A, d) with |A| = k.
+
+    The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
+    s * T_A P_k T_d2.  Returns (B, w, lead^-1, ((d2, -s * lead^-1,
+    length(d2)), ...), length(d)) with constants as (v-exponent, coeff)
+    pairs, so that T_A P_k T_d = lead^-1 (A, B, w) + sum (-s * lead^-1)
+    T_A P_k T_d2.
+    """
+    n = len(d)
+    B = pinverse(d)[:k]
+    w = pcompose(d, algebra._subset_perm(n, B))
+    tail = reference_tail_expansion(B, w)
+    inv = tail[d].inverse_unit()
+    rest = tuple((d2, const(-(s * inv)), plength(d2)) for d2, s in tail.items() if d2 != d)
+    return B, w, const(inv), rest, plength(d)
+
+
+def reference_p1_closed_form(k, d):
+    """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as (((A', d'), const), ...).
+
+    The closed form of the `algebra` module docstring, each term a plain
+    Hecke product reduced modulo S_k, with T_z multiplied in on the right
+    for z = (T_{m-1} ... T_1)^-1 d.
+    """
+    n = len(d)
+    z = pcompose(pinverse(algebra._cycle_perm(n, d[0], 1)), d)
+    out = {}
+    Ak = tuple(range(1, k + 1))
+    coeff = Q_MINUS_1
+    for j in range(1, k):
+        hecke = hecke_rmul_perm({algebra._cycle_perm(n, k + 1, j + 1): ONE}, z)
+        for u, su in hecke.items():
+            sign, dd = algebra._absorb(k, u)
+            val = coeff * su
+            accumulate(out, (Ak, dd), -val if sign < 0 else val)
+        coeff = coeff * -Q
+    sign, dd = algebra._absorb(k, z)
+    accumulate(out, (Ak, dd), -coeff if sign < 0 else coeff)
+    coeffp = (-Q) ** k
+    sign, dd = algebra._absorb(k + 1, z)
+    accumulate(out, (Ak + (k + 1,), dd), -coeffp if sign < 0 else coeffp)
+    return tuple((key, const(s)) for key, s in out.items())
 
 
 def reference_rmul_T_key(k, d, i, inv):
@@ -65,7 +163,7 @@ def reference_rmul_T_key(k, d, i, inv):
     Hecke product term by term, each permutation reduced modulo S_k with the
     sign of its discarded S_k-part folded into its coefficient."""
     out = {}
-    for u, s in algebra._hecke_rmul_letter({d: ONE}, i, inv).items():
+    for u, s in hecke_rmul_letter({d: ONE}, i, inv).items():
         sign, dd = (1, d) if u == d else algebra._absorb(k, u)
         accumulate(out, dd, -s if sign < 0 else s)
     return tuple((dd, tuple(s.items())) for dd, s in out.items())
@@ -101,7 +199,7 @@ def reference_lmul_T_key(i, A, d):
         A2 = tuple(sorted(head))
         e = A2 + x[k:]
         wt = pcompose(pinverse(algebra._subset_perm(n, A2)), e)
-        hecke = algebra._hecke_rmul_perm({wt: ONE}, d)
+        hecke = hecke_rmul_perm({wt: ONE}, d)
         for u, su in hecke.items():
             sg2, dd = algebra._absorb(k, u)
             val = s * su
@@ -132,17 +230,17 @@ def reference_rmul_P1_key(A, d):
         return {(A, dd): ONE if sign > 0 else MINUS_ONE}
     if k == 0:
         return {((m,), z): ONE}
-    out = {key: scalar(const) for key, const in algebra._p1_closed_form(k, d)}
+    out = {key: scalar(c) for key, c in reference_p1_closed_form(k, d)}
     for i in reversed(algebra._subset_word(A) + tuple(range(m - 1, k, -1))):
         out = reference_lmul_T(out, i)
     return out
 
 
 def reference_working(x):
-    """x in the working basis, read straight from `_tail_expansion`."""
+    """x in the working basis, read straight from `reference_tail_expansion`."""
     xw = {}
     for index, c in x.terms.items():
-        for d, s in algebra._tail_expansion(index.B, index.w).items():
+        for d, s in reference_tail_expansion(index.B, index.w).items():
             accumulate(xw, (index.A, d), c * s)
     return xw
 
@@ -169,7 +267,7 @@ def reference_rmul_letter(elem, letter):
 
 def greedy_to_standard(welem):
     """Working to standard basis, always eliminating the greatest remaining key
-    by (length(d), d, A) and reading each step straight from `_tail_expansion`."""
+    by (length(d), d, A) and reading each step straight from `reference_tail_expansion`."""
     out = {}
     work = dict(welem)
     while work:
@@ -177,7 +275,7 @@ def greedy_to_standard(welem):
         k, n = len(A), len(d)
         B = pinverse(d)[:k]
         w = pcompose(d, algebra._subset_perm(n, B))
-        tail = algebra._tail_expansion(B, w)
+        tail = reference_tail_expansion(B, w)
         coeff = work[(A, d)] * tail[d].inverse_unit()
         accumulate(out, BasisIndex(A, B, w), coeff)
         for d2, s in tail.items():
@@ -425,17 +523,26 @@ class TestMul:
     @pytest.mark.parametrize(
         "bad_tail, message",
         [
-            ({(2, 1, 3): ONE, (1, 3, 2): ONE}, "length triangularity"),
-            ({(2, 1, 3): LaurentScalar.from_int(2)}, "non-unit leading"),
+            # (scale of every coefficient, an extra term on the longest key of the block)
+            ((1, True), "length triangularity"),
+            ((2, False), "non-unit leading"),
         ],
     )
     def test_malformed_tail_expansion_raises(self, monkeypatch, bad_tail, message):
-        true_tail = algebra._tail_expansion
-        monkeypatch.setattr(
-            algebra,
-            "_tail_expansion",
-            lambda B, w: bad_tail if w == (2, 1, 3) else true_tail(B, w),
-        )
+        # the T_1^-1 row of (k, d) = (1, identity) at rank 3 builds the tail
+        # of the key (1, s_1): the standard element P_1 T_1^-1, with lead
+        # q^-1 on T_{s_1}
+        scale, extra = bad_tail
+        true_row = algebra._t_row
+
+        def patched(index_k, k, d, i, inv):
+            row = true_row(index_k, k, d, i, inv)
+            if (k, d, i, inv) != (1, (1, 2, 3), 1, True):
+                return row
+            row = tuple((t, e, scale * a) for t, e, a in row)
+            return row + ((max(index_k.values()) - index_k[d], 0, 1),) if extra else row
+
+        monkeypatch.setattr(algebra, "_t_row", patched)
         algebra._layout.cache_clear()  # the layout builds every elimination step
         try:
             with pytest.raises(AssertionError, match=message):
@@ -527,19 +634,24 @@ class TestPackedEngine:
         els = all_basis_elements(3)
         rng = random.Random(19)
         pairs = [tuple(random_combination(rng, els, 3) for _ in "xy") for _ in range(20)]
-        want = [mul(x, y) for x, y in pairs]  # builds every table these products read
-        products = 0
-        true_mul = LaurentScalar.__mul__
+        want = [mul(x, y) for x, y in pairs]
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__neg__", "__pow__"):
+            def counting(*args, _name=name, _true=getattr(LaurentScalar, name)):
+                calls.append(_name)
+                return _true(*args)
 
-        def counting(self, other):
-            nonlocal products
-            products += 1
-            return true_mul(self, other)
-
-        monkeypatch.setattr(LaurentScalar, "__mul__", counting)
-        monkeypatch.setattr(LaurentScalar, "__rmul__", counting)
+            monkeypatch.setattr(LaurentScalar, name, counting)
+        assert Q_MINUS_1 * Q == Q * Q - Q and calls  # the counters see scalar arithmetic
+        # every table is a product of the T rows in ids and powers of q
+        algebra.clear_caches()
+        calls.clear()
+        for n in range(1, 6):
+            algebra._layout(n)
+        assert calls == []
         assert [mul(x, y) for x, y in pairs] == want
-        assert products == 0
+        assert not {"__mul__", "__rmul__"} & set(calls)
+        algebra.clear_caches()
 
 
 def golden_json(triples):
@@ -588,6 +700,7 @@ class TestKeyIds:
 
     def test_rows_are_built_once(self, monkeypatch):
         algebra.clear_caches()
+        # steps per (tails row, lengths, shape), closed forms per (layout, k, d)
         calls = {name: {} for name in ("_standard_step", "_p1_closed_form")}
         for name, seen in calls.items():
             def counting(*args, _true=getattr(algebra, name), _seen=seen):
@@ -595,6 +708,16 @@ class TestKeyIds:
                 return _true(*args)
 
             monkeypatch.setattr(algebra, name, counting)
+        # T rows per (k, d, letter); the index dict is the same for every call of a k
+        t_rows = {}
+        true_t_row = algebra._t_row
+
+        def counting_t_row(index_k, *key):
+            t_rows[key] = t_rows.get(key, 0) + 1
+            return true_t_row(index_k, *key)
+
+        monkeypatch.setattr(algebra, "_t_row", counting_t_row)
+        calls["_t_row"] = t_rows
         # P_1 rows per (rank, kid); a row built while another is being built
         # is a parent that had to be rebuilt
         true_row = algebra._Layout.rmul_p1
@@ -613,10 +736,73 @@ class TestKeyIds:
         monkeypatch.setattr(algebra._Layout, "rmul_p1", counting_row)
         calls["rmul_p1"] = rows
         golden_json(golden_triples())
-        # steps and closed forms per (k, d); the T rows need no builder call
         assert all(seen for seen in calls.values())
         assert {name: max(seen.values()) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
-        assert len(rows) == len(algebra._layout(4).kid_A) and not nested
+        lay = algebra._layout(4)
+        assert len(calls["_standard_step"]) == len(lay.shapes)
+        assert len(t_rows) == len(lay.shapes) * len(lay.t_rows)
+        assert len(rows) == len(lay.kid_A) and not nested
+        algebra.clear_caches()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_tails_and_steps_match_the_hecke_product(self, n):
+        lay = algebra._layout(n)
+        for s, (k, d) in enumerate(lay.shapes):
+            here = lay.index[k][d]
+            B, w, ((e, a),), rest, ld = reference_standard_step(k, d)
+            A = tuple(range(1, k + 1))
+            assert lay.basis[lay.kid(A, d)] == BasisIndex(A, B, w)
+            # the references as the tables store them: id deltas and powers of q
+            tail = sorted(
+                (lay.index[k][d2] - here, q_exp(e2), a2)
+                for d2, c in reference_tail_expansion(B, w).items()
+                for e2, a2 in c.items()
+            )
+            assert sorted(lay.tails[s]) == tail, (k, d)
+            step = sorted(
+                (lay.index[k][d2] - here, q_exp(e2), a2, l2) for d2, c, l2 in rest for e2, a2 in c
+            )
+            got_ld, got_e, got_a, got_tail = lay.steps[s]
+            assert (got_ld, got_e, got_a) == (ld, q_exp(e), a) and sorted(got_tail) == step, (k, d)
+        reference_tail_expansion.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_p1_closed_forms_match_the_hecke_product(self, n):
+        lay = algebra._layout(n)
+        forms = 0
+        for k in range(1, n):
+            for d in lay.index[k]:
+                if d[0] > k:
+                    want = sorted(
+                        (lay.kid(*key), q_exp(e), a)
+                        for key, c in reference_p1_closed_form(k, d)
+                        for e, a in c
+                    )
+                    assert sorted(algebra._p1_closed_form(lay, k, d)) == want, (k, d)
+                    forms += 1
+        # one per (k, d) with d(1) > k: n!/k! - (n-1)!/(k-1)! for each k
+        assert forms == sum(
+            math.factorial(n) // math.factorial(k) - math.factorial(n - 1) // math.factorial(k - 1)
+            for k in range(1, n)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_equal_table_values_are_one_object(self, n):
+        algebra.clear_caches()
+        lay = algebra._layout(n)
+        step_tails = [tail for *_, tail in lay.steps]
+        rows = [*itertools.chain.from_iterable(lay.t_rows), *lay.p1_rows, *lay.tails, *step_tails]
+        seen, monomials = {}, {}
+        entries = 0
+        for row in rows:
+            assert seen.setdefault(row, row) is row
+            for m in row:
+                assert monomials.setdefault(m, m) is m
+                entries += 1
+        assert all(seen.setdefault(step, step) is step for step in lay.steps)
+        # the sharing is real: 1,918 entries hold 430 monomials at n = 4, and
+        # 16,995 hold 3,231 at n = 5
+        assert 4 * len(monomials) < entries
         algebra.clear_caches()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
@@ -727,41 +913,8 @@ class TestKeyIds:
         assert min(p1_low) >= 0
 
 
-def with_odd_first_exponent(result):
-    """A builder's row ((key, ((e, a), ...)), ...) with one v-exponent made odd."""
-    (key, ((e, a), *rest)), *others = result
-    return ((key, ((e + 1, a), *rest)), *others)
-
-
-def with_odd_tail(result):
-    """A `_tail_expansion` {d: scalar} with one term moved to an odd v-exponent."""
-    (d, c), *others = result.items()
-    e, a = next(iter(c.items()))
-    return {d: c + LaurentScalar({e + 1: a}) - LaurentScalar({e: a}), **dict(others)}
-
-
 class TestEvenExponentInvariant:
-    """Every engine table is in Z[q, q^-1]; `_layout` refuses a builder that leaves it."""
-
-    @pytest.mark.parametrize("name", ["_p1_closed_form", "_tail_expansion"])
-    def test_odd_table_exponent_raises_at_build(self, monkeypatch, name):
-        make_odd = with_odd_tail if name == "_tail_expansion" else with_odd_first_exponent
-        true_builder = getattr(algebra, name)
-        calls = []
-
-        def odd_once(*args):
-            calls.append(args)
-            result = true_builder(*args)
-            return make_odd(result) if len(calls) == 1 else result
-
-        monkeypatch.setattr(algebra, name, odd_once)
-        algebra._layout.cache_clear()  # the layout builds every table
-        try:
-            with pytest.raises(OddExponentError):
-                algebra._layout(3)
-            assert calls
-        finally:
-            algebra._layout.cache_clear()
+    """Every engine table stores powers of q; `_layout` refuses a P_1 row or step with a q^-1."""
 
     @pytest.mark.parametrize("name", ["_p1_closed_form", "_standard_step"])
     def test_negative_power_of_q_raises_at_build(self, monkeypatch, name):
@@ -776,10 +929,10 @@ class TestEvenExponentInvariant:
             if len(calls) > 1:
                 return result
             if name == "_p1_closed_form":
-                (key, _), *others = result
-                return ((key, ((-2, 1),)), *others)
-            B, w, _, rest, ld = result
-            return B, w, ((-2, 1),), rest, ld
+                (kid, _, a), *others = result
+                return ((kid, -1, a), *others)
+            ld, _, a, tail = result
+            return ld, -1, a, tail
 
         monkeypatch.setattr(algebra, name, with_q_inverse)
         algebra._layout.cache_clear()
@@ -791,8 +944,7 @@ class TestEvenExponentInvariant:
             algebra._layout.cache_clear()
 
     def test_tables_store_powers_of_q(self):
-        # the builders' v-exponents, halved: T_1 on the unit key of P_0 T_{s_1}
-        # is (q-1) T_{s_1} + q T_1
+        # T_1 on the unit key of P_0 T_{s_1} is (q-1) T_{s_1} + q T_1
         lay = algebra._layout(2)
         row = lay.t_rows[0][lay.kid_shape[lay.kid((), (2, 1))]]
         assert sorted(row) == [(-1, 1, 1), (0, 0, -1), (0, 1, 1)]
