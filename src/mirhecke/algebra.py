@@ -131,7 +131,6 @@ through `mul` in `mirhecke.checks`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
@@ -770,22 +769,24 @@ def _canonical_key(idx: BasisIndex):
     return (idx.k, idx.A, idx.B, idx.w)
 
 
-@dataclass
 class AlgebraElement:
     """A linear combination of standard basis elements of the rank-n algebra.
 
     Immutable by convention: all operations return fresh elements; term maps
-    are never mutated after construction.
+    are never mutated after construction.  The constructor copies `terms`
+    (default: no terms) without its zero coefficients, so an element never
+    shares the caller's dict.  Equal when n and the terms are; unhashable,
+    like the dict it holds.  Two slots and no per-instance dict.
     """
 
-    n: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        self.terms = {i: c for i, c in self.terms.items() if c}
+    def __init__(self, n: int, terms: dict | None = None):
+        self.n = n
+        self.terms = {} if terms is None else {i: c for i, c in terms.items() if c}
         for idx in self.terms:
-            if idx.n != self.n:
-                raise ValueError(f"index {idx} has wrong rank (expected {self.n})")
+            if idx.n != n:
+                raise ValueError(f"index {idx} has wrong rank (expected {n})")
 
     def is_zero(self) -> bool:
         return not self.terms

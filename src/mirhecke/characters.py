@@ -120,7 +120,6 @@ That the table is invertible at sample points is checked in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .combinatorics import (
@@ -287,14 +286,32 @@ def _table(n: int, variant: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CharacterTable:
-    """Square table of character values, rows and columns in canonical order."""
+    """Square table of character values, rows and columns in canonical order.
 
-    n: int
-    labels: list
-    entries: dict  # (row partition, col partition) -> LaurentScalar
-    variant: str = "oracle"
+    Equal when all four fields are; unhashable.
+    """
+
+    __slots__ = ("n", "labels", "entries", "variant")
+
+    def __init__(self, n: int, labels: list, entries: dict, variant: str = "oracle"):
+        self.n = n
+        self.labels = labels
+        self.entries = entries  # (row partition, col partition) -> LaurentScalar
+        self.variant = variant
+
+    def __eq__(self, other):
+        if other.__class__ is not CharacterTable:
+            return NotImplemented
+        return (self.n, self.labels, self.entries, self.variant) == (
+            other.n, other.labels, other.entries, other.variant
+        )
+
+    def __repr__(self):
+        return (
+            f"CharacterTable(n={self.n!r}, labels={self.labels!r}, "
+            f"entries={self.entries!r}, variant={self.variant!r})"
+        )
 
     def matrix(self) -> list:
         return [[self.entries[(lam, mu)] for mu in self.labels] for lam in self.labels]
@@ -330,12 +347,25 @@ def character_table(n: int, variant: str = "oracle") -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ClassPolyVector:
-    """Coefficients expressing a basis element through the cocenter representatives."""
+    """Coefficients expressing a basis element through the cocenter representatives.
 
-    index: BasisIndex
-    coeffs: dict  # partition -> LaurentScalar
+    Equal when the index and the coefficients are; unhashable.
+    """
+
+    __slots__ = ("index", "coeffs")
+
+    def __init__(self, index: BasisIndex, coeffs: dict):
+        self.index = index
+        self.coeffs = coeffs  # partition -> LaurentScalar
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassPolyVector:
+            return NotImplemented
+        return (self.index, self.coeffs) == (other.index, other.coeffs)
+
+    def __repr__(self):
+        return f"ClassPolyVector(index={self.index!r}, coeffs={self.coeffs!r})"
 
     def to_json(self) -> dict:
         order = sorted(self.coeffs, key=lambda p: (sum(p), [-a for a in p]))

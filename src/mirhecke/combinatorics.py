@@ -14,7 +14,6 @@ serialized output is byte-stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import comb, factorial
 
@@ -235,36 +234,79 @@ def apply_left_s(w: Permutation, i: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
 class BasisIndex:
     """Index (A, B, w) of a standard basis element of the rank-n algebra.
 
     A and B are sorted tuples of equal size k; w (stored as a full image
     list of length n) fixes 1..k pointwise.
+
+    A value type: validated when built, immutable (assignment raises
+    AttributeError), equal to and ordered like the tuple (A, B, w), and
+    hashed like it.  The hash is computed once, since indices are dict keys
+    on every product.  A slotted class, not a dataclass: no per-instance
+    dict, and loading the package loads neither `dataclasses` nor `inspect`.
     """
 
-    A: tuple[int, ...]
-    B: tuple[int, ...]
-    w: Permutation
-    # hash of (A, B, w), computed once: indices are dict keys on every product
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("A", "B", "w", "_hash")
 
-    def __post_init__(self):
-        n = len(self.w)
-        k = len(self.A)
-        if len(self.B) != k:
+    def __init__(self, A: tuple[int, ...], B: tuple[int, ...], w: Permutation):
+        n = len(w)
+        k = len(A)
+        if len(B) != k:
             raise ValueError("|A| != |B|")
-        for s in (self.A, self.B):
+        for s in (A, B):
             if list(s) != sorted(set(s)) or any(not 1 <= a <= n for a in s):
                 raise ValueError(f"invalid subset {s} of 1..{n}")
-        if sorted(self.w) != list(range(1, n + 1)):
-            raise ValueError(f"invalid permutation {self.w}")
-        if any(self.w[i] != i + 1 for i in range(k)):
-            raise ValueError(f"w = {self.w} must fix 1..{k} pointwise")
-        object.__setattr__(self, "_hash", hash((self.A, self.B, self.w)))
+        if sorted(w) != list(range(1, n + 1)):
+            raise ValueError(f"invalid permutation {w}")
+        if any(w[i] != i + 1 for i in range(k)):
+            raise ValueError(f"w = {w} must fix 1..{k} pointwise")
+        init = object.__setattr__
+        init(self, "A", A)
+        init(self, "B", B)
+        init(self, "w", w)
+        init(self, "_hash", hash((A, B, w)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: BasisIndex is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: BasisIndex is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor: validated, with a hash of this process
+        return (BasisIndex, (self.A, self.B, self.w))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not BasisIndex:
+            return NotImplemented
+        return self.A == other.A and self.B == other.B and self.w == other.w
+
+    def __lt__(self, other):
+        if other.__class__ is not BasisIndex:
+            return NotImplemented
+        return (self.A, self.B, self.w) < (other.A, other.B, other.w)
+
+    def __le__(self, other):
+        if other.__class__ is not BasisIndex:
+            return NotImplemented
+        return (self.A, self.B, self.w) <= (other.A, other.B, other.w)
+
+    def __gt__(self, other):
+        if other.__class__ is not BasisIndex:
+            return NotImplemented
+        return (self.A, self.B, self.w) > (other.A, other.B, other.w)
+
+    def __ge__(self, other):
+        if other.__class__ is not BasisIndex:
+            return NotImplemented
+        return (self.A, self.B, self.w) >= (other.A, other.B, other.w)
+
+    def __repr__(self):
+        return f"BasisIndex(A={self.A!r}, B={self.B!r}, w={self.w!r})"
 
     @property
     def n(self) -> int:

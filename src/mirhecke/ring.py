@@ -6,6 +6,8 @@ by the tensor-space operators in the same ring as the intrinsic algebra
 coefficients, which provably stay in even v-exponents (the Z[q, q^-1]
 subring).  No floating point enters anywhere; integer coefficients are
 arbitrary-precision Python ints and specializations are `fractions.Fraction`.
+Its only users, `LaurentScalar.specialize` and `rank_over_q`, import it once
+per call, so loading the package loads neither `fractions` nor `decimal`.
 
 `solve_linear` is fraction-free (Bareiss) elimination carried through the
 back substitution: it returns (d, y) with M y = d c, d = +-det M, and every
@@ -62,9 +64,11 @@ by the same code.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:  # imported where it is used, so loading the package skips it
+    from fractions import Fraction
 
 
 class SingularMatrixError(ValueError):
@@ -263,6 +267,8 @@ class LaurentScalar:
         q0 must be nonzero since q is invertible in the algebra.  v0, when
         supplied, must satisfy v0^2 = q0.
         """
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("q0 = 0 is not allowed: q must be invertible")
@@ -589,6 +595,8 @@ def rank_over_q(rows: Iterable[Mapping]) -> int:
     it vanishes or opens a new pivot there; positions need only be mutually
     orderable.
     """
+    from fractions import Fraction
+
     pivots: dict = {}
     for row in rows:
         vec = {p: a for p, a in row.items() if a}

@@ -31,7 +31,6 @@ variant) (Macdonald, I.3 and III.5; Ram, Invent. Math. 106 (1991)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from .combinatorics import (
@@ -51,21 +50,26 @@ class SchurExpandError(ValueError):
     """Raised when a polynomial cannot be written in the Schur span."""
 
 
-@dataclass
 class SymPoly:
-    """A symmetric polynomial in r variables, monomial-basis coefficients."""
+    """A symmetric polynomial in r variables, monomial-basis coefficients.
 
-    r: int
-    terms: dict = field(default_factory=dict)
+    The constructor copies `terms` (default: no terms) with each partition
+    checked and without zero coefficients.  Equal when r and the terms are;
+    unhashable.  Two slots and no per-instance dict.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("r", "terms")
+
+    def __init__(self, r: int, terms: dict | None = None):
+        self.r = r
         clean = {}
-        for mu, c in self.terms.items():
-            mu = check_partition(mu)
-            if len(mu) > self.r:
-                raise ValueError(f"partition {mu} has more than r={self.r} parts")
-            if c:
-                clean[mu] = c
+        if terms is not None:
+            for mu, c in terms.items():
+                mu = check_partition(mu)
+                if len(mu) > r:
+                    raise ValueError(f"partition {mu} has more than r={r} parts")
+                if c:
+                    clean[mu] = c
         self.terms = clean
 
     def is_zero(self) -> bool:

@@ -62,7 +62,9 @@ column of input w), and the kernel finds the row of key k through a
 selector list, sel[k] = k mod N, made for the call and dropped after it.
 So a block costs one kernel pass per distinct letter suffix that starts
 with a braid letter, and one filter by the kept ids per suffix that starts
-with an idempotent, whatever N is.  Only `basis_trace` applies letters
+with an idempotent, whatever N is.  The suffixes, shortest first, are the
+same for every block, so each caller builds that order once
+(`suffix_order`) and hands it to every block.  Only `basis_trace` applies letters
 itself, because it visits a rotated word (below); it advances the
 diagonal starting points of a whole block the same way.
 
@@ -241,15 +243,24 @@ def pattern_blocks(n: int, r: int):
         yield sorted(set(itertools.permutations(content)))
 
 
-def psi_columns(words_of: dict, inputs, r: int, bits: int, offset: int) -> dict:
+def suffix_order(words_of: dict) -> list:
+    """The nonempty suffixes of the letter tuples of `words_of`, shortest first:
+    each comes after the suffix one letter shorter, from which `psi_columns`
+    builds it."""
+    return sorted({lt[i:] for lt in words_of.values() for i in range(len(lt))}, key=len)
+
+
+def psi_columns(words_of: dict, suffixes: list, inputs, r: int, bits: int, offset: int) -> dict:
     """{x: {w * N + u: entry u of Psi(words_of[x]) e_w}} over the input words w, zeros left out.
 
     The inputs are words of one content; w and u are ids in that content's
-    block of N words.  The entries are packed with (bits, offset); the
-    caller derives both from the words it compares.  The columns of every
-    input advance together: one kernel pass per distinct letter suffix that
-    starts with a braid letter, one filter per suffix that starts with an
-    idempotent; letter tuples that end alike share their common suffix.
+    block of N words.  `suffixes` is `suffix_order(words_of)`, built once by
+    the caller for all its blocks.  The entries are packed with (bits,
+    offset); the caller derives both from the words it compares.  The
+    columns of every input advance together: one kernel pass per distinct
+    letter suffix that starts with a braid letter, one filter per suffix
+    that starts with an idempotent; letter tuples that end alike share their
+    common suffix.
     """
     inputs = list(inputs)
     blk = _block(tuple(sorted(inputs[0])), r)
@@ -257,7 +268,7 @@ def psi_columns(words_of: dict, inputs, r: int, bits: int, offset: int) -> dict:
     sel = list(range(size)) * size  # key w * N + u -> u, for this call only
     one = 1 << (bits * offset)
     done = {(): {blk.ids[w] * (size + 1): one for w in inputs}}
-    for letters in sorted({lt[i:] for lt in words_of.values() for i in range(len(lt))}, key=len):
+    for letters in suffixes:
         state, table = done[letters[1:]], blk.table[letters[0]]
         if letters[0][0] == "P":
             done[letters] = {key: c for key, c in state.items() if sel[key] in table}
@@ -282,9 +293,10 @@ def first_differences(identities, n: int, r: int) -> list:
     once; only the identities that have not failed yet are compared on it.
     """
     words, bits, offset, packed = _pack_identities(list(identities))
+    suffixes = suffix_order(words)
     out: list = [None] * len(packed)
     for block in pattern_blocks(n, r):
-        cols = psi_columns(words, block, r, bits, offset)
+        cols = psi_columns(words, suffixes, block, r, bits, offset)
         for k, signed in enumerate(packed):
             if out[k] is None:
                 w = _first_difference(cols, signed, len(block))
@@ -453,10 +465,11 @@ def image_rank(n: int, r: int, bits: int) -> int:
     """
     words_of = {idx: basis_word(idx).letters for idx in iter_standard_basis(n)}
     offset = max(map(letter_offset, words_of.values()))
+    suffixes = suffix_order(words_of)
     rows: dict = {idx: {} for idx in words_of}
     base = 0
     for block in pattern_blocks(n, r):
-        for idx, col in psi_columns(words_of, block, r, bits, offset).items():
+        for idx, col in psi_columns(words_of, suffixes, block, r, bits, offset).items():
             rows[idx].update((base + key, c) for key, c in col.items())
         base += len(block) ** 2
     return rank_over_q(rows.values())

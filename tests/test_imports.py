@@ -6,6 +6,8 @@ edge, including imports made inside functions.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,3 +169,39 @@ def test_every_definition_is_used_or_public():
     assert not stray, stray
     # every name of the set is still a definition that nothing in the package uses
     assert LIBRARY_API <= {name.split(".")[1] for name in unused}
+
+
+# stdlib modules that no computation needs at import: `dataclasses` pulls in
+# `inspect` (with `ast` and `dis`), `fractions` pulls in `decimal`
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "fractions", "decimal")
+
+COLD_START_PROBE = """
+import json, sys
+import mirhecke, mirhecke.cli
+loaded = [m for m in %r if m in sys.modules]
+from mirhecke.ring import QINV, LaurentScalar, rank_over_q
+half = QINV.specialize(2)
+third = LaurentScalar({-1: 1}).specialize(9, 3)
+rank = rank_over_q([{0: 2, 1: 1}, {0: 4, 1: 2}, {1: 3}])
+print(json.dumps({
+    "loaded": loaded,
+    "values": [type(x).__module__ + "." + type(x).__name__ for x in (half, third)],
+    "equal": [half * 2 == 1, third * 3 == 1],
+    "rank": rank,
+    "after": "fractions" in sys.modules,
+}))
+""" % (COLD_START_EXCLUDED,)
+
+
+def test_cold_start_skips_dataclasses_and_fractions():
+    # a fresh process, so that nothing a test imported is already loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE], capture_output=True, text=True, check=True
+    )
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    # the Q-specializations still compute over Fraction, imported where they run
+    assert got["values"] == ["fractions.Fraction"] * 2
+    assert got["equal"] == [True, True]
+    assert got["rank"] == 2  # (4, 2) = 2 (2, 1): reduced to zero through the pivot 1/2
+    assert got["after"]

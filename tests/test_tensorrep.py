@@ -32,6 +32,7 @@ from mirhecke.tensorrep import (
     image_rank,
     pattern_blocks,
     psi_columns,
+    suffix_order,
     trace_D,
 )
 
@@ -137,7 +138,8 @@ def psi(letters, w, r):
     """Psi(word) e_w through `psi_columns`, unpacked, at the width the letters need."""
     bits = slot_bits(tensorrep.letter_bound(letters))
     offset = tensorrep.letter_offset(letters)
-    cols = psi_columns({0: tuple(letters)}, [w], r, bits, offset)[0]
+    words_of = {0: tuple(letters)}
+    cols = psi_columns(words_of, suffix_order(words_of), [w], r, bits, offset)[0]
     return unpacked(columns(cols, block_of(w)).get(w, {}), bits, offset)
 
 
@@ -231,9 +233,11 @@ class TestKernelAgainstReference:
             letters = basis_word(idx).letters
             bits = slot_bits(tensorrep.letter_bound(letters))
             offset = tensorrep.letter_offset(letters)
+            words_of = {idx: letters}
+            suffixes = suffix_order(words_of)
             got = {}
             for block in content_blocks(n, n):
-                cols = psi_columns({idx: letters}, block, n, bits, offset)[idx]
+                cols = psi_columns(words_of, suffixes, block, n, bits, offset)[idx]
                 for w, col in columns(cols, block).items():
                     got[w] = unpacked(col, bits, offset)
             assert got == ref_operator(letters, n, n), idx
@@ -398,9 +402,10 @@ def diagonal_traces(n, r):
     letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
     bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
     offset = max(map(tensorrep.letter_offset, letters.values()))
+    suffixes = suffix_order(letters)
     monos = {x: {} for x in letters}
     for block in content_blocks(n, r):
-        for x, cols in psi_columns(letters, block, r, bits, offset).items():
+        for x, cols in psi_columns(letters, suffixes, block, r, bits, offset).items():
             for w, col in columns(cols, block).items():
                 c = col.get(w)
                 if c:
@@ -638,8 +643,9 @@ class TestMultiplicativity:
         whole = {x: ref_operator(lt, n, n) for x, lt in letters.items()}
         bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
         offset = max(map(tensorrep.letter_offset, letters.values()))
+        suffixes = suffix_order(letters)
         for words in content_blocks(n, n):
-            cols = psi_columns(letters, words, n, bits, offset)
+            cols = psi_columns(letters, suffixes, words, n, bits, offset)
             for x, op in whole.items():
                 got = {w: unpacked(col, bits, offset) for w, col in columns(cols[x], words).items()}
                 assert got == {w: col for w, col in op.items() if w in words}, (x, words)
@@ -649,11 +655,11 @@ class TestMultiplicativity:
         build = tensorrep.psi_columns
         contents = []
 
-        def one_block(words_of, inputs, r, bits, offset):
+        def one_block(words_of, suffixes, inputs, r, bits, offset):
             inputs = list(inputs)
             contents.append({tuple(sorted(w)) for w in inputs})
             assert len(contents[-1]) == 1, contents[-1]
-            return build(words_of, inputs, r, bits, offset)
+            return build(words_of, suffixes, inputs, r, bits, offset)
 
         monkeypatch.setattr(tensorrep, "psi_columns", one_block)
         assert checks.psi_multiplicative(checks.basis_pairs(3), 3) is None
@@ -677,13 +683,39 @@ class TestBlockTables:
             return kernel(elem, rows, sel, unit)
 
         monkeypatch.setattr(tensorrep, "apply_rows", counting)
+        order = suffix_order(letters)
+        assert set(order) == suffixes
         sizes = set()
         for block in pattern_blocks(n, n):
             calls.clear()
-            psi_columns(letters, block, n, 8, 16)
+            psi_columns(letters, order, block, n, 8, 16)
             assert len(calls) == braid, len(block)
             sizes.add(len(block))
         assert len(sizes) >= 3
+
+    @pytest.mark.parametrize("caller", ["first_differences", "image_rank"])
+    def test_one_suffix_order_per_call(self, monkeypatch, caller):
+        # every block reads the same suffix order: one build per call, not one per block
+        order, build = tensorrep.suffix_order, tensorrep.psi_columns
+        orders, blocks = [], []
+
+        def counting_order(words_of):
+            orders.append(len(words_of))
+            return order(words_of)
+
+        def counting_columns(words_of, suffixes, *rest):
+            blocks.append(suffixes)
+            return build(words_of, suffixes, *rest)
+
+        monkeypatch.setattr(tensorrep, "suffix_order", counting_order)
+        monkeypatch.setattr(tensorrep, "psi_columns", counting_columns)
+        if caller == "first_differences":
+            assert checks.psi_multiplicative(checks.basis_pairs(3), 3) is None
+        else:
+            assert image_rank(3, 3, 1) == 34
+        assert len(orders) == 1
+        assert len(blocks) == len(list(pattern_blocks(3, 3))) > 1
+        assert all(suffixes is blocks[0] for suffixes in blocks)
 
     @pytest.mark.parametrize("n,r", [(4, 4), (5, 5)])
     def test_tables_are_linear_in_the_block(self, n, r):
@@ -707,6 +739,7 @@ def relabelling_mismatches(n, r):
     letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
     bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
     offset = max(map(tensorrep.letter_offset, letters.values()))
+    suffixes = suffix_order(letters)
     reps = {}
     bad = []
     for block in content_blocks(n, r):
@@ -715,9 +748,9 @@ def relabelling_mismatches(n, r):
         if rep not in reps:
             reps[rep] = {
                 x: columns(xcols, list(rep))
-                for x, xcols in psi_columns(letters, rep, r, bits, offset).items()
+                for x, xcols in psi_columns(letters, suffixes, rep, r, bits, offset).items()
             }
-        cols = psi_columns(letters, block, r, bits, offset)
+        cols = psi_columns(letters, suffixes, block, r, bits, offset)
         moved = {
             x: {
                 move(w): {move(u): c for u, c in col.items()}
@@ -733,9 +766,10 @@ def relabelling_mismatches(n, r):
 def all_block_differences(identities, n, r):
     """`first_differences` by a scan over every content block."""
     words, bits, offset, packed = tensorrep._pack_identities(list(identities))
+    suffixes = suffix_order(words)
     out = [None] * len(packed)
     for block in content_blocks(n, r):
-        cols = psi_columns(words, block, r, bits, offset)
+        cols = psi_columns(words, suffixes, block, r, bits, offset)
         for k, signed in enumerate(packed):
             if out[k] is None:
                 w = tensorrep._first_difference(cols, signed, len(block))
