@@ -3,7 +3,7 @@
 Modules:
 
 - `ring`: Laurent scalars over Z[v, v^-1] (q = v^2), exact division,
-  fraction-free linear solving, the rank of sparse rational matrices, the
+  the fraction-free adjugate, the rank of sparse rational matrices, the
   packed int format and `apply_rows`, the row-table kernel that `algebra`
   and `tensorrep` share.
 - `combinatorics`: partitions, skew strips, Kostka numbers, permutations,
@@ -21,7 +21,7 @@ Modules:
 - `cli`: the `mirhecke` command-line interface.
 """
 
-from .ring import LaurentScalar, solve_linear
+from .ring import LaurentScalar
 from .combinatorics import BasisIndex, partitions_up_to, standard_basis
 from .algebra import AlgebraElement, GeneratorWord, basis_word, hat_T, mul, rmul_gen
 from .symfun import SymPoly, qtilde, schur, schur_expand
@@ -30,7 +30,6 @@ from .tensorrep import char_oracle, image_rank, trace_D
 
 __all__ = [
     "LaurentScalar",
-    "solve_linear",
     "BasisIndex",
     "partitions_up_to",
     "standard_basis",

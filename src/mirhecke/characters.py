@@ -104,16 +104,16 @@ W_i,mu t_mu is the packed product at offset E_adj + E, and y_i is unpacked
 there.  Nothing is shifted right, so nothing needs to be exact but the
 decoding.
 
-The map is cached by the table's content, as `ring._bareiss` caches the
-factorization: under the key (n, labels, rows), so a table with other
-entries, such as a scaled one, gets a map of its own and never reads
-another's.  At most 8 maps are kept, in process only.  S is read off
-`symfun.schur_expand` of each m_mu, one expansion per label.  Every
-adjugate column is built when the map is, by `ring.adjugate_columns`,
-into the cache entry that `solve_linear` reads.  That makes a first call
-dearer when its trace needs only a few columns, but B is a maximum over
-every entry of adj, so a map built from some columns could be too narrow
-for a later trace, and a whole basis of calls needs every column anyway.
+The map is cached by the table's content: under the key (n, labels,
+rows), so a table with other entries, such as a scaled one, gets a map of
+its own and never reads another's.  At most 8 maps are kept, in process
+only, and this is the one cache on the path: `ring` keeps none.  S is read
+off `symfun.schur_expand` of each m_mu, one expansion per label.  Every
+adjugate column is built when the map is, by one elimination in
+`ring.adjugate_columns`.  That makes a first call dearer when its trace
+needs only a few columns, but B is a maximum over every entry of adj, so
+a map built from some columns could be too narrow for a later trace, and
+a whole basis of calls needs every column anyway.
 That the table is invertible at sample points is checked in
 `checks.determinant_nonzero`, by its rank over Q.
 """

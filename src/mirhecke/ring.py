@@ -9,24 +9,15 @@ arbitrary-precision Python ints and specializations are `fractions.Fraction`.
 Its only users, `LaurentScalar.specialize` and `rank_over_q`, import it once
 per call, so loading the package loads neither `fractions` nor `decimal`.
 
-`solve_linear` is fraction-free (Bareiss) elimination carried through the
-back substitution: it returns (d, y) with M y = d c, d = +-det M, and every
-division on the way is exact in Z[v, v^-1].  No fraction field is needed;
-a caller that wants x = y / d divides each y_i by d with `exact_div`, which
-raises InexactDivisionError when the quotient is not Laurent.  Coefficient
-growth stays polynomial for the table sizes that occur here (12 x 12 at
-n = 4, 19 x 19 at n = 5).
-
-One matrix is often solved against many right sides, so the matrix half
-of the elimination (row swaps, pivots, eliminated columns and the final
-upper triangle) is computed once per matrix content and kept in a small
-bounded in-process cache.  The same cache entry holds the adjugate columns
-d M^-1 e_j, each replayed through the elimination and the back substitution
-the first time a right side has c_j != 0; a call then returns
-y = sum_j c_j adj_j with one cache lookup.  `adjugate_columns` builds every
-column of a matrix into that entry at once: the class polynomials of
-`characters` read the whole adjugate of a character table, and
-`solve_linear` stays the reference they are tested against.
+`adjugate_columns` is fraction-free (Bareiss) elimination of [M | I]
+carried through the back substitution: it returns d = +-det M and every
+column adj_j = d M^-1 e_j, and every division on the way is exact in
+Z[v, v^-1].  No fraction field is needed; a caller that wants M^-1 divides
+by d with `exact_div`, which raises InexactDivisionError when the quotient
+is not Laurent.  Coefficient growth stays polynomial for the table sizes
+that occur here (12 x 12 at n = 4, 19 x 19 at n = 5).  The class
+polynomials of `characters` read the whole adjugate of a character table
+and cache what they derive from it; `ring` itself keeps no state.
 
 `rank_over_q` is the one elimination over Q: a sparse row reduction of
 rows {position: int or Fraction}.  It ranks the tensor image
@@ -64,7 +55,6 @@ by the same code.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # imported where it is used, so loading the package skips it
@@ -72,7 +62,7 @@ if TYPE_CHECKING:  # imported where it is used, so loading the package skips it
 
 
 class SingularMatrixError(ValueError):
-    """Raised by `solve_linear` when the matrix is singular over C(v)."""
+    """Raised by `adjugate_columns` when the matrix is singular over C(v)."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -480,112 +470,47 @@ def apply_rows(elem: dict, rows, sel, unit: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=8)
-def _bareiss(rows: tuple) -> tuple:
-    """Fraction-free forward elimination of a square matrix, recorded for replay.
-
-    Returns (steps, upper, d, adj): per column k the step (row swapped into
-    k, pivot, previous pivot, column entries m_ik below the pivot before
-    they were eliminated), the final upper triangle, the final pivot d and
-    the list of adjugate columns, None until `solve_linear` first needs
-    one and fills it in place with `_adjugate_column`.
-    """
-    m = [list(row) for row in rows]
-    n = len(m)
-    steps = []
-    prev = ONE
-    for k in range(n):
-        swap = k
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    swap = i
-                    break
-            else:
-                raise SingularMatrixError(f"singular system (column {k})")
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]).exact_div(prev)
-        steps.append((swap, piv, prev, tuple(m[i][k] for i in range(k + 1, n))))
-        for i in range(k + 1, n):
-            m[i][k] = ZERO
-        prev = piv
-    return tuple(steps), tuple(tuple(row) for row in m), prev, [None] * n
-
-
-def _adjugate_column(steps: tuple, upper: tuple, d: LaurentScalar, j: int) -> tuple:
-    """adj_j = d M^-1 e_j as its nonzero (i, entry) pairs: the recorded
-    elimination applied to the unit vector e_j, then back substitution."""
-    n = len(upper)
-    c = [ZERO] * n
-    c[j] = ONE
-    for k, (swap, piv, prev, col) in enumerate(steps):
-        if swap != k:
-            c[k], c[swap] = c[swap], c[k]
-        ck = c[k]
-        for i, mik in enumerate(col, k + 1):
-            c[i] = (c[i] * piv - mik * ck).exact_div(prev)
-    y = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        row = upper[i]
-        acc = d * c[i]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * y[j]
-        y[i] = acc.exact_div(row[i])
-    return tuple((i, a) for i, a in enumerate(y) if a)
-
-
 def adjugate_columns(rows: tuple) -> tuple:
     """(d, [adj_0, ..., adj_{n-1}]) for a square matrix given as a tuple of row
-    tuples: d = +-det M and adj_j = d M^-1 e_j as its nonzero (i, entry)
-    pairs.  Every column is built now, into the cache entry that
-    `solve_linear` reads, so neither builds a column twice."""
-    steps, upper, d, adj = _bareiss(rows)
-    for j, col in enumerate(adj):
-        if col is None:
-            adj[j] = _adjugate_column(steps, upper, d, j)
-    return d, list(adj)
+    tuples: d = +-det M and adj_j = d M^-1 e_j as its nonzero (i, entry) pairs.
 
+    Fraction-free (Bareiss) elimination of the augmented matrix [M | I]
+    divides exactly by the previous pivot and swaps a lower row in when a
+    pivot is zero; d is the final pivot.  Each eliminated identity column
+    c' is then back-substituted,
 
-def solve_linear(
-    matrix: Iterable[Iterable[LaurentScalar]], rhs: Iterable[LaurentScalar]
-) -> tuple[LaurentScalar, list[LaurentScalar]]:
-    """Solve M x = c fraction-free: return (d, y) with M y = d c, so x = y / d.
+        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii,
 
-    Bareiss elimination divides exactly by the previous pivot; the back
-    substitution
-
-        y_i = (d * c'_i - sum_{j > i} m_ij * y_j) / m_ii
-
-    divides exactly too, because d = +-det M makes y = +-adj(M) c Laurent.
-    Here d is the final pivot and c' the eliminated right side.  Since M is
-    invertible, y = d M^-1 c is unique and linear in c: it is the sum of
-    c_j adj_j over the nonzero c_j, where adj_j = d M^-1 e_j is the solve
-    of the unit vector e_j.  The factorization and every adjugate column
-    are cached by matrix content, each column computed the first time a
-    right side needs it, so repeated solves against one matrix cost one
-    cache lookup plus the sum.  Raises SingularMatrixError if M is
-    singular, on every call: a failed elimination is not cached.
+    which divides exactly too, because y = d M^-1 e_j = +-adj(M) e_j is
+    Laurent.  Raises SingularMatrixError when a column has no nonzero pivot.
     """
-    rows = tuple(tuple(row) for row in matrix)
-    c = list(rhs)
     n = len(rows)
-    if len(c) != n or any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square and match the rhs length")
-    steps, upper, d, adj = _bareiss(rows)
-    y = [ZERO] * n
-    for j, cj in enumerate(c):
-        if not cj:
-            continue
-        col = adj[j]
-        if col is None:
-            col = adj[j] = _adjugate_column(steps, upper, d, j)
-        for i, a in col:
-            t = cj * a
-            y[i] = y[i] + t if y[i] else t
-    return d, y
+    m = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
+    prev = ONE
+    for k in range(n):
+        if m[k][k].is_zero():
+            i = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if i is None:
+                raise SingularMatrixError(f"singular matrix (column {k})")
+            m[k], m[i] = m[i], m[k]
+        row_k = m[k]
+        piv = row_k[k]
+        for row in m[k + 1:]:
+            mik = row[k]
+            for j in range(k + 1, 2 * n):
+                row[j] = (row[j] * piv - mik * row_k[j]).exact_div(prev)
+        prev = piv
+    adj = []
+    for col in range(n, 2 * n):
+        y = [ZERO] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = prev * row[col]
+            for j in range(i + 1, n):
+                acc = acc - row[j] * y[j]
+            y[i] = acc.exact_div(row[i])
+        adj.append(tuple((i, a) for i, a in enumerate(y) if a))
+    return prev, adj
 
 
 def rank_over_q(rows: Iterable[Mapping]) -> int:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bareiss_reference import replay_reference
 from mirhecke import characters, checks, ring, symfun, tensorrep
 from mirhecke.algebra import basis_element, hat_T
 from mirhecke.characters import (
@@ -351,11 +352,11 @@ def class_map(table):
 
 
 def reference_solve(n, idx, table):
-    """(d, y) of `ring.solve_linear` against the Schur expansion of the oracle trace at r = n."""
+    """(d, y) of `replay_reference` against the Schur expansion of the oracle trace at r = n."""
     labels = table.labels
     traces = tensorrep.char_oracle(basis_element(idx), r=n)
     matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
-    return ring.solve_linear(matrix, [traces.get(lam, ZERO) for lam in labels])
+    return replay_reference(matrix, [traces.get(lam, ZERO) for lam in labels])
 
 
 def reference_class_polynomials(n, idx, table):
@@ -434,32 +435,34 @@ class TestClassPolynomials:
         with pytest.raises(ClassPolynomialDefect, match=r"at \(\): \(q\^5.*\) / \(-q\^5.*-1\)"):
             class_polynomials(2, idx, scaled)
 
-    def test_whole_basis_builds_each_adjugate_column_once(self, monkeypatch):
-        # all 209 rank-4 solves share one table: each adjugate column is built at
-        # most once, and the inverse Kostka matrix by one Schur expansion per label
-        built, expanded = [], []
-        real_column, real_expand = ring._adjugate_column, symfun.schur_expand
+    def test_whole_basis_runs_one_elimination_per_table(self, monkeypatch):
+        # all 209 rank-4 calls share one table: its adjugate comes from one
+        # elimination, and the inverse Kostka matrix from one Schur expansion
+        # per label; a table of the other variant adds one more elimination
+        eliminated, expanded = [], []
+        real_adjugate, real_expand = characters.adjugate_columns, symfun.schur_expand
 
-        def counting_column(*args):
-            built.append(1)
-            return real_column(*args)
+        def counting_adjugate(rows):
+            eliminated.append(1)
+            return real_adjugate(rows)
 
         def counting_expand(p):
             expanded.append(1)
             return real_expand(p)
 
-        monkeypatch.setattr(ring, "_adjugate_column", counting_column)
+        monkeypatch.setattr(characters, "adjugate_columns", counting_adjugate)
         for module in (symfun, characters, tensorrep):
             monkeypatch.setattr(module, "schur_expand", counting_expand)
-        ring._bareiss.cache_clear()
         characters._class_map.cache_clear()
         table = character_table(4)
         basis = list(iter_standard_basis(4))
         for idx in basis:
             class_polynomials(4, idx, table)
         assert len(basis) == 209
-        assert 0 < len(built) <= len(table.labels) == 12
-        assert 0 < len(expanded) <= 12
+        assert len(eliminated) == 1
+        assert 0 < len(expanded) <= len(table.labels) == 12
+        class_polynomials(4, basis[0], character_table(4, "paper"))
+        assert len(eliminated) == 2
 
     @pytest.mark.parametrize("variant", ["oracle", "paper"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -498,7 +501,7 @@ class TestClassPolynomials:
             matrix = [[table.entries[(lam, mu)] for mu in labels] for lam in labels]
             size = len(labels)
             units = [[ONE if i == j else ZERO for i in range(size)] for j in range(size)]
-            adj = [ring.solve_linear(matrix, unit)[1] for unit in units]  # adj[j][i] = adj_ij
+            adj = [replay_reference(matrix, unit)[1] for unit in units]  # adj[j][i] = adj_ij
             spread = [0] * size  # sum over mu of |S_j,mu|, S_j,mu = [s_j] m_mu
             for mu in labels:
                 for lam, c in symfun.schur_expand(symfun.SymPoly(n, {mu: ONE})).items():

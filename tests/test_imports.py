@@ -101,6 +101,13 @@ def test_exports_resolve():
     assert not missing
 
 
+def test_ring_keeps_no_memo():
+    # callers own their caches: `characters._class_map` caches what it derives
+    # from a table's adjugate, so `ring` itself stays stateless
+    memos = [name for name, value in vars(mirhecke.ring).items() if hasattr(value, "cache_info")]
+    assert not memos, memos
+
+
 PACKED_FORMAT = {"pack", "unpack", "slot_bits"}
 
 

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from mirhecke import ring
+from bareiss_reference import replay_reference
 from mirhecke.ring import (
     InexactDivisionError,
     LaurentScalar,
@@ -17,10 +17,10 @@ from mirhecke.ring import (
     SingularMatrixError,
     V,
     ZERO,
+    adjugate_columns,
     pack,
     rank_over_q,
     slot_bits,
-    solve_linear,
     unpack,
 )
 
@@ -336,73 +336,96 @@ def sympy_quotient(a: LaurentScalar, b: LaurentScalar):
     return out
 
 
-def det3(M):
-    """Cofactor expansion of a 3 x 3 determinant along the first row."""
-    return (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
+def det(M):
+    """Laplace expansion of a small square determinant along the first row."""
+    if not M:
+        return ONE
+    total = ZERO
+    for j, a in enumerate(M[0]):
+        if a:
+            minor = det([row[:j] + row[j + 1:] for row in M[1:]])
+            total = total + a * minor if j % 2 == 0 else total - a * minor
+    return total
 
 
-def solve_checked(M, c):
-    """solve_linear(M, c) after asserting M y = d c in Laurent arithmetic; returns (d, y)."""
-    d, y = solve_linear(M, c)
-    for row, ci in zip(M, c):
-        acc = ZERO
-        for mij, yj in zip(row, y):
-            acc = acc + mij * yj
-        assert acc == d * ci
-    return d, y
+def adjugate_checked(M):
+    """(d, columns) of adjugate_columns(M), each column dense, after asserting
+    d = +-det M and, for every j, M adj_j = d e_j in Laurent arithmetic and
+    adj_j = replay_reference(M, e_j)[1] (with the same d)."""
+    n = len(M)
+    d, cols = adjugate_columns(tuple(tuple(row) for row in M))
+    assert d in (det(M), -det(M))
+    assert len(cols) == n
+    dense = []
+    for j, col in enumerate(cols):
+        assert all(a for _, a in col)
+        y = [ZERO] * n
+        for i, a in col:
+            y[i] = a
+        unit = [ONE if i == j else ZERO for i in range(n)]
+        for row, ci in zip(M, unit):
+            acc = ZERO
+            for mij, yj in zip(row, y):
+                acc = acc + mij * yj
+            assert acc == d * ci
+        assert replay_reference(M, unit) == (d, y)
+        dense.append(y)
+    return d, dense
+
+
+def combine(columns, c):
+    """y = sum_j c_j adj_j: the solve of M y = d c read off the adjugate columns."""
+    y = [ZERO] * len(c)
+    for cj, col in zip(c, columns):
+        for i, a in enumerate(col):
+            y[i] = y[i] + cj * a
+    return y
 
 
 class TestSolveLinear:
+    """`adjugate_columns` solves M y = d e_j for every j in one elimination."""
+
     def test_identity_system(self):
-        d, y = solve_checked([[ONE, ZERO], [ZERO, ONE]], [Q, ONE])
-        assert d == ONE and y == [Q, ONE]
+        d, cols = adjugate_checked([[ONE, ZERO], [ZERO, ONE]])
+        assert d == ONE and cols == [[ONE, ZERO], [ZERO, ONE]]
 
     def test_upper_triangular(self):
-        d, y = solve_checked([[ONE, ONE], [ZERO, ONE]], [Q, ONE])
-        assert d == ONE and y == [Q_MINUS_1, ONE]
+        d, cols = adjugate_checked([[ONE, ONE], [ZERO, ONE]])
+        assert d == ONE and cols == [[ONE, ZERO], [MINUS_ONE, ONE]]
 
     def test_rank2_character_system(self):
         # the rank-2 table restricted to the rows/columns that can carry
         # the braid-idempotent product: solution ((q-1), -q), det = -1
-        d, y = solve_checked([[ONE, ONE], [ONE, ZERO]], [MINUS_ONE, Q_MINUS_1])
+        d, cols = adjugate_checked([[ONE, ONE], [ONE, ZERO]])
         assert d == MINUS_ONE
+        y = combine(cols, [MINUS_ONE, Q_MINUS_1])
         assert [yi.exact_div(d) for yi in y] == [Q_MINUS_1, -Q]
 
     def test_singular_raises(self):
-        # a failed elimination is not cached: every call raises again
-        M = [[ONE, ONE], [ONE, ONE]]
-        for c in ([ONE, ZERO], [ONE, ZERO], [ZERO, Q]):
+        M = ((ONE, ONE), (ONE, ONE))
+        for _ in range(2):
             with pytest.raises(SingularMatrixError):
-                solve_linear(M, c)
+                adjugate_columns(M)
 
     def test_needs_row_swap(self):
         # det = -1; the swap makes the final pivot +1
-        d, y = solve_checked([[ZERO, ONE], [ONE, ZERO]], [Q, V])
-        assert d == ONE and y == [V, Q]
+        d, cols = adjugate_checked([[ZERO, ONE], [ONE, ZERO]])
+        assert d == ONE and cols == [[ZERO, ONE], [ONE, ZERO]]
 
     def test_right_sides_replay_one_factorization(self):
-        # column 0 needs a row swap and det M = q^3 - q^2 - v^3 + 1; the results
-        # must not depend on whether the factorization is cached or fresh
+        # column 0 needs a row swap and det M = q^3 - q^2 - v^3 + 1; the columns
+        # of one elimination give the solve of every right side
         M = [[ZERO, Q, ONE], [ONE, V, Q_MINUS_1], [Q, ONE, ZERO]]
-        det = det3(M)
-        rhss = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [Q, V, MINUS_ONE]]
-        first = [solve_checked(M, c) for c in rhss]
-        assert all(d in (det, -det) for d, _ in first)
-        for k in range(1, 12):  # more matrices than the cache holds
-            solve_linear([[L({k: 1}), ONE], [ONE, ZERO]], [ONE, ONE])
-        assert [solve_linear(M, c) for c in rhss] == first
+        d, cols = adjugate_checked(M)
+        for c in ([ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [Q, V, MINUS_ONE], [ZERO] * 3):
+            assert replay_reference(M, c) == (d, combine(cols, c))
 
     def test_non_unit_determinant(self):
-        # det = q + 1: y = adj(M) c stays Laurent although x = y / d does not
-        M = [[Q, MINUS_ONE], [ONE, ONE]]
-        d, y = solve_checked(M, [ONE, ZERO])
-        assert d == Q + ONE and y == [ONE, MINUS_ONE]
+        # det = q + 1: adj(M) stays Laurent although M^-1 = adj(M) / d does not
+        d, cols = adjugate_checked([[Q, MINUS_ONE], [ONE, ONE]])
+        assert d == Q + ONE and cols == [[ONE, MINUS_ONE], [ONE, Q]]
         with pytest.raises(InexactDivisionError):
-            y[0].exact_div(d)
+            cols[0][0].exact_div(d)
 
     @given(
         st.lists(scalars, min_size=9, max_size=9),
@@ -412,41 +435,13 @@ class TestSolveLinear:
     def test_reconstruction(self, entries, rhss):
         # several right sides against one matrix, as class polynomials solve them
         M = [entries[0:3], entries[3:6], entries[6:9]]
-        det = det3(M)
+        try:
+            d, cols = adjugate_checked(M)
+        except SingularMatrixError:
+            assert det(M).is_zero()
+            return
         for rhs in rhss:
-            try:
-                d, _ = solve_checked(M, rhs)
-            except SingularMatrixError:
-                assert det.is_zero()
-                continue
-            assert d in (det, -det)
-
-
-def replay_reference(M, c):
-    """Bareiss elimination on the augmented matrix [M | c], then back substitution:
-    the per-call replay that solve_linear did before it cached adjugate columns.
-    Raises SingularMatrixError when a column has no nonzero pivot."""
-    m = [list(row) + [ci] for row, ci in zip(M, c)]
-    n = len(m)
-    prev = ONE
-    for k in range(n):
-        if m[k][k].is_zero():
-            i = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if i is None:
-                raise SingularMatrixError(k)
-            m[k], m[i] = m[i], m[k]
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]).exact_div(prev)
-        prev = piv
-    y = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = prev * m[i][n]
-        for j in range(i + 1, n):
-            acc = acc - m[i][j] * y[j]
-        y[i] = acc.exact_div(m[i][i])
-    return prev, y
+            assert replay_reference(M, rhs) == (d, combine(cols, rhs))
 
 
 def random_laurent(rng, density):
@@ -472,63 +467,38 @@ def random_invertible(rng):
 
 
 class TestSolveLinearAdjugate:
-    """solve_linear sums cached adjugate columns; it must give exactly the pair
-    (d, y) that the replay on the augmented matrix gives."""
+    """The adjugate columns of random matrices, swaps and non-unit determinants
+    included, give exactly the pair (d, y) that the replay on [M | c] gives."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_replay(self, seed):
         rng = random.Random(seed)
-        ring._bareiss.cache_clear()
-        systems = []
-        swapped = 0
-        for _ in range(12):  # more matrices than the cache holds
+        swapped, non_unit = 0, 0
+        for _ in range(12):
             M = random_invertible(rng)
             n = len(M)
+            d, cols = adjugate_checked(M)
             rhss = [
                 [ZERO] * n,
                 [random_laurent(rng, 1.0) for _ in range(n)],
-                [random_laurent(rng, 0.4) for _ in range(n)],  # sparse: zero c_j skipped
+                [random_laurent(rng, 0.4) for _ in range(n)],
                 [ZERO] * (n - 1) + [random_laurent(rng, 1.0)],
             ]
-            got = [solve_linear(M, c) for c in rhss]
-            assert got == [replay_reference(M, c) for c in rhss]
-            assert got[0] == (got[0][0], [ZERO] * n)
-            systems.append((M, rhss, got))
-            steps = ring._bareiss(tuple(tuple(row) for row in M))[0]
-            swapped += any(swap != k for k, (swap, *_) in enumerate(steps))
-        assert swapped and any(not d.is_unit() for _, _, ((d, _), *_) in systems)
-        assert ring._bareiss.cache_info().currsize == 8
-        # the first matrices were evicted: they are factored again, identically
-        misses = ring._bareiss.cache_info().misses
-        for M, rhss, got in systems:
-            assert [solve_linear(M, c) for c in rhss] == got
-        assert ring._bareiss.cache_info().misses > misses
+            for c in rhss:
+                assert replay_reference(M, c) == (d, combine(cols, c))
+            swapped += M[0][0].is_zero()
+            non_unit += not d.is_unit()
+        assert swapped and non_unit
 
-    def test_each_column_is_built_once(self, monkeypatch):
-        calls = []
-        real = ring._adjugate_column
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(ring, "_adjugate_column", counting)
-        ring._bareiss.cache_clear()
-        M = [[ZERO, Q, ONE], [ONE, V, Q_MINUS_1], [Q, ONE, ZERO]]
-        # c_2 is zero on every right side, so column 2 is never built
-        for c in ([ZERO, Q, ZERO], [ONE, V, ZERO], [Q, MINUS_ONE, ZERO], [ZERO] * 3):
-            assert solve_linear(M, c) == replay_reference(M, c)
-        assert len(calls) == 2
-
-    def test_singular_raises_every_call_and_caches_nothing(self):
+    def test_singular_raises_every_call(self):
         rng = random.Random(7)
         row = [random_laurent(rng, 1.0) for _ in range(4)]
         M = [row, [random_laurent(rng, 1.0) for _ in range(4)], list(row), [ONE, ZERO, Q, V]]
-        ring._bareiss.cache_clear()
-        for c in ([ONE, ZERO, ZERO, ZERO], [ZERO] * 4, [Q, V, ONE, MINUS_ONE]):
+        for _ in range(3):
             with pytest.raises(SingularMatrixError):
-                solve_linear(M, c)
-        assert ring._bareiss.cache_info().currsize == 0
+                adjugate_columns(tuple(map(tuple, M)))
+        with pytest.raises(SingularMatrixError):
+            replay_reference(M, [ONE, ZERO, ZERO, ZERO])
 
 
 def random_matrix(rng, rows, cols, rank, fractions):
