@@ -30,10 +30,10 @@ sorted by nu id.
 Values are plain ints (Kronecker substitution, see `ring.pack`) in q-slots:
 every transition coefficient lies in Z[q, q^-1], an entry x is stored as
 x(q = 2^B) * 2^(B*E), a coefficient c that reaches d powers of q below q^0
-as c(q = 2^B) * 2^(B*d), and a product is (x * c) >> (d*B), as in
-`algebra._product`.  A coefficient with an odd power of v raises ValueError
-when it is packed.  B and E are fixed a priori, before any value is
-computed:
+as c(q = 2^B) * 2^(B*d), and a product is (x * c) >> (d*B), as
+`algebra._product` scales a word's partial product by its coefficient.
+A coefficient with an odd power of v raises ValueError when it is packed.
+B and E are fixed a priori, before any value is computed:
 
 - M[m] is the largest sum of |c|_1 over the strips of one (lam, m), and s(m)
   the largest depth d of a coefficient for m, both over the lam that some

@@ -3,7 +3,7 @@
 Partitions are plain tuples of weakly decreasing positive ints (the empty
 tuple is the partition of 0), so they can key dictionaries everywhere.
 Permutations are tuples of images `(w(1), ..., w(n))` with 1-based values and
-compose right-to-left: `pcompose(u, v)(x) = u(v(x))`.
+compose right-to-left: (u v)(x) = u(v(x)).
 
 The standard basis of the rank-n algebra is indexed by triples (A, B, w)
 with A, B equal-size subsets of {1..n} and w a permutation fixing 1..k
@@ -174,22 +174,11 @@ def identity_perm(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def pcompose(u: Permutation, v: Permutation) -> Permutation:
-    """(u o v)(x) = u(v(x))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
 def pinverse(u: Permutation) -> Permutation:
     out = [0] * len(u)
     for i, a in enumerate(u):
         out[a - 1] = i + 1
     return tuple(out)
-
-
-def plength(u: Permutation) -> int:
-    """Coxeter length = number of inversions."""
-    n = len(u)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:
@@ -215,17 +204,6 @@ def apply_right_s(w: Permutation, i: int) -> Permutation:
     """w * s_i (swap the images at positions i, i+1; 1-based)."""
     out = list(w)
     out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def apply_left_s(w: Permutation, i: int) -> Permutation:
-    """s_i * w (swap the values i, i+1 in the image list)."""
-    out = list(w)
-    for p, a in enumerate(out):
-        if a == i:
-            out[p] = i + 1
-        elif a == i + 1:
-            out[p] = i
     return tuple(out)
 
 

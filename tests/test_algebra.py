@@ -2,11 +2,11 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import random
 
 import pytest
 
+from permutation_reference import apply_left_s, pcompose, plength
 from mirhecke.algebra import (
     AlgebraElement,
     GeneratorWord,
@@ -29,13 +29,10 @@ from mirhecke import algebra, checks
 from mirhecke.combinatorics import (
     BasisIndex,
     Permutation,
-    apply_left_s,
     apply_right_s,
     iter_standard_basis,
     partitions_up_to,
-    pcompose,
     pinverse,
-    plength,
     reduced_word,
 )
 from mirhecke.ring import (
@@ -57,7 +54,10 @@ def idx(A, B, w):
 
 # -- reference loops the packed engine is compared against -------------------
 # These run on LaurentScalar coefficients: each table constant, stored as
-# (exponent, coeff) pairs, is read back as a scalar and multiplied in.
+# (exponent, coeff) pairs, is read back as a scalar and multiplied in.  They
+# share no rule with the engine: an element is expanded into the working
+# basis T_A P_k T_d (d minimal in S_k \ S_n), multiplied there by plain
+# Hecke products, and brought back by greedy elimination.
 
 # -q^-1 (q-1): the constant term of T^-1 = q^-1 T - q^-1 (q-1)
 MINUS_QINV_QM1 = -(QINV * Q_MINUS_1)
@@ -69,6 +69,38 @@ def scalar(const):
 
 def const(s):
     return tuple(s.items())
+
+
+@functools.cache
+def absorb(k, u):
+    """Split u = u1 * d with u1 in S_k and d minimal in the coset S_k u.
+
+    Returns ((-1)^length(u1), d); multiplying P_k by the S_k-part contributes
+    exactly that sign.
+    """
+    if k <= 1:
+        return 1, u
+    seq = pinverse(u)[:k]
+    sign = 1
+    for a in range(k):
+        for b in range(a + 1, k):
+            if seq[a] > seq[b]:
+                sign = -sign
+    order = sorted(range(k), key=lambda t: seq[t])
+    relabel = [0] * (k + 1)
+    for t, jm1 in enumerate(order):
+        relabel[jm1 + 1] = t + 1
+    return sign, tuple(relabel[a] if a <= k else a for a in u)
+
+
+def cycle_perm(n, m, i):
+    """Permutation of the word T_{m-1} T_{m-2} ... T_i: i -> m, t -> t-1 on (i, m]."""
+    out = list(range(1, n + 1))
+    if m > i:
+        out[i - 1] = m
+        for t in range(i + 1, m + 1):
+            out[t - 1] = t - 1
+    return tuple(out)
 
 
 def hecke_rmul_letter(terms, i, inv):
@@ -108,52 +140,36 @@ def reference_tail_expansion(B, w: Permutation):
             terms = hecke_rmul_letter(terms, t, inv=True)
     out = {}
     for u, c in terms.items():
-        sign, d = algebra._absorb(k, u)
+        sign, d = absorb(k, u)
         accumulate(out, d, -c if sign < 0 else c)
     return out
-
-
-def reference_standard_step(k, d):
-    """One elimination step for the working keys (A, d) with |A| = k.
-
-    The standard element (A, B, w) is lead * T_A P_k T_d plus tail terms
-    s * T_A P_k T_d2.  Returns (B, w, lead^-1, ((d2, -s * lead^-1,
-    length(d2)), ...), length(d)) with constants as (v-exponent, coeff)
-    pairs, so that T_A P_k T_d = lead^-1 (A, B, w) + sum (-s * lead^-1)
-    T_A P_k T_d2.
-    """
-    n = len(d)
-    B = pinverse(d)[:k]
-    w = pcompose(d, algebra._subset_perm(n, B))
-    tail = reference_tail_expansion(B, w)
-    inv = tail[d].inverse_unit()
-    rest = tuple((d2, const(-(s * inv)), plength(d2)) for d2, s in tail.items() if d2 != d)
-    return B, w, const(inv), rest, plength(d)
 
 
 def reference_p1_closed_form(k, d):
     """P_k T_k ... T_1 P_1 T_z for 1 <= k < m = d(1), as (((A', d'), const), ...).
 
-    The closed form of the `algebra` module docstring, each term a plain
-    Hecke product reduced modulo S_k, with T_z multiplied in on the right
-    for z = (T_{m-1} ... T_1)^-1 d.
+    P_k T_k ... T_1 P_1 = sum_{j=1}^{k-1} (-q)^{j-1}(q-1) P_k T_k...T_{j+1}
+    + (-q)^{k-1}(q-1) P_k + (-1)^k q^k P_{k+1}, from repeatedly rewriting
+    P_j T_j P_j = (q-1)P_j - q P_{j+1}; each term a plain Hecke product
+    reduced modulo S_k, with T_z multiplied in on the right for
+    z = (T_{m-1} ... T_1)^-1 d.
     """
     n = len(d)
-    z = pcompose(pinverse(algebra._cycle_perm(n, d[0], 1)), d)
+    z = pcompose(pinverse(cycle_perm(n, d[0], 1)), d)
     out = {}
     Ak = tuple(range(1, k + 1))
     coeff = Q_MINUS_1
     for j in range(1, k):
-        hecke = hecke_rmul_perm({algebra._cycle_perm(n, k + 1, j + 1): ONE}, z)
+        hecke = hecke_rmul_perm({cycle_perm(n, k + 1, j + 1): ONE}, z)
         for u, su in hecke.items():
-            sign, dd = algebra._absorb(k, u)
+            sign, dd = absorb(k, u)
             val = coeff * su
             accumulate(out, (Ak, dd), -val if sign < 0 else val)
         coeff = coeff * -Q
-    sign, dd = algebra._absorb(k, z)
+    sign, dd = absorb(k, z)
     accumulate(out, (Ak, dd), -coeff if sign < 0 else coeff)
     coeffp = (-Q) ** k
-    sign, dd = algebra._absorb(k + 1, z)
+    sign, dd = absorb(k + 1, z)
     accumulate(out, (Ak + (k + 1,), dd), -coeffp if sign < 0 else coeffp)
     return tuple((key, const(s)) for key, s in out.items())
 
@@ -164,7 +180,7 @@ def reference_rmul_T_key(k, d, i, inv):
     sign of its discarded S_k-part folded into its coefficient."""
     out = {}
     for u, s in hecke_rmul_letter({d: ONE}, i, inv).items():
-        sign, dd = (1, d) if u == d else algebra._absorb(k, u)
+        sign, dd = (1, d) if u == d else absorb(k, u)
         accumulate(out, dd, -s if sign < 0 else s)
     return tuple((dd, tuple(s.items())) for dd, s in out.items())
 
@@ -201,7 +217,7 @@ def reference_lmul_T_key(i, A, d):
         wt = pcompose(pinverse(algebra._subset_perm(n, A2)), e)
         hecke = hecke_rmul_perm({wt: ONE}, d)
         for u, su in hecke.items():
-            sg2, dd = algebra._absorb(k, u)
+            sg2, dd = absorb(k, u)
             val = s * su
             accumulate(out, (A2, dd), -val if sign * sg2 < 0 else val)
     return out
@@ -215,6 +231,7 @@ def reference_lmul_T(elem, i):
     return out
 
 
+@functools.cache
 def reference_rmul_P1_key(A, d):
     """(T_A P_k T_d) * P_1 from scratch: for m = d(1) > k, the whole word
     T_A T_{m-1} ... T_{k+1} replayed on the closed form through
@@ -222,9 +239,9 @@ def reference_rmul_P1_key(A, d):
     n = len(d)
     k = len(A)
     m = d[0]
-    z = pcompose(pinverse(algebra._cycle_perm(n, m, 1)), d)
+    z = pcompose(pinverse(cycle_perm(n, m, 1)), d)
     if k >= 1 and m <= k:
-        sign, dd = algebra._absorb(k, z)
+        sign, dd = absorb(k, z)
         if (m - 1) % 2:
             sign = -sign
         return {(A, dd): ONE if sign > 0 else MINUS_ONE}
@@ -281,6 +298,17 @@ def greedy_to_standard(welem):
         for d2, s in tail.items():
             accumulate(work, (A, d2), -(coeff * s))
     return out
+
+
+def reference_rmul_basis(index, letter):
+    """One basis element times one letter through the working basis: {BasisIndex: scalar}."""
+    return greedy_to_standard(reference_rmul_letter(reference_working(basis_element(index)), letter))
+
+
+def hecke_lmul_letter(terms, i):
+    """T_i times {u: coeff} in the plain Hecke algebra, through the anti-automorphism T_u -> T_{u^-1}."""
+    flipped = hecke_rmul_letter({pinverse(u): c for u, c in terms.items()}, i, inv=False)
+    return {pinverse(u): c for u, c in flipped.items()}
 
 
 def term_by_term_mul(x, y):
@@ -486,29 +514,6 @@ class TestMul:
             "e31cd04973284c749f54351e2a27f91e33ae89318e6cc4fc8a13b3126ae0f4a2"
         )
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_bucketed_elimination_matches_greedy(self, n):
-        rng = random.Random(n)
-        mixed = 0
-        for _ in range(25):
-            welem = {}
-            for _ in range(rng.randrange(1, 12)):
-                A = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(n + 1))))
-                u = tuple(rng.sample(range(1, n + 1), n))
-                _, d = algebra._absorb(len(A), u)
-                accumulate(welem, (A, d), random_scalar(rng))
-            mixed += len({A for A, _ in welem}) > 2
-            # the a priori width and offset of `_product`, for this input, in
-            # q-slots (the inputs are even) and in v-slots
-            lay = algebra._layout(n)
-            bits = slot_bits(sum(c.l1_norm() for c in welem.values()) * lay.g_elim)
-            low = min(c.min_exp() for c in welem.values())  # elimination lowers nothing
-            want = greedy_to_standard(welem)
-            for step in (2, 1):
-                packed = {lay.kid(*key): pack(c, bits, -low // step, step) for key, c in welem.items()}
-                assert algebra._to_standard(lay, packed, bits, -low // step, step) == want
-        assert mixed >= 10
-
     def test_prefix_shared_mul_matches_term_by_term(self):
         els = all_basis_elements(4)
         rng = random.Random(5)
@@ -519,36 +524,6 @@ class TestMul:
             multi += len(y.terms) > 1
             assert mul(x, y) == term_by_term_mul(x, y)
         assert multi >= 25
-
-    @pytest.mark.parametrize(
-        "bad_tail, message",
-        [
-            # (scale of every coefficient, an extra term on the longest key of the block)
-            ((1, True), "length triangularity"),
-            ((2, False), "non-unit leading"),
-        ],
-    )
-    def test_malformed_tail_expansion_raises(self, monkeypatch, bad_tail, message):
-        # the T_1^-1 row of (k, d) = (1, identity) at rank 3 builds the tail
-        # of the key (1, s_1): the standard element P_1 T_1^-1, with lead
-        # q^-1 on T_{s_1}
-        scale, extra = bad_tail
-        true_row = algebra._t_row
-
-        def patched(index_k, k, d, i, inv):
-            row = true_row(index_k, k, d, i, inv)
-            if (k, d, i, inv) != (1, (1, 2, 3), 1, True):
-                return row
-            row = tuple((t, e, scale * a) for t, e, a in row)
-            return row + ((max(index_k.values()) - index_k[d], 0, 1),) if extra else row
-
-        monkeypatch.setattr(algebra, "_t_row", patched)
-        algebra._layout.cache_clear()  # the layout builds every elimination step
-        try:
-            with pytest.raises(AssertionError, match=message):
-                algebra._layout(3)
-        finally:
-            algebra._layout.cache_clear()
 
 
 class TestPackedEngine:
@@ -598,17 +573,26 @@ class TestPackedEngine:
             assert mul(x, y) == term_by_term_mul(x, y)
 
     def test_derived_width_covers_every_golden_product(self, monkeypatch):
-        widths = []
+        # the width is slot_bits of ||x||_1 * sum_y ||c_y||_1 3^(#T(word_y)),
+        # each P_j counted as its 2^(j-1) - 1 letters T^-1, and it covers the
+        # widest true coefficient; on these 240 products it is 10 bits in the
+        # median and 19 at most, and the need is 4 bits at most
+        def t_letters(index):
+            return sum(1 if lt[0] == "T" else 2 ** (lt[1] - 1) - 1 for lt in basis_word(index))
+
+        bounds = []
 
         def recording(bound):
-            widths.append(slot_bits(bound))
-            return widths[-1]
+            bounds.append(bound)
+            return slot_bits(bound)
 
         def checked(x, y):
-            widths.clear()
+            bounds.clear()
             prod = mul(x, y)
-            (bits,) = widths
-            assert bits >= needed_bits(prod)
+            (bound,) = bounds
+            mass_x = sum(c.l1_norm() for c in x.terms.values())
+            assert bound == mass_x * sum(c.l1_norm() * 3 ** t_letters(i) for i, c in y.terms.items())
+            assert slot_bits(bound) >= needed_bits(prod)
             return prod
 
         monkeypatch.setattr(algebra, "slot_bits", recording)
@@ -617,9 +601,10 @@ class TestPackedEngine:
             checked(a, checked(b, c))
 
     def test_one_bit_below_the_widest_coefficient_breaks_a_product(self, monkeypatch):
-        # the a priori bound is loose, so the cut is made one bit below the
-        # width that the widest true coefficient needs; basis inputs keep
-        # every packed input coefficient at 1
+        # the a priori bound is loose (7 bits over the need in the median of
+        # the golden products), so the cut is made one bit below the width
+        # that the widest true coefficient needs; basis inputs keep every
+        # packed input coefficient at 1
         pairs = [pair for a, b, c in golden_triples() for pair in ((a, b), (b, c))]
         want = [mul(x, y) for x, y in pairs]
         top = max(map(needed_bits, want))
@@ -629,6 +614,26 @@ class TestPackedEngine:
         for (x, y), prod in zip(pairs, want):
             wrong += mul(x, y) != prod
         assert wrong
+
+    def test_products_skip_the_constructor(self, monkeypatch):
+        # the engine yields distinct basis elements of the rank with nonzero
+        # coefficients, so its result is not copied or checked again; the
+        # public constructor keeps both
+        x, y = hat_T(4, (2, 1)), gen_P(4, 2) + gen_T(4, 3)
+        want = mul(x, y)
+        calls = []
+        true_init = AlgebraElement.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            true_init(self, *args)
+
+        monkeypatch.setattr(AlgebraElement, "__init__", counting)
+        got = mul(x, y)
+        assert got == want and not calls
+        assert all(c and index.n == 4 for index, c in got.terms.items())
+        with pytest.raises(ValueError, match="wrong rank"):
+            AlgebraElement(3, got.terms)
 
     def test_no_scalar_products_once_the_tables_are_built(self, monkeypatch):
         els = all_basis_elements(3)
@@ -664,23 +669,23 @@ def golden_json(triples):
 
 
 class TestKeyIds:
-    """The id layout: complete tables, outputs free of id order, rows built once, the gains."""
+    """The id layout: complete tables, outputs free of id order, rows built once, each rule twice."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_table_is_complete(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
-        per_shape = (lay.steps, lay.tails, lay.tail_bounds, *lay.t_rows)
-        tables = (lay.kid_A, lay.kid_shape, lay.p1_rows, lay.basis, *per_shape)
+        shapes = max(lay.kid_shape) + 1
+        tables = (lay.kid_shape, lay.p1_rows, lay.basis, *lay.t_rows)
         assert len(lay.t_rows) == 2 * (n - 1)
         assert all(None not in table for table in tables)
-        assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_A)
-        assert all(len(table) == len(lay.shapes) for table in per_shape)
-        # `kids` maps the standard basis one-to-one onto the ids
+        assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_shape)
+        assert all(len(rows) == shapes for rows in lay.t_rows)
+        # `kids` maps the standard basis one-to-one onto the ids, in the order
+        # of `iter_standard_basis`
         basis = list(iter_standard_basis(n))
-        assert len(lay.kids) == len(basis) == len(lay.kid_A)
-        assert sorted(lay.kids[idx] for idx in basis) == list(range(len(lay.kid_A)))
-        assert all(lay.basis[lay.kids[idx]] == idx for idx in basis)
+        assert lay.basis == basis
+        assert len(lay.kids) == len(basis) and all(lay.kids[idx] == kid for kid, idx in enumerate(basis))
 
     def test_outputs_do_not_depend_on_id_order(self):
         triples = golden_triples()
@@ -700,98 +705,71 @@ class TestKeyIds:
 
     def test_rows_are_built_once(self, monkeypatch):
         algebra.clear_caches()
-        # steps per (tails row, lengths, shape), closed forms per (layout, k, d)
-        calls = {name: {} for name in ("_standard_step", "_p1_closed_form")}
+        # T moves per (B, w, i), P relabels per (A, B, w, j)
+        calls = {name: {} for name in ("_t_move", "_p_relabel")}
         for name, seen in calls.items():
             def counting(*args, _true=getattr(algebra, name), _seen=seen):
                 _seen[args] = _seen.get(args, 0) + 1
                 return _true(*args)
 
             monkeypatch.setattr(algebra, name, counting)
-        # T rows per (k, d, letter); the index dict is the same for every call of a k
-        t_rows = {}
-        true_t_row = algebra._t_row
-
-        def counting_t_row(index_k, *key):
-            t_rows[key] = t_rows.get(key, 0) + 1
-            return true_t_row(index_k, *key)
-
-        monkeypatch.setattr(algebra, "_t_row", counting_t_row)
-        calls["_t_row"] = t_rows
-        # P_1 rows per (rank, kid); a row built while another is being built
-        # is a parent that had to be rebuilt
-        true_row = algebra._Layout.rmul_p1
-        rows, building, nested = {}, [], []
-
-        def counting_row(lay, kid):
-            key = lay.n, kid
-            rows[key] = rows.get(key, 0) + 1
-            nested.extend(building[-1:])
-            building.append(key)
-            try:
-                return true_row(lay, kid)
-            finally:
-                building.pop()
-
-        monkeypatch.setattr(algebra._Layout, "rmul_p1", counting_row)
-        calls["rmul_p1"] = rows
         golden_json(golden_triples())
         assert all(seen for seen in calls.values())
         assert {name: max(seen.values()) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
         lay = algebra._layout(4)
-        assert len(calls["_standard_step"]) == len(lay.shapes)
-        assert len(t_rows) == len(lay.shapes) * len(lay.t_rows)
-        assert len(rows) == len(lay.kid_A) and not nested
+        assert len(calls["_t_move"]) == len(lay.t_rows[0]) * 3
+        assert len(calls["_p_relabel"]) == len(lay.basis)
+        assert {args[3] for args in calls["_p_relabel"]} == {1}
         algebra.clear_caches()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-    def test_tails_and_steps_match_the_hecke_product(self, n):
-        lay = algebra._layout(n)
-        for s, (k, d) in enumerate(lay.shapes):
-            here = lay.index[k][d]
-            B, w, ((e, a),), rest, ld = reference_standard_step(k, d)
-            A = tuple(range(1, k + 1))
-            assert lay.basis[lay.kid(A, d)] == BasisIndex(A, B, w)
-            # the references as the tables store them: id deltas and powers of q
-            tail = sorted(
-                (lay.index[k][d2] - here, q_exp(e2), a2)
-                for d2, c in reference_tail_expansion(B, w).items()
-                for e2, a2 in c.items()
-            )
-            assert sorted(lay.tails[s]) == tail, (k, d)
-            step = sorted(
-                (lay.index[k][d2] - here, q_exp(e2), a2, l2) for d2, c, l2 in rest for e2, a2 in c
-            )
-            got_ld, got_e, got_a, got_tail = lay.steps[s]
-            assert (got_ld, got_e, got_a) == (ld, q_exp(e), a) and sorted(got_tail) == step, (k, d)
-        reference_tail_expansion.cache_clear()
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_p1_closed_forms_match_the_hecke_product(self, n):
+        # the closed form of every P_j, P_1 included, is the signed relabel of
+        # `_p_relabel`: b P_j is +-1 times one basis element with no power of
+        # q, and it is b exactly when {1..j} is in B.  By induction on j it is
+        # the product by the expansion P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}, in
+        # ids: P_1 is the engine's row, and each step composes the relabel of
+        # P_{j-1} with the engine's T^-1 row (each row is checked against the
+        # Hecke product in its own test)
         lay = algebra._layout(n)
-        forms = 0
-        for k in range(1, n):
-            for d in lay.index[k]:
-                if d[0] > k:
-                    want = sorted(
-                        (lay.kid(*key), q_exp(e), a)
-                        for key, c in reference_p1_closed_form(k, d)
-                        for e, a in c
-                    )
-                    assert sorted(algebra._p1_closed_form(lay, k, d)) == want, (k, d)
-                    forms += 1
-        # one per (k, d) with d(1) > k: n!/k! - (n-1)!/(k-1)! for each k
-        assert forms == sum(
-            math.factorial(n) // math.factorial(k) - math.factorial(n - 1) // math.factorial(k - 1)
-            for k in range(1, n)
+        rel = [None]  # rel[j][kid]: (sign, id) of b P_j
+        for j in range(1, n + 1):
+            rel.append([])
+            for index in lay.basis:
+                sign, *target = algebra._p_relabel(index.A, index.B, index.w, j)
+                rel[j].append((sign, lay.kids[BasisIndex(*target)]))
+        fixed = 0
+        for kid, index in enumerate(lay.basis):
+            ((delta, e, a),) = lay.p1_rows[kid]
+            assert rel[1][kid] == (a, kid + delta) and e == 0
+            for j in range(2, n + 1):
+                s1, k1 = rel[j - 1][kid]
+                got = {}
+                for delta, e, a in lay.t_rows[2 * j - 3][lay.kid_shape[k1]]:
+                    s2, k2 = rel[j - 1][k1 + delta]
+                    got[k2, e] = got.get((k2, e), 0) - s1 * a * s2
+                sign, target = rel[j][kid]
+                assert {key: v for key, v in got.items() if v} == {(target, 0): sign}, (index, j)
+            for j in range(1, n + 1):
+                fixes = set(range(1, j + 1)) <= set(index.B)
+                assert (rel[j][kid] == (1, kid)) == fixes, (index, j)
+                fixed += fixes
+        # b is fixed by P_1..P_m for the longest run 1..m at the head of B
+        assert fixed == sum(
+            next(m for m in range(n + 1) if m == len(i.B) or i.B[m] != m + 1) for i in lay.basis
         )
+        if n <= 4:  # and the public product by the expansion, directly
+            for kid, index in enumerate(lay.basis):
+                b = basis_element(index)
+                for j in range(1, n + 1):
+                    sign, target = rel[j][kid]
+                    assert rmul_gen(b, ("P", j)) == basis_element(lay.basis[target]).scale(sign)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_equal_table_values_are_one_object(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
-        step_tails = [tail for *_, tail in lay.steps]
-        rows = [*itertools.chain.from_iterable(lay.t_rows), *lay.p1_rows, *lay.tails, *step_tails]
+        rows = [*itertools.chain.from_iterable(lay.t_rows), *lay.p1_rows]
         seen, monomials = {}, {}
         entries = 0
         for row in rows:
@@ -799,9 +777,8 @@ class TestKeyIds:
             for m in row:
                 assert monomials.setdefault(m, m) is m
                 entries += 1
-        assert all(seen.setdefault(step, step) is step for step in lay.steps)
-        # the sharing is real: 1,918 entries hold 430 monomials at n = 4, and
-        # 16,995 hold 3,231 at n = 5
+        # the sharing is real: 959 entries hold 102 monomials at n = 4, and
+        # 6,634 hold 348 at n = 5
         assert 4 * len(monomials) < entries
         algebra.clear_caches()
 
@@ -813,128 +790,127 @@ class TestKeyIds:
         for kid, row in enumerate(lay.p1_rows):
             # the reference as the rows store it: id deltas and powers of q
             want = {
-                (lay.kid(*key) - kid, q_exp(e)): a
-                for key, s in reference_rmul_P1_key(*lay.key(kid)).items()
+                (lay.kids[target] - kid, q_exp(e)): a
+                for target, s in reference_rmul_basis(lay.basis[kid], ("P", 1)).items()
                 for e, a in s.items()
             }
             assert len(row) == len(want) and {(t, e): a for t, e, a in row} == want
         algebra.clear_caches()
+        reference_rmul_P1_key.cache_clear()
         reference_lmul_T_key.cache_clear()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_t_rows_match_the_hecke_product(self, n):
+        # a T row depends on the shape (B, w) alone: the reference is taken at
+        # the first basis element of each shape, and the row, applied at every
+        # id of the shape, must give it with A carried along
         lay = algebra._layout(n)
-        for slot, rows in enumerate(lay.t_rows):
-            i, inv = slot // 2 + 1, slot % 2 == 1
-            for (k, d), row in zip(lay.shapes, rows):
-                # the reference as the rows store it, monomial order included
-                want = tuple(
-                    (lay.index[k][d2] - lay.index[k][d], q_exp(e), a)
-                    for d2, const in reference_rmul_T_key(k, d, i, inv)
-                    for e, a in const
-                )
-                assert row == want, (k, d, i, inv)
+        letters = [("T", i, e) for i in range(1, n) for e in (1, -1)]
+        want = {}
+        for kid, index in enumerate(lay.basis):
+            shape = lay.kid_shape[kid]
+            for slot, letter in enumerate(letters):
+                if (shape, slot) not in want:
+                    want[shape, slot] = {
+                        (target.B, target.w, q_exp(e)): a
+                        for target, s in reference_rmul_basis(index, letter).items()
+                        for e, a in s.items()
+                    }
+                row = lay.t_rows[slot][shape]
+                got = {}
+                for delta, e, a in row:
+                    target = lay.basis[kid + delta]
+                    assert target.A == index.A
+                    got[target.B, target.w, e] = a
+                assert len(got) == len(row) and got == want[shape, slot], (index, letter)
+        assert len(want) == (max(lay.kid_shape) + 1) * len(letters)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_left_rule_matches_the_hecke_product(self, n):
+        # `_t_move` rests on T_i T_B in the Hecke algebra of S_n: T_B' or
+        # (q-1) T_B + q T_B' for a shuffle B', or else T_B T_j for the simple
+        # s_j = beta^-1 s_i beta
         lay = algebra._layout(n)
-        for kid in range(len(lay.kid_A)):
-            A, d = lay.key(kid)
+        for B, w in {(index.B, index.w) for index in lay.basis}:
+            k = len(B)
+            beta = algebra._subset_perm(n, B)
             for i in range(1, n):
-                # `t_left` reads and writes absolute ids and powers of q
-                want = {
-                    (lay.kid(*key), q_exp(e)): a
-                    for key, s in reference_lmul_T_key(i, A, d).items()
-                    for e, a in s.items()
-                }
-                got = lay.t_left(((kid, 0, 1),), i)
-                assert len(got) == len(want) and {(t, e): a for t, e, a in got} == want
-        if n <= 4:  # whole rows: scaled terms, shared targets and cancellation
-            for kid, deltas in enumerate(lay.p1_rows):
-                row = tuple((kid + delta, e, a) for delta, e, a in deltas)
-                elem = {}
-                for t, e, a in row:
-                    accumulate(elem, lay.key(t), LaurentScalar({2 * e: a}))
-                for i in range(1, n):
-                    want = {
-                        (lay.kid(*key), q_exp(e)): a
-                        for key, s in reference_lmul_T(elem, i).items()
-                        for e, a in s.items()
-                    }
-                    got = lay.t_left(row, i)
-                    assert len(got) == len(want) and {(t, e): a for t, e, a in got} == want
-
-    @pytest.mark.parametrize("n, applications", [(4, 174), (5, 1820)])
-    def test_p1_rows_cost_one_group_of_left_letters_each(self, monkeypatch, n, applications):
-        # a recursive row applies a_j - j letters to its parent's row, a base
-        # row (A = 1..k) m - k - 1 letters to the closed form, any other none;
-        # a full-word replay would apply far more
-        algebra.clear_caches()
-        count = 0
-        true_left = algebra._Layout.t_left
-
-        def counting(lay, row, i):
-            nonlocal count
-            count += 1
-            return true_left(lay, row, i)
-
-        monkeypatch.setattr(algebra._Layout, "t_left", counting)
-        lay = algebra._layout(n)
-        want = 0
-        for k in range(1, n + 1):
-            for A in itertools.combinations(range(1, n + 1), k):
-                j = next((j for j, a in enumerate(A, 1) if a > j), 0)
-                for d in lay.index[k]:
-                    if d[0] > k:
-                        want += A[j - 1] - j if j else d[0] - k - 1
-        assert count == want == applications
-        algebra.clear_caches()
+                case, B2, w2 = algebra._t_move(B, w, i)
+                left = hecke_lmul_letter({beta: ONE}, i)
+                if B2 != B:  # cases (a) and (b)
+                    beta2 = algebra._subset_perm(n, B2)
+                    assert w2 == w and case in (1, 2)
+                    assert left == ({beta2: ONE} if case == 2 else {beta: Q_MINUS_1, beta2: Q})
+                    continue
+                j = pinverse(beta)[i - 1]
+                assert left == hecke_rmul_letter({beta: ONE}, j, inv=False), (B, i)
+                if j < k:  # P_k T_j^-1 = -P_k, and s_j commutes with w
+                    assert (case, w2) == (0, w)
+                else:  # T_w T_j^-1 is T_{w s_j} on a descent
+                    assert w2 == apply_right_s(w, j) and case == (2 if w[j - 1] > w[j] else 1)
 
     @pytest.mark.parametrize("n, attained", [(2, 3), (3, 9), (4, 27)])
     def test_rank_gains_bound_every_unit_key(self, n, attained):
-        # the slot width rests on G_elim and G_P1, the offset on neither P_1
-        # nor elimination lowering an exponent; the largest elimination mass a
-        # unit key reaches is far below G_elim for n >= 3
+        # a unit key T_A P_k T_d of the working basis (d minimal in S_k \ S_n)
+        # is the basis element (A, 1..k, 1) times the word of T_d; the gain
+        # `_word_bounds` gives that word (3 per T letter, 1 for a P_1 after
+        # it) bounds the l1 mass of the key and of its P_1 product in the
+        # standard basis, and neither lowers an exponent; the largest mass a
+        # unit key reaches is 3^(n-1)
+        identity = tuple(range(1, n + 1))
+        key_mass = []
+        for k in range(n + 1):
+            for d in sorted({absorb(k, u)[1] for u in itertools.permutations(identity)}):
+                word = tuple(("T", i, 1) for i in reduced_word(d))
+                for A in itertools.combinations(identity, k):
+                    unit = basis_element(idx(A, identity[:k], identity))
+                    working = {(A, d): ONE}
+                    p1 = reference_rmul_letter(working, ("P", 1))
+                    for letters, welem in ((word, working), (word + (("P", 1),), p1)):
+                        want = greedy_to_standard(welem)
+                        got = unit
+                        for lt in letters:
+                            got = rmul_gen(got, lt)
+                        assert got.terms == want, (A, d, letters)
+                        gain, drop = algebra._word_bounds(letters)
+                        mass = sum(c.l1_norm() for c in want.values())
+                        assert mass <= gain and drop == 0
+                        assert min(c.min_exp() for c in want.values()) >= 0
+                    key_mass.append(sum(c.l1_norm() for c in greedy_to_standard(working).values()))
+        assert max(key_mass) == attained
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_letter_gains_bound_every_row(self, n):
+        # the slot width rests on an l1 mass of at most 3 per T^+-1 row and of
+        # 1 per P_1 row, the offset on one power of q per T^-1 row at most;
+        # all three are attained
         lay = algebra._layout(n)
-        g_p1, g_elim = lay.g_p1, lay.g_elim
-        elim_mass, p1_mass, p1_low = [], [], []
-        for u in itertools.permutations(range(1, n + 1)):
-            for k in range(n + 1):
-                _, d = algebra._absorb(k, u)
-                for A in itertools.combinations(range(1, n + 1), k):
-                    out = greedy_to_standard({(A, d): ONE}).values()
-                    elim_mass.append(sum(c.l1_norm() for c in out))
-                    assert min(c.min_exp() for c in out) >= 0
-                    row = reference_rmul_letter({(A, d): ONE}, ("P", 1)).values()
-                    p1_mass.append(sum(c.l1_norm() for c in row))
-                    p1_low.append(min(c.min_exp() for c in row))
-        assert max(elim_mass) == attained <= g_elim
-        assert max(p1_mass) == g_p1
-        assert min(p1_low) >= 0
+        for inv in (0, 1):
+            rows = [row for slot in lay.t_rows[inv::2] for row in slot]
+            assert max(sum(abs(a) for *_, a in row) for row in rows) == 3
+            assert min(e for row in rows for _, e, _ in row) == -inv
+        assert {(len(row), row[0][1], abs(row[0][2])) for row in lay.p1_rows} == {(1, 0, 1)}
 
 
 class TestEvenExponentInvariant:
-    """Every engine table stores powers of q; `_layout` refuses a P_1 row or step with a q^-1."""
+    """Every engine table stores powers of q; `_layout` refuses a row that lowers q too far."""
 
-    @pytest.mark.parametrize("name", ["_p1_closed_form", "_standard_step"])
-    def test_negative_power_of_q_raises_at_build(self, monkeypatch, name):
-        # a P_1 row or an elimination step with a q^-1 term would lower the
-        # offset that `_product` derives without them
-        true_builder = getattr(algebra, name)
+    @pytest.mark.parametrize("inv", [0, 1], ids=["T", "T^-1"])
+    def test_negative_power_of_q_raises_at_build(self, monkeypatch, inv):
+        # a T row with a q^-1 term or a T^-1 row with a q^-2 term would lower
+        # the offset that `_product` derives from the T^-1 letters alone
+        true_rows = algebra._t_rows
         calls = []
 
-        def with_q_inverse(*args):
-            calls.append(args)
-            result = true_builder(*args)
-            if len(calls) > 1:
-                return result
-            if name == "_p1_closed_form":
-                (kid, _, a), *others = result
-                return ((kid, -1, a), *others)
-            ld, _, a, tail = result
-            return ld, -1, a, tail
+        def lowering(case, delta):
+            calls.append(case)
+            rows = list(true_rows(case, delta))
+            if len(calls) == 1:
+                (t, e, a), *others = rows[inv]
+                rows[inv] = ((t, e - 1 - inv, a), *others)
+            return tuple(rows)
 
-        monkeypatch.setattr(algebra, name, with_q_inverse)
+        monkeypatch.setattr(algebra, "_t_rows", lowering)
         algebra._layout.cache_clear()
         try:
             with pytest.raises(algebra.NegativeExponentError):
@@ -943,10 +919,26 @@ class TestEvenExponentInvariant:
         finally:
             algebra._layout.cache_clear()
 
+    def test_a_beta_that_is_not_a_shuffle_raises_at_build(self, monkeypatch):
+        # with B = {1, 2, 3} read as beta = (1 3 2 4), T_1 finds the values 1
+        # and 2 at positions 1 and 3: beta^-1 s_1 beta is no simple reflection
+        true_perm = algebra._subset_perm
+
+        def wrong(n, A):
+            return (1, 3, 2, 4) if (n, A) == (4, (1, 2, 3)) else true_perm(n, A)
+
+        monkeypatch.setattr(algebra, "_subset_perm", wrong)
+        algebra._layout.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="not a simple"):
+                algebra._layout(4)
+        finally:
+            algebra._layout.cache_clear()
+
     def test_tables_store_powers_of_q(self):
-        # T_1 on the unit key of P_0 T_{s_1} is (q-1) T_{s_1} + q T_1
+        # T_1 on the basis element T_{s_1} is (q-1) T_{s_1} + q T_1
         lay = algebra._layout(2)
-        row = lay.t_rows[0][lay.kid_shape[lay.kid((), (2, 1))]]
+        row = lay.t_rows[0][lay.kid_shape[lay.kids[idx((), (), (2, 1))]]]
         assert sorted(row) == [(-1, 1, 1), (0, 0, -1), (0, 1, 1)]
 
 

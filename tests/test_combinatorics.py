@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from permutation_reference import pcompose, plength
 from mirhecke.combinatorics import (
     BasisIndex,
     _n_rearrangements,
@@ -9,9 +10,7 @@ from mirhecke.combinatorics import (
     kostka,
     partitions_of,
     partitions_up_to,
-    pcompose,
     pinverse,
-    plength,
     reduced_word,
     standard_basis,
     standard_basis_count,
