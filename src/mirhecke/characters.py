@@ -10,11 +10,11 @@ lam/nu of size t <= m, with components c, from lambda:
 
 with the base case chi[lam](empty) = [lam == empty].
 
-For each (lam, m, variant) the list of (nu, |nu|, g * strip_weight) is built
-once by `symfun.transitions`, the table the strip Pieri rule reads too, so the
-Pieri brute-force check validates the very coefficients used here; it
-filters one strip enumeration per lam and reads coefficients memoized by
-strip shape.
+The list of (nu, |nu|, g * strip_weight) of one (lam, m, variant) comes from
+`symfun.transitions`, which the strip Pieri rule reads too, so the Pieri
+brute-force check validates the very coefficients used here; it filters one
+strip enumeration per lam and reads coefficients memoized by strip shape.
+A table build reads it once for each (lam, m) that a column applies.
 
 The table is built by columns.  Partitions of size <= n get dense ids, their
 positions in `partitions_up_to(n)`; that order is graded by size, so the
@@ -24,8 +24,12 @@ comes earlier.  Each step removes at most m boxes, so chi[nu](rest) = 0
 whenever |nu| > |rest|; a column of mu therefore holds only the ids with
 |lam| <= |mu|, every larger lam reads as zero, and the sum over the strips
 stops at the first nu id past the column of rest.  The strips of one
-(lam, m) are read once into an id-row of (nu id, packed coefficient, shift),
-sorted by nu id.
+(lam, m) are read once into an id-row of (nu id, j), sorted by nu id, where
+j is the position of the coefficient among the distinct coefficients of the
+build.  B and E below are read off these id-rows (`_bounds`), so the rows
+bounded are the rows applied; then each distinct coefficient is packed
+once, as (packed value, shift), and a column applies each id-row through
+that list.
 
 Values are plain ints (Kronecker substitution, see `ring.pack`) in q-slots:
 every transition coefficient lies in Z[q, q^-1], an entry x is stored as
@@ -35,9 +39,10 @@ as c(q = 2^B) * 2^(B*d), and a product is (x * c) >> (d*B), as
 A coefficient with an odd power of v raises ValueError when it is packed.
 B and E are fixed a priori, before any value is computed:
 
-- M[m] is the largest sum of |c|_1 over the strips of one (lam, m), and s(m)
+- M[m] is the largest sum of |c|_1 over the id-row of one (lam, m), and s(m)
   the largest depth d of a coefficient for m, both over the lam that some
-  column with last part m reads (|lam| <= the largest |mu| ending in m);
+  column with last part m reads (|lam| <= the largest |mu| ending in m),
+  which are exactly the lam that have an id-row for m;
 - B = `slot_bits`(max over mu of the product of M[m] over the parts m of mu)
   and E = max over mu of the sum of s(m) over its parts.
 
@@ -170,28 +175,21 @@ def _q_depth(c: LaurentScalar) -> int:
     return max(0, -(c.min_exp() // 2))
 
 
-def _bounds(n: int, variant: str) -> tuple[int, int]:
-    """(B, E): the slot width and the q-offset of every packed value of the rank-n
-    table, from the transition coefficients alone (see the module docstring)."""
-    labels = partitions_up_to(n)
-    top = [0] * (n + 1)  # the largest |mu| with last part m: rows (lam, m) are read for |lam| <= top[m]
-    for mu in labels[1:]:
-        top[mu[-1]] = max(top[mu[-1]], sum(mu))
-    mass = [0] * (n + 1)  # M[m]: the largest sum of |c|_1 over one transitions(lam, m)
-    depth = [0] * (n + 1)  # s(m): the largest _q_depth of any coefficient for m
-    seen: dict = {}  # distinct coefficient -> (|c|_1, depth)
-    for m in range(1, n + 1):
-        for lam in labels:
-            if sum(lam) > top[m]:
-                break
-            total = 0
-            for _, _, c in transitions(lam, m, variant):
-                data = seen.get(c)
-                if data is None:
-                    data = seen[c] = (c.l1_norm(), _q_depth(c))
-                total += data[0]
-                depth[m] = max(depth[m], data[1])
-            mass[m] = max(mass[m], total)
+def _bounds(rows: dict, coeffs: list, labels: list) -> tuple[int, int]:
+    """(B, E): the slot width and the q-offset of every packed value of the table,
+    from the id-rows its columns apply (see the module docstring).
+
+    rows[m][i] is the id-row of (labels[i], m), of (nu id, position in coeffs),
+    for each id i that some column with last part m reads; labels are the
+    partitions mu.
+    """
+    norms = [c.l1_norm() for c in coeffs]
+    depths = [_q_depth(c) for c in coeffs]
+    mass = {}  # M[m]: the largest sum of |c|_1 over one id-row for m
+    depth = {}  # s(m): the largest _q_depth of any coefficient for m
+    for m, id_rows in rows.items():
+        mass[m] = max(sum(norms[j] for _, j in row) for row in id_rows)
+        depth[m] = max(depths[j] for row in id_rows for _, j in row)
     bound = offset = 0
     for mu in labels:
         b, s = 1, 0
@@ -203,69 +201,57 @@ def _bounds(n: int, variant: str) -> tuple[int, int]:
     return slot_bits(bound), offset
 
 
-class _Columns:
-    """One build of the rank-n table: partition ids, id-rows and packed columns.
-
-    Ids are positions in `partitions_up_to(n)`, graded by size, so the
-    partitions of size <= k are the ids below `sizes[k]`.  A packed column
-    of mu lists chi[lam](mu) for those ids only: every larger lam is zero.
-    """
-
-    def __init__(self, n: int, variant: str):
-        self.labels = partitions_up_to(n)
-        self.ids = {lam: i for i, lam in enumerate(self.labels)}
-        self.sizes = [0] * (n + 1)
-        for lam in self.labels:
-            self.sizes[sum(lam)] += 1
-        for k in range(1, n + 1):
-            self.sizes[k] += self.sizes[k - 1]
-        self.variant = variant
-        self.bits, self.offset = _bounds(n, variant)
-        self.packed: dict = {}  # distinct coefficient -> (packed, shift in bits)
-        self.rows: dict = {}  # m -> id-rows of the ids 0, 1, ... built so far
-
-    def id_row(self, lid: int, m: int) -> tuple:
-        """(nu id, packed coefficient, shift in bits) for every strip of size <= m of
-        labels[lid], by ascending nu id."""
-        bits = self.bits
-        row = []
-        for nu, _, c in transitions(self.labels[lid], m, self.variant):
-            data = self.packed.get(c)
-            if data is None:
-                depth = _q_depth(c)
-                data = self.packed[c] = (pack(c, bits, depth, 2), depth * bits)
-            row.append((self.ids[nu], *data))
-        row.sort()  # one strip per nu, so by nu id
-        return tuple(row)
-
-    def column(self, rest: list, m: int, count: int) -> list:
-        """The packed column of mu = rest + (m,), ids below count, from the packed column of rest."""
-        rows = self.rows.setdefault(m, [])
-        while len(rows) < count:
-            rows.append(self.id_row(len(rows), m))
-        top = len(rest)
-        col = []
-        for row in rows[:count]:
-            acc = 0
-            for nid, p, shift in row:
-                if nid >= top:
-                    break
-                x = rest[nid]
-                if x:
-                    acc += (x * p) >> shift
-            col.append(acc)
-        return col
+def _column(rest: list, id_rows: list, packed: list, count: int) -> list:
+    """The packed column of mu = rest + (m,), ids below count, from the packed column
+    of rest, the id-rows for m and the packed coefficients."""
+    top = len(rest)
+    col = []
+    for row in id_rows[:count]:
+        acc = 0
+        for nid, j in row:
+            if nid >= top:
+                break
+            x = rest[nid]
+            if x:
+                p, shift = packed[j]
+                acc += (x * p) >> shift
+        col.append(acc)
+    return col
 
 
 @cache
 def _table(n: int, variant: str) -> dict:
     """{(lam, mu): chi[lam](mu)} for |lam|, |mu| <= n, built column by column on packed ints."""
-    build = _Columns(n, variant)
-    labels, ids, bits, offset = build.labels, build.ids, build.bits, build.offset
+    labels = partitions_up_to(n)
+    ids = {lam: i for i, lam in enumerate(labels)}
+    below = [0] * (n + 1)  # the partitions of size <= k are the ids below below[k]
+    for lam in labels:
+        below[sum(lam)] += 1
+    for k in range(1, n + 1):
+        below[k] += below[k - 1]
+    reads = [0] * (n + 1)  # the columns with last part m read the ids below reads[m]
+    for mu in labels[1:]:
+        reads[mu[-1]] = max(reads[mu[-1]], below[sum(mu)])
+    positions: dict = {}  # distinct coefficient -> its position
+    rows = {}  # m -> the id-rows of the ids below reads[m], each by ascending nu id
+    for m in range(1, n + 1):
+        rows[m] = [
+            sorted(  # one strip per nu, so by nu id
+                (ids[nu], positions.setdefault(c, len(positions)))
+                for nu, _, c in transitions(lam, m, variant)
+            )
+            for lam in labels[: reads[m]]
+        ]
+    coeffs = list(positions)
+    bits, offset = _bounds(rows, coeffs, labels)
+    packed = []
+    for c in coeffs:
+        depth = _q_depth(c)
+        packed.append((pack(c, bits, depth, 2), depth * bits))
     columns = []
     for mu in labels:
         if mu:
-            columns.append(build.column(columns[ids[mu[:-1]]], mu[-1], build.sizes[sum(mu)]))
+            columns.append(_column(columns[ids[mu[:-1]]], rows[mu[-1]], packed, below[sum(mu)]))
         else:
             columns.append([1 << bits * offset])  # chi[()](()) = 1
     decoded = {0: ZERO}

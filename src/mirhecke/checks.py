@@ -59,10 +59,10 @@ from .ring import (
 
 def basis_pairs(n: int, slow: bool = False):
     """Basis pairs for `psi_multiplicative`: all of them for n <= 3, 200 drawn from
-    random.Random(0) at n = 4, 10 above that when `slow`, else None."""
+    random.Random(0) at n = 4, 10 at n = 5 and, when `slow`, above it, else None."""
     if n <= 3:
         return list(itertools.product(iter_standard_basis(n), repeat=2))
-    count = 200 if n == 4 else 10 if slow else 0
+    count = 200 if n == 4 else 10 if n == 5 or slow else 0
     if not count:
         return None
     basis = list(iter_standard_basis(n))
@@ -372,7 +372,7 @@ def _relations(n: int, r: int, variant: str, slow: bool):
 def _oracle(n: int, r: int, variant: str, slow: bool):
     pairs = basis_pairs(n, slow)
     if pairs is None:
-        yield "psi multiplicative on basis pairs", "skip", "rank >= 5: rerun with --slow"
+        yield "psi multiplicative on basis pairs", "skip", "rank >= 6: rerun with --slow"
     else:
         yield _ran(f"psi multiplicative on {len(pairs)} basis pairs", psi_multiplicative(pairs, r))
     yield _ran("character recursion matches trace oracle", recursion_matches_oracle(n, r, variant))

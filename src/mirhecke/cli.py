@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 success (for `verify`: every check ran and passed), 1 a check
 failed (for `verify`, a JSON report of the failed checks on stdout),
 2 malformed arguments, 3 `verify` only: no check failed but some were
-skipped (rank >= 5 without --slow).
+skipped (rank >= 6 without --slow).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", choices=checks.SUITES + ("all",), default="all"
     )
     p_verify.add_argument("--g-variant", choices=symfun.G_VARIANTS, default="oracle")
-    p_verify.add_argument("--slow", action="store_true", help="include rank-5 oracle items")
+    p_verify.add_argument("--slow", action="store_true", help="include the rank >= 6 oracle items")
     return parser
 
 

@@ -17,15 +17,17 @@ The character theory lives in two one-parameter families evaluated at
 They are exchanged by q -> q^-1 up to the factor (-q)^(m-1); that identity
 and the generating-function description are exposed as exact checks.  The
 strip Pieri rule `pieri_qtilde` expands qtilde * schur through `transitions`,
-the cached strip weights times transition coefficients `g_coeff` (two
-variants, see `G_VARIANTS`) that the character recursion reads too, and is
-always verifiable against the brute-force product expansion.
+the strip weights times transition coefficients `g_coeff` (two variants, see
+`G_VARIANTS`) that the character recursion reads too, and is always
+verifiable against the brute-force product expansion.
 
 Per-shape work is done once per process.  `_strips(lam)` enumerates every
 strip of lam once, and `transitions(lam, m, variant)` keeps those of size
-<= m.  A coefficient g(t, m) * strip_weight(t, components) depends only on
-the strip's shape, so `_strip_coeff` memoizes it under (t, components, m,
-variant) (Macdonald, I.3 and III.5; Ram, Invent. Math. 106 (1991)).
+<= m on each call; it holds no memo of its own, since a character table
+reads each (lam, m) once.  A coefficient g(t, m) * strip_weight(t,
+components) depends only on the strip's shape, so `_strip_coeff` memoizes
+it under (t, components, m, variant) (Macdonald, I.3 and III.5; Ram,
+Invent. Math. 106 (1991)).
 """
 
 from __future__ import annotations
@@ -186,46 +188,30 @@ def _to_monomials(p: SymPoly) -> dict:
     return out
 
 
-def _from_monomials(monos: dict, r: int) -> SymPoly:
-    """Fold an exponent-vector dict into partition keys, checking symmetry."""
-    terms: dict[Partition, LaurentScalar] = {}
-    for e, c in monos.items():
-        if not c:
-            continue
-        key = tuple(sorted((a for a in e if a), reverse=True))
-        prev = terms.get(key)
-        if prev is None:
-            terms[key] = c
-        elif prev != c:
-            raise AssertionError(f"asymmetric coefficients on orbit of {key}")
-    total = sum(len(_m_monomials(mu, r)) for mu in terms)
-    if total != sum(1 for c in monos.values() if c):
-        raise AssertionError("incomplete monomial orbit: polynomial is not symmetric")
-    return SymPoly(r, terms)
+def _fold_symmetric(vectors: dict) -> dict:
+    """Fold coefficients on exponent vectors into partition keys, checking symmetry.
 
-
-def _from_compositions(comps: dict) -> dict:
-    """Fold coefficients on compositions into partition keys, checking symmetry.
-
-    `comps` maps a composition alpha (an exponent vector with its zeros
-    removed) to the coefficient of the monomials of that content: a
-    quasisymmetric polynomial in the monomial basis M_alpha (Gessel 1984).  It
-    is symmetric iff all rearrangements of one partition carry the same
-    coefficient, zero included; a rearrangement missing from `comps` counts
-    as zero.  Returns {lam: coefficient} without the zeros.  The coefficients
-    need only compare and test for zero, so packed ints (`ring.pack`) fold
-    as well as scalars.
+    `vectors` maps an exponent vector to a coefficient.  A vector is either a
+    monomial in r variables, zeros kept, or a composition alpha, zeros
+    removed, standing for the monomials of that content: a quasisymmetric
+    polynomial in the monomial basis M_alpha (Gessel 1984).  Zero
+    coefficients are dropped first, so a missing vector counts as zero.  The
+    rest is symmetric iff the vectors with the same sorted nonzero parts lam
+    carry one coefficient and make up the whole rearrangement orbit, of
+    `_n_rearrangements(lam, len(vector))` vectors.  Returns {lam: coefficient}.
+    The coefficients need only compare and test for zero, so packed ints
+    (`ring.pack`) fold as well as scalars.
     """
     groups: dict = {}
-    for alpha, c in comps.items():
-        groups.setdefault(tuple(sorted(alpha, reverse=True)), []).append(c)
-    terms: dict = {}
-    for lam, cs in groups.items():
-        c = cs[0]
-        if any(d != c for d in cs) or (c and len(cs) != _n_rearrangements(lam, len(lam))):
-            raise AssertionError(f"asymmetric coefficients on rearrangements of {lam}")
+    for e, c in vectors.items():
         if c:
-            terms[lam] = c
+            groups.setdefault(tuple(sorted((a for a in e if a), reverse=True)), []).append((e, c))
+    terms: dict = {}
+    for lam, group in groups.items():
+        (e, c), *others = group
+        if any(d != c for _, d in others) or len(group) != _n_rearrangements(lam, len(e)):
+            raise AssertionError(f"asymmetric coefficients on rearrangements of {lam}")
+        terms[lam] = c
     return terms
 
 
@@ -242,7 +228,7 @@ def mul_sym(p: SymPoly, q: SymPoly) -> SymPoly:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-    return _from_monomials(out, p.r)
+    return SymPoly(p.r, _fold_symmetric(out))
 
 
 def schur_expand(p: SymPoly) -> dict:
@@ -343,7 +329,7 @@ def g_poly(m: int, r: int) -> SymPoly:
             if v <= r:
                 expo[v - 1] += 1
         accumulate(monos, tuple(expo), coeff)
-    return _from_monomials(monos, r)
+    return SymPoly(r, _fold_symmetric(monos))
 
 
 def _bar_coeffs(p: SymPoly) -> SymPoly:
@@ -386,7 +372,7 @@ def qtilde_from_sequences(m: int, r: int) -> SymPoly:
             if v <= r:
                 expo[v - 1] += 1
         accumulate(monos, tuple(expo), coeff)
-    return _from_monomials(monos, r)
+    return SymPoly(r, _fold_symmetric(monos))
 
 
 def hl_q_from_generating(m: int, r: int) -> SymPoly:
@@ -416,7 +402,7 @@ def hl_q_from_generating(m: int, r: int) -> SymPoly:
                         e = tuple(x + y for x, y in zip(e1, e2))
                         accumulate(new[d1 + d2], e, a1 * a2)
         series = new
-    return _from_monomials(series[m], r)
+    return SymPoly(r, _fold_symmetric(series[m]))
 
 
 def check_generating(m: int, r: int) -> bool:
@@ -517,7 +503,6 @@ def _strip_coeff(size: int, components: tuple, m: int, variant: str) -> LaurentS
     return g_coeff(size, m, variant) * strip_weight(size, components)
 
 
-@cache
 def transitions(lam: Partition, m: int, variant: str) -> tuple:
     """(nu, |nu|, g(t, m) * strip_weight(t, components)) for every strip lam/nu of size t <= m.
 

@@ -102,7 +102,7 @@ n = r = 4, 16 of 70 blocks (150 of 625 words); at n = r = 5, 32 of 252
   (Gessel 1984) by the same argument.  That it is symmetric, i.e. that
   rearranged compositions carry equal coefficients, is the Schur-Weyl half,
   and it is computed, not assumed: every composition is summed, and
-  `symfun._from_compositions` raises when two rearrangements of one
+  `symfun._fold_symmetric` raises when two rearrangements of one
   partition differ, zero included.
 
 Traces never build an operator.  D preserves content, so it commutes with
@@ -120,7 +120,7 @@ of X alone, the targets of w's own row (s_i is an involution on words);
 so the last letter is applied to those entries only.  The packed diagonal
 entries are summed per composition, and the sums are folded into
 partitions as packed ints: at a width where every sum decodes, equal ints
-are equal sums, so the rearrangement check of `symfun._from_compositions`
+are equal sums, so the rearrangement check of `symfun._fold_symmetric`
 runs on the ints themselves.  A sum adds at most (r+1)^(n-k) entries of l1
 norm at most 3^L, so the caller passes a width of at least
 slot_bits((r+1)^(n-k) 3^L) (`trace_bound`) plus whatever it sums on top.  `basis_trace` passes exactly that and unpacks
@@ -149,7 +149,7 @@ from functools import cache
 from .algebra import AlgebraElement, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
 from .ring import apply_rows, pack, rank_over_q, slot_bits, unpack
-from .symfun import SymPoly, _from_compositions, schur_expand
+from .symfun import SymPoly, _fold_symmetric, schur_expand
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,8 @@ def _pattern_contents(n: int, r: int) -> tuple:
 def pattern_blocks(n: int, r: int):
     """The sorted words of each representative content block: those whose letters
     below r+1 are exactly 1..p, in content order (that of
-    `itertools.combinations_with_replacement`).
+    `itertools.combinations_with_replacement`).  Each is the block's own
+    `words` list (`_block`), which callers only read.
 
     The content with c_i letters i for i = 1..p, p <= min(n, r), and
     n - sum(c) letters r+1 stands for every block that an order-preserving
@@ -240,7 +241,7 @@ def pattern_blocks(n: int, r: int):
     from the composition (c_1..c_p), so the cost does not grow with r.
     """
     for content in _pattern_contents(n, r):
-        yield sorted(set(itertools.permutations(content)))
+        yield _block(content, r).words
 
 
 def suffix_order(words_of: dict) -> list:
@@ -416,7 +417,7 @@ def trace_sums(r: int, idx: BasisIndex, bits: int) -> tuple[int, dict]:
             vec = apply_rows(near, rows, sel, bits)
         total = sum(vec.get(key, 0) for key in diagonal)
         comps[tuple(Counter(a for a in tail if a <= r).values())] = total
-    return offset, _from_compositions(comps)
+    return offset, _fold_symmetric(comps)
 
 
 @cache

@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import Counter
 
 import pytest
 
@@ -37,7 +38,7 @@ from mirhecke.symfun import g_coeff, strip_weight, transitions
 
 
 def clear_character_memos():
-    for memo in (characters._table, symfun.transitions, symfun._strips, symfun._strip_coeff):
+    for memo in (characters._table, symfun._strips, symfun._strip_coeff):
         memo.cache_clear()
 
 
@@ -237,13 +238,24 @@ class TestCharacterTable:
                     for mu in labels:
                         assert table.entries[(lam, mu)] == reference_chi(lam, mu, variant), (n, lam, mu)
 
-    def test_bounds_cover_every_entry_and_product(self):
-        # B decodes every entry; E reaches below the lowest q-exponent of every
-        # product c * chi[nu](rest) the recursion sums (v-exponents are 2 * q)
+    def test_bounds_cover_every_entry_and_product(self, monkeypatch):
+        # the B and E that `_bounds` gives a build decode every entry, and E
+        # reaches below the lowest q-exponent of every product c * chi[nu](rest)
+        # the recursion sums (v-exponents are 2 * q)
+        found = []
+        real_bounds = characters._bounds
+
+        def bounds_spy(rows, coeffs, labels):
+            found.append(real_bounds(rows, coeffs, labels))
+            return found[-1]
+
+        monkeypatch.setattr(characters, "_bounds", bounds_spy)
         for variant in ("oracle", "paper"):
             for n in range(1, 11):
-                bits, offset = characters._bounds(n, variant)
+                characters._table.cache_clear()
+                found.clear()
                 table = character_table(n, variant)
+                ((bits, offset),) = found
                 entries = table.entries
                 widest = max(abs(a) for x in entries.values() for _, a in x.items())
                 assert widest < 1 << (bits - 1), (n, variant)
@@ -262,31 +274,61 @@ class TestCharacterTable:
                     assert lowest < 0  # the bound is exercised, not vacuous
 
     def test_bounds_read_every_row_the_columns_read(self, monkeypatch):
-        # B and E are sound only if M[m] and s(m) range over every (lam, m) a column reads
-        read = {True: set(), False: set()}
-        in_bounds = [False]
+        # B and E are sound only if M[m] and s(m) range over every (lam, m) a
+        # column reads: each build hands `_bounds` an id-row for every such row
+        read, bounded = set(), []
         real_transitions, real_bounds = characters.transitions, characters._bounds
 
         def transitions_spy(lam, m, variant):
-            read[in_bounds[0]].add((lam, m, variant))
+            read.add((lam, m))
             return real_transitions(lam, m, variant)
 
-        def bounds_spy(n, variant):
-            in_bounds[0] = True
-            try:
-                return real_bounds(n, variant)
-            finally:
-                in_bounds[0] = False
+        def bounds_spy(rows, coeffs, labels):
+            bounded.append({(labels[i], m) for m, id_rows in rows.items() for i in range(len(id_rows))})
+            return real_bounds(rows, coeffs, labels)
 
         monkeypatch.setattr(characters, "transitions", transitions_spy)
         monkeypatch.setattr(characters, "_bounds", bounds_spy)
         for variant in ("oracle", "paper"):
             for n in range(1, 10):
                 characters._table.cache_clear()
-                read[True].clear()
-                read[False].clear()
-                character_table(n, variant)
-                assert read[False] and read[False] <= read[True], (n, variant)
+                read.clear()
+                bounded.clear()
+                labels = character_table(n, variant).labels
+                want = {(lam, mu[-1]) for mu in labels[1:] for lam in labels if sum(lam) <= sum(mu)}
+                assert read == want, (n, variant)
+                assert bounded == [want], (n, variant)
+
+    def test_each_column_and_id_row_is_built_once(self, monkeypatch):
+        # a build reads transitions once per (lam, m) that a column applies and
+        # builds one column per nonempty mu (the empty one is the base case);
+        # repeated tables and single characters reuse the build
+        calls, columns = Counter(), []
+        real_transitions, real_column = characters.transitions, characters._column
+
+        def transitions_spy(lam, m, variant):
+            calls[(lam, m, variant)] += 1
+            return real_transitions(lam, m, variant)
+
+        def column_spy(rest, id_rows, packed, count):
+            columns.append(count)
+            return real_column(rest, id_rows, packed, count)
+
+        monkeypatch.setattr(characters, "transitions", transitions_spy)
+        monkeypatch.setattr(characters, "_column", column_spy)
+        for variant in ("oracle", "paper"):
+            for n in (4, 6):
+                characters._table.cache_clear()
+                calls.clear()
+                columns.clear()
+                for _ in range(2):
+                    labels = character_table(n, variant).labels
+                    for lam in labels:
+                        for mu in labels:
+                            mn_character(n, lam, mu, variant)
+                want = {(lam, mu[-1]) for mu in labels[1:] for lam in labels if sum(lam) <= sum(mu)}
+                assert calls == Counter({(lam, m, variant): 1 for lam, m in want}), (n, variant)
+                assert len(columns) == len(labels) - 1, (n, variant)
 
     def test_odd_power_of_v_is_refused(self, monkeypatch):
         real = characters.transitions
@@ -300,35 +342,6 @@ class TestCharacterTable:
             character_table(3)
         with pytest.raises(ValueError, match="multiple of 2"):
             mn_character(2, (1,), (1,))
-
-    def test_each_column_and_id_row_is_built_once(self, monkeypatch):
-        columns, rows = [], []
-        real_column, real_row = characters._Columns.column, characters._Columns.id_row
-
-        def column(build, rest, m, count):
-            columns.append((len(build.labels), build.variant))
-            return real_column(build, rest, m, count)
-
-        def id_row(build, lid, m):
-            rows.append((len(build.labels), build.variant, lid, m))
-            return real_row(build, lid, m)
-
-        monkeypatch.setattr(characters._Columns, "column", column)
-        monkeypatch.setattr(characters._Columns, "id_row", id_row)
-        clear_character_memos()
-        for _ in range(2):
-            for variant in ("oracle", "paper"):
-                for n in (4, 6):
-                    labels = character_table(n, variant).labels
-                    for lam in labels:
-                        for mu in labels:
-                            mn_character(n, lam, mu, variant)
-        for variant in ("oracle", "paper"):
-            for n in (4, 6):
-                # one column per nonempty mu; the empty column is the base case
-                size = len(partitions_up_to(n))
-                assert columns.count((size, variant)) == size - 1
-        assert rows and len(rows) == len(set(rows))
 
     def test_json_shape(self):
         obj = character_table(2).to_json()

@@ -243,8 +243,12 @@ class TestVerify:
         assert code == 0
         assert "r=3" in out
 
-    def test_skip_is_not_a_failure(self, capsys):
-        # rank 5 skips multiplicativity without --slow; everything else passes
+    def test_skip_is_not_a_failure(self, capsys, monkeypatch):
+        # multiplicativity has no pairs at rank >= 6 without --slow and is skipped;
+        # rank 5 runs its 10 pairs by default.  A skip is not a failure
+        assert len(checks.basis_pairs(5)) == 10 and checks.basis_pairs(6) is None
+        assert len(checks.basis_pairs(6, slow=True)) == 10
+        monkeypatch.setattr(checks, "basis_pairs", lambda n, slow=False: None)
         code, out = run_cli(capsys, "verify", "--n", "5", "--suite", "oracle")
         assert code == 3
         assert "[SKIP]" in out and "1 skipped" in out

@@ -6,6 +6,7 @@ edge, including imports made inside functions.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,38 @@ def test_ring_keeps_no_memo():
     # from a table's adjugate, so `ring` itself stays stateless
     memos = [name for name, value in vars(mirhecke.ring).items() if hasattr(value, "cache_info")]
     assert not memos, memos
+
+
+MEMOS = {
+    "algebra._basis_data",
+    "algebra._layout",
+    "algebra._pi_expansion",
+    "algebra._subset_perm",
+    "characters._class_map",
+    "characters._table",
+    "cli._parser",
+    "combinatorics.kostka",
+    "combinatorics.partitions_of",
+    "symfun._m_monomials",
+    "symfun._strip_coeff",
+    "symfun._strips",
+    "tensorrep._block",
+    "tensorrep._pattern_contents",
+    "tensorrep._rotated_letters",
+    "tensorrep.basis_trace",
+}
+
+
+def test_memo_census():
+    # every module-level functools memo of the package, by name: adding or
+    # keeping one is an edit to this set
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"mirhecke.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found.add(f"{path.stem}.{name}")
+    assert found == MEMOS
 
 
 PACKED_FORMAT = {"pack", "unpack", "slot_bits"}

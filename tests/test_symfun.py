@@ -7,7 +7,7 @@ from mirhecke.combinatorics import partitions_of, partitions_up_to, strip_remova
 from mirhecke.ring import LaurentScalar, MINUS_ONE, ONE, Q, Q_MINUS_1
 from mirhecke.symfun import (
     SchurExpandError,
-    _from_compositions,
+    _fold_symmetric,
     _to_monomials,
     SymPoly,
     check_generating,
@@ -136,38 +136,65 @@ class TestMul:
 
 
 class TestFromCompositions:
+    # `_fold_symmetric` on compositions: exponent vectors with their zeros removed
     def test_folds_every_composition_of_a_symmetric_polynomial(self):
         for r in (1, 2, 3, 4):
             for lam in partitions_up_to(4):
                 p = schur(lam, r)
                 comps = {tuple(a for a in e if a): c for e, c in _to_monomials(p).items()}
-                assert SymPoly(r, _from_compositions(comps)) == p, (lam, r)
+                assert SymPoly(r, _fold_symmetric(comps)) == p, (lam, r)
 
     def test_zero_coefficients_fold_away(self):
-        got = _from_compositions({(1, 2): Q, (2, 1): Q, (1,): ONE - ONE, (): ONE})
+        got = _fold_symmetric({(1, 2): Q, (2, 1): Q, (1,): ONE - ONE, (): ONE})
         assert got == {(2, 1): Q, (): ONE}
 
     def test_rearrangements_that_differ_raise(self):
         with pytest.raises(AssertionError, match=r"\(2, 1\)"):
-            _from_compositions({(1, 2): Q, (2, 1): Q_MINUS_1})
+            _fold_symmetric({(1, 2): Q, (2, 1): Q_MINUS_1})
 
     def test_zero_beside_a_nonzero_rearrangement_raises(self):
         with pytest.raises(AssertionError):
-            _from_compositions({(1, 2): ONE - ONE, (2, 1): Q})
+            _fold_symmetric({(1, 2): ONE - ONE, (2, 1): Q})
 
     def test_missing_rearrangement_counts_as_zero(self):
         with pytest.raises(AssertionError):
-            _from_compositions({(2, 1, 1): Q, (1, 2, 1): Q})
-        assert _from_compositions({(1, 2): ONE - ONE}) == {}
+            _fold_symmetric({(2, 1, 1): Q, (1, 2, 1): Q})
+        assert _fold_symmetric({(1, 2): ONE - ONE}) == {}
 
 
     def test_packed_ints_fold_and_raise(self):
         # trace sums fold as packed ints: equal ints merge, unequal ones raise
-        assert _from_compositions({(1, 2): 5 << 40, (2, 1): 5 << 40, (1,): 0}) == {(2, 1): 5 << 40}
+        assert _fold_symmetric({(1, 2): 5 << 40, (2, 1): 5 << 40, (1,): 0}) == {(2, 1): 5 << 40}
         with pytest.raises(AssertionError, match=r"\(2, 1\)"):
-            _from_compositions({(1, 2): 5 << 40, (2, 1): 6 << 40})
+            _fold_symmetric({(1, 2): 5 << 40, (2, 1): 6 << 40})
         with pytest.raises(AssertionError):
-            _from_compositions({(1, 2): 0, (2, 1): 1})
+            _fold_symmetric({(1, 2): 0, (2, 1): 1})
+
+
+class TestFoldMonomials:
+    # `_fold_symmetric` on monomials in r variables: exponent vectors with their zeros
+    def test_folds_every_monomial_of_a_symmetric_polynomial(self):
+        for r in (1, 2, 3, 4):
+            for lam in partitions_up_to(4):
+                p = schur(lam, r)
+                assert SymPoly(r, _fold_symmetric(_to_monomials(p))) == p, (lam, r)
+
+    def test_zero_coefficients_fold_away(self):
+        got = _fold_symmetric({(1, 0): Q, (0, 1): Q, (1, 1): ONE - ONE, (0, 0): ONE})
+        assert got == {(1,): Q, (): ONE}
+
+    def test_rearrangements_that_differ_raise(self):
+        with pytest.raises(AssertionError, match=r"\(2, 1\)"):
+            _fold_symmetric({(1, 2, 0): Q, (2, 1, 0): Q, (0, 1, 2): Q, (0, 2, 1): Q,
+                             (1, 0, 2): Q, (2, 0, 1): Q_MINUS_1})
+
+    def test_missing_rearrangement_raises(self):
+        # the zeros count: (1, 0) and (0, 1) are both in the orbit of m_(1)
+        with pytest.raises(AssertionError, match=r"\(1,\)"):
+            _fold_symmetric({(1, 0): Q})
+        with pytest.raises(AssertionError):
+            _fold_symmetric({(1, 0): Q, (0, 1): ONE - ONE})
+        assert _fold_symmetric({(1,): Q}) == {(1,): Q}
 
 
 class TestSchurExpand:

@@ -25,7 +25,7 @@ from mirhecke.ring import (
     slot_bits,
     unpack,
 )
-from mirhecke.symfun import _from_monomials, m_sym, qtilde, qtilde_mu, sym_one
+from mirhecke.symfun import SymPoly, _fold_symmetric, m_sym, qtilde, qtilde_mu, sym_one
 from mirhecke import algebra, checks, tensorrep
 from mirhecke.tensorrep import (
     char_oracle,
@@ -411,7 +411,7 @@ def diagonal_traces(n, r):
                 if c:
                     expo = tuple(sum(k == a for k in w) for a in range(1, r + 1))
                     accumulate(monos[x], expo, unpack(c, bits, offset))
-    return {x: _from_monomials(m, r) for x, m in monos.items()}
+    return {x: SymPoly(r, _fold_symmetric(m)) for x, m in monos.items()}
 
 
 class TestRotatedTraces:
@@ -472,7 +472,7 @@ def reference_trace(r, idx):
         if c:
             expo = tuple(sum(k == a for k in w) for a in range(1, r + 1))
             accumulate(monos, expo, c)
-    return _from_monomials(monos, r)
+    return SymPoly(r, _fold_symmetric(monos))
 
 
 @pytest.mark.usefixtures("fresh_tables")
