@@ -32,9 +32,13 @@ b = (A, B, w), k = |A|, and beta for the permutation of T_B (j -> b_j on
   sigma(D_t) = I_{w(k+t)-k}.  For x = 1..j in ascending order with x not
   in B, let y = sigma(x); multiply by (-1)^(#{a in A: a < y} + #{b in B:
   b < x}) with the current A and B, add y to A and x to B, and drop x from
-  sigma (`_p_relabel`).  So b P_j = b exactly when {1..j} is in B.  The
-  engine stores the map of P_1 and expands each higher idempotent of an
-  input word through P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.
+  sigma.  So b P_j = b exactly when {1..j} is in B.  The engine stores the
+  map of P_1 and expands each higher idempotent of an input word through
+  P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.  At j = 1 the map factors: for
+  1 not in B, r = w(k+1) - k is the rank of y = sigma(1) in [n] - A, the
+  target shape ({1} u B, w') depends on (B, w) alone (`_p1_shape`), and
+  A' = A u {y} with the sign (-1)^(y - r) depends on (A, r) alone
+  (`_p1_subset`).
 
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
 computations stay in even v-exponents, and so do the engine tables, which
@@ -69,33 +73,43 @@ an output for odd exponents: q-slots cannot hold one.  One engine,
 `_product`, serves `mul`, `reduce_word` and `rmul_gen`: it packs x by basis
 id, right-multiplies it by the words of its terms in sorted order (each
 word restarts from the partial product of its longest common prefix with
-the previous word), sums the words and unpacks.
+the previous word), sums the words and unpacks.  A word reaches it resolved
+to the layout's steps, each P_j expanded and its sign folded into the
+packed coefficient.
 
 Ids.  Every basis element of rank n has a dense id, its position in
 `iter_standard_basis(n)`: a shape is a pair (B, w), and every k-subset A
 owns a block of ids, one per shape of size k, in the same order
 (`_Layout`).  Every row names its target by the shift delta = target - id.
 The T^+-1 rows depend only on the shape, so each is built once per shape
-and applies to every A; the P_1 rows change A and are built per id.  One
-kernel, `ring.apply_rows` with `sel` = `kid_shape` for the T rows and the
-ids themselves for the P_1 rows, shifts, signs and accumulates every row
-table.  The same kernel applies the letter rows of tensor space
-(`tensorrep`).  Ids are mapped to and from a BasisIndex only where a
-product enters and leaves the engine.
+and applies to every A; the P_1 rows change A, so there is one per id, each
+assembled from a part per shape and a part per (A, r) with no work per id
+beyond an addition and a lookup.  One kernel, `ring.apply_rows` with `sel`
+= `kid_shape` for the T rows and the ids themselves for the P_1 rows,
+shifts, signs and accumulates every row table.  The same kernel applies
+the letter rows of tensor space (`tensorrep`).  Ids are mapped to and from
+a BasisIndex only where a product enters and leaves the engine.
 
 What is memoized, and where (`clear_caches` empties all of it):
 
 - `_layout(n)` is the one engine state of rank n, complete when it is
   built: `t_rows` (T^+-1, per shape and letter, from `_t_move` and
-  `_t_rows`), `p1_rows` (per id, from `_p_relabel`), `basis` (per id),
-  `kids` (its inverse), `kid_shape` and the `letters` of the rank.  The
-  build does no LaurentScalar arithmetic.  Each distinct monomial and row is
-  one object across all tables.  The tests compare every T row and every
-  P_1 row with a term-by-term Hecke product on LaurentScalar, and every
-  P_j relabel with the product by its expansion.
+  `_t_rows`, with beta^-1 once per subset B), `p1_rows` (per id, from
+  `_p1_shape` per shape and `_p1_subset` per (A, r)), `basis` (per id,
+  made without the BasisIndex checks from the same enumeration as
+  `iter_standard_basis`), `kids` (its inverse), `kid_shape` and the
+  `steps` of the rank, one (slot, rows, sel) per letter.  The build does no
+  LaurentScalar arithmetic.  Each distinct monomial and row is one object
+  across all tables.  The tests compare every T row and every P_1 row with
+  a term-by-term Hecke product on LaurentScalar, and every P_j relabel, as
+  the reference relabel computes it one x at a time, with the product by
+  its expansion.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
-  `_subset_perm` (the permutation of T_B), `_pi_expansion`, and the
-  per-index word and gains `_basis_data` of the terms of y in `mul`.
+  `_pi_expansion`; the steps, sign and gains of a basis word in two parts,
+  `_head_data` per subset A (T_A) and `_tail_data` per shape (P_k T_w
+  T_B^-1), so a shape's word is read and expanded once however many A use
+  it; and their join `_basis_data` per index, for the terms of y in
+  `mul`.
 
 Each table and memo is bounded by the size of the basis times the number
 of generators.  The defining relations are checked through `mul` in
@@ -111,6 +125,7 @@ from typing import Iterable, Iterator
 from .combinatorics import (
     BasisIndex,
     Permutation,
+    _trusted_index,
     apply_right_s,
     fixing_permutations,
     identity_perm,
@@ -189,7 +204,6 @@ class GeneratorWord:
 # ---------------------------------------------------------------------------
 
 
-@cache
 def _subset_perm(n: int, A: tuple[int, ...]) -> Permutation:
     """The permutation of the word T_A: j -> a_j on 1..k, increasing elsewhere."""
     k = len(A)
@@ -214,17 +228,17 @@ def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
     return -1, prev + (("T", j - 1, -1),) + prev
 
 
-def _t_move(B: tuple, w: Permutation, i: int) -> tuple:
+def _t_move(B: tuple, w: Permutation, i: int, beta_inv: Permutation) -> tuple:
     """How T_i meets the shape (B, w), by the rule of the module docstring: (case, B', w').
 
-    Case 0: b T_i^+-1 = -b.  Case 1: b T_i = (A, B', w').  Case 2:
-    b T_i^-1 = (A, B', w').  Raises AssertionError if s_i beta is neither a
-    shuffle permutation nor beta s_j for a simple s_j (then j != k: both
-    positions p < p2 lie on one side of k).
+    beta_inv is the inverse of beta = `_subset_perm(n, B)`, which the caller
+    computes once per subset.  Case 0: b T_i^+-1 = -b.  Case 1:
+    b T_i = (A, B', w').  Case 2: b T_i^-1 = (A, B', w').  Raises
+    AssertionError if s_i beta is neither a shuffle permutation nor beta s_j
+    for a simple s_j (then j != k: both positions p < p2 lie on one side of k).
     """
     k = len(B)
-    inv = pinverse(_subset_perm(len(w), B))
-    p, p2 = inv[i - 1], inv[i]
+    p, p2 = beta_inv[i - 1], beta_inv[i]
     if p > p2:  # (a): i+1 is in B and i is not
         return 1, tuple(i if b == i + 1 else b for b in B), w
     if p <= k < p2:  # (b): i is in B and i+1 is not
@@ -245,41 +259,32 @@ def _t_rows(case: int, delta: int) -> tuple:
     return ((0, 0, -1), (0, 1, 1), (delta, 1, 1)), ((delta, 0, 1),)
 
 
-def _p_relabel(A: tuple, B: tuple, w: Permutation, j: int) -> tuple:
-    """b P_j = sign * (A', B', w') for b = (A, B, w), as (sign, A', B', w').
+def _p1_shape(B: tuple, w: Permutation) -> tuple:
+    """The part of b P_1 that the shape fixes, for b = (A, B, w) with 1 not in B: (r, B', w').
 
-    The signed relabel of the module docstring, on the partial permutation
-    sigma of b; w' lists the ranks in [n] - A' of the images of the
-    remaining domain [n] - B', after the identity on 1..|A'|.
+    sigma(1) = y is the r-th element of [n] - A, r = w(k+1) - k.  P_1 adds 1
+    to B and y to A and drops 1 from sigma, so w' is the identity on 1..k+1
+    followed by the ranks in [n] - A' of the remaining images: each x of
+    w(k+2..n) becomes x + 1, less 1 when its rank x - k in [n] - A is above r.
     """
-    n, k = len(w), len(A)
-    image = [y for y in range(1, n + 1) if y not in A]
-    domain = [x for x in range(1, n + 1) if x not in B]
-    sigma = {x: image[w[t] - k - 1] for t, x in enumerate(domain, k)}
-    A2, B2 = list(A), list(B)
-    sign = 1
-    for x in range(1, j + 1):
-        y = sigma.pop(x, None)
-        if y is not None:
-            if (sum(a < y for a in A2) + sum(b < x for b in B2)) & 1:
-                sign = -sign
-            A2 = sorted(A2 + [y])
-            B2 = sorted(B2 + [x])
-    if len(A2) == k:
-        return sign, A, B, w
-    k = len(A2)
-    rank = {y: r for r, y in enumerate((y for y in range(1, n + 1) if y not in A2), k + 1)}
-    return sign, tuple(A2), tuple(B2), identity_perm(k) + tuple(rank[sigma[x]] for x in sorted(sigma))
+    k = len(B)
+    r = w[k] - k
+    return r, (1,) + B, identity_perm(k + 1) + tuple(x + 1 - (x - k > r) for x in w[k + 1 :])
+
+
+def _p1_subset(n: int, A: tuple, r: int) -> tuple:
+    """The part of b P_1 that A and r fix, for sigma(1) = y the r-th element of [n] - A: (sign, A').
+
+    A' = A u {y}, and the sign (-1)^#{a in A: a < y} of the relabel is
+    (-1)^(y - r), since r - 1 elements of [n] - A lie below y.
+    """
+    y = [x for x in range(1, n + 1) if x not in A][r - 1]
+    return -1 if (y - r) & 1 else 1, tuple(sorted(A + (y,)))
 
 
 # ---------------------------------------------------------------------------
 # the engine on basis ids
 # ---------------------------------------------------------------------------
-
-
-def _letters(n: int) -> list:
-    """One tuple per generator letter of rank n: (T_i, T_i^-1, P_i) at position i."""
-    return [(("T", i, 1), ("T", i, -1), ("P", i)) for i in range(n + 1)]
 
 
 class _Layout:
@@ -294,37 +299,42 @@ class _Layout:
     term a q^e of target id + delta, which `ring.apply_rows` reads; equal
     rows are one shared tuple:
 
-    - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, `_t_rows` of `_t_move`;
-    - `p1_rows[kid]`: P_1, the one monomial (delta, 0, +-1) of `_p_relabel`.
+    - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, `_t_rows` of `_t_move`,
+      with beta^-1 computed once per subset B;
+    - `p1_rows[kid]`: P_1, the one monomial (delta, 0, +-1) of the signed
+      relabel, assembled from `_p1_shape` (once per shape with 1 not in B)
+      and `_p1_subset` (once per k-subset A and rank r); b P_1 = b when 1
+      is in B.
 
     `basis[kid]` is the BasisIndex of an id; `kids` is its inverse and
-    `kid_shape[kid]` its shape id.  No T row has a power of q below 0 and
-    no T^-1 row one below -1, or `NegativeExponentError` is raised: the
-    offset of `_product` counts one power of q per T^-1 letter.
+    `kid_shape[kid]` its shape id.  `steps[slot]` is the step of one letter,
+    (slot, rows, sel) with `apply_rows(elem, rows, sel, unit)` its product:
+    slot 2(i-1) + inv for T_i^{+-1} (sel = `kid_shape`), the last slot for
+    P_1 (sel = the ids).  No T row has a power of q below 0 and no T^-1 row
+    one below -1, or `NegativeExponentError` is raised: the offset of
+    `_product` counts one power of q per T^-1 letter.
     """
 
-    __slots__ = ("n", "kid_shape", "t_rows", "p1_rows", "basis", "kids", "letters")
+    __slots__ = ("n", "kid_shape", "t_rows", "p1_rows", "basis", "kids", "steps")
 
     def __init__(self, n: int):
         universe = range(1, n + 1)
-        shapes: list[tuple] = []
-        first = []  # first[k]: the shape id of the first shape of size k
-        for k in range(n + 1):
-            first.append(len(shapes))
-            ws = list(fixing_permutations(n, k))
-            shapes += [(B, w) for B in itertools.combinations(universe, k) for w in ws]
-        first.append(len(shapes))
+        subsets = [list(itertools.combinations(universe, k)) for k in range(n + 1)]
+        perms = [list(fixing_permutations(n, k)) for k in range(n + 1)]
+        shapes = [list(itertools.product(subsets[k], perms[k])) for k in range(n + 1)]
         # the position of a shape within its size, so within the block of any A
-        local = {shape: s - first[len(shape[0])] for s, shape in enumerate(shapes)}
-        blocks: dict[tuple, int] = {}
+        local = {shape: s for size in shapes for s, shape in enumerate(size)}
+        blocks: dict[tuple, int] = {}  # the first id of each subset A
         self.n = n
         self.basis: list[BasisIndex] = []
         self.kid_shape: list[int] = []
-        for k in range(n + 1):
-            own = range(first[k], first[k + 1])
-            for A in itertools.combinations(universe, k):
+        first = 0  # the shape id of the first shape of size k
+        for k, size in enumerate(shapes):
+            own = range(first, first + len(size))
+            first += len(size)
+            for A in subsets[k]:
                 blocks[A] = len(self.basis)
-                self.basis += [BasisIndex(A, *shapes[s]) for s in own]
+                self.basis += [_trusted_index(A, B, w) for B, w in size]
                 self.kid_shape += own
         self.kids = {idx: kid for kid, idx in enumerate(self.basis)}
         # one object per distinct monomial and row (at n = 5, 61 of 2,608 T rows are distinct)
@@ -337,20 +347,49 @@ class _Layout:
                 shared[got] = got
             return got
 
+        pairs: dict = {}  # (case, delta) -> the checked (T row, T^-1 row)
         self.t_rows = [[] for _ in range(2 * (n - 1))]
-        for B, w in shapes:
-            for i in range(1, n):
-                case, B2, w2 = _t_move(B, w, i)
-                row, inv = _t_rows(case, local[B2, w2] - local[B, w])
-                if min(e for _, e, _ in row) < 0 or min(e for _, e, _ in inv) < -1:
-                    raise NegativeExponentError(f"T_{i} row of shape {(B, w)} lowers q too far")
-                self.t_rows[2 * i - 2].append(intern(row))
-                self.t_rows[2 * i - 1].append(intern(inv))
+        for k, ws in enumerate(perms):
+            for b, B in enumerate(subsets[k]):
+                beta_inv = pinverse(_subset_perm(n, B))
+                for s, w in enumerate(ws, b * len(ws)):
+                    for i in range(1, n):
+                        case, B2, w2 = _t_move(B, w, i, beta_inv)
+                        key = case, local[B2, w2] - s
+                        pair = pairs.get(key)
+                        if pair is None:
+                            row, inv = _t_rows(*key)
+                            if min(e for _, e, _ in row) < 0 or min(e for _, e, _ in inv) < -1:
+                                raise NegativeExponentError(f"T_{i} row of shape {(B, w)} lowers q too far")
+                            pair = pairs[key] = intern(row), intern(inv)
+                        self.t_rows[2 * i - 2].append(pair[0])
+                        self.t_rows[2 * i - 1].append(pair[1])
+        p1: dict = {}  # (delta, sign) -> the P_1 row
         self.p1_rows: list[tuple] = []
-        for kid, idx in enumerate(self.basis):
-            sign, A2, B2, w2 = _p_relabel(idx.A, idx.B, idx.w, 1)
-            self.p1_rows.append(intern(((blocks[A2] + local[B2, w2] - kid, 0, sign),)))
-        self.letters = _letters(n)
+        for k, size in enumerate(shapes):
+            # per shape: (r, shift of the target's position), r = 0 for b P_1 = b
+            parts = []
+            for s, (B, w) in enumerate(size):
+                if 1 in B:
+                    parts.append((0, 0))
+                else:
+                    r, B2, w2 = _p1_shape(B, w)
+                    parts.append((r, local[B2, w2] - s))
+            for A in subsets[k]:
+                # moves[r]: (shift of the block, sign)
+                moves = [(0, 1)]
+                for r in range(1, n - k + 1):
+                    sign, A2 = _p1_subset(n, A, r)
+                    moves.append((blocks[A2] - blocks[A], sign))
+                for r, shift in parts:
+                    block, sign = moves[r]
+                    key = block + shift, sign
+                    row = p1.get(key)
+                    if row is None:
+                        row = p1[key] = intern(((key[0], 0, sign),))
+                    self.p1_rows.append(row)
+        self.steps = [(slot, rows, self.kid_shape) for slot, rows in enumerate(self.t_rows)]
+        self.steps.append((len(self.steps), self.p1_rows, range(len(self.basis))))
 
 
 @cache
@@ -359,19 +398,7 @@ def _layout(n: int) -> _Layout:
     return _Layout(n)
 
 
-def _rmul_letter(lay: _Layout, elem: dict, letter: Letter, unit: int) -> dict:
-    if letter[0] == "T":
-        rows = lay.t_rows[2 * letter[1] - 2 + (letter[2] == -1)]
-        return apply_rows(elem, rows, lay.kid_shape, unit)
-    if letter[1] == 1:
-        return apply_rows(elem, lay.p1_rows, range(len(lay.p1_rows)), unit)
-    sign, word = _pi_expansion(letter[1])
-    for lt in word:
-        elem = _rmul_letter(lay, elem, lt, unit)
-    return {key: -c for key, c in elem.items()} if sign < 0 else elem
-
-
-# -- a priori slot width and offset -----------------------------------------
+# -- words as steps, and their a priori slot width and offset ---------------
 
 
 def _word_bounds(letters: tuple) -> tuple[int, int]:
@@ -391,6 +418,50 @@ def _word_bounds(letters: tuple) -> tuple[int, int]:
     return 3**t, 2 * inv
 
 
+def _word_data(n: int, letters) -> tuple:
+    """(steps, sign, gain, drop) of a generator word of rank n.
+
+    The steps are the layout's, one per letter with each P_j expanded by
+    `_pi_expansion`; the word is sign times their product.  Gain and drop
+    are `_word_bounds`.
+    """
+    table = _layout(n).steps
+    steps = []
+    sign = 1
+    for lt in letters:
+        if lt[0] == "T":
+            steps.append(table[2 * lt[1] - 2 + (lt[2] == -1)])
+            continue
+        s, word = _pi_expansion(lt[1])
+        sign *= s
+        steps += [table[2 * x[1] - 1] if x[0] == "T" else table[-1] for x in word]
+    return tuple(steps), sign, *_word_bounds(letters)
+
+
+@cache
+def _head_data(n: int, A: tuple) -> tuple:
+    """`_word_data` of T_A, the part of a basis word that the subset A fixes (memoized)."""
+    return _word_data(n, [("T", i, 1) for i in _subset_word(A)])
+
+
+@cache
+def _tail_data(n: int, B: tuple, w: Permutation) -> tuple:
+    """`_word_data` of P_k T_w T_B^{-1}, the part of a basis word that the shape fixes (memoized)."""
+    return _word_data(n, _tail_letters(B, w))
+
+
+@cache
+def _basis_data(idx: BasisIndex) -> tuple:
+    """(steps, sign, gain, drop) of `basis_word(idx)`, joined from its two parts (memoized).
+
+    A BasisIndex is validated when it is made, so its word is a valid word
+    of rank idx.n and is not checked again.
+    """
+    head, _, gain, _ = _head_data(idx.n, idx.A)
+    tail, sign, tail_gain, drop = _tail_data(idx.n, idx.B, idx.w)
+    return head + tail, sign, gain * tail_gain, drop
+
+
 def _read(c: LaurentScalar) -> tuple[int, int, bool]:
     """(lowest exponent, l1 norm, all exponents even) of a nonzero scalar, in one pass."""
     lo = None
@@ -404,37 +475,28 @@ def _read(c: LaurentScalar) -> tuple[int, int, bool]:
     return lo, mass, even
 
 
-@cache
-def _basis_data(idx: BasisIndex) -> tuple:
-    """(letters, gain, drop) of a basis index: `basis_word(idx)` and its `_word_bounds` (memoized).
-
-    The letters are the rank's shared letter tuples and are not checked
-    again: a BasisIndex is validated when it is made, and its basis word is
-    then a valid word of rank idx.n.
-    """
-    letters = tuple(_basis_letters(idx, _layout(idx.n).letters))
-    return letters, *_word_bounds(letters)
-
-
 def clear_caches() -> None:
     """Drop all memoized engine state, the id layouts and tables included.
 
     Useful in long-running processes.
     """
-    for fn in (_layout, _basis_data, _subset_perm, _pi_expansion):
+    for fn in (_layout, _basis_data, _head_data, _tail_data, _pi_expansion):
         fn.cache_clear()
 
 
 def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
-    """x * sum c * word over words = [(letters, gain, drop, c), ...] in normal form.
+    """x * sum c * word over words = [(steps, sign, gain, drop, c), ...] in normal form.
 
-    One pass over x and one over the words read every coefficient for the
-    slot width, the offset and the slot unit (q-slots when every
-    coefficient is in Z[q, q^-1], else v-slots); then x is packed by basis
-    id and right-multiplied by the words in sorted order, each starting
-    from the stored partial product of its longest common prefix with the
-    previous word.  The sum is unpacked into an element as it stands: its
-    ids are distinct basis elements of the rank with nonzero coefficients.
+    A word is sign times the product of its steps (`_word_data`).  One pass
+    over x and one over the words read every coefficient for the slot
+    width, the offset and the slot unit (q-slots when every coefficient is
+    in Z[q, q^-1], else v-slots); then x is packed by basis id and
+    right-multiplied by the words in sorted order, each starting from the
+    stored partial product of its longest common prefix with the previous
+    word (steps are shared objects, compared by identity).  The sign of a
+    word is folded into its packed coefficient.  The sum is unpacked into an
+    element as it stands: its ids are distinct basis elements of the rank
+    with nonzero coefficients.
     """
     n = x.n
     if not x.terms or not words:
@@ -452,32 +514,35 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     gain = 0
     low = lo_x
     scaled = []
-    for letters, g, drop, c in words:
+    for steps, sign, g, drop, c in words:
         lo, mass, ev = _read(c)
         gain += mass * g
         # the stack before and after it is scaled by c
         low = min(low, lo_x - drop + min(lo, 0))
         even = even and ev
-        scaled.append((letters, c, max(0, -lo)))
+        scaled.append((steps, sign, c, max(0, -lo)))
     bits = slot_bits(mass_x * gain)
     step = 2 if even else 1  # every exponent, low included, is even when step is 2
     unit = 2 // step * bits  # the shift of one power of q
     offset = -low // step
     stack = [{kids[idx]: pack(c, bits, offset, step) for idx, c in x.terms.items()}]
-    scaled.sort(key=lambda t: t[0])  # by word alone: scalars do not compare
+    # by steps alone, which order by their slot: scalars do not compare
+    scaled.sort(key=lambda t: t[0])
     prev: tuple = ()  # stack[j]: x times prev[:j]
     total: dict = {}
     get = total.get
-    for letters, c, shift in scaled:
+    for steps, sign, c, shift in scaled:
         j = 0
-        while j < len(prev) and j < len(letters) and prev[j] == letters[j]:
+        while j < len(prev) and j < len(steps) and prev[j] is steps[j]:
             j += 1
         del stack[j + 1 :]
-        for lt in letters[j:]:
-            stack.append(_rmul_letter(lay, stack[-1], lt, unit))
-        prev = letters
+        for _, rows, sel in steps[j:]:
+            stack.append(apply_rows(stack[-1], rows, sel, unit))
+        prev = steps
         shift //= step
         cp = pack(c, bits, shift, step)
+        if sign < 0:
+            cp = -cp
         shift *= bits
         for kid, s in stack[-1].items():
             t = (s * cp) >> shift if shift else s * cp if cp != 1 else s
@@ -619,32 +684,31 @@ def t0_element(n: int) -> AlgebraElement:
     return identity_element(n).scale(Q_MINUS_1) - gen_P(n, 1).scale(Q)
 
 
-def _basis_letters(idx: BasisIndex, letters: list) -> list[Letter]:
-    """The letters of T_A P_k T_w T_B^{-1}, taken from `letters` = `_letters(idx.n)`."""
-    out = [letters[i][0] for i in _subset_word(idx.A)]
-    if idx.k >= 1:
-        out.append(letters[idx.k][2])
-    out.extend(letters[i][0] for i in reduced_word(idx.w))
-    for j in range(idx.k, 0, -1):
-        out.extend(letters[t][1] for t in range(j, idx.B[j - 1]))
+def _tail_letters(B: tuple, w: Permutation) -> list[Letter]:
+    """The letters of P_k T_w T_B^{-1}, the part of a basis word after T_A."""
+    k = len(B)
+    out: list[Letter] = [("P", k)] if k else []
+    out += [("T", i, 1) for i in reduced_word(w)]
+    for j in range(k, 0, -1):
+        out += [("T", t, -1) for t in range(j, B[j - 1])]
     return out
 
 
 def basis_word(idx: BasisIndex) -> GeneratorWord:
     """The defining word T_A P_k T_w T_B^{-1} of a standard basis element."""
-    return GeneratorWord(idx.n, _basis_letters(idx, _letters(idx.n)))
+    head = [("T", i, 1) for i in _subset_word(idx.A)]
+    return GeneratorWord(idx.n, head + _tail_letters(idx.B, idx.w))
 
 
 def reduce_word(word: GeneratorWord) -> AlgebraElement:
     """Normal form of a product of generators, starting from the identity."""
-    words = [(word.letters, *_word_bounds(word.letters), ONE)]
-    return _product(identity_element(word.n), words)
+    return _product(identity_element(word.n), [(*_word_data(word.n, word.letters), ONE)])
 
 
 def rmul_gen(x: AlgebraElement, letter: Letter) -> AlgebraElement:
     """Right multiplication x * g for a single generator letter g."""
     letters = GeneratorWord(x.n, [letter]).letters  # validate
-    return _product(x, [(letters, *_word_bounds(letters), ONE)])
+    return _product(x, [(*_word_data(x.n, letters), ONE)])
 
 
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

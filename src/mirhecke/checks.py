@@ -17,8 +17,9 @@ space.  Relations and multiplicativity are both handed to
 outcomes into {check, n, r, status, witness} records, where status is
 "pass", "fail" or "skip".  Tensor space grows as (r+1)^n, so the suites gate
 the expensive items by rank: multiplicativity runs on every basis pair for
-n <= 3, on 200 seeded pairs at n = 4 and on 10 only with `slow` above that;
-image rank and class-polynomial reconstruction run for n <= 3 only.
+n <= 3, on 200 seeded pairs at n = 4, on 10 at n = 5 and on 10 only with
+`slow` above that; image rank and class-polynomial reconstruction run for
+n <= 3 only.
 Multiplicativity holds one weight space of operator columns at a time.
 
 Known defect: for n >= 4 the oracle suite leaves image rank and

@@ -302,6 +302,17 @@ class BasisIndex:
         return cls(tuple(obj["A"]), tuple(obj["B"]), tuple(obj["w"]))
 
 
+def _trusted_index(A: tuple, B: tuple, w: Permutation) -> BasisIndex:
+    """A BasisIndex on fields that the caller built valid, made without the constructor's checks."""
+    out = BasisIndex.__new__(BasisIndex)
+    init = object.__setattr__
+    init(out, "A", A)
+    init(out, "B", B)
+    init(out, "w", w)
+    init(out, "_hash", hash((A, B, w)))
+    return out
+
+
 def fixing_permutations(n: int, k: int):
     """Permutations of {1..n} fixing 1..k, lexicographic by image list."""
     head = tuple(range(1, k + 1))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permutation_reference import apply_left_s, pcompose, plength
+from permutation_reference import apply_left_s, p_relabel, pcompose, plength
 from mirhecke.algebra import (
     AlgebraElement,
     GeneratorWord,
@@ -34,6 +34,7 @@ from mirhecke.combinatorics import (
     partitions_up_to,
     pinverse,
     reduced_word,
+    standard_basis,
 )
 from mirhecke.ring import (
     LaurentScalar,
@@ -668,10 +669,37 @@ def golden_json(triples):
     ]
 
 
+def relabel_ids(lay):
+    """relabel(j, kid): (sign, id) of b P_j for the basis element b of id kid, by `p_relabel` (memoized)."""
+
+    @functools.cache
+    def relabel(j, kid):
+        index = lay.basis[kid]
+        sign, *target = p_relabel(index.A, index.B, index.w, j)
+        return sign, lay.kids[BasisIndex(*target)]
+
+    return relabel
+
+
+def assert_relabel_induction(lay, relabel, kid):
+    """The engine's P_1 row at kid is the relabel of P_1, and each relabel of
+    P_j (j >= 2) at kid is the product by -P_{j-1} T_{j-1}^-1 P_{j-1}."""
+    ((delta, e, a),) = lay.p1_rows[kid]
+    assert relabel(1, kid) == (a, kid + delta) and e == 0, lay.basis[kid]
+    for j in range(2, lay.n + 1):
+        s1, k1 = relabel(j - 1, kid)
+        got = {}
+        for delta, e, a in lay.t_rows[2 * j - 3][lay.kid_shape[k1]]:
+            s2, k2 = relabel(j - 1, k1 + delta)
+            got[k2, e] = got.get((k2, e), 0) - s1 * a * s2
+        sign, target = relabel(j, kid)
+        assert {key: v for key, v in got.items() if v} == {(target, 0): sign}, (lay.basis[kid], j)
+
+
 class TestKeyIds:
     """The id layout: complete tables, outputs free of id order, rows built once, each rule twice."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_every_table_is_complete(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
@@ -681,11 +709,19 @@ class TestKeyIds:
         assert all(None not in table for table in tables)
         assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_shape)
         assert all(len(rows) == shapes for rows in lay.t_rows)
-        # `kids` maps the standard basis one-to-one onto the ids, in the order
-        # of `iter_standard_basis`
-        basis = list(iter_standard_basis(n))
+        # the layout makes its indices without the constructor's checks: they
+        # are the validated standard basis in its order, and `kids` maps it
+        # one-to-one onto the ids
+        basis = standard_basis(n)
         assert lay.basis == basis
-        assert len(lay.kids) == len(basis) and all(lay.kids[idx] == kid for kid, idx in enumerate(basis))
+        assert all(type(got) is BasisIndex and hash(got) == hash(want) for got, want in zip(lay.basis, basis))
+        assert lay.kids == {index: kid for kid, index in enumerate(basis)}
+        # shape ids in the order in which the shapes first occur
+        shape_id = {}
+        for index in basis:
+            shape_id.setdefault((index.B, index.w), len(shape_id))
+        assert lay.kid_shape == [shape_id[index.B, index.w] for index in basis]
+        algebra.clear_caches()
 
     def test_outputs_do_not_depend_on_id_order(self):
         triples = golden_triples()
@@ -705,8 +741,11 @@ class TestKeyIds:
 
     def test_rows_are_built_once(self, monkeypatch):
         algebra.clear_caches()
-        # T moves per (B, w, i), P relabels per (A, B, w, j)
-        calls = {name: {} for name in ("_t_move", "_p_relabel")}
+        # T moves per (B, w, i) and beta^-1 per subset B; the P_1 rows from a
+        # part per shape (B, w) with 1 not in B and a part per (A, r), so no
+        # relabel runs per id
+        names = ("_t_move", "_subset_perm", "_p1_shape", "_p1_subset")
+        calls = {name: {} for name in names}
         for name, seen in calls.items():
             def counting(*args, _true=getattr(algebra, name), _seen=seen):
                 _seen[args] = _seen.get(args, 0) + 1
@@ -714,45 +753,40 @@ class TestKeyIds:
 
             monkeypatch.setattr(algebra, name, counting)
         golden_json(golden_triples())
-        assert all(seen for seen in calls.values())
         assert {name: max(seen.values()) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
-        lay = algebra._layout(4)
-        assert len(calls["_t_move"]) == len(lay.t_rows[0]) * 3
-        assert len(calls["_p_relabel"]) == len(lay.basis)
-        assert {args[3] for args in calls["_p_relabel"]} == {1}
+        n = 4
+        lay = algebra._layout(n)
+        shapes = {(index.B, index.w) for index in lay.basis}
+        subsets = {index.A for index in lay.basis}
+        assert {args[:3] for args in calls["_t_move"]} == {
+            (B, w, i) for B, w in shapes for i in range(1, n)
+        }
+        assert set(calls["_subset_perm"]) == {(n, B) for B in subsets}
+        assert set(calls["_p1_shape"]) == {(B, w) for B, w in shapes if 1 not in B}
+        assert set(calls["_p1_subset"]) == {
+            (n, A, r) for A in subsets for r in range(1, n - len(A) + 1)
+        }
+        # 49 + 32 calls build the 209 P_1 rows at n = 4
+        assert (len(calls["_p1_shape"]), len(calls["_p1_subset"]), len(lay.p1_rows)) == (49, 32, 209)
         algebra.clear_caches()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_p1_closed_forms_match_the_hecke_product(self, n):
         # the closed form of every P_j, P_1 included, is the signed relabel of
-        # `_p_relabel`: b P_j is +-1 times one basis element with no power of
+        # `p_relabel`: b P_j is +-1 times one basis element with no power of
         # q, and it is b exactly when {1..j} is in B.  By induction on j it is
         # the product by the expansion P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}, in
         # ids: P_1 is the engine's row, and each step composes the relabel of
         # P_{j-1} with the engine's T^-1 row (each row is checked against the
         # Hecke product in its own test)
         lay = algebra._layout(n)
-        rel = [None]  # rel[j][kid]: (sign, id) of b P_j
-        for j in range(1, n + 1):
-            rel.append([])
-            for index in lay.basis:
-                sign, *target = algebra._p_relabel(index.A, index.B, index.w, j)
-                rel[j].append((sign, lay.kids[BasisIndex(*target)]))
+        relabel = relabel_ids(lay)
         fixed = 0
         for kid, index in enumerate(lay.basis):
-            ((delta, e, a),) = lay.p1_rows[kid]
-            assert rel[1][kid] == (a, kid + delta) and e == 0
-            for j in range(2, n + 1):
-                s1, k1 = rel[j - 1][kid]
-                got = {}
-                for delta, e, a in lay.t_rows[2 * j - 3][lay.kid_shape[k1]]:
-                    s2, k2 = rel[j - 1][k1 + delta]
-                    got[k2, e] = got.get((k2, e), 0) - s1 * a * s2
-                sign, target = rel[j][kid]
-                assert {key: v for key, v in got.items() if v} == {(target, 0): sign}, (index, j)
+            assert_relabel_induction(lay, relabel, kid)
             for j in range(1, n + 1):
                 fixes = set(range(1, j + 1)) <= set(index.B)
-                assert (rel[j][kid] == (1, kid)) == fixes, (index, j)
+                assert (relabel(j, kid) == (1, kid)) == fixes, (index, j)
                 fixed += fixes
         # b is fixed by P_1..P_m for the longest run 1..m at the head of B
         assert fixed == sum(
@@ -762,8 +796,20 @@ class TestKeyIds:
             for kid, index in enumerate(lay.basis):
                 b = basis_element(index)
                 for j in range(1, n + 1):
-                    sign, target = rel[j][kid]
+                    sign, target = relabel(j, kid)
                     assert rmul_gen(b, ("P", j)) == basis_element(lay.basis[target]).scale(sign)
+
+    @pytest.mark.slow
+    def test_rank7_p1_rows_and_relabels_on_a_sample(self):
+        # the same checks on 2,000 seeded ids of rank 7, past the reach of the
+        # exhaustive tests: the P_1 row is the reference relabel, and every
+        # P_j closed form passes the induction through the T^-1 rows
+        algebra.clear_caches()
+        lay = algebra._layout(7)
+        relabel = relabel_ids(lay)
+        for kid in random.Random(29).sample(range(len(lay.basis)), 2000):
+            assert_relabel_induction(lay, relabel, kid)
+        algebra.clear_caches()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_equal_table_values_are_one_object(self, n):
@@ -835,7 +881,7 @@ class TestKeyIds:
             k = len(B)
             beta = algebra._subset_perm(n, B)
             for i in range(1, n):
-                case, B2, w2 = algebra._t_move(B, w, i)
+                case, B2, w2 = algebra._t_move(B, w, i, pinverse(beta))
                 left = hecke_lmul_letter({beta: ONE}, i)
                 if B2 != B:  # cases (a) and (b)
                     beta2 = algebra._subset_perm(n, B2)

@@ -111,9 +111,10 @@ def test_ring_keeps_no_memo():
 
 MEMOS = {
     "algebra._basis_data",
+    "algebra._head_data",
     "algebra._layout",
     "algebra._pi_expansion",
-    "algebra._subset_perm",
+    "algebra._tail_data",
     "characters._class_map",
     "characters._table",
     "cli._parser",
