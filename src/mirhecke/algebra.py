@@ -32,13 +32,14 @@ b = (A, B, w), k = |A|, and beta for the permutation of T_B (j -> b_j on
   sigma(D_t) = I_{w(k+t)-k}.  For x = 1..j in ascending order with x not
   in B, let y = sigma(x); multiply by (-1)^(#{a in A: a < y} + #{b in B:
   b < x}) with the current A and B, add y to A and x to B, and drop x from
-  sigma.  So b P_j = b exactly when {1..j} is in B.  The engine stores the
-  map of P_1 and expands each higher idempotent of an input word through
-  P_j = -P_{j-1} T_{j-1}^{-1} P_{j-1}.  At j = 1 the map factors: for
-  1 not in B, r = w(k+1) - k is the rank of y = sigma(1) in [n] - A, the
-  target shape ({1} u B, w') depends on (B, w) alone (`_p1_shape`), and
-  A' = A u {y} with the sign (-1)^(y - r) depends on (A, r) alone
-  (`_p1_subset`).
+  sigma.  So b P_j = b exactly when {1..j} is in B.  The engine reads P_j
+  as the j steps X_1 ... X_j, X_x being the rule for one x.  After
+  X_1 ... X_{x-1}, {1..x-1} is in B, so X_x fixes b when x is in B and
+  otherwise x is the first gap of B (the smallest element of [n] - B).
+  Then the step factors: r = w(k+1) - k is the rank of y = sigma(x) in
+  [n] - A, the target shape (B u {x}, w') and the sign (-1)^(x-1) depend
+  on (B, w) alone (`_relabel_shape`), and A' = A u {y} with the sign
+  (-1)^(y - r) depends on (A, r) alone (`_relabel_subset`).
 
 All coefficients live in Z[v, v^-1] with q = v^2; purely algebraic
 computations stay in even v-exponents, and so do the engine tables, which
@@ -57,15 +58,14 @@ must fit their slots:
 
 - B.  Every output coefficient is bounded by the l1 mass of the whole
   result, ||x||_1 * sum_y ||c_y||_1 3^(#T(word_y)): a T^+-1 row has l1
-  mass at most 3 and a P_1 row mass 1, and each P_j counts as its
-  expansion (2^(j-1) letters P_1, 2^(j-1) - 1 letters T^-1).  B is
-  `slot_bits` of that bound and never a setting.
+  mass at most 3 and an X row mass 1.  B is `slot_bits` of that bound and
+  never a setting.
 - E.  Every right shift must be exact, so -E * step is a lower bound on
   every v-exponent (even with step 2) of every intermediate value: x's
-  lowest exponent, less 2 per T^-1 letter (those inside P_j included); the
-  stack is covered both before and after it is scaled by c_y.  A T^-1 row
-  lowers an exponent by at most one power of q, and no T row and no P_1 row
-  lowers one: `_Layout` raises `NegativeExponentError` otherwise.
+  lowest exponent, less 2 per T^-1 letter; the stack is covered both
+  before and after it is scaled by c_y.  A T^-1 row lowers an exponent by
+  at most one power of q, and no T row and no X row lowers one: `_Layout`
+  raises `NegativeExponentError` otherwise.
 
 Decoding is exact because the true output coefficients satisfy
 |a| < 2^(B-1), where balanced base-2^B digits are unique.  Nothing scans
@@ -74,18 +74,18 @@ an output for odd exponents: q-slots cannot hold one.  One engine,
 id, right-multiplies it by the words of its terms in sorted order (each
 word restarts from the partial product of its longest common prefix with
 the previous word), sums the words and unpacks.  A word reaches it resolved
-to the layout's steps, each P_j expanded and its sign folded into the
-packed coefficient.
+to the layout's steps: one per T letter and X_1 ... X_j per P_j.
 
 Ids.  Every basis element of rank n has a dense id, its position in
 `iter_standard_basis(n)`: a shape is a pair (B, w), and every k-subset A
 owns a block of ids, one per shape of size k, in the same order
 (`_Layout`).  Every row names its target by the shift delta = target - id.
 The T^+-1 rows depend only on the shape, so each is built once per shape
-and applies to every A; the P_1 rows change A, so there is one per id, each
-assembled from a part per shape and a part per (A, r) with no work per id
-beyond an addition and a lookup.  One kernel, `ring.apply_rows` with `sel`
-= `kid_shape` for the T rows and the ids themselves for the P_1 rows,
+and applies to every A; the X rows change A, so X_1 has one per id and
+X_x (x >= 2) one per id that reaches it, each assembled from a part per
+shape and a part per (A, r) with no work per id beyond an addition and a
+lookup.  One kernel, `ring.apply_rows` with `sel` = `kid_shape` for the T
+rows and the ids themselves for the X rows,
 shifts, signs and accumulates every row table.  The same kernel applies
 the letter rows of tensor space (`tensorrep`).  Ids are mapped to and from
 a BasisIndex only where a product enters and leaves the engine.
@@ -94,22 +94,21 @@ What is memoized, and where (`clear_caches` empties all of it):
 
 - `_layout(n)` is the one engine state of rank n, complete when it is
   built: `t_rows` (T^+-1, per shape and letter, from `_t_move` and
-  `_t_rows`, with beta^-1 once per subset B), `p1_rows` (per id, from
-  `_p1_shape` per shape and `_p1_subset` per (A, r)), `basis` (per id,
-  made without the BasisIndex checks from the same enumeration as
+  `_t_rows`, with beta^-1 once per subset B), `x_rows` (X_1 .. X_n, from
+  `_relabel_shape` per shape and `_relabel_subset` per (A, r)), `basis`
+  (per id, made without the BasisIndex checks from the same enumeration as
   `iter_standard_basis`), `kids` (its inverse), `kid_shape` and the
-  `steps` of the rank, one (slot, rows, sel) per letter.  The build does no
-  LaurentScalar arithmetic.  Each distinct monomial and row is one object
-  across all tables.  The tests compare every T row and every P_1 row with
-  a term-by-term Hecke product on LaurentScalar, and every P_j relabel, as
-  the reference relabel computes it one x at a time, with the product by
-  its expansion.
+  `steps` of the rank, a tuple of (slot, rows, sel) per letter.  The build
+  does no LaurentScalar arithmetic.  Each distinct monomial and row is one
+  object across all tables.  The tests compare every T row and every X_1
+  row with a term-by-term Hecke product on LaurentScalar, and each product
+  X_1 ... X_j with the reference relabel, which they also check against
+  the product by P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}.
 - `functools.cache` memos (`cache_info()` gives hits, misses and size):
-  `_pi_expansion`; the steps, sign and gains of a basis word in two parts,
-  `_head_data` per subset A (T_A) and `_tail_data` per shape (P_k T_w
-  T_B^-1), so a shape's word is read and expanded once however many A use
-  it; and their join `_basis_data` per index, for the terms of y in
-  `mul`.
+  the steps and gains of a basis word in two parts, `_head_data` per
+  subset A (T_A) and `_tail_data` per shape (P_k T_w T_B^-1), so a shape's
+  word is read once however many A use it; and their join `_basis_data`
+  per index, for the terms of y in `mul`.
 
 Each table and memo is bounded by the size of the basis times the number
 of generators.  The defining relations are checked through `mul` in
@@ -219,15 +218,6 @@ def _subset_word(A: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(letters)
 
 
-@cache
-def _pi_expansion(j: int) -> tuple[int, tuple[Letter, ...]]:
-    """P_j as (sign, word) over {P_1, T_i^-1}: P_j = sign * product(word)."""
-    if j == 1:
-        return 1, (("P", 1),)
-    _, prev = _pi_expansion(j - 1)
-    return -1, prev + (("T", j - 1, -1),) + prev
-
-
 def _t_move(B: tuple, w: Permutation, i: int, beta_inv: Permutation) -> tuple:
     """How T_i meets the shape (B, w), by the rule of the module docstring: (case, B', w').
 
@@ -259,21 +249,25 @@ def _t_rows(case: int, delta: int) -> tuple:
     return ((0, 0, -1), (0, 1, 1), (delta, 1, 1)), ((delta, 0, 1),)
 
 
-def _p1_shape(B: tuple, w: Permutation) -> tuple:
-    """The part of b P_1 that the shape fixes, for b = (A, B, w) with 1 not in B: (r, B', w').
+def _relabel_shape(B: tuple, w: Permutation) -> tuple:
+    """The part of b X_x that the shape fixes, for b = (A, B, w), k = |B| < n: (x, sign, r, B', w').
 
-    sigma(1) = y is the r-th element of [n] - A, r = w(k+1) - k.  P_1 adds 1
-    to B and y to A and drops 1 from sigma, so w' is the identity on 1..k+1
-    followed by the ranks in [n] - A' of the remaining images: each x of
-    w(k+2..n) becomes x + 1, less 1 when its rank x - k in [n] - A is above r.
+    x is the first gap of B, so #{b in B: b < x} = x - 1 gives the sign
+    (-1)^(x-1).  sigma(x) = y is the r-th element of [n] - A,
+    r = w(k+1) - k.  X_x adds x to B and y to A and drops x from sigma, so
+    w' is the identity on 1..k+1 followed by the ranks in [n] - A' of the
+    remaining images: each u of w(k+2..n) becomes u + 1, less 1 when its
+    rank u - k in [n] - A is above r.
     """
     k = len(B)
+    x = next((t for t, b in enumerate(B, 1) if b != t), k + 1)
     r = w[k] - k
-    return r, (1,) + B, identity_perm(k + 1) + tuple(x + 1 - (x - k > r) for x in w[k + 1 :])
+    w2 = identity_perm(k + 1) + tuple(u + 1 - (u - k > r) for u in w[k + 1 :])
+    return x, 1 if x & 1 else -1, r, B[: x - 1] + (x,) + B[x - 1 :], w2
 
 
-def _p1_subset(n: int, A: tuple, r: int) -> tuple:
-    """The part of b P_1 that A and r fix, for sigma(1) = y the r-th element of [n] - A: (sign, A').
+def _relabel_subset(n: int, A: tuple, r: int) -> tuple:
+    """The part of b X_x that A and r fix, for sigma(x) = y the r-th element of [n] - A: (sign, A').
 
     A' = A u {y}, and the sign (-1)^#{a in A: a < y} of the relabel is
     (-1)^(y - r), since r - 1 elements of [n] - A lie below y.
@@ -301,21 +295,26 @@ class _Layout:
 
     - `t_rows[2(i-1) + inv][shape]`: T_i^{+-1}, `_t_rows` of `_t_move`,
       with beta^-1 computed once per subset B;
-    - `p1_rows[kid]`: P_1, the one monomial (delta, 0, +-1) of the signed
-      relabel, assembled from `_p1_shape` (once per shape with 1 not in B)
-      and `_p1_subset` (once per k-subset A and rank r); b P_1 = b when 1
-      is in B.
+    - `x_rows[x-1][kid]`: X_x, the one monomial (delta, 0, +-1) of the
+      signed relabel, assembled from `_relabel_shape` (once per shape with
+      k < n) and `_relabel_subset` (once per k-subset A and rank r).  X_1
+      is a list with a row per id; X_x for x >= 2 is a dict with rows only
+      on the ids that X_1 ... X_{x-1} can reach, those with {1..x-1} in B:
+      the shared row (0, 0, 1) where x is in B, the relabel where x is the
+      first gap.
 
     `basis[kid]` is the BasisIndex of an id; `kids` is its inverse and
-    `kid_shape[kid]` its shape id.  `steps[slot]` is the step of one letter,
-    (slot, rows, sel) with `apply_rows(elem, rows, sel, unit)` its product:
-    slot 2(i-1) + inv for T_i^{+-1} (sel = `kid_shape`), the last slot for
-    P_1 (sel = the ids).  No T row has a power of q below 0 and no T^-1 row
+    `kid_shape[kid]` its shape id.  A step is (slot, rows, sel) with
+    `apply_rows(elem, rows, sel, unit)` its product: slot 2(i-1) + inv for
+    T_i^{+-1} (sel = `kid_shape`), 2(n-1) + x-1 for X_x (sel = the ids).
+    `steps[2(i-1) + inv]` is the one-step tuple of the letter T_i^{+-1},
+    `steps[2(n-1) + j-1]` the steps X_1 ... X_j of the letter P_j.  No T
+    row has a power of q below 0 and no T^-1 row
     one below -1, or `NegativeExponentError` is raised: the offset of
     `_product` counts one power of q per T^-1 letter.
     """
 
-    __slots__ = ("n", "kid_shape", "t_rows", "p1_rows", "basis", "kids", "steps")
+    __slots__ = ("n", "kid_shape", "t_rows", "x_rows", "basis", "kids", "steps")
 
     def __init__(self, n: int):
         universe = range(1, n + 1)
@@ -364,32 +363,38 @@ class _Layout:
                             pair = pairs[key] = intern(row), intern(inv)
                         self.t_rows[2 * i - 2].append(pair[0])
                         self.t_rows[2 * i - 1].append(pair[1])
-        p1: dict = {}  # (delta, sign) -> the P_1 row
-        self.p1_rows: list[tuple] = []
+        fixed = intern(((0, 0, 1),))
+        relabels: dict = {(0, 1): fixed}  # (delta, sign) -> the X row
+        self.x_rows: list = [[fixed] * len(self.basis)] + [{} for _ in range(1, n)]
         for k, size in enumerate(shapes):
-            # per shape: (r, shift of the target's position), r = 0 for b P_1 = b
+            # per shape: (x, sign, r, shift of the target's position); x = n + 1 when B = [n]
             parts = []
             for s, (B, w) in enumerate(size):
-                if 1 in B:
-                    parts.append((0, 0))
+                if k == n:
+                    parts.append((n + 1, 1, 0, 0))
                 else:
-                    r, B2, w2 = _p1_shape(B, w)
-                    parts.append((r, local[B2, w2] - s))
+                    x, sign, r, B2, w2 = _relabel_shape(B, w)
+                    parts.append((x, sign, r, local[B2, w2] - s))
             for A in subsets[k]:
-                # moves[r]: (shift of the block, sign)
+                # moves[r]: (shift of the block, sign), shared by every x
                 moves = [(0, 1)]
                 for r in range(1, n - k + 1):
-                    sign, A2 = _p1_subset(n, A, r)
+                    sign, A2 = _relabel_subset(n, A, r)
                     moves.append((blocks[A2] - blocks[A], sign))
-                for r, shift in parts:
-                    block, sign = moves[r]
-                    key = block + shift, sign
-                    row = p1.get(key)
-                    if row is None:
-                        row = p1[key] = intern(((key[0], 0, sign),))
-                    self.p1_rows.append(row)
-        self.steps = [(slot, rows, self.kid_shape) for slot, rows in enumerate(self.t_rows)]
-        self.steps.append((len(self.steps), self.p1_rows, range(len(self.basis))))
+                for kid, (x, sign, r, shift) in enumerate(parts, blocks[A]):
+                    for t in range(2, x):  # t is in B: b X_t = b
+                        self.x_rows[t - 1][kid] = fixed
+                    if x <= n:
+                        block, s2 = moves[r]
+                        key = block + shift, sign * s2
+                        row = relabels.get(key)
+                        if row is None:
+                            row = relabels[key] = intern(((key[0], 0, key[1]),))
+                        self.x_rows[x - 1][kid] = row
+        ids = range(len(self.basis))
+        x_steps = [(2 * n - 2 + t, rows, ids) for t, rows in enumerate(self.x_rows)]
+        self.steps = [((slot, rows, self.kid_shape),) for slot, rows in enumerate(self.t_rows)]
+        self.steps += [tuple(x_steps[:j]) for j in range(1, n + 1)]
 
 
 @cache
@@ -401,41 +406,30 @@ def _layout(n: int) -> _Layout:
 # -- words as steps, and their a priori slot width and offset ---------------
 
 
-def _word_bounds(letters: tuple) -> tuple[int, int]:
-    """(gain, drop) of a generator word.
+def _word_bounds(letters) -> tuple[int, int]:
+    """(gain, drop) of a generator word: (3^(#T), 2 (#T^-1)).
 
-    The gain 3^(#T) bounds how much the word multiplies the l1 mass of an
-    element (a P_1 row has mass 1); the drop 2 (#T^-1) bounds how far it
-    lowers the lowest v-exponent (a T or P_1 row lowers none).  Each P_j
-    counts as its expansion `_pi_expansion(j)`.
+    The gain bounds how much the word multiplies the l1 mass of an element
+    (a T^+-1 row has mass at most 3, a P_j letter mass 1); the drop bounds
+    how far it lowers the lowest v-exponent (only T^-1 lowers one, by at
+    most 2).  The same holds for the letters of tensor space (`tensorrep`).
     """
     t = inv = 0
     for lt in letters:
-        for x in _pi_expansion(lt[1])[1] if lt[0] == "P" else (lt,):
-            if x[0] == "T":
-                t += 1
-                inv += x[2] == -1
+        if lt[0] == "T":
+            t += 1
+            inv += lt[2] == -1
     return 3**t, 2 * inv
 
 
 def _word_data(n: int, letters) -> tuple:
-    """(steps, sign, gain, drop) of a generator word of rank n.
-
-    The steps are the layout's, one per letter with each P_j expanded by
-    `_pi_expansion`; the word is sign times their product.  Gain and drop
-    are `_word_bounds`.
-    """
+    """(steps, gain, drop) of a generator word of rank n: the layout's steps
+    of its letters in turn, and `_word_bounds`."""
     table = _layout(n).steps
     steps = []
-    sign = 1
     for lt in letters:
-        if lt[0] == "T":
-            steps.append(table[2 * lt[1] - 2 + (lt[2] == -1)])
-            continue
-        s, word = _pi_expansion(lt[1])
-        sign *= s
-        steps += [table[2 * x[1] - 1] if x[0] == "T" else table[-1] for x in word]
-    return tuple(steps), sign, *_word_bounds(letters)
+        steps += table[2 * lt[1] - 2 + (lt[2] == -1) if lt[0] == "T" else 2 * n - 3 + lt[1]]
+    return tuple(steps), *_word_bounds(letters)
 
 
 @cache
@@ -452,14 +446,14 @@ def _tail_data(n: int, B: tuple, w: Permutation) -> tuple:
 
 @cache
 def _basis_data(idx: BasisIndex) -> tuple:
-    """(steps, sign, gain, drop) of `basis_word(idx)`, joined from its two parts (memoized).
+    """(steps, gain, drop) of `basis_word(idx)`, joined from its two parts (memoized).
 
     A BasisIndex is validated when it is made, so its word is a valid word
     of rank idx.n and is not checked again.
     """
-    head, _, gain, _ = _head_data(idx.n, idx.A)
-    tail, sign, tail_gain, drop = _tail_data(idx.n, idx.B, idx.w)
-    return head + tail, sign, gain * tail_gain, drop
+    head, gain, _ = _head_data(idx.n, idx.A)
+    tail, tail_gain, drop = _tail_data(idx.n, idx.B, idx.w)
+    return head + tail, gain * tail_gain, drop
 
 
 def _read(c: LaurentScalar) -> tuple[int, int, bool]:
@@ -480,23 +474,22 @@ def clear_caches() -> None:
 
     Useful in long-running processes.
     """
-    for fn in (_layout, _basis_data, _head_data, _tail_data, _pi_expansion):
+    for fn in (_layout, _basis_data, _head_data, _tail_data):
         fn.cache_clear()
 
 
 def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
-    """x * sum c * word over words = [(steps, sign, gain, drop, c), ...] in normal form.
+    """x * sum c * word over words = [(steps, gain, drop, c), ...] in normal form.
 
-    A word is sign times the product of its steps (`_word_data`).  One pass
-    over x and one over the words read every coefficient for the slot
-    width, the offset and the slot unit (q-slots when every coefficient is
-    in Z[q, q^-1], else v-slots); then x is packed by basis id and
+    A word is the product of its steps (`_word_data`).  One pass over x and
+    one over the words read every coefficient for the slot width, the
+    offset and the slot unit (q-slots when every coefficient is in
+    Z[q, q^-1], else v-slots); then x is packed by basis id and
     right-multiplied by the words in sorted order, each starting from the
     stored partial product of its longest common prefix with the previous
-    word (steps are shared objects, compared by identity).  The sign of a
-    word is folded into its packed coefficient.  The sum is unpacked into an
-    element as it stands: its ids are distinct basis elements of the rank
-    with nonzero coefficients.
+    word (steps are shared objects, compared by identity).  The sum is
+    unpacked into an element as it stands: its ids are distinct basis
+    elements of the rank with nonzero coefficients.
     """
     n = x.n
     if not x.terms or not words:
@@ -514,13 +507,13 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     gain = 0
     low = lo_x
     scaled = []
-    for steps, sign, g, drop, c in words:
+    for steps, g, drop, c in words:
         lo, mass, ev = _read(c)
         gain += mass * g
         # the stack before and after it is scaled by c
         low = min(low, lo_x - drop + min(lo, 0))
         even = even and ev
-        scaled.append((steps, sign, c, max(0, -lo)))
+        scaled.append((steps, c, max(0, -lo)))
     bits = slot_bits(mass_x * gain)
     step = 2 if even else 1  # every exponent, low included, is even when step is 2
     unit = 2 // step * bits  # the shift of one power of q
@@ -531,7 +524,7 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
     prev: tuple = ()  # stack[j]: x times prev[:j]
     total: dict = {}
     get = total.get
-    for steps, sign, c, shift in scaled:
+    for steps, c, shift in scaled:
         j = 0
         while j < len(prev) and j < len(steps) and prev[j] is steps[j]:
             j += 1
@@ -541,8 +534,6 @@ def _product(x: "AlgebraElement", words: list) -> "AlgebraElement":
         prev = steps
         shift //= step
         cp = pack(c, bits, shift, step)
-        if sign < 0:
-            cp = -cp
         shift *= bits
         for kid, s in stack[-1].items():
             t = (s * cp) >> shift if shift else s * cp if cp != 1 else s

@@ -103,8 +103,8 @@ of y_i has absolute value below 2^(B-1): it decodes uniquely, and a
 packed y_i is 0 exactly when y_i is.  The coefficients of each W_i,mu are
 bounded by a part of the same sum, so W packs at B too.  S is an integer
 matrix, so no exponent of W is below -E_adj, and no exponent of t is below
--E, E being the `letter_offset` of the element's rotated word, which
-`trace_sums` returns.  Packing is a ring homomorphism, so each int product
+-E, E being the drop (`algebra._word_bounds`) of the element's rotated
+word, which `trace_sums` returns.  Packing is a ring homomorphism, so each int product
 W_i,mu t_mu is the packed product at offset E_adj + E, and y_i is unpacked
 there.  Nothing is shifted right, so nothing needs to be exact but the
 decoding.

@@ -49,10 +49,12 @@ inverse letters keeps every exponent of a unit word's image at or above -E,
 which makes every right shift exact.  Decoding is exact when every coefficient that is
 read back or compared satisfies |a| < 2^(B-1).  R^+-1 sends a unit word to
 at most two words whose coefficients have l1 norms 1 and 2, so every entry
-of Psi(word) e_w has l1 norm at most 3^L for L braid letters.  Callers
-derive B from that bound (`letter_bound`) and whatever they sum on top of
-it: a trace adds up at most (#words) entries, a side sum c Psi(x) o Psi(y)
-has norm at most sum ||c||_1 3^(L_x + L_y).  B is never a setting.
+of Psi(word) e_w has l1 norm at most 3^L for L braid letters.  That
+bound and the offset E are the gain and the drop of the engine's own
+`algebra._word_bounds`.  Callers derive B from the gain and whatever they
+sum on top of it: a trace adds up at most (#words) entries, a side sum
+c Psi(x) o Psi(y) has norm at most sum ||c||_1 3^(L_x + L_y).  B is never
+a setting.
 
 `psi_columns` is the one function that builds operator columns, for its
 two callers: `first_differences` compares them and `image_rank` ranks
@@ -71,7 +73,7 @@ diagonal starting points of a whole block the same way.
 `first_differences` is the one operator comparison.  `checks` hands it
 the defining relations and Psi(ab) = Psi(a) o Psi(b) as identities whose
 terms c Psi(x) or c Psi(x) o Psi(y) hold one word or two.  It derives B
-once, packs columns at E = the largest `letter_offset` of the words, so a
+once, packs columns at E = the largest drop of the words, so a
 k-word term sits at offset kE, and packs each c at base - kE, base being
 the largest kE - min(0, lowest exponent of c): every term lands at base,
 and lhs - rhs is summed into one int-keyed difference per block, which
@@ -146,7 +148,7 @@ import itertools
 from collections import Counter
 from functools import cache
 
-from .algebra import AlgebraElement, basis_word
+from .algebra import AlgebraElement, _word_bounds, basis_word
 from .combinatorics import BasisIndex, iter_standard_basis
 from .ring import apply_rows, pack, rank_over_q, slot_bits, unpack
 from .symfun import SymPoly, _fold_symmetric, schur_expand
@@ -205,16 +207,6 @@ class _Block:
 def _block(content: tuple, r: int) -> _Block:
     """The block of the words with this content (sorted) on r+1 letters (memoized)."""
     return _Block(content, r)
-
-
-def letter_bound(letters) -> int:
-    """3^(braid letters): a bound on the coefficient l1 norms of Psi(word) e_w."""
-    return 3 ** sum(lt[0] == "T" for lt in letters)
-
-
-def letter_offset(letters) -> int:
-    """2 x (inverse letters): only R^-1 lowers a v-exponent, by at most 2."""
-    return 2 * sum(lt[0] == "T" and lt[2] == -1 for lt in letters)
 
 
 @cache
@@ -310,9 +302,9 @@ def _pack_identities(identities: list) -> tuple:
     A function of its own, so the identities' scalars are freed once packed."""
     sides = [side for identity in identities for side in identity]
     words = {w: w for side in sides for _, ws in side for w in ws}
-    bound = (sum(c.l1_norm() * letter_bound(sum(ws, ())) for c, ws in side) for side in sides)
+    bound = (sum(c.l1_norm() * _word_bounds(sum(ws, ()))[0] for c, ws in side) for side in sides)
     bits = slot_bits(max(bound))
-    offset = max(map(letter_offset, words))
+    offset = max(_word_bounds(w)[1] for w in words)
     floors = (len(ws) * offset - min(0, c.min_exp()) for side in sides for c, ws in side)
     base = max(floors)
     packed = [
@@ -375,7 +367,7 @@ def _rotated_letters(idx: BasisIndex) -> tuple:
 
 def trace_bound(r: int, idx: BasisIndex) -> int:
     """(r+1)^(n-k) 3^L: a bound on the l1 norm of every diagonal sum of `trace_sums`."""
-    return (r + 1) ** (idx.n - idx.k) * letter_bound(_rotated_letters(idx))
+    return (r + 1) ** (idx.n - idx.k) * _word_bounds(_rotated_letters(idx))[0]
 
 
 def trace_sums(r: int, idx: BasisIndex, bits: int) -> tuple[int, dict]:
@@ -390,7 +382,7 @@ def trace_sums(r: int, idx: BasisIndex, bits: int) -> tuple[int, dict]:
     whatever it sums on top; the sums are never unpacked here.
     """
     letters = _rotated_letters(idx)
-    offset = letter_offset(letters)
+    offset = _word_bounds(letters)[1]
     one = 1 << (bits * offset)
     k = idx.k
     head = (r + 1,) * k
@@ -465,7 +457,7 @@ def image_rank(n: int, r: int, bits: int) -> int:
     word); the other blocks only repeat these coordinates.
     """
     words_of = {idx: basis_word(idx).letters for idx in iter_standard_basis(n)}
-    offset = max(map(letter_offset, words_of.values()))
+    offset = max(_word_bounds(w)[1] for w in words_of.values())
     suffixes = suffix_order(words_of)
     rows: dict = {idx: {} for idx in words_of}
     base = 0

@@ -44,6 +44,7 @@ from mirhecke.ring import (
     QINV,
     Q_MINUS_1,
     accumulate,
+    apply_rows,
     pack,
     slot_bits,
 )
@@ -277,10 +278,11 @@ def reference_rmul_letter(elem, letter):
             for key, s in reference_rmul_P1_key(A, d).items():
                 accumulate(out, key, c * s)
         return out
-    sign, word = algebra._pi_expansion(letter[1])
-    for lt in word:
+    # the expansion P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}, letter by letter
+    j = letter[1]
+    for lt in (("P", j - 1), ("T", j - 1, -1), ("P", j - 1)):
         elem = reference_rmul_letter(elem, lt)
-    return {key: -c for key, c in elem.items()} if sign < 0 else elem
+    return {key: -c for key, c in elem.items()}
 
 
 def greedy_to_standard(welem):
@@ -575,11 +577,11 @@ class TestPackedEngine:
 
     def test_derived_width_covers_every_golden_product(self, monkeypatch):
         # the width is slot_bits of ||x||_1 * sum_y ||c_y||_1 3^(#T(word_y)),
-        # each P_j counted as its 2^(j-1) - 1 letters T^-1, and it covers the
-        # widest true coefficient; on these 240 products it is 10 bits in the
-        # median and 19 at most, and the need is 4 bits at most
+        # a P_j letter counting as no T letter, and it covers the widest true
+        # coefficient; on these 240 products it is 9 bits in the median and
+        # 18 at most, and the need is 4 bits at most
         def t_letters(index):
-            return sum(1 if lt[0] == "T" else 2 ** (lt[1] - 1) - 1 for lt in basis_word(index))
+            return sum(lt[0] == "T" for lt in basis_word(index))
 
         bounds = []
 
@@ -682,11 +684,19 @@ def relabel_ids(lay):
 
 
 def assert_relabel_induction(lay, relabel, kid):
-    """The engine's P_1 row at kid is the relabel of P_1, and each relabel of
-    P_j (j >= 2) at kid is the product by -P_{j-1} T_{j-1}^-1 P_{j-1}."""
-    ((delta, e, a),) = lay.p1_rows[kid]
-    assert relabel(1, kid) == (a, kid + delta) and e == 0, lay.basis[kid]
-    for j in range(2, lay.n + 1):
+    """The engine's steps of each P_j, X_1 ... X_j, take kid to the relabel
+    of P_j, and each relabel of P_j (j >= 2) at kid is the product by
+    -P_{j-1} T_{j-1}^-1 P_{j-1}."""
+    n = lay.n
+    steps = lay.steps[3 * n - 3]  # the letter P_n: X_1 ... X_n
+    elem = {kid: 1}
+    for j, (_, rows, sel) in enumerate(steps, 1):
+        assert lay.steps[2 * n - 3 + j] == steps[:j]
+        # at unit 1 a power of q is a shift, so only a row (delta, 0, +-1) gives +-1
+        elem = apply_rows(elem, rows, sel, 1)
+        sign, target = relabel(j, kid)
+        assert elem == {target: sign}, (lay.basis[kid], j)
+    for j in range(2, n + 1):
         s1, k1 = relabel(j - 1, kid)
         got = {}
         for delta, e, a in lay.t_rows[2 * j - 3][lay.kid_shape[k1]]:
@@ -704,11 +714,15 @@ class TestKeyIds:
         algebra.clear_caches()
         lay = algebra._layout(n)
         shapes = max(lay.kid_shape) + 1
-        tables = (lay.kid_shape, lay.p1_rows, lay.basis, *lay.t_rows)
-        assert len(lay.t_rows) == 2 * (n - 1)
+        tables = (lay.kid_shape, lay.x_rows[0], lay.basis, *lay.t_rows)
+        assert len(lay.t_rows) == 2 * (n - 1) and len(lay.x_rows) == n
         assert all(None not in table for table in tables)
-        assert len(lay.p1_rows) == len(lay.basis) == len(lay.kid_shape)
+        assert len(lay.x_rows[0]) == len(lay.basis) == len(lay.kid_shape)
         assert all(len(rows) == shapes for rows in lay.t_rows)
+        # X_x (x >= 2) holds a row exactly on the ids with {1..x-1} in B
+        for x, rows in enumerate(lay.x_rows[1:], 2):
+            reach = {kid for kid, index in enumerate(lay.basis) if set(range(1, x)) <= set(index.B)}
+            assert set(rows) == reach and None not in rows.values()
         # the layout makes its indices without the constructor's checks: they
         # are the validated standard basis in its order, and `kids` maps it
         # one-to-one onto the ids
@@ -741,10 +755,10 @@ class TestKeyIds:
 
     def test_rows_are_built_once(self, monkeypatch):
         algebra.clear_caches()
-        # T moves per (B, w, i) and beta^-1 per subset B; the P_1 rows from a
-        # part per shape (B, w) with 1 not in B and a part per (A, r), so no
-        # relabel runs per id
-        names = ("_t_move", "_subset_perm", "_p1_shape", "_p1_subset")
+        # T moves per (B, w, i) and beta^-1 per subset B; the X rows of every
+        # x from a part per shape (B, w) with |B| < n and a part per (A, r),
+        # so no relabel runs per id or per x
+        names = ("_t_move", "_subset_perm", "_relabel_shape", "_relabel_subset")
         calls = {name: {} for name in names}
         for name, seen in calls.items():
             def counting(*args, _true=getattr(algebra, name), _seen=seen):
@@ -762,23 +776,25 @@ class TestKeyIds:
             (B, w, i) for B, w in shapes for i in range(1, n)
         }
         assert set(calls["_subset_perm"]) == {(n, B) for B in subsets}
-        assert set(calls["_p1_shape"]) == {(B, w) for B, w in shapes if 1 not in B}
-        assert set(calls["_p1_subset"]) == {
+        assert set(calls["_relabel_shape"]) == {(B, w) for B, w in shapes if len(B) < n}
+        assert set(calls["_relabel_subset"]) == {
             (n, A, r) for A in subsets for r in range(1, n - len(A) + 1)
         }
-        # 49 + 32 calls build the 209 P_1 rows at n = 4
-        assert (len(calls["_p1_shape"]), len(calls["_p1_subset"]), len(lay.p1_rows)) == (49, 32, 209)
+        # 64 + 32 calls build the 209 X_1 rows and the 99 rows of X_2 .. X_4 at n = 4
+        rows = sum(map(len, lay.x_rows))
+        assert (len(calls["_relabel_shape"]), len(calls["_relabel_subset"]), rows) == (64, 32, 209 + 99)
         algebra.clear_caches()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_p1_closed_forms_match_the_hecke_product(self, n):
         # the closed form of every P_j, P_1 included, is the signed relabel of
         # `p_relabel`: b P_j is +-1 times one basis element with no power of
-        # q, and it is b exactly when {1..j} is in B.  By induction on j it is
-        # the product by the expansion P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}, in
-        # ids: P_1 is the engine's row, and each step composes the relabel of
-        # P_{j-1} with the engine's T^-1 row (each row is checked against the
-        # Hecke product in its own test)
+        # q, and it is b exactly when {1..j} is in B.  The engine's steps
+        # X_1 ... X_j give it at every id.  By induction on j it is the
+        # product by the expansion P_j = -P_{j-1} T_{j-1}^-1 P_{j-1}, in ids:
+        # each step composes the relabel of P_{j-1} with the engine's T^-1
+        # row (each T row and X_1 row is checked against the Hecke product in
+        # its own test)
         lay = algebra._layout(n)
         relabel = relabel_ids(lay)
         fixed = 0
@@ -792,18 +808,20 @@ class TestKeyIds:
         assert fixed == sum(
             next(m for m in range(n + 1) if m == len(i.B) or i.B[m] != m + 1) for i in lay.basis
         )
-        if n <= 4:  # and the public product by the expansion, directly
+        if n <= 4:  # and the public product, and the expansion on LaurentScalar, directly
             for kid, index in enumerate(lay.basis):
                 b = basis_element(index)
                 for j in range(1, n + 1):
                     sign, target = relabel(j, kid)
-                    assert rmul_gen(b, ("P", j)) == basis_element(lay.basis[target]).scale(sign)
+                    want = basis_element(lay.basis[target]).scale(sign)
+                    assert rmul_gen(b, ("P", j)) == want
+                    assert reference_rmul_basis(index, ("P", j)) == want.terms, (index, j)
 
     @pytest.mark.slow
     def test_rank7_p1_rows_and_relabels_on_a_sample(self):
         # the same checks on 2,000 seeded ids of rank 7, past the reach of the
-        # exhaustive tests: the P_1 row is the reference relabel, and every
-        # P_j closed form passes the induction through the T^-1 rows
+        # exhaustive tests: the steps X_1 ... X_j give the reference relabel
+        # of every P_j, and each passes the induction through the T^-1 rows
         algebra.clear_caches()
         lay = algebra._layout(7)
         relabel = relabel_ids(lay)
@@ -815,7 +833,8 @@ class TestKeyIds:
     def test_equal_table_values_are_one_object(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
-        rows = [*itertools.chain.from_iterable(lay.t_rows), *lay.p1_rows]
+        rows = [*itertools.chain.from_iterable(lay.t_rows), *lay.x_rows[0]]
+        rows += [row for table in lay.x_rows[1:] for row in table.values()]
         seen, monomials = {}, {}
         entries = 0
         for row in rows:
@@ -823,8 +842,8 @@ class TestKeyIds:
             for m in row:
                 assert monomials.setdefault(m, m) is m
                 entries += 1
-        # the sharing is real: 959 entries hold 102 monomials at n = 4, and
-        # 6,634 hold 348 at n = 5
+        # the sharing is real: 1,058 entries hold 142 monomials at n = 4,
+        # and 7,308 hold 533 at n = 5
         assert 4 * len(monomials) < entries
         algebra.clear_caches()
 
@@ -832,8 +851,8 @@ class TestKeyIds:
     def test_p1_rows_match_the_word_replay(self, n):
         algebra.clear_caches()
         lay = algebra._layout(n)
-        assert len(lay.p1_rows) == sum(1 for _ in iter_standard_basis(n))
-        for kid, row in enumerate(lay.p1_rows):
+        assert len(lay.x_rows[0]) == sum(1 for _ in iter_standard_basis(n))
+        for kid, row in enumerate(lay.x_rows[0]):
             # the reference as the rows store it: id deltas and powers of q
             want = {
                 (lay.kids[target] - kid, q_exp(e)): a
@@ -928,14 +947,15 @@ class TestKeyIds:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_letter_gains_bound_every_row(self, n):
         # the slot width rests on an l1 mass of at most 3 per T^+-1 row and of
-        # 1 per P_1 row, the offset on one power of q per T^-1 row at most;
-        # all three are attained
+        # 1 per X row, so per P_j letter, the offset on one power of q per
+        # T^-1 row at most; all three are attained
         lay = algebra._layout(n)
         for inv in (0, 1):
             rows = [row for slot in lay.t_rows[inv::2] for row in slot]
             assert max(sum(abs(a) for *_, a in row) for row in rows) == 3
             assert min(e for row in rows for _, e, _ in row) == -inv
-        assert {(len(row), row[0][1], abs(row[0][2])) for row in lay.p1_rows} == {(1, 0, 1)}
+        rows = [*lay.x_rows[0], *(row for table in lay.x_rows[1:] for row in table.values())]
+        assert {(len(row), row[0][1], abs(row[0][2])) for row in rows} == {(1, 0, 1)}
 
 
 class TestEvenExponentInvariant:
@@ -1137,6 +1157,24 @@ class TestRelations:
         p1 = next(x for x in engine if x["check"] == "P1^2 = P1")
         assert p1["status"] == "fail" and p1["witness"].startswith("AlgebraElement(")
         assert all(x["status"] == "pass" for x in tensor)
+
+    def test_flipped_x2_row_fails_the_engine_route(self):
+        # the engine reads P_2 from its own X_2 table, not from P_1 and T_1,
+        # so the relations tie the two: a sign flipped on the X_2 row of
+        # ({1}, {1}, 1) at n = 3 fails 8 relations, P2^2 = P2, T1P2 = -P2 and
+        # P3 = -P2T2^-1 P2 among them, and the tensor route, which never
+        # reads the table, passes
+        algebra.clear_caches()
+        lay = algebra._layout(3)
+        kid = lay.kids[idx((1,), (1,), (1, 2, 3))]
+        ((delta, e, a),) = lay.x_rows[1][kid]
+        lay.x_rows[1][kid] = ((delta, e, -a),)
+        try:
+            records = checks.run_suite("relations", 3, 3, "oracle", False)
+        finally:
+            algebra.clear_caches()
+        failed = [x["check"] for x in records if x["status"] != "pass"]
+        assert len(failed) == 8 and {"P2^2 = P2", "T1P2 = -P2", "P3 = -P2T2^-1 P2"} <= set(failed)
 
     def test_t0_quadratic_directly(self):
         n = 2

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from bareiss_reference import replay_reference
-from mirhecke import characters, checks, ring, symfun, tensorrep
+from mirhecke import algebra, characters, checks, ring, symfun, tensorrep
 from mirhecke.algebra import basis_element, hat_T
 from mirhecke.characters import (
     CharacterTable,
@@ -498,7 +498,7 @@ class TestClassPolynomials:
             d, bits, offset, _ = class_map(table)
             for idx in iter_standard_basis(n):
                 _, y = reference_solve(n, idx, table)
-                low = -(offset + tensorrep.letter_offset(tensorrep._rotated_letters(idx)))
+                low = -(offset + algebra._word_bounds(tensorrep._rotated_letters(idx))[1])
                 for y_mu in y:
                     if y_mu:
                         assert max(abs(a) for _, a in y_mu.items()) < 1 << (bits - 1), idx

@@ -113,7 +113,6 @@ MEMOS = {
     "algebra._basis_data",
     "algebra._head_data",
     "algebra._layout",
-    "algebra._pi_expansion",
     "algebra._tail_data",
     "characters._class_map",
     "characters._table",

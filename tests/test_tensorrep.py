@@ -136,8 +136,8 @@ def letter_image(letter, w, r):
 
 def psi(letters, w, r):
     """Psi(word) e_w through `psi_columns`, unpacked, at the width the letters need."""
-    bits = slot_bits(tensorrep.letter_bound(letters))
-    offset = tensorrep.letter_offset(letters)
+    gain, offset = algebra._word_bounds(letters)
+    bits = slot_bits(gain)
     words_of = {0: tuple(letters)}
     cols = psi_columns(words_of, suffix_order(words_of), [w], r, bits, offset)[0]
     return unpacked(columns(cols, block_of(w)).get(w, {}), bits, offset)
@@ -231,8 +231,8 @@ class TestKernelAgainstReference:
         # whole words on every input word: the width and offset derived from the letters suffice
         for idx in iter_standard_basis(n):
             letters = basis_word(idx).letters
-            bits = slot_bits(tensorrep.letter_bound(letters))
-            offset = tensorrep.letter_offset(letters)
+            gain, offset = algebra._word_bounds(letters)
+            bits = slot_bits(gain)
             words_of = {idx: letters}
             suffixes = suffix_order(words_of)
             got = {}
@@ -400,8 +400,8 @@ def diagonal_traces(n, r):
     `psi_columns` builds on every word, one content block at a time, each entry
     unpacked before the sum."""
     letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
-    bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
-    offset = max(map(tensorrep.letter_offset, letters.values()))
+    gains, drops = zip(*map(algebra._word_bounds, letters.values()))
+    bits, offset = slot_bits(max(gains)), max(drops)
     suffixes = suffix_order(letters)
     monos = {x: {} for x in letters}
     for block in content_blocks(n, r):
@@ -641,8 +641,8 @@ class TestMultiplicativity:
     def test_block_columns_match_operators(self, n):
         letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
         whole = {x: ref_operator(lt, n, n) for x, lt in letters.items()}
-        bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
-        offset = max(map(tensorrep.letter_offset, letters.values()))
+        gains, drops = zip(*map(algebra._word_bounds, letters.values()))
+        bits, offset = slot_bits(max(gains)), max(drops)
         suffixes = suffix_order(letters)
         for words in content_blocks(n, n):
             cols = psi_columns(letters, suffixes, words, n, bits, offset)
@@ -737,8 +737,8 @@ def relabelling_mismatches(n, r):
     """The content blocks whose basis-operator columns, relabelled onto their
     representative block, differ from the representative's own columns."""
     letters = {x: basis_word(x).letters for x in iter_standard_basis(n)}
-    bits = slot_bits(max(map(tensorrep.letter_bound, letters.values())))
-    offset = max(map(tensorrep.letter_offset, letters.values()))
+    gains, drops = zip(*map(algebra._word_bounds, letters.values()))
+    bits, offset = slot_bits(max(gains)), max(drops)
     suffixes = suffix_order(letters)
     reps = {}
     bad = []
