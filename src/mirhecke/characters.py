@@ -112,9 +112,13 @@ decoding.
 The map is cached by the table's content: under the key (n, labels,
 rows), so a table with other entries, such as a scaled one, gets a map of
 its own and never reads another's.  At most 8 maps are kept, in process
-only, and this is the one cache on the path: `ring` keeps none.  S is read
-off `symfun.schur_expand` of each m_mu, one expansion per label.  Every
-adjugate column is built when the map is, by one elimination in
+only, and this is the one cache of maps on the path: `ring` keeps none.
+A call without a table takes the default rank-n table's (labels, rows)
+from `_default_rows`, a memo per rank built once from `_table`, so it
+copies no table and reads no entry.  The map is still found by that
+content: it is the map a caller that passes `character_table(n)` gets.
+S is read off `symfun.schur_expand` of each m_mu, one expansion per label.
+Every adjugate column is built when the map is, by one elimination in
 `ring.adjugate_columns`.  That makes a first call dearer when its trace
 needs only a few columns, but B is a maximum over every entry of adj, so
 a map built from some columns could be too narrow for a later trace, and
@@ -361,6 +365,20 @@ class ClassPolyVector:
         }
 
 
+def _rows(labels, entries: dict) -> tuple:
+    """(labels, rows) of a table as tuples, rows and entries in label order."""
+    labels = tuple(labels)
+    return labels, tuple(tuple([entries[(lam, mu)] for mu in labels]) for lam in labels)
+
+
+@cache
+def _default_rows(n: int) -> tuple:
+    """`_rows` of the default rank-n table, read once per rank."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _rows(partitions_up_to(n), _table(n, "oracle"))
+
+
 @lru_cache(maxsize=8)
 def _class_map(n: int, labels: tuple, rows: tuple) -> tuple:
     """(d, B, E_adj, cols): the class-polynomial map of one table, rows in label order.
@@ -419,12 +437,11 @@ def class_polynomials(
     if idx.n != n:
         raise ValueError("index rank mismatch")
     if table is None:
-        table = character_table(n)
+        labels, rows = _default_rows(n)
     elif table.n != n:
         raise ValueError(f"character table of rank {table.n} given for rank {n}")
-    labels = tuple(table.labels)
-    entries = table.entries
-    rows = tuple(tuple([entries[(lam, mu)] for mu in labels]) for lam in labels)
+    else:
+        labels, rows = _rows(table.labels, table.entries)
     d, bits, offset, cols = _class_map(n, labels, rows)
     e, sums = tensorrep.trace_sums(n, idx, bits)
     y = [0] * len(labels)

@@ -8,10 +8,11 @@ naming where the two routes disagree.
 
 The defining relations of the algebra are written once, in
 `defining_relations`, as linear combinations of generator words.  The same
-table is evaluated through the normal-form engine (a left fold of
-`algebra.mul` over generator elements) and as operator identities on tensor
-space.  Relations and multiplicativity are both handed to
-`tensorrep.first_differences`, which owns the packing and the comparison.
+table is evaluated through the normal-form engine (left folds of
+`algebra.mul` over generator elements, from the identity and from the
+first generator) and as operator identities on tensor space.  Relations
+and multiplicativity are both handed to `tensorrep.first_differences`,
+which owns the packing and the comparison.
 
 `run_suite` groups the checks into the four `verify` suites and turns their
 outcomes into {check, n, r, status, witness} records, where status is
@@ -166,18 +167,31 @@ def _words(table: list) -> dict:
 
 
 def relations_through_engine(table: list, n: int) -> list:
-    """One witness per relation: repr(lhs - rhs) when the normal forms differ, else None.
-    Each word is a left fold of `algebra.mul` over its generator elements."""
+    """One witness per relation: repr(lhs - rhs) of the first fold whose normal forms
+    differ, else None.  Each word is folded twice by `algebra.mul` over its generator
+    elements, from the identity and from its first generator, so a one-letter word
+    meets the engine's tables twice in one fold and once in the other, and a sign
+    error in a table cannot square away in both."""
     words = _words(table)
     gens = {lt: algebra.reduce_word(algebra.GeneratorWord(n, [lt])) for w in words for lt in w}
     one = algebra.identity_element(n)
-    value = {w: functools.reduce(algebra.mul, map(gens.get, w), one) for w in words}
+    folds = [
+        {w: functools.reduce(algebra.mul, map(gens.get, w), one) for w in words},
+        {w: functools.reduce(algebra.mul, map(gens.get, w[1:]), gens[w[0]]) if w else one
+         for w in words},
+    ]
 
-    def side(combo):
+    def side(value, combo):
         return sum((value[w].scale(c) for c, w in combo), algebra.AlgebraElement(n, {}))
 
-    diffs = (side(lhs) - side(rhs) for _, lhs, rhs in table)
-    return [None if diff.is_zero() else repr(diff) for diff in diffs]
+    def witness(lhs, rhs):
+        for value in folds:
+            diff = side(value, lhs) - side(value, rhs)
+            if not diff.is_zero():
+                return repr(diff)
+        return None
+
+    return [witness(lhs, rhs) for _, lhs, rhs in table]
 
 
 def relations_on_tensor_space(table: list, n: int, r: int) -> list:

@@ -1161,9 +1161,10 @@ class TestRelations:
     def test_flipped_x2_row_fails_the_engine_route(self):
         # the engine reads P_2 from its own X_2 table, not from P_1 and T_1,
         # so the relations tie the two: a sign flipped on the X_2 row of
-        # ({1}, {1}, 1) at n = 3 fails 8 relations, P2^2 = P2, T1P2 = -P2 and
-        # P3 = -P2T2^-1 P2 among them, and the tensor route, which never
-        # reads the table, passes
+        # ({1}, {1}, 1) at n = 3 fails 11 relations, P2^2 = P2, T1P2 = -P2,
+        # P3 = -P2T2^-1 P2 and P2 = -P1T1^-1 P1 among them, and the tensor
+        # route, which never reads the table, passes; the last one fails only
+        # in the fold from the first generator, where P2 meets the row once
         algebra.clear_caches()
         lay = algebra._layout(3)
         kid = lay.kids[idx((1,), (1,), (1, 2, 3))]
@@ -1174,7 +1175,8 @@ class TestRelations:
         finally:
             algebra.clear_caches()
         failed = [x["check"] for x in records if x["status"] != "pass"]
-        assert len(failed) == 8 and {"P2^2 = P2", "T1P2 = -P2", "P3 = -P2T2^-1 P2"} <= set(failed)
+        assert len(failed) == 11
+        assert {"P2^2 = P2", "T1P2 = -P2", "P3 = -P2T2^-1 P2", "P2 = -P1T1^-1 P1"} <= set(failed)
 
     def test_t0_quadratic_directly(self):
         n = 2

@@ -38,7 +38,7 @@ from mirhecke.symfun import g_coeff, strip_weight, transitions
 
 
 def clear_character_memos():
-    for memo in (characters._table, symfun._strips, symfun._strip_coeff):
+    for memo in (characters._table, characters._default_rows, symfun._strips, symfun._strip_coeff):
         memo.cache_clear()
 
 
@@ -449,11 +449,13 @@ class TestClassPolynomials:
             class_polynomials(2, idx, scaled)
 
     def test_whole_basis_runs_one_elimination_per_table(self, monkeypatch):
-        # all 209 rank-4 calls share one table: its adjugate comes from one
-        # elimination, and the inverse Kostka matrix from one Schur expansion
-        # per label; a table of the other variant adds one more elimination
-        eliminated, expanded = [], []
+        # all 209 rank-4 calls share the default table: its rows are read once,
+        # its adjugate comes from one elimination, and the inverse Kostka matrix
+        # from one Schur expansion per label; the same table passed in finds
+        # the same map, and a table of the other variant adds one elimination
+        eliminated, expanded, read = [], [], []
         real_adjugate, real_expand = characters.adjugate_columns, symfun.schur_expand
+        real_rows = characters._rows
 
         def counting_adjugate(rows):
             eliminated.append(1)
@@ -463,17 +465,25 @@ class TestClassPolynomials:
             expanded.append(1)
             return real_expand(p)
 
+        def counting_rows(labels, entries):
+            read.append(1)
+            return real_rows(labels, entries)
+
         monkeypatch.setattr(characters, "adjugate_columns", counting_adjugate)
+        monkeypatch.setattr(characters, "_rows", counting_rows)
         for module in (symfun, characters, tensorrep):
             monkeypatch.setattr(module, "schur_expand", counting_expand)
         characters._class_map.cache_clear()
-        table = character_table(4)
+        characters._default_rows.cache_clear()
         basis = list(iter_standard_basis(4))
         for idx in basis:
-            class_polynomials(4, idx, table)
+            class_polynomials(4, idx)
         assert len(basis) == 209
+        assert len(read) == 1
         assert len(eliminated) == 1
-        assert 0 < len(expanded) <= len(table.labels) == 12
+        assert 0 < len(expanded) <= len(partitions_up_to(4)) == 12
+        class_polynomials(4, basis[0], character_table(4))
+        assert len(eliminated) == 1
         class_polynomials(4, basis[0], character_table(4, "paper"))
         assert len(eliminated) == 2
 

@@ -115,6 +115,7 @@ MEMOS = {
     "algebra._layout",
     "algebra._tail_data",
     "characters._class_map",
+    "characters._default_rows",
     "characters._table",
     "cli._parser",
     "combinatorics.kostka",

@@ -1,11 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bareiss_reference import replay_reference
+from bareiss_reference import adjugate_reference, replay_reference
+from mirhecke import characters, ring
 from mirhecke.ring import (
     InexactDivisionError,
     LaurentScalar,
@@ -499,6 +502,146 @@ class TestSolveLinearAdjugate:
                 adjugate_columns(tuple(map(tuple, M)))
         with pytest.raises(SingularMatrixError):
             replay_reference(M, [ONE, ZERO, ZERO, ZERO])
+
+
+laurent_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        LaurentScalar,
+        st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=3),
+    ),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix over Z[v, v^-1], n <= 5, with odd and negative exponents;
+    at each step k in a drawn set, row k starts as a multiple of row k - 1, so the
+    leading (k+1)-minor vanishes and the pivot of step k is zero (a row swap, or a
+    singular matrix when no lower row helps)."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(laurent_entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = ZERO
+    for k in draw(st.sets(st.integers(1, n - 1), max_size=2)) if n > 1 else ():
+        c = draw(st.sampled_from([ONE, MINUS_ONE, V, QINV, Q_MINUS_1]))
+        rows[k][: k + 1] = [c * a for a in rows[k - 1][: k + 1]]
+    return tuple(map(tuple, rows))
+
+
+class TestPackedAdjugate:
+    """`adjugate_columns` on packed ints gives exactly the (d, columns) of the
+    Laurent reference, and a decoded result that fails M adj_j = d e_j raises."""
+
+    @given(square_matrices())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_the_laurent_reference(self, rows):
+        try:
+            want = adjugate_reference(rows)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                adjugate_columns(rows)
+            return
+        assert adjugate_columns(rows) == want
+
+    def test_the_strategy_reaches_every_case(self):
+        # swaps, singular matrices, q-slots and v-slots all occur in the draws
+        seen = set()
+
+        @given(square_matrices())
+        @settings(deadline=None, max_examples=200, derandomize=True)
+        def draw(rows):
+            try:
+                adjugate_reference(rows)
+                seen.add("invertible")
+            except SingularMatrixError:
+                seen.add("singular")
+            seen.add("even" if all(a.is_even() for row in rows for a in row) else "odd")
+            if any(e < 0 for row in rows for a in row for e, _ in a.items()):
+                seen.add("negative")
+            if len(rows) > 1 and not rows[0][0] and any(row[0] for row in rows):
+                seen.add("swap")
+
+        draw()
+        assert seen == {"invertible", "singular", "even", "odd", "negative", "swap"}
+
+    @pytest.mark.parametrize("variant", ["oracle", "paper"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_character_tables_match_the_laurent_reference(self, n, variant):
+        table = characters.character_table(n, variant)
+        labels = table.labels
+        rows = tuple(tuple(table.entries[(lam, mu)] for mu in labels) for lam in labels)
+        assert adjugate_columns(rows) == adjugate_reference(rows)
+
+    # M = [[8, 1], [-1, 8]] has det 65 and H = (1 + 9) * (1 + 9) = 100: one bit
+    # below slot_bits(100) = 8, a slot holds |a| < 64, so d no longer decodes
+    # while every entry of M still packs; the second matrix has det 64q + 1
+    TIGHT = [
+        ((L({0: 8}), L({0: 1})), (L({0: -1}), L({0: 8}))),
+        ((L({2: 8}), L({-1: 1})), (L({1: -1}), L({0: 8}))),
+    ]
+
+    @pytest.mark.parametrize("rows", TIGHT)
+    def test_a_width_one_bit_too_narrow_raises(self, rows, monkeypatch):
+        assert adjugate_columns(rows) == adjugate_reference(rows)
+        real = ring.slot_bits
+        monkeypatch.setattr(ring, "slot_bits", lambda bound: real(bound) - 1)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            adjugate_columns(rows)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_table_at_one_bit_below_its_need_raises(self, n, monkeypatch):
+        # the a priori width is loose for a character table, so the elimination
+        # is narrowed to one bit below what its largest decoded coefficient needs
+        table = characters.character_table(n)
+        labels = table.labels
+        rows = tuple(tuple(table.entries[(lam, mu)] for mu in labels) for lam in labels)
+        d, adj = adjugate_reference(rows)
+        need = max(abs(a) for x in [d] + [x for col in adj for _, x in col] for _, a in x.items())
+        real, calls = ring.slot_bits, []
+
+        def narrow(bound):
+            calls.append(bound)
+            return real(need) - 1 if len(calls) == 1 else real(bound)
+
+        monkeypatch.setattr(ring, "slot_bits", narrow)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            adjugate_columns(rows)
+
+    @pytest.mark.parametrize("which", [1, 5, -1])
+    def test_a_perturbed_decoded_entry_raises(self, which, monkeypatch):
+        # d is decoded first, then the adjugate entries in column order
+        table = characters.character_table(3)
+        labels = table.labels
+        rows = tuple(tuple(table.entries[(lam, mu)] for mu in labels) for lam in labels)
+        _, adj = adjugate_reference(rows)
+        count = 1 + sum(map(len, adj))
+        target = which % count
+        real, calls = ring.unpack, []
+
+        def perturbed(*args):
+            calls.append(1)
+            x = real(*args)
+            return x + ONE if len(calls) - 1 == target else x
+
+        monkeypatch.setattr(ring, "unpack", perturbed)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            adjugate_columns(rows)
+        assert len(calls) == count
+
+    def test_the_certificate_raises_under_python_O(self):
+        # a raised exception, not an assert, so `python -O` keeps the check
+        code = (
+            "from mirhecke import characters, ring\n"
+            "t = characters.character_table(3)\n"
+            "rows = tuple(tuple(t.entries[(a, b)] for b in t.labels) for a in t.labels)\n"
+            "real = ring.unpack\n"
+            "ring.unpack = lambda *args: real(*args) + ring.ONE\n"
+            "ring.adjugate_columns(rows)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ArithmeticError: adjugate certificate fails" in proc.stderr
 
 
 def random_matrix(rng, rows, cols, rank, fractions):
